@@ -21,13 +21,6 @@
  *   --threads=N        worker threads for the tile-parallel engine
  *                      (results byte-identical to one worker;
  *                      DESIGN.md §4i)
- *   --checkpoint=PATH  periodic sf-snap-v1 snapshots to PATH (requires
- *                      --checkpoint-every; DESIGN.md §4j)
- *   --checkpoint-every=N  snapshot every N ticks (window-boundary
- *                      anchored)
- *   --checkpoint-stop  exit right after the first snapshot is written
- *   --restore=PATH     replay-verify the snapshot and run to the end;
- *                      a corrupt/mismatched snapshot exits 68
  */
 
 #ifndef SF_BENCH_BENCH_UTIL_HH
@@ -105,16 +98,6 @@ struct BenchOptions
      * clock.
      */
     int threads = 1;
-    /**
-     * Checkpoint/restore (DESIGN.md §4j): when checkpointPath is set,
-     * every run writes an sf-snap-v1 snapshot every checkpointEvery
-     * ticks; restorePath replay-verifies a snapshot before finishing
-     * the run. Exit 68 on any snapshot defect.
-     */
-    std::string checkpointPath;
-    Tick checkpointEvery = 0;
-    bool checkpointStop = false;
-    std::string restorePath;
 
     static BenchOptions
     parse(int argc, char **argv)
@@ -155,40 +138,15 @@ struct BenchOptions
                 o.profile = true;
             } else if (const char *v = val("--threads=")) {
                 o.threads = parseThreadCount(v, "--threads");
-            } else if (const char *v = val("--checkpoint=")) {
-                o.checkpointPath = v;
-                if (o.checkpointPath.empty())
-                    fatal("--checkpoint: empty snapshot path");
-            } else if (const char *v = val("--checkpoint-every=")) {
-                o.checkpointEvery =
-                    parseTickCount(v, "--checkpoint-every");
-            } else if (arg == "--checkpoint-stop") {
-                o.checkpointStop = true;
-            } else if (const char *v = val("--restore=")) {
-                o.restorePath = v;
-                if (o.restorePath.empty())
-                    fatal("--restore: empty snapshot path");
             } else if (arg == "--help") {
                 std::printf(
                     "options: --cores=NxN --scale=S "
                     "--workloads=a,b,c --full --stats-json=DIR "
                     "--sample-interval=N --check=off|basic|full "
                     "--faults=SPEC --watchdog-cycles=N --verify "
-                    "--profile --threads=N --checkpoint=PATH "
-                    "--checkpoint-every=N --checkpoint-stop "
-                    "--restore=PATH\n");
+                    "--profile --threads=N\n");
                 std::exit(0);
             }
-        }
-        if (!o.checkpointPath.empty() && o.checkpointEvery == 0) {
-            fatal("--checkpoint requires --checkpoint-every=N "
-                  "(ticks between snapshots)");
-        }
-        if (o.checkpointPath.empty() && o.checkpointEvery != 0) {
-            fatal("--checkpoint-every requires --checkpoint=PATH");
-        }
-        if (o.checkpointStop && o.checkpointPath.empty()) {
-            fatal("--checkpoint-stop requires --checkpoint=PATH");
         }
         return o;
     }
@@ -230,11 +188,6 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
     cfg.verify = opt.verify;
     cfg.profile = opt.profile;
     cfg.threads = opt.threads;
-    cfg.checkpointPath = opt.checkpointPath;
-    cfg.checkpointEvery = opt.checkpointEvery;
-    cfg.checkpointStop = opt.checkpointStop;
-    cfg.restorePath = opt.restorePath;
-    cfg.workloadTag = wl_name;
     if (const char *bug = std::getenv("SF_VERIFY_BUG"))
         cfg.verifyBug = bug;
     sys::TiledSystem system(cfg);
@@ -249,13 +202,6 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
     auto wl = workload::makeWorkload(wl_name, wp);
     wl->init(system.addressSpace());
     sys::SimResults r = system.run(wl->makeAllThreads());
-
-    if (r.stoppedAtCheckpoint) {
-        // --checkpoint-stop: the run ended right after its first
-        // snapshot; counters are partial, so neither verify nor any
-        // output file may be produced from them.
-        return r;
-    }
 
     if (opt.verify) {
         // Replay the same program functionally on fresh op sources and

@@ -18,17 +18,10 @@
  * aborting the whole sweep; when nothing fails the report bytes are
  * unchanged. `--resume` VALIDATES existing point results before
  * skipping them: each completed child drops a `<stem>.ok` sidecar
- * carrying CRC32s of its stats.json and host report (the snapshot
- * library's checksum, DESIGN.md §4j), and a point is only reused when
- * the recomputed CRCs match — a torn or corrupted result re-runs.
- *
- * Checkpointing (`--checkpoint-every=N`, DESIGN.md §4j): each point
- * periodically writes an sf-snap-v1 snapshot to
- * `points/<stem>.sfsnap`. A killed/timed-out/resumed point restarts
- * from its last good snapshot (deterministic replay + byte
- * verification); a corrupt, truncated or version-mismatched snapshot
- * is logged (the validator exits 68 and names the bad section when
- * run standalone), deleted, and the point re-runs from scratch.
+ * carrying CRC-32s of its stats.json and host report, and a point is
+ * only reused when the recomputed CRCs match — a torn or corrupted
+ * result re-runs from tick 0, as does every point a killed sweep had
+ * not finished.
  *
  * Extra options on top of the common bench flags:
  *   -j N / --jobs=N      worker processes (default 1)
@@ -40,18 +33,12 @@
  *   --point-timeout=S    per-point wall-clock limit in seconds
  *                        (default 300; SIGKILL + retry on expiry)
  *   --resume             skip points with validated existing results
- *   --checkpoint-every=N periodic per-point snapshots every N ticks
- *                        (paths are derived; --checkpoint/--restore
- *                        themselves are rejected here)
  *
- * Test hooks (used by tests/smoke_sweep.cmake and
- * tests/smoke_checkpoint.cmake): a child whose point stem equals
- * $SF_SWEEP_TEST_CRASH aborts, $SF_SWEEP_TEST_HANG spins forever,
- * $SF_SWEEP_TEST_FLAKY aborts on the first attempt only,
- * $SF_SWEEP_TEST_KILL_AFTER_CKPT (a stem, or `*` for every point)
- * makes first attempts SIGKILL themselves right after their first
- * snapshot, and $SF_SWEEP_TEST_PARENT_KILL_AFTER=<n> SIGKILLs the
- * whole sweep after n completed points (crash-recovery CI).
+ * Test hooks (used by tests/smoke_sweep.cmake): a child whose point
+ * stem equals $SF_SWEEP_TEST_CRASH aborts, $SF_SWEEP_TEST_HANG spins
+ * forever, $SF_SWEEP_TEST_FLAKY aborts on the first attempt only, and
+ * $SF_SWEEP_TEST_PARENT_KILL_AFTER=<n> SIGKILLs the whole sweep after
+ * n completed points (crash-recovery CI).
  */
 
 #include <sys/types.h>
@@ -68,7 +55,6 @@
 #include <stdexcept>
 
 #include "bench/bench_util.hh"
-#include "sim/snapshot.hh"
 
 using namespace sf;
 using namespace sf::bench;
@@ -85,9 +71,6 @@ struct SweepOptions
     double pointTimeout = 300.0;
     /** Skip points whose `.ok` sidecar CRCs still validate. */
     bool resume = false;
-    /** Per-point sf-snap-v1 checkpoint interval in ticks; 0 = off.
-     *  Snapshot paths are derived (`points/<stem>.sfsnap`). */
-    Tick checkpointEvery = 0;
     std::vector<std::string> cpus = {"io4", "ooo4", "ooo8"};
     std::vector<std::string> machines = {"Base", "Stride", "Bingo", "SS",
                                          "SF"};
@@ -97,33 +80,7 @@ SweepOptions
 parseSweep(int argc, char **argv)
 {
     SweepOptions o;
-    // The sweep derives per-point snapshot paths itself, so the only
-    // checkpoint flag it takes is the interval. Strip it (and reject
-    // the path-style flags) before handing the rest to the shared
-    // BenchOptions parser, whose pairing validation would otherwise
-    // demand a --checkpoint=PATH.
-    std::vector<char *> bargv;
-    bargv.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            o.checkpointEvery = parseTickCount(
-                arg.substr(std::strlen("--checkpoint-every=")),
-                "--checkpoint-every");
-            continue;
-        }
-        if (arg.rfind("--checkpoint=", 0) == 0 ||
-            arg == "--checkpoint-stop" ||
-            arg.rfind("--restore=", 0) == 0) {
-            fatal("%s: the sweep manages per-point snapshots itself; "
-                  "use --checkpoint-every=N (and --resume to reuse "
-                  "results)",
-                  argv[i]);
-        }
-        bargv.push_back(argv[i]);
-    }
-    o.bench =
-        BenchOptions::parse(static_cast<int>(bargv.size()), bargv.data());
+    o.bench = BenchOptions::parse(argc, argv);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto val = [&](const char *key) -> const char * {
@@ -230,7 +187,31 @@ struct HostReport
     uint64_t cycles = 0;
 };
 
-/** CRC32 (the snapshot library's checksum) of a file's raw bytes. */
+/**
+ * Lookup table for the reflected CRC-32 polynomial 0xedb88320. Changing
+ * the polynomial would make --resume reject every existing sidecar.
+ */
+struct CrcTable
+{
+    uint32_t t[256];
+
+    constexpr CrcTable() : t()
+    {
+        for (uint32_t i = 0; i < 256; ++i) {
+            uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+    }
+};
+
+constexpr CrcTable kCrc;
+
+/**
+ * CRC-32 (IEEE 802.3, reflected) of a file's raw bytes, as recorded
+ * in the `.ok` sidecars.
+ */
 bool
 fileCrc(const std::string &path, uint32_t &crc)
 {
@@ -239,8 +220,10 @@ fileCrc(const std::string &path, uint32_t &crc)
         return false;
     std::ostringstream ss;
     ss << in.rdbuf();
-    const std::string &s = ss.str();
-    crc = snap::crc32(s.data(), s.size());
+    crc = 0xffffffffu;
+    for (char ch : ss.str())
+        crc = kCrc.t[(crc ^ uint8_t(ch)) & 0xffu] ^ (crc >> 8);
+    crc ^= 0xffffffffu;
     return true;
 }
 
@@ -264,45 +247,7 @@ runPoint(const Point &p, const SweepOptions &o,
     try {
         BenchOptions bo = o.bench;
         bo.statsJsonDir = points_dir;
-        std::string snap_path = points_dir + "/" + p.stem + ".sfsnap";
-        bool kill_after_ckpt = false;
-        if (o.checkpointEvery > 0) {
-            bo.checkpointPath = snap_path;
-            bo.checkpointEvery = o.checkpointEvery;
-            if (const char *v =
-                    std::getenv("SF_SWEEP_TEST_KILL_AFTER_CKPT"))
-                if (attempt == 1 &&
-                    (std::string(v) == "*" || p.stem == v)) {
-                    bo.checkpointStop = true;
-                    kill_after_ckpt = true;
-                }
-            if (std::ifstream(snap_path).good()) {
-                // A previous attempt (or a killed earlier sweep, under
-                // --resume) left a snapshot: restart from it when it
-                // validates, otherwise log, delete it, and re-run from
-                // scratch.
-                try {
-                    snap::readSnapshot(snap_path);
-                    bo.restorePath = snap_path;
-                    std::printf("sweep: point %s restarting from %s\n",
-                                p.stem.c_str(), snap_path.c_str());
-                    // The child leaves via _Exit (no stdio flush).
-                    std::fflush(stdout);
-                } catch (const FatalError &e) {
-                    std::fprintf(stderr,
-                                 "sweep: point %s has a bad snapshot "
-                                 "(%s), re-running from scratch\n",
-                                 p.stem.c_str(), e.what());
-                    ::unlink(snap_path.c_str());
-                }
-            }
-        }
         sys::SimResults r = runSim(p.machine, p.core, p.workload, bo);
-        if (r.stoppedAtCheckpoint && kill_after_ckpt) {
-            // Die exactly as if SIGKILLed the instant the snapshot
-            // landed on disk: no outputs, no sidecar.
-            raise(SIGKILL);
-        }
         std::ofstream host(points_dir + "/" + p.stem + ".host");
         char buf[160];
         std::snprintf(buf, sizeof(buf),
@@ -589,7 +534,7 @@ main(int argc, char **argv)
     // parent can enforce each child's wall-clock deadline.
     std::map<pid_t, Child> running;
     int failures = 0;
-    // Crash-recovery test hook (tests/smoke_checkpoint.cmake): SIGKILL
+    // Crash-recovery test hook (tests/smoke_sweep.cmake): SIGKILL
     // the whole sweep after n completed points, as an OOM-killed or
     // rebooted host would.
     long parent_kill_after = 0;

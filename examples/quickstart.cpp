@@ -7,10 +7,10 @@
  *
  * Usage: quickstart [workload] [scale] [--stats-json=DIR] [--trace=FILE]
  *                   [--check=LVL] [--faults=SPEC] [--watchdog-cycles=N]
- *                   [--verify] [--profile] [--threads=N]
- *                   [--checkpoint=PATH --checkpoint-every=N]
- *                   [--restore=PATH]
+ *                   [--verify] [--profile] [--threads=N] [--help]
  *
+ *   workload          one of the Table IV names (default pathfinder)
+ *   scale             dataset scale, a positive number (default 0.05)
  *   --threads=N       worker threads for the tile-parallel engine
  *                     (results are byte-identical to --threads=1;
  *                     DESIGN.md §4i)
@@ -31,21 +31,18 @@
  *   --verify          run the functional reference executor after each
  *                     sim and diff the final memory image (exit 67 on
  *                     divergence; SF_VERIFY_BUG injects protocol bugs)
- *   --checkpoint=PATH --checkpoint-every=N
- *                     periodic sf-snap-v1 snapshots (DESIGN.md §4j);
- *                     each machine writes PATH.<machine>
- *   --restore=PATH    replay-verify PATH.<machine> per machine, then
- *                     run to completion (byte-identical stats)
+ *   -h, --help        print the option list and exit 0
  *
- * Exits with the FatalError exit code on watchdog timeouts (64),
- * invariant violations (65), drain failures (66), verify
- * divergences (67) and snapshot errors (68: corrupt, truncated or
- * config-mismatched snapshot files).
+ * An unknown option, a third positional argument or a scale that is
+ * not a positive number prints the usage to stderr and exits 2 before
+ * any machine is built. Otherwise exits with the FatalError exit code
+ * on watchdog timeouts (64), invariant violations (65), drain
+ * failures (66) and verify divergences (67).
  *
  * Set SF_DEBUG_FLAGS (e.g. StreamFloat,SEL3) to watch components live.
  */
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,25 +72,37 @@ struct RobustnessOptions
     bool verify = false;
     bool profile = false;
     int threads = 1;
-    /**
-     * Checkpoint/restore (DESIGN.md §4j). The quickstart runs two
-     * machines, so PATH is suffixed per machine (PATH.<machine>).
-     */
-    std::string checkpointPath;
-    Tick checkpointEvery = 0;
-    std::string restorePath;
 };
 
-/** Per-machine snapshot filename: base path + "." + machine token. */
-std::string
-machineSnapPath(const std::string &base, sys::Machine machine)
+/** Exit status for malformed command lines (no machine was built). */
+constexpr int kUsageError = 2;
+
+void
+printUsage(std::FILE *out)
 {
-    std::string tok = sys::machineName(machine);
-    for (char &c : tok) {
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    }
-    return base + "." + tok;
+    std::fprintf(
+        out,
+        "usage: quickstart [workload] [scale] [options]\n"
+        "  workload             Table IV benchmark (default pathfinder)\n"
+        "  scale                positive dataset scale (default 0.05)\n"
+        "  --stats-json=DIR     stats.json per machine into DIR\n"
+        "  --trace=FILE         SF stream-lifecycle Chrome trace\n"
+        "  --profile            latency-attribution profiler\n"
+        "  --check=LVL          invariant checker off|basic|full\n"
+        "  --faults=SPEC        deterministic fault injection\n"
+        "  --watchdog-cycles=N  watchdog interval (0 = off)\n"
+        "  --verify             diff against the reference executor\n"
+        "  --threads=N, -jN     tile-parallel worker threads\n"
+        "  -h, --help           print this list and exit\n");
+}
+
+/** Report a malformed command line; the caller exits kUsageError. */
+int
+usageError(const char *what, const std::string &arg)
+{
+    std::fprintf(stderr, "quickstart: %s '%s'\n", what, arg.c_str());
+    printUsage(stderr);
+    return kUsageError;
 }
 
 sys::SimResults
@@ -111,13 +120,6 @@ runOne(sys::Machine machine, const std::string &wl_name, double scale,
     cfg.verify = rob.verify;
     cfg.profile = rob.profile;
     cfg.threads = rob.threads;
-    if (!rob.checkpointPath.empty()) {
-        cfg.checkpointPath = machineSnapPath(rob.checkpointPath, machine);
-        cfg.checkpointEvery = rob.checkpointEvery;
-    }
-    if (!rob.restorePath.empty())
-        cfg.restorePath = machineSnapPath(rob.restorePath, machine);
-    cfg.workloadTag = wl_name;
     if (const char *bug = std::getenv("SF_VERIFY_BUG"))
         cfg.verifyBug = bug;
     sys::TiledSystem system(cfg);
@@ -182,7 +184,10 @@ try {
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.rfind("--stats-json=", 0) == 0) {
+        if (arg == "-h" || arg == "--help") {
+            printUsage(stdout);
+            return 0;
+        } else if (arg.rfind("--stats-json=", 0) == 0) {
             stats_dir = arg.substr(std::strlen("--stats-json="));
         } else if (arg.rfind("--trace=", 0) == 0) {
             trace_file = arg.substr(std::strlen("--trace="));
@@ -207,33 +212,22 @@ try {
             rob.threads = parseThreadCount(arg.substr(2), "-j");
         } else if (arg == "-j" && i + 1 < argc) {
             rob.threads = parseThreadCount(argv[++i], "-j");
-        } else if (arg.rfind("--checkpoint=", 0) == 0) {
-            rob.checkpointPath = arg.substr(std::strlen("--checkpoint="));
-            if (rob.checkpointPath.empty())
-                fatal("--checkpoint: empty snapshot path");
-        } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            rob.checkpointEvery = parseTickCount(
-                arg.substr(std::strlen("--checkpoint-every=")),
-                "--checkpoint-every");
-        } else if (arg.rfind("--restore=", 0) == 0) {
-            rob.restorePath = arg.substr(std::strlen("--restore="));
-            if (rob.restorePath.empty())
-                fatal("--restore: empty snapshot path");
+        } else if (arg[0] == '-') {
+            return usageError("unknown option", arg);
         } else if (positional == 0) {
             wl = arg;
             ++positional;
-        } else {
-            scale = std::atof(arg.c_str());
+        } else if (positional == 1) {
+            char *end = nullptr;
+            scale = std::strtod(arg.c_str(), &end);
+            if (*end != '\0' || !std::isfinite(scale) || scale <= 0)
+                return usageError("scale must be a positive number, got",
+                                  arg);
             ++positional;
+        } else {
+            return usageError("unexpected argument", arg);
         }
     }
-
-    if (!rob.checkpointPath.empty() && rob.checkpointEvery == 0) {
-        fatal("--checkpoint requires --checkpoint-every=N "
-              "(ticks between snapshots)");
-    }
-    if (rob.checkpointPath.empty() && rob.checkpointEvery != 0)
-        fatal("--checkpoint-every requires --checkpoint=PATH");
 
     // Validate output targets up front: a bad --stats-json or --trace
     // path should fail immediately, not after minutes of simulation.
@@ -285,7 +279,6 @@ try {
 } catch (const FatalError &e) {
     // The message and diagnostic snapshot already went to stderr;
     // surface the distinct exit code (watchdog 64, invariant 65,
-    // drain 66, verify 67, snapshot 68, config 1) to scripts and
-    // ctest.
+    // drain 66, verify 67, config 1) to scripts and ctest.
     return e.exitStatus();
 }

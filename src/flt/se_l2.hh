@@ -178,16 +178,6 @@ class SEL2 : public SimObject,
         return it == _genCounter.end() ? 0 : it->second;
     }
 
-    /**
-     * Visit every (sid, latest generation) pair in StreamId order
-     * (snapshot capture, DESIGN.md §4j).
-     */
-    void
-    forEachGen(const std::function<void(StreamId, uint32_t)> &fn) const
-    {
-        for (const auto &kv : _genCounter)
-            fn(kv.first, kv.second);
-    }
 
   private:
     struct Waiter

@@ -593,27 +593,6 @@ SEL3::forEachResident(
 }
 
 void
-SEL3::forEachDeparted(
-    const std::function<void(const GlobalStreamId &gsid, uint32_t gen,
-                             uint64_t frontier)> &fn) const
-{
-    std::vector<std::pair<GlobalStreamId, std::pair<uint32_t, uint64_t>>>
-        entries;
-    entries.reserve(_departed.size());
-    // sflint: ordered-ok(entries collected then sorted before visiting)
-    for (const auto &kv : _departed)
-        entries.push_back(kv);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first.core != b.first.core)
-                      return a.first.core < b.first.core;
-                  return a.first.sid < b.first.sid;
-              });
-    for (const auto &kv : entries)
-        fn(kv.first, kv.second.first, kv.second.second);
-}
-
-void
 SEL3::migrate(Entry &e, TileId next_bank)
 {
     for (const auto &m : e.members) {

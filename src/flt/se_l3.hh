@@ -121,14 +121,6 @@ class SEL3 : public SimObject
                                  uint32_t gen, uint64_t issue_pos,
                                  uint64_t credit_limit)> &fn) const;
 
-    /**
-     * Visit every replay-filter entry (departure frontier) sorted by
-     * (core, sid) — snapshot capture, DESIGN.md §4j.
-     */
-    void forEachDeparted(
-        const std::function<void(const GlobalStreamId &gsid,
-                                 uint32_t gen, uint64_t frontier)> &fn)
-        const;
 
   private:
     /** One confluence-group member (the leader is members[0]). */

@@ -245,19 +245,6 @@ class CacheArray
         }
     }
 
-    /**
-     * Iterate all valid lines with their array index (set*ways+way),
-     * so snapshot capture (DESIGN.md §4j) records exact positions.
-     */
-    void
-    forEachValidIndexed(
-        const std::function<void(size_t, const CacheLine &)> &fn) const
-    {
-        for (size_t i = 0; i < _lines.size(); ++i) {
-            if (_lines[i].valid())
-                fn(i, _lines[i]);
-        }
-    }
 
   private:
     size_t

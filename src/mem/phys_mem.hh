@@ -175,26 +175,6 @@ class PhysMem
         return _pages.size();
     }
 
-    /**
-     * Visit every allocated page in ascending physical address order
-     * (snapshot capture, DESIGN.md §4j — sorted so the image is
-     * byte-stable regardless of hash/allocation order).
-     */
-    void
-    forEachPageSorted(
-        const std::function<void(Addr, const uint8_t *)> &fn) const
-    {
-        auto l = readLock();
-        std::vector<Addr> addrs;
-        addrs.reserve(_pages.size());
-        // sflint: ordered-ok(keys collected then sorted before visiting)
-        for (const auto &kv : _pages)
-            addrs.push_back(kv.first);
-        std::sort(addrs.begin(), addrs.end());
-        for (Addr a : addrs)
-            fn(a, _pages.at(a).data());
-    }
-
   private:
     std::shared_lock<std::shared_mutex>
     readLock() const
@@ -292,32 +272,6 @@ class AddressSpace
         if (it == _pageTable.end())
             return invalidAddr;
         return it->second + (vaddr - vpage);
-    }
-
-    /** Current bump-allocator break (snapshot capture, §4j). */
-    Addr
-    brk() const
-    {
-        auto l = readLock();
-        return _brk;
-    }
-
-    /**
-     * Visit every vpage->frame mapping in ascending virtual-page
-     * order (snapshot capture — sorted for a byte-stable image).
-     */
-    void
-    forEachMappingSorted(const std::function<void(Addr, Addr)> &fn) const
-    {
-        auto l = readLock();
-        std::vector<Addr> vpages;
-        vpages.reserve(_pageTable.size());
-        // sflint: ordered-ok(keys collected then sorted before visiting)
-        for (const auto &kv : _pageTable)
-            vpages.push_back(kv.first);
-        std::sort(vpages.begin(), vpages.end());
-        for (Addr v : vpages)
-            fn(v, _pageTable.at(v));
     }
 
     /**

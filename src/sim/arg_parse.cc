@@ -37,31 +37,4 @@ parseThreadCount(const std::string &value, const char *flag)
     return static_cast<int>(n);
 }
 
-Tick
-parseTickCount(const std::string &value, const char *flag)
-{
-    if (value.empty())
-        fatal("%s: empty tick count (expected a positive integer)",
-              flag);
-    if (value[0] == '-') {
-        fatal("%s: tick count must be at least 1, got %s", flag,
-              value.c_str());
-    }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-        fatal("%s: '%s' is not a number (expected a positive integer)",
-              flag, value.c_str());
-    }
-    if (errno == ERANGE) {
-        fatal("%s: %s ticks is out of range", flag, value.c_str());
-    }
-    if (n == 0) {
-        fatal("%s: tick count must be at least 1, got %s", flag,
-              value.c_str());
-    }
-    return static_cast<Tick>(n);
-}
-
 } // namespace sf

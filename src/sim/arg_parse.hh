@@ -12,8 +12,6 @@
 
 #include <string>
 
-#include "sim/types.hh"
-
 namespace sf {
 
 /**
@@ -22,13 +20,6 @@ namespace sf {
  * non-numeric, trailing garbage, zero, negative, or absurdly large).
  */
 int parseThreadCount(const std::string &value, const char *flag);
-
-/**
- * Parse a tick/cycle count from a flag value (--checkpoint-every).
- * Accepts a positive decimal integer up to the Tick range; fatal()
- * naming @p flag on anything else.
- */
-Tick parseTickCount(const std::string &value, const char *flag);
 
 } // namespace sf
 

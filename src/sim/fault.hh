@@ -165,9 +165,6 @@ class FaultInjector
 
     void debugDump(std::FILE *out) const;
 
-    /** Current RNG state (snapshot capture/verify, DESIGN.md §4j). */
-    std::array<uint64_t, 4> rngState() const { return _rng.state(); }
-
   private:
     FaultConfig _cfg;
     Rng _rng;

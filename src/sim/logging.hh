@@ -39,8 +39,6 @@ enum class ExitCode : int
     DrainFailure = 66,
     /** --verify: simulated memory diverged from the reference image. */
     VerifyDivergence = 67,
-    /** sf-snap-v1 snapshot corrupt/truncated/mismatched (DESIGN.md §4j). */
-    SnapshotError = 68,
 };
 
 /** Thrown by fatal() so tests can assert on bad-config handling. */

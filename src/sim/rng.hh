@@ -11,7 +11,6 @@
 #ifndef SF_SIM_RNG_HH
 #define SF_SIM_RNG_HH
 
-#include <array>
 #include <cstdint>
 
 namespace sf {
@@ -75,13 +74,6 @@ class Rng
 
     /** Bernoulli draw with probability p. */
     bool chance(double p) { return uniform() < p; }
-
-    /** Raw generator state (snapshot capture/verify, DESIGN.md §4j). */
-    std::array<uint64_t, 4>
-    state() const
-    {
-        return {_s[0], _s[1], _s[2], _s[3]};
-    }
 
   private:
     static uint64_t

@@ -228,8 +228,6 @@ TileDomains::Exit
 TileDomains::runWindows(const std::function<bool()> &stop, Tick limit)
 {
     for (;;) {
-        if (_boundaryHook)
-            _boundaryHook(_global.curTick());
         if (stop && stop())
             return Exit::Stopped;
         Tick smin = earliestShardTick();

@@ -133,17 +133,6 @@ class TileDomains
      */
     void setBarrierHook(std::function<void()> fn) { _barrierHook = std::move(fn); }
 
-    /**
-     * Hook run on the main thread at the top of every quantum window,
-     * before the stop() check, with the current global-clock tick
-     * (the previous window's boundary; 0 on the first iteration).
-     * Checkpoint/restore (DESIGN.md §4j) anchors snapshots here: the
-     * hook runs at a deterministic point in the tick sequence and
-     * must not schedule events, so hooked runs stay byte-identical
-     * to plain ones.
-     */
-    void setBoundaryHook(std::function<void(Tick)> fn) { _boundaryHook = std::move(fn); }
-
     /** True while shards are executing a window concurrently. */
     bool inParallelWindow() const { return _inWindow; }
 
@@ -227,7 +216,6 @@ class TileDomains
     /** Barrier-phase wakes to insert at the window boundary. */
     std::vector<std::pair<TileId, Handler>> _wakes;
     std::function<void()> _barrierHook;
-    std::function<void(Tick)> _boundaryHook;
 
     // --- worker pool (only with shards > 1) ---
     std::vector<std::thread> _workers;

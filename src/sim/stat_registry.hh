@@ -54,7 +54,7 @@ class StatRegistry
 
     size_t size() const { return _groups.size(); }
 
-    /** Visit every group in registration order (snapshot capture). */
+    /** Visit every group in registration order. */
     void
     forEachGroup(const std::function<void(const StatGroup &)> &fn) const
     {

@@ -154,21 +154,6 @@ struct SystemConfig
      */
     std::string verifyBug;
 
-    /**
-     * Checkpoint/restore (DESIGN.md §4j). checkpointPath + a nonzero
-     * checkpointEvery enable periodic sf-snap-v1 snapshots at window
-     * boundaries; checkpointStop ends the run right after the first
-     * snapshot is written (sweep kill/restore testing); restorePath
-     * replays to the snapshot's anchor tick, byte-verifies every
-     * captured section, and continues to completion.
-     */
-    std::string checkpointPath;
-    Tick checkpointEvery = 0;
-    bool checkpointStop = false;
-    std::string restorePath;
-    /** Workload label stamped into snapshot META for compat checks. */
-    std::string workloadTag;
-
     int numTiles() const { return nx * ny; }
 
     /**

@@ -63,13 +63,6 @@ struct SimResults
     double hostSeconds = 0.0;
     uint64_t eventsExecuted = 0;
 
-    /**
-     * --checkpoint-stop: the run ended right after writing its first
-     * checkpoint; counters above are partial and drivers must not
-     * emit stats/verify output for this run (DESIGN.md §4j).
-     */
-    bool stoppedAtCheckpoint = false;
-
     double
     ipc() const
     {

@@ -340,78 +340,15 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
     if (_watchdog)
         _watchdog->start();
 
-    // Checkpoint/restore (DESIGN.md §4j): snapshots anchor at quantum
-    // window boundaries. A restore run replays deterministically from
-    // tick 0; at the first boundary whose tick equals the snapshot's
-    // anchor, the recomputed state is byte-verified against the file.
-    // The hook only observes state (and, when checkpointing, writes a
-    // file), so hooked runs stay byte-identical to plain ones.
-    bool restoring = !_cfg.restorePath.empty();
-    Tick anchor = 0;
-    std::unique_ptr<snap::Snapshot> restoreSnap;
-    if (restoring) {
-        restoreSnap = std::make_unique<snap::Snapshot>(
-            snap::readSnapshot(_cfg.restorePath));
-        anchor = restoreAnchor(*restoreSnap);
-        inform("restore: replaying '%s' to anchor tick %llu",
-               _cfg.restorePath.c_str(),
-               static_cast<unsigned long long>(anchor));
-    }
-    const bool checkpointing =
-        !_cfg.checkpointPath.empty() && _cfg.checkpointEvery > 0;
-    Tick nextCkpt = _cfg.checkpointEvery;
-    if (restoring && checkpointing) {
-        // The original run already wrote the snapshot at the anchor;
-        // resume its checkpoint schedule strictly past it.
-        while (nextCkpt <= anchor)
-            nextCkpt += _cfg.checkpointEvery;
-    }
-    bool ckptStopRequested = false;
-    if (restoring || checkpointing) {
-        _domains->setBoundaryHook([&, this](Tick now) {
-            if (restoring) {
-                if (now == anchor) {
-                    verifyRestore(*restoreSnap, now);
-                    restoring = false;
-                    restoreSnap.reset();
-                } else if (now > anchor) {
-                    fatalCode(ExitCode::SnapshotError,
-                              "restore replay diverged: window "
-                              "boundary %llu skipped the snapshot "
-                              "anchor %llu",
-                              static_cast<unsigned long long>(now),
-                              static_cast<unsigned long long>(anchor));
-                }
-                return;
-            }
-            if (checkpointing && now >= nextCkpt) {
-                writeCheckpoint(_cfg.checkpointPath, now);
-                while (nextCkpt <= now)
-                    nextCkpt += _cfg.checkpointEvery;
-                if (_cfg.checkpointStop)
-                    ckptStopRequested = true;
-            }
-        });
-    }
-
     bool hit_limit = false;
     // sflint: allow(D2, host-seconds stat only; excluded from det.json)
     auto host_start = std::chrono::steady_clock::now();
     auto exit = _domains->runWindows(
-        [this, &ckptStopRequested]() {
-            return ckptStopRequested ||
-                   _coresDone.load(std::memory_order_acquire) >=
-                       _cfg.numTiles();
+        [this]() {
+            return _coresDone.load(std::memory_order_acquire) >=
+                   _cfg.numTiles();
         },
         _cfg.maxCycles);
-    // The hook captures locals by reference — clear it before return.
-    _domains->setBoundaryHook(nullptr);
-    if (restoring) {
-        fatalCode(ExitCode::SnapshotError,
-                  "restore failed: run ended before reaching the "
-                  "snapshot anchor tick %llu",
-                  static_cast<unsigned long long>(anchor));
-    }
     switch (exit) {
       case sim::TileDomains::Exit::Stopped:
         break;
@@ -435,15 +372,6 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
         _checker->stop();
     if (_sampler)
         _sampler->stop();
-
-    if (ckptStopRequested) {
-        // --checkpoint-stop: the run ends mid-simulation by design;
-        // skip drain/verify/profile finalization, the counters are
-        // partial and the driver must not emit outputs.
-        SimResults r = collect(hit_limit);
-        r.stoppedAtCheckpoint = true;
-        return r;
-    }
 
     if (!hit_limit && _checkLevel > CheckLevel::Off)
         drainAndCheck();

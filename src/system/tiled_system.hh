@@ -34,7 +34,6 @@
 #include "sim/interval_sampler.hh"
 #include "sim/profile.hh"
 #include "sim/shard.hh"
-#include "sim/snapshot.hh"
 #include "sim/stat_registry.hh"
 #include "sim/watchdog.hh"
 #include "system/config.hh"
@@ -142,34 +141,6 @@ class TiledSystem
      * a consumer opts in (SimResults always carries them regardless).
      */
     void includeHostStats(bool on) { _hostStatsInJson = on; }
-
-    // --- checkpoint/restore (DESIGN.md §4j, sys_snapshot.cc) ---
-    /**
-     * Serialize all data-centric architectural state at window
-     * boundary @p now into an sf-snap-v1 snapshot: META (config
-     * compatibility fields + anchor tick), PROGRESS, PHYSMEM,
-     * ADDRSPACE, CACHES, L3DIR, STREAMS (SE_L2 floated views + gen
-     * counters, SE_L3 residents + replay-filter frontiers), NOC,
-     * STATS, RNG. Field-wise encoding only (sflint S2).
-     */
-    snap::Snapshot captureSnapshot(Tick now);
-
-    /** captureSnapshot() + atomic write to @p path. */
-    void writeCheckpoint(const std::string &path, Tick now);
-
-    /**
-     * Validate the snapshot's META section against this config
-     * (fatal exit 68 naming the first mismatched field) and return
-     * the anchor tick the snapshot was captured at.
-     */
-    Tick restoreAnchor(const snap::Snapshot &s);
-
-    /**
-     * Re-capture at @p now (the anchor, reached by deterministic
-     * replay) and byte-compare every section against @p s; any
-     * difference is a fatal exit 68 naming the diverging section.
-     */
-    void verifyRestore(const snap::Snapshot &s, Tick now);
 
   private:
     void buildTiles();

@@ -1,0 +1,71 @@
+# Command-line strictness of the quickstart: --help/-h print the option
+# list and exit 0; an unknown option, a third positional argument or a
+# scale that is not a fully parsed positive number prints the usage to
+# stderr and exits 2 before any machine is built. None of these may
+# reach the simulator, so the run banner and the fatal()-path
+# "diagnostic snapshot" must never appear.
+#
+# Invoked by ctest as:
+#   cmake -DQUICKSTART=<exe> -P quickstart_usage.cmake
+
+if(NOT QUICKSTART)
+    message(FATAL_ERROR "QUICKSTART must be set")
+endif()
+
+# Run the quickstart with ARGN; assert exit status EXPECT_RC, that
+# MUST_MATCH appears on the stream the status implies (stdout for 0,
+# stderr otherwise), and that nothing was simulated.
+function(expect_usage expect_rc must_match)
+    execute_process(
+        COMMAND "${QUICKSTART}" ${ARGN}
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err
+        TIMEOUT 20)
+    if(NOT rc EQUAL expect_rc)
+        message(FATAL_ERROR "quickstart ${ARGN}: exit ${rc}, expected "
+                            "${expect_rc}\nstdout: ${out}\nstderr: ${err}")
+    endif()
+    if(expect_rc EQUAL 0)
+        set(stream "${out}")
+    else()
+        set(stream "${err}")
+    endif()
+    if(NOT stream MATCHES "${must_match}")
+        message(FATAL_ERROR "quickstart ${ARGN}: expected '${must_match}'"
+                            "\nstdout: ${out}\nstderr: ${err}")
+    endif()
+    if(NOT stream MATCHES "usage: quickstart")
+        message(FATAL_ERROR "quickstart ${ARGN}: no usage text\n"
+                            "stdout: ${out}\nstderr: ${err}")
+    endif()
+    if("${out}${err}" MATCHES "diagnostic snapshot")
+        message(FATAL_ERROR "quickstart ${ARGN}: dumped a diagnostic "
+                            "snapshot for a machine that never ran:\n"
+                            "${err}")
+    endif()
+    if(out MATCHES "stream-floating quickstart: workload=")
+        message(FATAL_ERROR "quickstart ${ARGN}: started a simulation:\n"
+                            "${out}")
+    endif()
+endfunction()
+
+expect_usage(0 "--stats-json=DIR" --help)
+expect_usage(0 "--threads=N" -h)
+# --help wins even after otherwise valid arguments.
+expect_usage(0 "--verify" pathfinder 0.02 --help)
+
+expect_usage(2 "unknown option '--bogus'" --bogus)
+expect_usage(2 "unknown option '-x'" pathfinder -x)
+expect_usage(2 "unknown option '--checkpoint=x'" pathfinder 0.02
+             --checkpoint=x)
+# A trailing -j has no count to take.
+expect_usage(2 "unknown option '-j'" pathfinder 0.02 -j)
+expect_usage(2 "unexpected argument 'extra'" pathfinder 0.02 extra)
+
+foreach(bad abc 0.02x 0 nan inf 1e999)
+    expect_usage(2 "scale must be a positive number, got '${bad}'"
+                 pathfinder ${bad})
+endforeach()
+# A negative scale reads as an option.
+expect_usage(2 "unknown option '-0.5'" pathfinder -0.5)
+
+message(STATUS "quickstart usage checks passed")

@@ -1,7 +1,9 @@
 # Smoke test for the parallel sweep runner: the merged deterministic
 # report must be byte-identical between a serial (-j 1) and a parallel
 # (-j 4) run of the same grid, proving the merge is independent of job
-# count and completion order.
+# count and completion order. Forced child crashes and hangs must be
+# retried and recorded, and a sweep SIGKILLed mid-run must converge
+# under --resume to the report of an uninterrupted run.
 #
 # Invoked by ctest as:
 #   cmake -DSWEEP=<exe> -DOUT_DIR=<dir> -P smoke_sweep.cmake
@@ -150,3 +152,81 @@ endif()
 
 message(STATUS "sweep resilience passed: crash+hang recorded, flaky "
                "retried, resume converged")
+
+# ---------------------------------------------------------------------
+# Crash recovery: SIGKILL the whole sweep after 5 completed points, as
+# an OOM-killed or rebooted host would. The killed run must not leave a
+# merged report. --resume must CRC-validate the survivors (re-running
+# one whose stats.json was damaged), re-run the rest from tick 0, and
+# emit a report byte-identical to an uninterrupted sweep.
+
+set(crash_grid
+    --cores=2x2 --scale=0.01 --workloads=mv,pathfinder,nn,hotspot
+    --cpus=io4 --machines=Base,SF)
+
+execute_process(
+    COMMAND "${SWEEP}" ${crash_grid} -j 2 "--out=${OUT_DIR}/crash_ref"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "crash reference sweep failed (rc=${rc}): "
+                        "${out}\n${err}")
+endif()
+
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env SF_SWEEP_TEST_PARENT_KILL_AFTER=5
+            "${SWEEP}" ${crash_grid} -j 2 "--out=${OUT_DIR}/crash"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(rc EQUAL 0)
+    message(FATAL_ERROR "sweep survived SF_SWEEP_TEST_PARENT_KILL_AFTER;"
+                        " the crash hook never engaged")
+endif()
+if(EXISTS "${OUT_DIR}/crash/BENCH_sweep.det.json")
+    message(FATAL_ERROR "killed sweep still wrote a merged report")
+endif()
+
+# Damage one surviving result: --resume must detect the CRC mismatch
+# and re-run that point instead of trusting it.
+file(GLOB oks "${OUT_DIR}/crash/points/*.ok")
+list(LENGTH oks n_oks)
+if(n_oks LESS 5)
+    message(FATAL_ERROR "expected >=5 completed points before the "
+                        "parent kill, found ${n_oks}")
+endif()
+list(GET oks 0 first_ok)
+string(REPLACE ".ok" ".stats.json" first_stats "${first_ok}")
+file(APPEND "${first_stats}" "x")
+
+execute_process(
+    COMMAND "${SWEEP}" ${crash_grid} -j 2 --resume
+            "--out=${OUT_DIR}/crash"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "resumed sweep failed (rc=${rc}): ${out}\n${err}")
+endif()
+if(NOT out MATCHES "resume skip")
+    message(FATAL_ERROR "resume revalidated nothing; expected surviving "
+                        "points to be skipped:\n${out}")
+endif()
+get_filename_component(damaged "${first_ok}" NAME_WE)
+if(out MATCHES "resume skip ${damaged}\n")
+    message(FATAL_ERROR "resume trusted ${damaged} despite its damaged "
+                        "stats.json:\n${out}")
+endif()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${OUT_DIR}/crash_ref/BENCH_sweep.det.json"
+            "${OUT_DIR}/crash/BENCH_sweep.det.json"
+    RESULT_VARIABLE diff)
+if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "resumed sweep report differs from the "
+                        "uninterrupted reference")
+endif()
+
+message(STATUS "sweep crash recovery passed: kill -9 + --resume "
+               "byte-identical (damaged survivor re-ran)")

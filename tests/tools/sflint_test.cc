@@ -103,15 +103,6 @@ TEST(SflintRules, DetectsSeededViolations)
     EXPECT_EQ(s1[0].context, "fxGlobalCounter");
     EXPECT_EQ(s1[1].context, "fxCache");
 
-    // s2_rawio.cc seeds a whole-struct memcpy and a whole-struct
-    // fwrite; its primitive bit-pattern and byte-buffer shapes must
-    // stay silent.
-    auto s2 = newFindings(res, "S2", "fixtures/s2_rawio.cc");
-    ASSERT_EQ(s2.size(), 2u);
-    EXPECT_EQ(s2[0].context, "memcpy");
-    EXPECT_EQ(s2[1].context, "fwrite");
-    EXPECT_NE(s2[0].message.find("padding"), std::string::npos);
-
     // c1_unlocked.cc seeds an unguarded SF_GUARDED_BY access and an
     // SF_REQUIRES call without the lock; its lock_guard, SF_REQUIRES
     // body and lock-helper shapes must all stay silent.
@@ -132,12 +123,14 @@ TEST(SflintRules, DetectsSeededViolations)
     EXPECT_NE(c2[1].message.find("reachable from SF_SHARD_LOCAL"),
               std::string::npos);
 
-    // a1_unknown.cc suppresses a rule id that does not exist.
+    // a1_unknown.cc suppresses a rule id that does not exist and one
+    // that was retired (S2).
     auto a1 = newFindings(res, "A1", "fixtures/a1_unknown.cc");
-    ASSERT_EQ(a1.size(), 1u);
+    ASSERT_EQ(a1.size(), 2u);
     EXPECT_EQ(a1[0].context, "D9");
     EXPECT_NE(a1[0].message.find("unknown rule 'D9'"),
               std::string::npos);
+    EXPECT_EQ(a1[1].context, "S2");
 }
 
 TEST(SflintRules, D2TimedPathReachability)
@@ -200,9 +193,9 @@ TEST(SflintRules, SuppressionsAndCleanFile)
         }
         EXPECT_NE(fd.file, "fixtures/clean.cc");
     }
-    // One suppressed case per rule class (D1, D2, E1, P1, S1, S2, T1,
-    // C1, C2).
-    EXPECT_EQ(suppressedSeen, 9);
+    // One suppressed case per rule class (D1, D2, E1, P1, S1, T1, C1,
+    // C2).
+    EXPECT_EQ(suppressedSeen, 8);
 }
 
 TEST(SflintBaseline, RoundTripAndRatchet)
@@ -210,7 +203,7 @@ TEST(SflintBaseline, RoundTripAndRatchet)
     AnalysisResult res = analyze(fixtureConfig());
     Baseline b = baselineFromFindings(res);
     // Suppressed findings never enter the baseline.
-    EXPECT_EQ(b.entries.size(), 23u);
+    EXPECT_EQ(b.entries.size(), 22u);
 
     fs::path tmp =
         fs::path(::testing::TempDir()) / "sflint_baseline.json";

@@ -46,7 +46,7 @@ struct RuleDoc
     const char *summary;
 };
 
-constexpr std::array<RuleDoc, 10> kRules = {{
+constexpr std::array<RuleDoc, 9> kRules = {{
     {"D1", "deterministic-iteration",
      "No iteration over unordered or pointer-keyed containers in "
      "simulator code; order must not depend on hashing or allocation "
@@ -67,10 +67,6 @@ constexpr std::array<RuleDoc, 10> kRules = {{
     {"S1", "no-mutable-statics",
      "No mutable namespace-scope or function-local static state; "
      "hidden globals race under the tile-parallel engine."},
-    {"S2", "no-padded-byte-images",
-     "No raw memcpy/fwrite byte images of non-primitive objects; "
-     "struct padding is indeterminate and poisons snapshots and "
-     "checksums."},
     {"C1", "lock-discipline",
      "Members annotated SF_GUARDED_BY(m) are only accessed while m "
      "is held (lock construction, a discovered lock helper, or an "

@@ -1,6 +1,6 @@
 /**
  * @file
- * sflint rule passes D1/D2/P1/T1/E1/S1/S2/A1 (see sflint.hh for the
+ * sflint rule passes D1/D2/P1/T1/E1/S1/A1 (see sflint.hh for the
  * registry of what each rule enforces and why). The concurrency rules
  * C1/C2 live in rules_concurrency.cc.
  */
@@ -615,83 +615,6 @@ ruleS1(const SourceFile &f, std::vector<Finding> &out)
     }
 }
 
-// ------------------------------------------------------------------ S2
-
-/** Types whose raw byte images carry no padding (sanctioned for the
- *  float/int bit-pattern memcpy idiom). */
-const std::set<std::string> kPadFree = {
-    "uint8_t",  "uint16_t", "uint32_t", "uint64_t", "int8_t",
-    "int16_t",  "int32_t",  "int64_t",  "char",     "short",
-    "int",      "long",     "unsigned", "signed",   "float",
-    "double",   "bool",     "size_t",   "Addr",     "Tick",
-    "Cycles",   "std"};
-
-const char *const kRawIo[] = {"memcpy", "memmove", "fwrite", "fread"};
-
-/**
- * Raw byte-image copies of whole objects in serialization-ish code:
- * a memcpy/memmove/fwrite/fread whose argument list contains both an
- * address-of (`&obj`) and a `sizeof` over anything that is not a
- * plain arithmetic type. Struct padding bytes are indeterminate, so
- * such an image is not a deterministic function of the fields and
- * must never feed a snapshot, checksum, or golden file; encode
- * field-by-field instead (src/sim/snapshot.hh).
- */
-void
-ruleS2(const SourceFile &f, std::vector<Finding> &out)
-{
-    const std::vector<Token> &toks = f.toks;
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::Ident ||
-            !isPunct(toks[i + 1], "("))
-            continue;
-        bool banned = false;
-        for (const char *n : kRawIo)
-            banned = banned || toks[i].text == n;
-        if (!banned)
-            continue;
-        // Member calls (`x.memcpy(…)`) are not the libc symbol;
-        // `std::memcpy` / `::memcpy` are.
-        if (i > 0 && (isPunct(toks[i - 1], ".") ||
-                      isPunct(toks[i - 1], ">")))
-            continue;
-        size_t argEnd = matchDelim(toks, i + 1, "(", ")");
-        bool addrArg = false;
-        bool structSizeof = false;
-        for (size_t j = i + 2; j + 1 < argEnd; ++j) {
-            // `&obj` (not the second half of `&&`).
-            if (isPunct(toks[j], "&") &&
-                toks[j + 1].kind == TokKind::Ident &&
-                !isPunct(toks[j - 1], "&"))
-                addrArg = true;
-            if (isIdent(toks[j], "sizeof") &&
-                isPunct(toks[j + 1], "(")) {
-                size_t se = matchDelim(toks, j + 1, "(", ")");
-                bool sawIdent = false, allPadFree = true;
-                for (size_t k = j + 2; k + 1 < se; ++k) {
-                    if (toks[k].kind != TokKind::Ident)
-                        continue;
-                    sawIdent = true;
-                    if (!kPadFree.count(toks[k].text))
-                        allPadFree = false;
-                }
-                if (sawIdent && !allPadFree)
-                    structSizeof = true;
-                j = se - 1;
-            }
-        }
-        if (addrArg && structSizeof) {
-            emit(out, f, "S2", toks[i].line, toks[i].text,
-                 "raw " + toks[i].text +
-                     " of a whole object: struct padding bytes are "
-                     "indeterminate and break snapshot/checksum "
-                     "determinism; serialize field-by-field via "
-                     "snap::Encoder/Decoder (src/sim/snapshot.hh) or "
-                     "annotate `// sflint: allow(S2, <reason>)`");
-        }
-    }
-}
-
 // ------------------------------------------------------------------ A1
 
 /**
@@ -772,7 +695,6 @@ runRules(const SourceFile &f, const Config &cfg, const Registry &reg,
     ruleT1(f, raw);
     ruleE1(f, cfg, raw);
     ruleS1(f, raw);
-    ruleS2(f, raw);
     ruleC1(f, prog, raw);
     ruleC2(f, prog, cg, raw);
     ruleA1(f, cfg, raw);

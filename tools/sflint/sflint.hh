@@ -36,15 +36,6 @@
  *       (std::atomic, mutexes, once_flag, …) are exempt; functions
  *       (internal linkage, static members) are not state. Suppress
  *       with `// sflint: allow(S1, <reason>)`.
- *   S2  no raw byte-image copies of non-primitive objects:
- *       memcpy/memmove/fwrite/fread taking `&obj` together with a
- *       `sizeof` of a non-primitive type copies indeterminate struct
- *       padding bytes, which poisons snapshots, checksums and golden
- *       files (DESIGN.md §4j). Serialize field-by-field through
- *       snap::Encoder/Decoder (src/sim/snapshot.hh) instead.
- *       Copies whose sizeof operand is a plain arithmetic type or a
- *       Tick/Cycles/Addr alias (the float bit-pattern idiom) are
- *       exempt. Suppress with `// sflint: allow(S2, <reason>)`.
  *   C1  lock discipline: a member annotated `SF_GUARDED_BY(m)`
  *       (src/sim/annotations.hh) may only be accessed while `m` is
  *       held — via lock_guard/unique_lock/shared_lock/scoped_lock,
@@ -319,10 +310,10 @@ struct Config
     std::set<std::string> schedulers = {
         "schedule",       "scheduleIn", "scheduleKeyed",
         "scheduleTile",   "postGlobal", "deferWake",
-        "setBarrierHook", "setBoundaryHook"};
+        "setBarrierHook"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
     std::set<std::string> knownRules = {"D1", "D2", "P1", "T1", "E1",
-                                        "S1", "S2", "C1", "C2", "A1"};
+                                        "S1", "C1", "C2", "A1"};
 };
 
 struct Finding
