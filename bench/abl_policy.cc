@@ -11,42 +11,13 @@
 using namespace sf;
 using namespace sf::bench;
 
-namespace {
-
-sys::SimResults
-runPolicy(const std::string &wl_name, const BenchOptions &opt,
-          uint64_t decision_reqs, double miss_ratio, double reuse_ratio)
-{
-    sys::SystemConfig cfg = sys::SystemConfig::make(
-        sys::Machine::SF, cpu::CoreConfig::ooo8(), opt.nx, opt.ny);
-    cfg.seCore.floatDecisionRequests = decision_reqs;
-    cfg.seCore.floatMissRatio = miss_ratio;
-    cfg.seCore.floatReuseRatio = reuse_ratio;
-    sys::TiledSystem system(cfg);
-    workload::WorkloadParams wp;
-    wp.numThreads = cfg.numTiles();
-    wp.scale = opt.scale;
-    wp.useStreams = true;
-    auto wl = workload::makeWorkload(wl_name, wp);
-    wl->init(system.addressSpace());
-    return system.run(wl->makeAllThreads());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.
-    {
-        bool given = false;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--workloads=", 12) == 0)
-                given = true;
-        if (!given)
-            opt.workloads = {"mv", "nn", "pathfinder"};
-    }
+    opt.workloads = {"mv", "nn", "pathfinder"};
+    opt.parse(argc, argv);
     std::printf("=== Ablation: floating policy (%dx%d, scale %.3f) "
                 "===\n\n",
                 opt.nx, opt.ny, opt.scale);
@@ -56,17 +27,28 @@ main(int argc, char **argv)
                              "strict"});
 
     for (const auto &wl : opt.workloads) {
+        // SF-OOO8 under one history threshold / miss / reuse policy.
+        auto run = [&](uint64_t decision_reqs, double miss_ratio,
+                       double reuse_ratio) {
+            return runSim(sys::Machine::SF, cpu::CoreConfig::ooo8(), wl,
+                          opt, [=](sys::SystemConfig &c) {
+                              c.seCore.floatDecisionRequests =
+                                  decision_reqs;
+                              c.seCore.floatMissRatio = miss_ratio;
+                              c.seCore.floatReuseRatio = reuse_ratio;
+                          });
+        };
         // default
-        sys::SimResults def = runPolicy(wl, opt, 64, 0.6, 0.05);
+        sys::SimResults def = run(64, 0.6, 0.05);
         double d = double(def.cycles);
         // eager: decide after only 8 requests
-        sys::SimResults eager = runPolicy(wl, opt, 8, 0.6, 0.05);
+        sys::SimResults eager = run(8, 0.6, 0.05);
         // greedy: float regardless of reuse/miss behaviour
-        sys::SimResults greedy = runPolicy(wl, opt, 8, 0.0, 1.0);
+        sys::SimResults greedy = run(8, 0.0, 1.0);
         // late: very conservative decision point
-        sys::SimResults late = runPolicy(wl, opt, 1024, 0.6, 0.05);
+        sys::SimResults late = run(1024, 0.6, 0.05);
         // strict: nearly impossible to float by history
-        sys::SimResults strict = runPolicy(wl, opt, 64, 0.99, 0.0);
+        sys::SimResults strict = run(64, 0.99, 0.0);
         printRow(wl, {1.0, d / double(eager.cycles),
                       d / double(greedy.cycles),
                       d / double(late.cycles),

@@ -10,41 +10,13 @@
 using namespace sf;
 using namespace sf::bench;
 
-namespace {
-
-sys::SimResults
-runBuf(const std::string &wl_name, const BenchOptions &opt,
-       uint32_t buf_bytes, double refresh)
-{
-    sys::SystemConfig cfg = sys::SystemConfig::make(
-        sys::Machine::SF, cpu::CoreConfig::ooo8(), opt.nx, opt.ny);
-    cfg.sel2.bufferBytes = buf_bytes;
-    cfg.sel2.creditRefreshFraction = refresh;
-    sys::TiledSystem system(cfg);
-    workload::WorkloadParams wp;
-    wp.numThreads = cfg.numTiles();
-    wp.scale = opt.scale;
-    wp.useStreams = true;
-    auto wl = workload::makeWorkload(wl_name, wp);
-    wl->init(system.addressSpace());
-    return system.run(wl->makeAllThreads());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.
-    {
-        bool given = false;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--workloads=", 12) == 0)
-                given = true;
-        if (!given)
-            opt.workloads = {"mv", "nn", "pathfinder"};
-    }
+    opt.workloads = {"mv", "nn", "pathfinder"};
+    opt.parse(argc, argv);
     std::printf("=== Ablation: SE_L2 buffer size / credit cadence "
                 "(%dx%d, scale %.3f) ===\n\n",
                 opt.nx, opt.ny, opt.scale);
@@ -53,17 +25,23 @@ main(int argc, char **argv)
                              "r=0.9"});
 
     for (const auto &wl : opt.workloads) {
-        sys::SimResults ref = runBuf(wl, opt, 16 * 1024, 0.5);
+        // SF-OOO8 with one SE_L2 buffer size and credit refresh point.
+        auto run = [&](uint32_t buf_bytes, double refresh) {
+            return runSim(sys::Machine::SF, cpu::CoreConfig::ooo8(), wl,
+                          opt, [=](sys::SystemConfig &c) {
+                              c.sel2.bufferBytes = buf_bytes;
+                              c.sel2.creditRefreshFraction = refresh;
+                          });
+        };
+        sys::SimResults ref = run(16 * 1024, 0.5);
         double r = double(ref.cycles);
         std::vector<double> row;
         for (uint32_t kb : {2u, 4u, 16u, 64u})
-            row.push_back(r / double(runBuf(wl, opt, kb * 1024,
-                                            0.5).cycles));
+            row.push_back(r / double(run(kb * 1024, 0.5).cycles));
         for (double fr : {0.25, 0.9})
-            row.push_back(r /
-                          double(runBuf(wl, opt, 16 * 1024, fr).cycles));
+            row.push_back(r / double(run(16 * 1024, fr).cycles));
         printRow(wl, row);
-        sys::SimResults small = runBuf(wl, opt, 2 * 1024, 0.5);
+        sys::SimResults small = run(2 * 1024, 0.5);
         std::printf("%-16s credit msgs: 16kB=%llu 2kB=%llu\n", "",
                     (unsigned long long)ref.creditMessages,
                     (unsigned long long)small.creditMessages);

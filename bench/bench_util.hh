@@ -1,26 +1,16 @@
 /**
  * @file
- * Shared benchmark-harness utilities: command-line options, simulation
- * runners, and table formatting for the paper-figure reproductions.
+ * Shared benchmark-harness utilities: the command-line options every
+ * simulating driver shares, the one simulation runner, and table
+ * formatting for the paper-figure reproductions.
  *
- * Every bench binary accepts:
- *   --cores=NxN        mesh size (default 4x4; the paper uses 8x8)
- *   --scale=S          dataset scale vs Table IV (default 0.03)
- *   --workloads=a,b,c  subset of the 12 benchmarks
- *   --full             paper-fidelity mode (8x8, scale 0.25)
- *   --stats-json=DIR   write one schema-versioned stats.json per run
- *   --sample-interval=N  counter snapshot every N cycles (with JSON)
- *   --check=LVL        invariant checker off|basic|full (SF_CHECK env
- *                      overrides)
- *   --faults=SPEC      deterministic fault injection (see sim/fault.hh)
- *   --watchdog-cycles=N  forward-progress watchdog interval (0 = off)
- *   --profile          latency-attribution profiler: stats.json gains
- *                      the profile.* groups and (with --stats-json)
- *                      each run also writes <stem>.profile.json and
- *                      <stem>.profsum.json
- *   --threads=N        worker threads for the tile-parallel engine
- *                      (results byte-identical to one worker;
- *                      DESIGN.md §4i)
+ * BenchOptions registers two option groups on a driver's OptionTable
+ * (sim/arg_parse.hh): the run options quickstart shares and the grid
+ * options of the benches; any driver's --help lists them. A driver
+ * sets its own defaults on the struct (else 4x4, scale 0.06, all 12
+ * workloads) before parsing and adds its extra options to the same
+ * table. A bad option or value prints usage and exits 2 before
+ * anything is built.
  */
 
 #ifndef SF_BENCH_BENCH_UTIL_HH
@@ -30,10 +20,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/arg_parse.hh"
@@ -45,23 +36,6 @@
 
 namespace sf {
 namespace bench {
-
-/** Split a comma-separated flag value into its items. */
-inline std::vector<std::string>
-splitList(const char *v)
-{
-    std::vector<std::string> out;
-    std::string s = v;
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
 
 struct BenchOptions
 {
@@ -99,83 +73,109 @@ struct BenchOptions
      */
     int threads = 1;
 
-    static BenchOptions
+    /** Register the options every simulating driver shares. */
+    void
+    addRunOptions(OptionTable &t)
+    {
+        t.text("--stats-json", "DIR", "one stats.json per run into DIR",
+               statsJsonDir);
+        t.add("--check", "LVL", "invariant checker off|basic|full",
+              [this](const std::string &v) {
+                  check = checkLevelFromString(v);
+              });
+        t.add("--faults", "SPEC", "fault injection (sim/fault.hh)",
+              [this](const std::string &v) {
+                  faults = FaultConfig::parse(v);
+              });
+        t.bind("--watchdog-cycles", "N", "watchdog interval (0 = off)",
+               watchdogCycles, parseCount);
+        t.flag("--verify", "diff against the reference executor", verify);
+        t.flag("--profile", "latency-attribution profiler", profile);
+        t.bind("--threads", "N", "tile-parallel worker threads", threads,
+               parseThreadCount);
+    }
+
+    /** Register the mesh and dataset grid options of the benches. */
+    void
+    addGridOptions(OptionTable &t)
+    {
+        t.add("--cores", "NxM",
+              "mesh size (default " + std::to_string(nx) + "x" +
+                  std::to_string(ny) + ")",
+              [this](const std::string &v) {
+                  std::tie(nx, ny) = parseMesh(v, "--cores");
+              });
+        t.bind("--scale", "S", "dataset scale vs Table IV", scale,
+               parsePositiveReal);
+        t.add("--workloads", "a,b,c", "subset of the Table IV benchmarks",
+              [this](const std::string &v) {
+                  workloads = parseList(v, "--workloads");
+                  for (const std::string &w : workloads)
+                      workload::parseWorkloadName(w, "--workloads");
+              });
+        t.add("--full", "", "paper fidelity: 8x8 mesh, scale 0.25",
+              [this](const std::string &) {
+                  nx = ny = 8;
+                  scale = 0.25;
+              });
+        t.bind("--sample-interval", "N", "stats.json sampling interval",
+               sampleInterval, parseCount);
+    }
+
+    /** Parse a bench command line that has just these two groups. */
+    void
     parse(int argc, char **argv)
     {
-        BenchOptions o;
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto val = [&](const char *key) -> const char * {
-                size_t n = std::strlen(key);
-                if (arg.compare(0, n, key) == 0)
-                    return arg.c_str() + n;
-                return nullptr;
-            };
-            if (const char *v = val("--cores=")) {
-                std::sscanf(v, "%dx%d", &o.nx, &o.ny);
-            } else if (const char *v = val("--scale=")) {
-                o.scale = std::atof(v);
-            } else if (const char *v = val("--workloads=")) {
-                o.workloads = splitList(v);
-            } else if (const char *v = val("--stats-json=")) {
-                o.statsJsonDir = v;
-            } else if (arg == "--stats-json" && i + 1 < argc) {
-                o.statsJsonDir = argv[++i];
-            } else if (const char *v = val("--sample-interval=")) {
-                o.sampleInterval = std::strtoull(v, nullptr, 10);
-            } else if (const char *v = val("--check=")) {
-                o.check = checkLevelFromString(v);
-            } else if (const char *v = val("--faults=")) {
-                o.faults = FaultConfig::parse(v);
-            } else if (const char *v = val("--watchdog-cycles=")) {
-                o.watchdogCycles = std::strtoull(v, nullptr, 10);
-            } else if (arg == "--full") {
-                o.nx = o.ny = 8;
-                o.scale = 0.25;
-            } else if (arg == "--verify") {
-                o.verify = true;
-            } else if (arg == "--profile") {
-                o.profile = true;
-            } else if (const char *v = val("--threads=")) {
-                o.threads = parseThreadCount(v, "--threads");
-            } else if (arg == "--help") {
-                std::printf(
-                    "options: --cores=NxN --scale=S "
-                    "--workloads=a,b,c --full --stats-json=DIR "
-                    "--sample-interval=N --check=off|basic|full "
-                    "--faults=SPEC --watchdog-cycles=N --verify "
-                    "--profile --threads=N\n");
-                std::exit(0);
-            }
-        }
-        return o;
+        OptionTable t(argv[0]);
+        addRunOptions(t);
+        addGridOptions(t);
+        t.parse(argc, argv);
     }
 };
 
-/** Lower a free-form label into a filename-safe token. */
+/** File stem of one run's artifacts: "<core>_<machine>_<workload>". */
 inline std::string
-fileToken(const std::string &s)
+runStem(const cpu::CoreConfig &core, sys::Machine machine,
+        const std::string &wl_name)
 {
-    std::string t = s;
-    for (char &c : t) {
+    std::string stem = core.label + "_" + sys::machineName(machine) + "_" +
+                       wl_name;
+    for (char &c : stem) {
         if (!std::isalnum(static_cast<unsigned char>(c)))
             c = '_';
     }
-    return t;
+    return stem;
 }
+
+/** Diff @p system's end state against a functional replay of @p wl. */
+inline verify::RefResult
+checkAgainstReference(sys::TiledSystem &system, workload::Workload &wl,
+                      const std::string &what)
+{
+    auto ref_threads = wl.makeAllThreads();
+    std::vector<isa::OpSource *> srcs;
+    for (auto &t : ref_threads)
+        srcs.push_back(t.get());
+    verify::RefResult golden =
+        verify::runReference(system.addressSpace(), srcs);
+    verify::checkOrDie(*system.verifyPlane(), golden, system.addressSpace(),
+                       wl.verifyRegions(), what);
+    return golden;
+}
+
+/** Adjusts a run's SystemConfig beyond what BenchOptions sets. */
+using ConfigHook = std::function<void(sys::SystemConfig &)>;
 
 /** Run one (machine, workload) simulation. */
 inline sys::SimResults
 runSim(sys::Machine machine, const cpu::CoreConfig &core,
        const std::string &wl_name, const BenchOptions &opt,
-       uint32_t link_bits = 0, uint32_t interleave = 0)
+       const ConfigHook &hook = nullptr)
 {
     sys::SystemConfig cfg =
         sys::SystemConfig::make(machine, core, opt.nx, opt.ny);
-    if (link_bits)
-        cfg.noc.linkBits = link_bits;
-    if (interleave)
-        cfg.nucaInterleave = interleave;
+    if (hook)
+        hook(cfg);
     if (!opt.statsJsonDir.empty()) {
         // Default to ~100 points over a typical scaled run.
         cfg.samplingInterval =
@@ -204,25 +204,13 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
     sys::SimResults r = system.run(wl->makeAllThreads());
 
     if (opt.verify) {
-        // Replay the same program functionally on fresh op sources and
-        // diff the end-of-run architectural state.
-        auto ref_threads = wl->makeAllThreads();
-        std::vector<isa::OpSource *> srcs;
-        for (auto &t : ref_threads)
-            srcs.push_back(t.get());
-        verify::RefResult golden =
-            verify::runReference(system.addressSpace(), srcs);
-        verify::checkOrDie(*system.verifyPlane(), golden,
-                           system.addressSpace(), wl->verifyRegions(),
-                           wl_name + " on " +
-                               sys::machineName(machine));
+        checkAgainstReference(system, *wl,
+                              wl_name + " on " + sys::machineName(machine));
     }
 
     if (!opt.statsJsonDir.empty()) {
         ensureOutputDir(opt.statsJsonDir, "--stats-json");
-        std::string stem = fileToken(core.label) + "_" +
-                           fileToken(sys::machineName(machine)) + "_" +
-                           fileToken(wl_name);
+        std::string stem = runStem(core, machine, wl_name);
         std::ofstream js = openOutputFile(
             opt.statsJsonDir + "/" + stem + ".stats.json",
             "--stats-json");
@@ -248,6 +236,15 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
 }
 
 inline double
+mean(const std::vector<double> &v)
+{
+    double s = 0;
+    for (double x : v)
+        s += x;
+    return v.empty() ? 0.0 : s / v.size();
+}
+
+inline double
 geomean(const std::vector<double> &v)
 {
     if (v.empty())
@@ -256,6 +253,16 @@ geomean(const std::vector<double> &v)
     for (double x : v)
         s += std::log(std::max(x, 1e-12));
     return std::exp(s / static_cast<double>(v.size()));
+}
+
+/** The geomean of each column in @p cols. */
+inline std::vector<double>
+geomeans(const std::vector<std::vector<double>> &cols)
+{
+    std::vector<double> out;
+    for (const auto &c : cols)
+        out.push_back(geomean(c));
+    return out;
 }
 
 /** Print one row: name followed by fixed-width columns. */

@@ -20,17 +20,7 @@ main(int argc, char **argv)
 {
     BenchOptions opt;
     opt.scale = 0.4; // per-core footprints must exceed the private L2
-    opt = [&]() {
-        BenchOptions o = BenchOptions::parse(argc, argv);
-        bool scale_given = false;
-        for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--scale=", 8) == 0)
-                scale_given = true;
-        }
-        if (!scale_given)
-            o.scale = 0.4;
-        return o;
-    }();
+    opt.parse(argc, argv);
     std::printf("=== Fig. 2 motivation (Base, OOO8, %dx%d, scale %.3f) "
                 "===\n\n",
                 opt.nx, opt.ny, opt.scale);
@@ -58,12 +48,6 @@ main(int argc, char **argv)
         flit_all.push_back(flit_frac);
         ctrl_all.push_back(ctrl_frac);
     }
-    auto mean = [](const std::vector<double> &v) {
-        double s = 0;
-        for (double x : v)
-            s += x;
-        return v.empty() ? 0.0 : s / v.size();
-    };
     printRow("mean", {mean(unreused_all), mean(stream_all),
                       mean(flit_all), mean(ctrl_all)});
     std::printf("\npaper:      unreused 0.72, stream-covered 0.63, "

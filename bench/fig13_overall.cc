@@ -51,20 +51,14 @@ runCore(const cpu::CoreConfig &core, const BenchOptions &opt)
         printRow(wl, row);
         eff_rows.push_back(eff_row);
     }
-    std::vector<double> gm;
-    for (auto &v : speedups)
-        gm.push_back(geomean(v));
-    printRow("geomean", gm);
+    printRow("geomean", geomeans(speedups));
 
     std::printf("\n-- energy efficiency over Base-%s --\n",
                 core.label.c_str());
     printHeader("workload", headers);
     for (size_t w = 0; w < opt.workloads.size(); ++w)
         printRow(opt.workloads[w], eff_rows[w]);
-    std::vector<double> gme;
-    for (auto &v : effs)
-        gme.push_back(geomean(v));
-    printRow("geomean", gme);
+    printRow("geomean", geomeans(effs));
 }
 
 } // namespace
@@ -72,7 +66,8 @@ runCore(const cpu::CoreConfig &core, const BenchOptions &opt)
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
+    opt.parse(argc, argv);
     for (const cpu::CoreConfig &core :
          {cpu::CoreConfig::io4(), cpu::CoreConfig::ooo4(),
           cpu::CoreConfig::ooo8()}) {

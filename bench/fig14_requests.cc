@@ -13,7 +13,8 @@ using namespace sf::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
+    opt.parse(argc, argv);
     std::printf("=== Fig. 14: L3 request breakdown, SF-OOO8 "
                 "(%dx%d, scale %.3f) ===\n\n",
                 opt.nx, opt.ny, opt.scale);

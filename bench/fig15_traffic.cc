@@ -30,7 +30,8 @@ const std::vector<std::pair<sys::Machine, const char *>> configs = {
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
+    opt.parse(argc, argv);
     std::printf("=== Fig. 15: NoC traffic vs Base, OOO8 "
                 "(%dx%d, scale %.3f) ===\n",
                 opt.nx, opt.ny, opt.scale);
@@ -63,10 +64,7 @@ main(int argc, char **argv)
         }
         printRow(wl, row);
     }
-    std::vector<double> gm;
-    for (auto &v : ratios)
-        gm.push_back(geomean(v));
-    printRow("geomean", gm);
+    printRow("geomean", geomeans(ratios));
 
     // Detailed class breakdown for the full SF configuration.
     std::printf("\n-- SF traffic class shares (of SF total) --\n");
@@ -81,12 +79,6 @@ main(int argc, char **argv)
                       double(r.traffic.flitHops[2]) / tot});
     }
 
-    auto mean = [](const std::vector<double> &v) {
-        double s = 0;
-        for (double x : v)
-            s += x;
-        return v.empty() ? 0.0 : s / v.size();
-    };
     std::printf("\navg network utilization: Base %.1f%%, Bingo %.1f%%, "
                 "SF %.1f%%\n",
                 100 * mean(base_util), 100 * mean(bingo_util),

@@ -14,16 +14,10 @@ using namespace sf::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.
-    {
-        bool given = false;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--workloads=", 12) == 0)
-                given = true;
-        if (!given)
-            opt.workloads = {"conv3d", "mv", "bfs", "nn", "pathfinder", "srad"};
-    }
+    opt.workloads = {"conv3d", "mv", "bfs", "nn", "pathfinder", "srad"};
+    opt.parse(argc, argv);
     std::printf("=== Fig. 16: link-width sensitivity, OOO8 "
                 "(%dx%d, scale %.3f) ===\n",
                 opt.nx, opt.ny, opt.scale);
@@ -36,27 +30,21 @@ main(int argc, char **argv)
     for (const auto &wl : opt.workloads) {
         double bingo128 = 0;
         std::vector<double> row;
-        for (uint32_t w : widths) {
-            sys::SimResults r = runSim(sys::Machine::BingoPf,
-                                       cpu::CoreConfig::ooo8(), wl, opt,
-                                       w);
-            if (w == 128)
-                bingo128 = double(r.cycles);
-            row.push_back(bingo128 / double(r.cycles));
-        }
-        for (uint32_t w : widths) {
-            sys::SimResults r = runSim(sys::Machine::SF,
-                                       cpu::CoreConfig::ooo8(), wl, opt,
-                                       w);
-            row.push_back(bingo128 / double(r.cycles));
+        for (sys::Machine m : {sys::Machine::BingoPf, sys::Machine::SF}) {
+            for (uint32_t w : widths) {
+                sys::SimResults r =
+                    runSim(m, cpu::CoreConfig::ooo8(), wl, opt,
+                           [w](sys::SystemConfig &c) { c.noc.linkBits = w; });
+                if (m == sys::Machine::BingoPf && w == 128)
+                    bingo128 = double(r.cycles);
+                row.push_back(bingo128 / double(r.cycles));
+            }
         }
         for (size_t i = 0; i < row.size(); ++i)
             all[i].push_back(row[i]);
         printRow(wl, row);
     }
-    std::vector<double> gm;
-    for (auto &v : all)
-        gm.push_back(geomean(v));
+    std::vector<double> gm = geomeans(all);
     printRow("geomean", gm);
     std::printf("\nSF over Bingo at same width: 128b %.2fx, 256b %.2fx, "
                 "512b %.2fx\n",

@@ -14,16 +14,10 @@ using namespace sf::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.
-    {
-        bool given = false;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--workloads=", 12) == 0)
-                given = true;
-        if (!given)
-            opt.workloads = {"conv3d", "mv", "bfs", "nn", "pathfinder", "srad"};
-    }
+    opt.workloads = {"conv3d", "mv", "bfs", "nn", "pathfinder", "srad"};
+    opt.parse(argc, argv);
     std::printf("=== Fig. 17: NUCA interleaving, OOO8 "
                 "(%dx%d, scale %.3f) ===\n",
                 opt.nx, opt.ny, opt.scale);
@@ -38,10 +32,13 @@ main(int argc, char **argv)
     for (const auto &wl : opt.workloads) {
         double bingo64 = 0;
         std::vector<double> row;
+        auto interleave = [](uint32_t g) {
+            return [g](sys::SystemConfig &c) { c.nucaInterleave = g; };
+        };
         for (uint32_t g : grans) {
             sys::SimResults r =
                 runSim(sys::Machine::BingoPf, cpu::CoreConfig::ooo8(),
-                       wl, opt, 0, g);
+                       wl, opt, interleave(g));
             if (g == 64)
                 bingo64 = double(r.cycles);
             row.push_back(bingo64 / double(r.cycles));
@@ -49,7 +46,7 @@ main(int argc, char **argv)
         for (uint32_t g : grans) {
             sys::SimResults r = runSim(sys::Machine::SF,
                                        cpu::CoreConfig::ooo8(), wl, opt,
-                                       0, g);
+                                       interleave(g));
             row.push_back(bingo64 / double(r.cycles));
             double mgmt_share =
                 double(r.traffic.flitHops[2]) /
@@ -63,17 +60,8 @@ main(int argc, char **argv)
             all[i].push_back(row[i]);
         printRow(wl, row);
     }
-    std::vector<double> gm;
-    for (auto &v : all)
-        gm.push_back(geomean(v));
-    printRow("geomean", gm);
+    printRow("geomean", geomeans(all));
 
-    auto mean = [](const std::vector<double> &v) {
-        double s = 0;
-        for (double x : v)
-            s += x;
-        return v.empty() ? 0.0 : s / v.size();
-    };
     std::printf("\nstream-mgmt traffic share: SF-64B %.1f%%, SF-1kB "
                 "%.1f%%\n",
                 100 * mean(mig_traffic_64), 100 * mean(mig_traffic_1k));

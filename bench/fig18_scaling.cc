@@ -13,16 +13,10 @@ using namespace sf::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.
-    {
-        bool given = false;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--workloads=", 12) == 0)
-                given = true;
-        if (!given)
-            opt.workloads = {"mv", "nn", "hotspot", "pathfinder"};
-    }
+    opt.workloads = {"mv", "nn", "hotspot", "pathfinder"};
+    opt.parse(argc, argv);
     std::printf("=== Fig. 18: core scaling, SF vs SS, OOO8 "
                 "(scale %.3f) ===\n\n",
                 opt.scale);
@@ -52,10 +46,7 @@ main(int argc, char **argv)
         row.push_back(l3hit);
         printRow(wl, row);
     }
-    std::vector<double> gm;
-    for (auto &v : ratios)
-        gm.push_back(geomean(v));
-    printRow("geomean", gm);
+    printRow("geomean", geomeans(ratios));
     std::printf("\npaper: SF/SS grows slightly with system size "
                 "(1.30x at 4x4 -> 1.32x at 8x8); gains concentrate "
                 "where L3 hits and L2 misses\n");

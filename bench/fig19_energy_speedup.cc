@@ -14,16 +14,10 @@ using namespace sf::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.
-    {
-        bool given = false;
-        for (int i = 1; i < argc; ++i)
-            if (std::strncmp(argv[i], "--workloads=", 12) == 0)
-                given = true;
-        if (!given)
-            opt.workloads = {"conv3d", "mv", "bfs", "nn", "hotspot", "pathfinder"};
-    }
+    opt.workloads = {"conv3d", "mv", "bfs", "nn", "hotspot", "pathfinder"};
+    opt.parse(argc, argv);
     std::printf("=== Fig. 19: energy vs speedup (norm. to Base-IO4, "
                 "%dx%d, scale %.3f) ===\n\n",
                 opt.nx, opt.ny, opt.scale);

@@ -21,10 +21,9 @@
  * hash) is byte-identical across invocations with the same seeds, so
  * CI can replay a fixed corpus and assert determinism.
  *
- * Usage: fuzz [--seeds=LO:HI] [--seed-file=FILE] [--log=FILE]
- *   --seeds=LO:HI    fuzz seeds LO..HI-1 (default 0:50)
- *   --seed-file=F    newline-separated explicit seed list ('#' comments)
- *   --log=F          also write the outcome log to F
+ * Usage: fuzz [--seeds=LO:HI] [--seed-file=FILE] [--log=FILE]; --help
+ * explains them. An unknown option or a malformed value prints usage
+ * and exits 2 before any kernel runs.
  *
  * SF_VERIFY_BUG injects a protocol bug (see L3Bank::setVerifyBug) so
  * the fuzzer's own detection path can be exercised negatively.
@@ -33,17 +32,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "sim/rng.hh"
-#include "system/tiled_system.hh"
-#include "verify/oracle.hh"
 #include "workload/kernel_util.hh"
-#include "workload/workload.hh"
 
 using namespace sf;
 
@@ -442,17 +438,10 @@ runPoint(const FuzzProgram &prog, const ConfigPoint &pt, uint64_t *ops)
         std::exit(1);
     }
 
-    auto ref_threads = wl.makeAllThreads();
-    std::vector<isa::OpSource *> srcs;
-    for (auto &t : ref_threads)
-        srcs.push_back(t.get());
-    verify::RefResult golden =
-        verify::runReference(system.addressSpace(), srcs);
-    verify::checkOrDie(*system.verifyPlane(), golden,
-                       system.addressSpace(), wl.verifyRegions(),
-                       "fuzz seed " + std::to_string(prog.seed) + " on " +
-                           pt.cpuName + "/" +
-                           sys::machineName(pt.machine));
+    verify::RefResult golden = bench::checkAgainstReference(
+        system, wl,
+        "fuzz seed " + std::to_string(prog.seed) + " on " + pt.cpuName +
+            "/" + sys::machineName(pt.machine));
     *ops = r.committedOps;
     return goldenHash(golden);
 }
@@ -484,22 +473,20 @@ main(int argc, char **argv)
 try {
     uint64_t lo = 0, hi = 50;
     std::string seed_file, log_file;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--seeds=", 0) == 0) {
-            std::sscanf(arg.c_str() + 8, "%llu:%llu",
-                        (unsigned long long *)&lo,
-                        (unsigned long long *)&hi);
-        } else if (arg.rfind("--seed-file=", 0) == 0) {
-            seed_file = arg.substr(std::strlen("--seed-file="));
-        } else if (arg.rfind("--log=", 0) == 0) {
-            log_file = arg.substr(std::strlen("--log="));
-        } else if (arg == "--help") {
-            std::printf("usage: fuzz [--seeds=LO:HI] [--seed-file=FILE] "
-                        "[--log=FILE]\n");
-            return 0;
-        }
-    }
+    OptionTable t(argv[0]);
+    t.add("--seeds", "LO:HI", "fuzz seeds LO..HI-1 (default 0:50)",
+          [&](const std::string &v) {
+              size_t colon = v.find(':');
+              if (colon == std::string::npos)
+                  throw UsageError("--seeds must be LO:HI, got '" + v +
+                                   "'");
+              lo = parseCount(v.substr(0, colon), "--seeds");
+              hi = parseCount(v.substr(colon + 1), "--seeds");
+          });
+    t.text("--seed-file", "FILE",
+           "newline-separated seed list ('#' comments)", seed_file);
+    t.text("--log", "FILE", "also write the outcome log to FILE", log_file);
+    t.parse(argc, argv);
 
     std::vector<uint64_t> seeds;
     if (!seed_file.empty()) {
@@ -509,16 +496,13 @@ try {
             seeds.push_back(s);
     }
 
-    const ConfigPoint points[] = {
-        {"io4", cpu::CoreConfig::io4(), sys::Machine::StridePf},
-        {"io4", cpu::CoreConfig::io4(), sys::Machine::SS},
-        {"io4", cpu::CoreConfig::io4(), sys::Machine::SFInd},
-        {"io4", cpu::CoreConfig::io4(), sys::Machine::SF},
-        {"ooo4", cpu::CoreConfig::ooo4(), sys::Machine::StridePf},
-        {"ooo4", cpu::CoreConfig::ooo4(), sys::Machine::SS},
-        {"ooo4", cpu::CoreConfig::ooo4(), sys::Machine::SFInd},
-        {"ooo4", cpu::CoreConfig::ooo4(), sys::Machine::SF},
-    };
+    // The differential matrix: {io4, ooo4} x these four machines.
+    std::vector<ConfigPoint> points;
+    for (const char *core : {"io4", "ooo4"}) {
+        for (sys::Machine m : {sys::Machine::StridePf, sys::Machine::SS,
+                               sys::Machine::SFInd, sys::Machine::SF})
+            points.push_back({core, cpu::CoreConfig::fromName(core, "cpu"), m});
+    }
 
     std::string log;
     for (uint64_t seed : seeds) {
@@ -545,7 +529,7 @@ try {
     }
     std::printf("fuzz: %zu seed(s) x %zu config(s), all agree with "
                 "reference\n",
-                seeds.size(), std::size(points));
+                seeds.size(), points.size());
     return 0;
 } catch (const FatalError &e) {
     return e.exitStatus();

@@ -23,16 +23,10 @@
  * result re-runs from tick 0, as does every point a killed sweep had
  * not finished.
  *
- * Extra options on top of the common bench flags:
- *   -j N / --jobs=N      worker processes (default 1)
- *   --out=DIR            output directory (default sweep_out)
- *   --cpus=a,b           core-config subset: io4,ooo4,ooo8 (default all)
- *   --machines=a,b       machine subset:
- *                        Base,Stride,Bingo,SS,SF-Aff,SF-Ind,SF
- *                        (default all five)
- *   --point-timeout=S    per-point wall-clock limit in seconds
- *                        (default 300; SIGKILL + retry on expiry)
- *   --resume             skip points with validated existing results
+ * On top of the common bench options, --help lists -j/--jobs, --out,
+ * --cpus, --machines (names in any case), --point-timeout and --resume
+ * with their defaults. An unknown name, a bad value or an unknown
+ * option prints usage and exits 2 before any point is forked.
  *
  * Test hooks (used by tests/smoke_sweep.cmake): a child whose point
  * stem equals $SF_SWEEP_TEST_CRASH aborts, $SF_SWEEP_TEST_HANG spins
@@ -80,71 +74,33 @@ SweepOptions
 parseSweep(int argc, char **argv)
 {
     SweepOptions o;
-    o.bench = BenchOptions::parse(argc, argv);
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto val = [&](const char *key) -> const char * {
-            size_t n = std::strlen(key);
-            if (arg.compare(0, n, key) == 0)
-                return arg.c_str() + n;
-            return nullptr;
-        };
-        if (arg == "-j" && i + 1 < argc) {
-            o.jobs = parseThreadCount(argv[++i], "-j");
-        } else if (const char *v = val("--jobs=")) {
-            o.jobs = parseThreadCount(v, "--jobs");
-        } else if (const char *v = val("-j")) {
-            if (*v)
-                o.jobs = parseThreadCount(v, "-j");
-        } else if (const char *v = val("--out=")) {
-            o.outDir = v;
-        } else if (const char *v = val("--cpus=")) {
-            o.cpus = splitList(v);
-        } else if (const char *v = val("--machines=")) {
-            o.machines = splitList(v);
-        } else if (const char *v = val("--point-timeout=")) {
-            o.pointTimeout = std::atof(v);
-        } else if (arg == "--resume") {
-            o.resume = true;
-        }
-    }
-    if (o.jobs < 1)
-        o.jobs = 1;
-    if (o.pointTimeout <= 0)
-        o.pointTimeout = 300.0;
+    OptionTable t(argv[0]);
+    o.bench.addRunOptions(t);
+    o.bench.addGridOptions(t);
+    t.bind("--jobs", "N", "worker processes (default 1)", o.jobs,
+           parseThreadCount);
+    t.bind("-j", "N", "same as --jobs=N", o.jobs, parseThreadCount);
+    t.text("--out", "DIR", "output directory (default sweep_out)",
+           o.outDir);
+    t.add("--cpus", "a,b", "subset of io4,ooo4,ooo8 (default all)",
+          [&o](const std::string &v) {
+              o.cpus = parseList(v, "--cpus");
+              for (const std::string &c : o.cpus)
+                  cpu::CoreConfig::fromName(c, "--cpus");
+          });
+    t.add("--machines", "a,b",
+          "Base,Stride,Bingo,SS,SF-Aff,SF-Ind,SF (default first 5)",
+          [&o](const std::string &v) {
+              o.machines = parseList(v, "--machines");
+              for (const std::string &m : o.machines)
+                  sys::machineFromName(m, "--machines");
+          });
+    t.bind("--point-timeout", "S", "seconds per point, then retry (300)",
+           o.pointTimeout, parsePositiveReal);
+    t.flag("--resume", "skip points whose .ok CRCs still validate",
+           o.resume);
+    t.parse(argc, argv);
     return o;
-}
-
-cpu::CoreConfig
-coreByName(const std::string &name)
-{
-    if (name == "io4")
-        return cpu::CoreConfig::io4();
-    if (name == "ooo4")
-        return cpu::CoreConfig::ooo4();
-    if (name == "ooo8")
-        return cpu::CoreConfig::ooo8();
-    throw std::runtime_error("unknown core config: " + name);
-}
-
-sys::Machine
-machineByName(const std::string &name)
-{
-    if (name == "Base")
-        return sys::Machine::Base;
-    if (name == "Stride")
-        return sys::Machine::StridePf;
-    if (name == "Bingo")
-        return sys::Machine::BingoPf;
-    if (name == "SS")
-        return sys::Machine::SS;
-    if (name == "SF-Aff")
-        return sys::Machine::SFAff;
-    if (name == "SF-Ind")
-        return sys::Machine::SFInd;
-    if (name == "SF")
-        return sys::Machine::SF;
-    throw std::runtime_error("unknown machine: " + name);
 }
 
 /** One cell of the sweep grid, in fixed enumeration order. */
@@ -153,7 +109,7 @@ struct Point
     cpu::CoreConfig core;
     sys::Machine machine;
     std::string workload;
-    /** Deterministic file stem, identical to what runSim() derives. */
+    /** Deterministic file stem, the one runSim() writes under. */
     std::string stem;
 };
 
@@ -162,16 +118,14 @@ enumerateGrid(const SweepOptions &o)
 {
     std::vector<Point> points;
     for (const std::string &cpu_name : o.cpus) {
-        cpu::CoreConfig core = coreByName(cpu_name);
+        cpu::CoreConfig core = cpu::CoreConfig::fromName(cpu_name, "--cpus");
         for (const std::string &wl : o.bench.workloads) {
             for (const std::string &m : o.machines) {
                 Point p;
                 p.core = core;
-                p.machine = machineByName(m);
+                p.machine = sys::machineFromName(m, "--machines");
                 p.workload = wl;
-                p.stem = fileToken(core.label) + "_" +
-                         fileToken(sys::machineName(p.machine)) + "_" +
-                         fileToken(wl);
+                p.stem = runStem(core, p.machine, wl);
                 points.push_back(p);
             }
         }
@@ -209,22 +163,34 @@ struct CrcTable
 constexpr CrcTable kCrc;
 
 /**
- * CRC-32 (IEEE 802.3, reflected) of a file's raw bytes, as recorded
- * in the `.ok` sidecars.
+ * CRC-32 (IEEE 802.3, reflected) of a file's raw bytes as the eight
+ * lower-case hex digits a `.ok` sidecar records; empty if unreadable.
  */
-bool
-fileCrc(const std::string &path, uint32_t &crc)
+std::string
+fileCrc(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        return false;
+        return "";
     std::ostringstream ss;
     ss << in.rdbuf();
-    crc = 0xffffffffu;
+    uint32_t crc = 0xffffffffu;
     for (char ch : ss.str())
         crc = kCrc.t[(crc ^ uint8_t(ch)) & 0xffu] ^ (crc >> 8);
-    crc ^= 0xffffffffu;
-    return true;
+    char hex[9];
+    std::snprintf(hex, sizeof(hex), "%08x", crc ^ 0xffffffffu);
+    return hex;
+}
+
+/** The files a `.ok` sidecar guards: (field name, file suffix). */
+std::vector<std::pair<std::string, std::string>>
+guardedFiles(const SweepOptions &o)
+{
+    std::vector<std::pair<std::string, std::string>> files = {
+        {"stats_crc", ".stats.json"}, {"host_crc", ".host"}};
+    if (o.bench.profile)
+        files.push_back({"prof_crc", ".profsum.json"});
+    return files;
 }
 
 /** Run one point to completion; only ever called in a forked child. */
@@ -263,27 +229,15 @@ runPoint(const Point &p, const SweepOptions &o,
         // point when the CRCs recorded here still match the recomputed
         // ones, so a SIGKILL at any earlier instant leaves a point
         // that re-runs.
-        uint32_t stats_crc = 0, host_crc = 0, prof_crc = 0;
-        if (!fileCrc(points_dir + "/" + p.stem + ".stats.json",
-                     stats_crc) ||
-            !fileCrc(points_dir + "/" + p.stem + ".host", host_crc))
-            return 1;
-        if (o.bench.profile &&
-            !fileCrc(points_dir + "/" + p.stem + ".profsum.json",
-                     prof_crc))
-            return 1;
-        char okbuf[128];
-        if (o.bench.profile) {
-            std::snprintf(okbuf, sizeof(okbuf),
-                          "stats_crc=%08x host_crc=%08x prof_crc=%08x\n",
-                          stats_crc, host_crc, prof_crc);
-        } else {
-            std::snprintf(okbuf, sizeof(okbuf),
-                          "stats_crc=%08x host_crc=%08x\n", stats_crc,
-                          host_crc);
+        std::string ok;
+        for (const auto &[field, suffix] : guardedFiles(o)) {
+            std::string crc = fileCrc(points_dir + "/" + p.stem + suffix);
+            if (crc.empty())
+                return 1;
+            ok += (ok.empty() ? "" : " ") + field + "=" + crc;
         }
         std::ofstream okf(points_dir + "/" + p.stem + ".ok");
-        okf << okbuf;
+        okf << ok << "\n";
         okf.flush();
         return okf.good() ? 0 : 1;
     } catch (const std::exception &e) {
@@ -293,20 +247,34 @@ runPoint(const Point &p, const SweepOptions &o,
     }
 }
 
+/** The "key=value" fields on the first line of a sidecar file. */
+std::map<std::string, std::string>
+readFields(const std::string &path)
+{
+    std::map<std::string, std::string> fields;
+    std::ifstream in(path);
+    std::string line, field;
+    std::getline(in, line);
+    std::istringstream ss(line);
+    while (ss >> field) {
+        size_t eq = field.find('=');
+        if (eq != std::string::npos)
+            fields[field.substr(0, eq)] = field.substr(eq + 1);
+    }
+    return fields;
+}
+
 bool
 readHostReport(const std::string &path, HostReport &h)
 {
-    std::ifstream in(path);
-    if (!in)
+    auto f = readFields(path);
+    try {
+        h.seconds = std::stod(f.at("seconds"));
+        h.events = std::stoull(f.at("events"));
+        h.cycles = std::stoull(f.at("cycles"));
+    } catch (const std::exception &) {
         return false;
-    std::string line;
-    std::getline(in, line);
-    unsigned long long ev = 0, cy = 0;
-    if (std::sscanf(line.c_str(), "seconds=%lf events=%llu cycles=%llu",
-                    &h.seconds, &ev, &cy) != 3)
-        return false;
-    h.events = ev;
-    h.cycles = cy;
+    }
     return true;
 }
 
@@ -323,28 +291,12 @@ bool
 pointComplete(const SweepOptions &o, const std::string &points_dir,
               const std::string &stem)
 {
-    std::ifstream in(points_dir + "/" + stem + ".ok");
-    if (!in)
-        return false;
-    std::string line;
-    std::getline(in, line);
-    unsigned stored_stats = 0, stored_host = 0, stored_prof = 0;
-    int n = std::sscanf(line.c_str(),
-                        "stats_crc=%x host_crc=%x prof_crc=%x",
-                        &stored_stats, &stored_host, &stored_prof);
-    if (n < 2 || (o.bench.profile && n != 3))
-        return false;
-    uint32_t crc = 0;
-    if (!fileCrc(points_dir + "/" + stem + ".stats.json", crc) ||
-        crc != stored_stats)
-        return false;
-    if (!fileCrc(points_dir + "/" + stem + ".host", crc) ||
-        crc != stored_host)
-        return false;
-    if (o.bench.profile &&
-        (!fileCrc(points_dir + "/" + stem + ".profsum.json", crc) ||
-         crc != stored_prof))
-        return false;
+    auto recorded = readFields(points_dir + "/" + stem + ".ok");
+    for (const auto &[field, suffix] : guardedFiles(o)) {
+        std::string crc = fileCrc(points_dir + "/" + stem + suffix);
+        if (crc.empty() || recorded[field] != crc)
+            return false;
+    }
     HostReport h;
     return readHostReport(points_dir + "/" + stem + ".host", h);
 }

@@ -8,20 +8,19 @@
  * (bench/baselines/BENCH_threads.json); only the wall clock may vary
  * between hosts. tests/threads_gate.cmake consumes the JSON report.
  *
- * Defaults to the paper's 8x8 mesh (the acceptance point for the
- * >=2x-with-4-workers speedup target) rather than bench_util's 4x4.
+ * Defaults to SF-OOO8 conv3d on the paper's 8x8 mesh (the acceptance
+ * point for the >=2x-with-4-workers speedup target) rather than
+ * bench_util's 4x4 and all 12 workloads; --workloads runs its first
+ * entry only.
  *
- * Extra options on top of bench_util.hh:
- *   --counts=1,2,4   worker counts to run (default 1,2,4)
- *   --reps=N         repetitions per count; wall clock is the minimum
- *                    across reps (default 3)
- *   --out=FILE       write the JSON report here (default stdout only)
+ * On top of the bench options, --help lists --counts (worker counts),
+ * --reps (the wall clock is the minimum over reps) and --out; a bad
+ * option or value prints usage and exits 2.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,56 +38,33 @@ struct Sample
     unsigned long long cycles = 0;
 };
 
-double
-runOnceMs(const bench::BenchOptions &opt, const std::string &wl,
-          int threads, unsigned long long &cycles_out)
-{
-    bench::BenchOptions one = opt;
-    one.threads = threads;
-    auto t0 = std::chrono::steady_clock::now();
-    sys::SimResults r =
-        bench::runSim(sys::Machine::SF, cpu::CoreConfig::ooo8(), wl, one);
-    auto t1 = std::chrono::steady_clock::now();
-    cycles_out = r.cycles;
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Default to the paper's 8x8 mesh unless --cores was given.
-    bool cores_given = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--cores=", 8) == 0)
-            cores_given = true;
-    }
-    bench::BenchOptions opt = bench::BenchOptions::parse(argc, argv);
-    if (!cores_given)
-        opt.nx = opt.ny = 8;
-
+    bench::BenchOptions opt;
+    opt.nx = opt.ny = 8;
+    opt.workloads = {"conv3d"};
     std::vector<int> counts = {1, 2, 4};
     int reps = 3;
     std::string out_file;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--counts=", 0) == 0) {
-            counts.clear();
-            for (const auto &c :
-                 bench::splitList(arg.c_str() + std::strlen("--counts=")))
-                counts.push_back(parseThreadCount(c, "--counts"));
-        } else if (arg.rfind("--reps=", 0) == 0) {
-            reps = parseThreadCount(arg.c_str() + std::strlen("--reps="),
-                                    "--reps");
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_file = arg.substr(std::strlen("--out="));
-        }
-    }
+    OptionTable t(argv[0]);
+    opt.addRunOptions(t);
+    opt.addGridOptions(t);
+    t.add("--counts", "1,2,4", "worker counts to run (default 1,2,4)",
+          [&](const std::string &v) {
+              counts.clear();
+              for (const std::string &c : parseList(v, "--counts"))
+                  counts.push_back(parseThreadCount(c, "--counts"));
+          });
+    t.bind("--reps", "N", "best-of-N wall clock per count (default 3)",
+           reps, parseThreadCount);
+    t.text("--out", "FILE", "also write the JSON report to FILE",
+           out_file);
+    t.parse(argc, argv);
 
-    const std::string wl =
-        opt.workloads.empty() ? std::string("pathfinder")
-                              : opt.workloads.front();
+    const std::string wl = opt.workloads.front();
     const unsigned host_cores = std::thread::hardware_concurrency();
 
     std::printf("threads scaling: %dx%d SF %s scale=%.3f "
@@ -98,12 +74,18 @@ main(int argc, char **argv)
     std::vector<Sample> samples;
     for (int n : counts) {
         Sample s;
-        s.threads = n;
+        s.threads = opt.threads = n;
         s.wallMs = 1e300;
         for (int r = 0; r < reps; ++r) {
-            unsigned long long cycles = 0;
-            double ms = runOnceMs(opt, wl, n, cycles);
-            s.wallMs = std::min(s.wallMs, ms);
+            auto t0 = std::chrono::steady_clock::now();
+            unsigned long long cycles =
+                bench::runSim(sys::Machine::SF, cpu::CoreConfig::ooo8(), wl,
+                              opt)
+                    .cycles;
+            s.wallMs = std::min(
+                s.wallMs, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
             if (r == 0) {
                 s.cycles = cycles;
             } else if (cycles != s.cycles) {

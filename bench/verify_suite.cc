@@ -18,25 +18,18 @@ using namespace sf;
 int
 main(int argc, char **argv)
 try {
-    bench::BenchOptions opt = bench::BenchOptions::parse(argc, argv);
+    bench::BenchOptions opt;
+    opt.parse(argc, argv);
     opt.verify = true;
-
-    const struct {
-        const char *name;
-        cpu::CoreConfig core;
-    } cpus[] = {
-        { "io4", cpu::CoreConfig::io4() },
-        { "ooo4", cpu::CoreConfig::ooo4() },
-    };
-    const sys::Machine machines[] = { sys::Machine::SS, sys::Machine::SF };
 
     int points = 0;
     for (const auto &wl : opt.workloads) {
-        for (const auto &cpu : cpus) {
-            for (sys::Machine m : machines) {
-                bench::runSim(m, cpu.core, wl, opt);
+        for (const char *core : {"io4", "ooo4"}) {
+            for (sys::Machine m : {sys::Machine::SS, sys::Machine::SF}) {
+                bench::runSim(m, cpu::CoreConfig::fromName(core, "core"),
+                              wl, opt);
                 std::printf("verify ok: %-12s %-5s %s\n", wl.c_str(),
-                            cpu.name, sys::machineName(m));
+                            core, sys::machineName(m));
                 std::fflush(stdout);
                 ++points;
             }

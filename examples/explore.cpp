@@ -4,115 +4,66 @@
  * scale) combination and print the full statistics report — the
  * command-line front door to the whole library.
  *
- * Usage:
- *   explore [--machine=SF] [--core=ooo8] [--cores=4x4]
- *           [--workload=pathfinder] [--scale=0.05] [--link=256]
- *           [--interleave=0] [--seed=1]
+ *   explore --machine=SF --core=io4 --cores=8x8 --workload=bfs
+ *
+ * --help lists the options. An unknown option or a malformed value
+ * (including an unknown machine, core or workload) prints usage to
+ * stderr and exits 2 before anything is built.
  */
 
-#include <cstdio>
-#include <cstring>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <tuple>
 
+#include "sim/arg_parse.hh"
 #include "system/report.hh"
 #include "system/tiled_system.hh"
 #include "workload/workload.hh"
 
 using namespace sf;
 
-namespace {
-
-sys::Machine
-parseMachine(const std::string &s)
-{
-    using sys::Machine;
-    if (s == "Base" || s == "base")
-        return Machine::Base;
-    if (s == "stride" || s == "StridePf")
-        return Machine::StridePf;
-    if (s == "bingo" || s == "BingoPf")
-        return Machine::BingoPf;
-    if (s == "stride-bulk")
-        return Machine::StrideBulk;
-    if (s == "bingo-bulk")
-        return Machine::BingoBulk;
-    if (s == "SS" || s == "ss")
-        return Machine::SS;
-    if (s == "SF-aff" || s == "sf-aff")
-        return Machine::SFAff;
-    if (s == "SF-ind" || s == "sf-ind")
-        return Machine::SFInd;
-    if (s == "SF" || s == "sf")
-        return Machine::SF;
-    fatal("unknown machine '%s'", s.c_str());
-}
-
-cpu::CoreConfig
-parseCore(const std::string &s)
-{
-    if (s == "io4")
-        return cpu::CoreConfig::io4();
-    if (s == "ooo4")
-        return cpu::CoreConfig::ooo4();
-    if (s == "ooo8")
-        return cpu::CoreConfig::ooo8();
-    fatal("unknown core '%s' (io4 | ooo4 | ooo8)", s.c_str());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string machine = "SF", core = "ooo8", workload = "pathfinder";
+    sys::Machine machine = sys::Machine::SF;
+    cpu::CoreConfig core = cpu::CoreConfig::ooo8();
+    std::string workload = "pathfinder";
     int nx = 4, ny = 4;
     double scale = 0.05;
-    uint32_t link = 0, interleave = 0;
+    uint64_t link = 0, interleave = 0;
     uint64_t seed = 1;
     bool dump_stats = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto val = [&](const char *key) -> const char * {
-            size_t n = std::strlen(key);
-            return arg.compare(0, n, key) == 0 ? arg.c_str() + n
-                                               : nullptr;
-        };
-        if (const char *v = val("--machine="))
-            machine = v;
-        else if (const char *v = val("--core="))
-            core = v;
-        else if (const char *v = val("--cores="))
-            std::sscanf(v, "%dx%d", &nx, &ny);
-        else if (const char *v = val("--workload="))
-            workload = v;
-        else if (const char *v = val("--scale="))
-            scale = std::atof(v);
-        else if (const char *v = val("--link="))
-            link = static_cast<uint32_t>(std::atoi(v));
-        else if (const char *v = val("--interleave="))
-            interleave = static_cast<uint32_t>(std::atoi(v));
-        else if (const char *v = val("--seed="))
-            seed = std::strtoull(v, nullptr, 10);
-        else if (arg == "--stats")
-            dump_stats = true;
-        else {
-            std::printf("usage: explore [--machine=M] [--core=C] "
-                        "[--cores=NxN] [--workload=W] [--scale=S] "
-                        "[--link=BITS] [--interleave=BYTES] "
-                        "[--seed=N]\n");
-            return arg == "--help" ? 0 : 1;
-        }
-    }
+    OptionTable t(argv[0]);
+    t.bind("--machine", "M", "base|stride|bingo|ss|sf|... (default SF)",
+           machine, sys::machineFromName);
+    t.bind("--core", "C", "io4|ooo4|ooo8 (default ooo8)", core,
+           cpu::CoreConfig::fromName);
+    t.add("--cores", "NxM", "mesh size (default 4x4)",
+          [&](const std::string &v) {
+              std::tie(nx, ny) = parseMesh(v, "--cores");
+          });
+    t.bind("--workload", "W", "Table IV benchmark (default pathfinder)",
+           workload, workload::parseWorkloadName);
+    t.bind("--scale", "S", "dataset scale (default 0.05)", scale,
+           parsePositiveReal);
+    t.bind("--link", "BITS", "NoC link width (0 = Table III)", link,
+           parseCount);
+    t.bind("--interleave", "BYTES", "NUCA interleaving (0 = Table III)",
+           interleave, parseCount);
+    t.bind("--seed", "N", "replacement/dataset seed (default 1)", seed,
+           parseCount);
+    t.flag("--stats", "also print every component's statistics",
+           dump_stats);
+    t.parse(argc, argv);
 
-    sys::SystemConfig cfg = sys::SystemConfig::make(
-        parseMachine(machine), parseCore(core), nx, ny);
+    sys::SystemConfig cfg = sys::SystemConfig::make(machine, core, nx, ny);
     cfg.seed = seed;
     if (link)
-        cfg.noc.linkBits = link;
+        cfg.noc.linkBits = static_cast<uint32_t>(link);
     if (interleave)
-        cfg.nucaInterleave = interleave;
+        cfg.nucaInterleave = static_cast<uint32_t>(interleave);
 
     sys::TiledSystem system(cfg);
     workload::WorkloadParams wp;

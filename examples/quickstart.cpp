@@ -5,249 +5,77 @@
  * and print the headline numbers the paper's evaluation revolves
  * around: cycles, NoC traffic, and energy.
  *
- * Usage: quickstart [workload] [scale] [--stats-json=DIR] [--trace=FILE]
- *                   [--check=LVL] [--faults=SPEC] [--watchdog-cycles=N]
- *                   [--verify] [--profile] [--threads=N] [--help]
+ * Usage: quickstart [workload] [scale] [options]
  *
  *   workload          one of the Table IV names (default pathfinder)
  *   scale             dataset scale, a positive number (default 0.05)
- *   --threads=N       worker threads for the tile-parallel engine
- *                     (results are byte-identical to --threads=1;
- *                     DESIGN.md §4i)
  *
- *   --stats-json=DIR  write one schema-versioned stats.json per machine
- *                     (with interval time series) into DIR
- *   --trace=FILE      write the SF run's stream-lifecycle events as a
- *                     Chrome trace-event file (open in Perfetto)
- *   --profile         latency-attribution profiler (DESIGN.md §4h):
- *                     stats.json gains the profile.* groups and, with
- *                     --stats-json, each machine also writes a
- *                     deterministic profile.json into DIR
- *   --check=LVL       invariant checker level off|basic|full (the
- *                     SF_CHECK env var overrides this)
- *   --faults=SPEC     deterministic fault injection, e.g.
- *                     "seed:7,dropfloat:0.2,delay:0.1" (see fault.hh)
- *   --watchdog-cycles=N  forward-progress watchdog interval (0 = off)
- *   --verify          run the functional reference executor after each
- *                     sim and diff the final memory image (exit 67 on
- *                     divergence; SF_VERIFY_BUG injects protocol bugs)
- *   -h, --help        print the option list and exit 0
+ * Options: the run options every bench shares (bench_util.hh; here
+ * --threads=N is also -jN / -j N) plus --trace=FILE, the SF run's
+ * stream-lifecycle events as a Chrome trace (open in Perfetto); -h
+ * lists them. Both runs go through bench::runSim(), so --stats-json=DIR
+ * writes e.g. DIR/OOO8_SF_pathfinder.stats.json (plus .profile.json
+ * and .profsum.json with --profile, .trace.json with --trace).
  *
- * An unknown option, a third positional argument or a scale that is
- * not a positive number prints the usage to stderr and exits 2 before
- * any machine is built. Otherwise exits with the FatalError exit code
- * on watchdog timeouts (64), invariant violations (65), drain
- * failures (66) and verify divergences (67).
+ * An unknown option or workload, a third positional argument or a
+ * scale that is not a positive number prints the usage to stderr and
+ * exits 2 before any machine is built. Otherwise exits with the
+ * FatalError exit code on watchdog timeouts (64), invariant
+ * violations (65), drain failures (66) and verify divergences (67).
  *
  * Set SF_DEBUG_FLAGS (e.g. StreamFloat,SEL3) to watch components live.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 
-#include <vector>
-
-#include "sim/arg_parse.hh"
-#include "sim/output_path.hh"
-#include "sim/stream_trace.hh"
-#include "system/tiled_system.hh"
-#include "verify/oracle.hh"
-#include "workload/workload.hh"
+#include "bench/bench_util.hh"
 
 using namespace sf;
-
-namespace {
-
-/** Robustness knobs shared by both runs. */
-struct RobustnessOptions
-{
-    CheckLevel check = CheckLevel::Off;
-    FaultConfig faults;
-    Tick watchdogCycles = ~0ULL; //!< ~0 = keep the config default
-    bool verify = false;
-    bool profile = false;
-    int threads = 1;
-};
-
-/** Exit status for malformed command lines (no machine was built). */
-constexpr int kUsageError = 2;
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: quickstart [workload] [scale] [options]\n"
-        "  workload             Table IV benchmark (default pathfinder)\n"
-        "  scale                positive dataset scale (default 0.05)\n"
-        "  --stats-json=DIR     stats.json per machine into DIR\n"
-        "  --trace=FILE         SF stream-lifecycle Chrome trace\n"
-        "  --profile            latency-attribution profiler\n"
-        "  --check=LVL          invariant checker off|basic|full\n"
-        "  --faults=SPEC        deterministic fault injection\n"
-        "  --watchdog-cycles=N  watchdog interval (0 = off)\n"
-        "  --verify             diff against the reference executor\n"
-        "  --threads=N, -jN     tile-parallel worker threads\n"
-        "  -h, --help           print this list and exit\n");
-}
-
-/** Report a malformed command line; the caller exits kUsageError. */
-int
-usageError(const char *what, const std::string &arg)
-{
-    std::fprintf(stderr, "quickstart: %s '%s'\n", what, arg.c_str());
-    printUsage(stderr);
-    return kUsageError;
-}
-
-sys::SimResults
-runOne(sys::Machine machine, const std::string &wl_name, double scale,
-       const std::string &stats_dir, const RobustnessOptions &rob)
-{
-    sys::SystemConfig cfg =
-        sys::SystemConfig::make(machine, cpu::CoreConfig::ooo8(), 4, 4);
-    if (!stats_dir.empty())
-        cfg.samplingInterval = 10'000;
-    cfg.checkLevel = rob.check;
-    cfg.faults = rob.faults;
-    if (rob.watchdogCycles != ~0ULL)
-        cfg.watchdogCycles = rob.watchdogCycles;
-    cfg.verify = rob.verify;
-    cfg.profile = rob.profile;
-    cfg.threads = rob.threads;
-    if (const char *bug = std::getenv("SF_VERIFY_BUG"))
-        cfg.verifyBug = bug;
-    sys::TiledSystem system(cfg);
-
-    workload::WorkloadParams wp;
-    wp.numThreads = cfg.numTiles();
-    wp.scale = scale;
-    wp.useStreams = sys::machineUsesStreams(machine);
-    auto wl = workload::makeWorkload(wl_name, wp);
-    wl->init(system.addressSpace());
-
-    sys::SimResults r = system.run(wl->makeAllThreads());
-
-    if (rob.verify) {
-        auto ref_threads = wl->makeAllThreads();
-        std::vector<isa::OpSource *> srcs;
-        for (auto &t : ref_threads)
-            srcs.push_back(t.get());
-        verify::RefResult golden =
-            verify::runReference(system.addressSpace(), srcs);
-        verify::checkOrDie(*system.verifyPlane(), golden,
-                           system.addressSpace(), wl->verifyRegions(),
-                           wl_name + " on " +
-                               sys::machineName(machine));
-        std::printf("verify: %s on %s OK\n", wl_name.c_str(),
-                    sys::machineName(machine));
-    }
-
-    if (!stats_dir.empty()) {
-        ensureOutputDir(stats_dir, "--stats-json");
-        std::string stem = stats_dir + "/" +
-                           std::string(sys::machineName(machine)) + "_" +
-                           wl_name;
-        for (char &c : stem) {
-            if (c == '+')
-                c = '_';
-        }
-        std::string path = stem + ".stats.json";
-        std::ofstream os = openOutputFile(path, "--stats-json");
-        system.dumpStatsJson(os, r);
-        std::printf("wrote %s\n", path.c_str());
-        if (rob.profile) {
-            std::string ppath = stem + ".profile.json";
-            std::ofstream ps = openOutputFile(ppath, "--profile");
-            system.dumpProfileJson(ps, r);
-            std::printf("wrote %s\n", ppath.c_str());
-        }
-    }
-    return r;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 try {
-    std::string wl = "pathfinder";
-    double scale = 0.05;
-    std::string stats_dir;
+    bench::BenchOptions opt;
+    opt.scale = 0.05;
+    opt.workloads = {"pathfinder"};
     std::string trace_file;
-    RobustnessOptions rob;
-    int positional = 0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            printUsage(stdout);
-            return 0;
-        } else if (arg.rfind("--stats-json=", 0) == 0) {
-            stats_dir = arg.substr(std::strlen("--stats-json="));
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            trace_file = arg.substr(std::strlen("--trace="));
-        } else if (arg.rfind("--check=", 0) == 0) {
-            rob.check = checkLevelFromString(
-                arg.substr(std::strlen("--check=")));
-        } else if (arg.rfind("--faults=", 0) == 0) {
-            rob.faults =
-                FaultConfig::parse(arg.substr(std::strlen("--faults=")));
-        } else if (arg.rfind("--watchdog-cycles=", 0) == 0) {
-            rob.watchdogCycles = std::strtoull(
-                arg.c_str() + std::strlen("--watchdog-cycles="),
-                nullptr, 10);
-        } else if (arg == "--verify") {
-            rob.verify = true;
-        } else if (arg == "--profile") {
-            rob.profile = true;
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            rob.threads = parseThreadCount(
-                arg.substr(std::strlen("--threads=")), "--threads");
-        } else if (arg.rfind("-j", 0) == 0 && arg != "-j") {
-            rob.threads = parseThreadCount(arg.substr(2), "-j");
-        } else if (arg == "-j" && i + 1 < argc) {
-            rob.threads = parseThreadCount(argv[++i], "-j");
-        } else if (arg[0] == '-') {
-            return usageError("unknown option", arg);
-        } else if (positional == 0) {
-            wl = arg;
-            ++positional;
-        } else if (positional == 1) {
-            char *end = nullptr;
-            scale = std::strtod(arg.c_str(), &end);
-            if (*end != '\0' || !std::isfinite(scale) || scale <= 0)
-                return usageError("scale must be a positive number, got",
-                                  arg);
-            ++positional;
-        } else {
-            return usageError("unexpected argument", arg);
-        }
-    }
+    OptionTable t(argv[0]);
+    t.add("workload", "", "Table IV benchmark (default pathfinder)",
+          [&](const std::string &v) {
+              opt.workloads = {workload::parseWorkloadName(v, "workload")};
+          });
+    t.bind("scale", "", "positive dataset scale (default 0.05)", opt.scale,
+           parsePositiveReal);
+    opt.addRunOptions(t);
+    t.bind("-j", "N", "same as --threads=N", opt.threads, parseThreadCount);
+    t.text("--trace", "FILE", "SF stream-lifecycle Chrome trace",
+           trace_file);
+    t.parse(argc, argv);
+    const std::string &wl = opt.workloads.front();
 
     // Validate output targets up front: a bad --stats-json or --trace
     // path should fail immediately, not after minutes of simulation.
-    if (!stats_dir.empty())
-        ensureOutputDir(stats_dir, "--stats-json");
+    if (!opt.statsJsonDir.empty())
+        ensureOutputDir(opt.statsJsonDir, "--stats-json");
     std::ofstream trace_os;
     if (!trace_file.empty())
         trace_os = openOutputFile(trace_file, "--trace");
 
     std::printf("stream-floating quickstart: workload=%s scale=%.3f "
                 "(4x4 OOO8)\n\n",
-                wl.c_str(), scale);
+                wl.c_str(), opt.scale);
 
     auto &tracer = trace::StreamLifecycleTracer::instance();
     if (!trace_file.empty())
         tracer.setEnabled(true);
 
-    auto base = runOne(sys::Machine::BingoPf, wl, scale, stats_dir, rob);
-    tracer.clear(); // keep only the SF run's stream events
-    auto sf_run = runOne(sys::Machine::SF, wl, scale, stats_dir, rob);
+    // runSim() clears the tracer per run, so it ends up holding only
+    // the SF run's stream events.
+    const cpu::CoreConfig core = cpu::CoreConfig::ooo8();
+    auto base = bench::runSim(sys::Machine::BingoPf, core, wl, opt);
+    auto sf_run = bench::runSim(sys::Machine::SF, core, wl, opt);
 
     if (!trace_file.empty()) {
         tracer.exportChromeTrace(trace_os);

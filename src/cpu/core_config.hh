@@ -6,9 +6,12 @@
 #ifndef SF_CPU_CORE_CONFIG_HH
 #define SF_CPU_CORE_CONFIG_HH
 
+#include <strings.h>
+
 #include <cstdint>
 #include <string>
 
+#include "sim/arg_parse.hh"
 #include "sim/types.hh"
 
 namespace sf {
@@ -103,6 +106,18 @@ struct CoreConfig
         c.seFifoBytes = 2048;
         c.label = "OOO8";
         return c;
+    }
+
+    /** io4, ooo4 or ooo8 in any case; else a UsageError naming @p flag. */
+    static CoreConfig
+    fromName(const std::string &name, const std::string &flag)
+    {
+        for (const CoreConfig &c : {io4(), ooo4(), ooo8()}) {
+            if (strcasecmp(name.c_str(), c.label.c_str()) == 0)
+                return c;
+        }
+        throw UsageError(flag + " must be one of io4, ooo4, ooo8, got '" +
+                         name + "'");
     }
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/arg_parse.hh"
 #include "sim/logging.hh"
 
 namespace sf {
@@ -31,18 +32,6 @@ parseProb(const std::string &token, const std::string &value)
               token.c_str(), value.c_str());
     }
     return p;
-}
-
-uint64_t
-parseCount(const std::string &token, const std::string &value)
-{
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-        fatal("faults: '%s' needs an integer, got '%s'", token.c_str(),
-              value.c_str());
-    }
-    return n;
 }
 
 } // namespace
@@ -79,7 +68,7 @@ FaultConfig::parse(const std::string &spec)
         if (key == "none") {
             // explicit no-op
         } else if (key == "seed") {
-            cfg.seed = parseCount(key, value);
+            cfg.seed = parseCount(value, "faults: " + key);
         } else if (key == "dropfloat") {
             dropKey(FaultClass::FloatRequest);
         } else if (key == "dropcredit") {
@@ -99,10 +88,12 @@ FaultConfig::parse(const std::string &spec)
         } else if (key == "delay") {
             cfg.delayProb = parseProb(key, value);
         } else if (key == "delaycycles") {
-            cfg.delayCycles = parseCount(key, value);
+            cfg.delayCycles = parseCount(value, "faults: " + key);
         } else if (key == "overflow") {
             cfg.overflowEntries =
-                value.empty() ? 1 : static_cast<int>(parseCount(key, value));
+                value.empty()
+                    ? 1
+                    : static_cast<int>(parseCount(value, "faults: " + key));
             if (cfg.overflowEntries < 1)
                 fatal("faults: overflow needs at least 1 entry");
         } else if (key == "noretry") {

@@ -8,9 +8,13 @@
 #ifndef SF_SYSTEM_CONFIG_HH
 #define SF_SYSTEM_CONFIG_HH
 
+#include <strings.h>
+
 #include <string>
+#include <utility>
 
 #include "cpu/core_config.hh"
+#include "sim/arg_parse.hh"
 #include "sim/checker.hh"
 #include "sim/fault.hh"
 #include "flt/se_l2.hh"
@@ -53,6 +57,30 @@ machineName(Machine m)
       case Machine::SF: return "SF";
     }
     return "?";
+}
+
+/**
+ * The machine a driver flag names, in any case: base, stride(pf),
+ * bingo(pf), stride-bulk, bingo-bulk, ss, sf-aff, sf-ind or sf.
+ * Throws a UsageError naming @p flag otherwise.
+ */
+inline Machine
+machineFromName(const std::string &name, const std::string &flag)
+{
+    static const std::pair<const char *, Machine> names[] = {
+        {"base", Machine::Base}, {"stride", Machine::StridePf},
+        {"stridepf", Machine::StridePf}, {"bingo", Machine::BingoPf},
+        {"bingopf", Machine::BingoPf}, {"stride-bulk", Machine::StrideBulk},
+        {"bingo-bulk", Machine::BingoBulk}, {"ss", Machine::SS},
+        {"sf-aff", Machine::SFAff}, {"sf-ind", Machine::SFInd},
+        {"sf", Machine::SF}};
+    for (const auto &[n, m] : names) {
+        if (strcasecmp(name.c_str(), n) == 0)
+            return m;
+    }
+    throw UsageError(flag + " must be one of base, stride, bingo, " +
+                     "stride-bulk, bingo-bulk, ss, sf-aff, sf-ind, sf, " +
+                     "got '" + name + "'");
 }
 
 inline bool

@@ -5,6 +5,7 @@
 
 #include "workload/workload.hh"
 
+#include "sim/arg_parse.hh"
 #include "sim/logging.hh"
 #include "workload/kernels.hh"
 
@@ -50,6 +51,22 @@ makeWorkload(const std::string &name, const WorkloadParams &params)
     if (name == "srad")
         return makeSrad(params);
     fatal("unknown workload '%s'", name.c_str());
+}
+
+std::string
+parseWorkloadName(const std::string &value, const std::string &flag)
+{
+    std::string list;
+    for (const std::string &n : workloadNames()) {
+        if (n == value)
+            return value;
+        list += (list.empty() ? "" : ", ") + n;
+    }
+    // The two aliases makeWorkload() also accepts.
+    if (value == "btree" || value == "hotspot3d")
+        return value;
+    throw UsageError(flag + " must be one of " + list + ", got '" + value +
+                     "'");
 }
 
 } // namespace workload

@@ -99,6 +99,10 @@ std::unique_ptr<Workload> makeWorkload(const std::string &name,
 /** Names of all 12 benchmarks, in the paper's figure order. */
 const std::vector<std::string> &workloadNames();
 
+/** @p value if makeWorkload() takes it; else a UsageError naming @p flag. */
+std::string parseWorkloadName(const std::string &value,
+                              const std::string &flag);
+
 } // namespace workload
 } // namespace sf
 

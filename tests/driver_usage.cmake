@@ -1,0 +1,39 @@
+# Command-line strictness of one bench/example driver, the same bar
+# quickstart_usage sets for the quickstart: --help prints the option
+# list and exits 0; an unknown option, a stray positional argument or
+# a malformed --cores/--scale/--workloads value prints the usage to
+# stderr and exits 2 before any machine is built. Which of those three
+# options the driver has is read from its own --help list; one it
+# lacks must be reported as unknown.
+#
+# Invoked by ctest as:
+#   cmake -DDRIVER=<exe> -P driver_usage.cmake
+
+if(NOT DRIVER)
+    message(FATAL_ERROR "DRIVER must be set")
+endif()
+get_filename_component(DRIVER_NAME "${DRIVER}" NAME)
+include("${CMAKE_CURRENT_LIST_DIR}/quickstart_usage.cmake")
+
+expect_usage(0 "-h, --help" --help)
+execute_process(COMMAND "${DRIVER}" --help OUTPUT_VARIABLE help)
+
+expect_usage(2 "unknown option '--scael=0.5'" --scael=0.5)
+expect_usage(2 "unknown option '--bogus'" --bogus)
+expect_usage(2 "unexpected argument 'extra'" extra)
+
+foreach(check
+        "cores|abc|--cores must be NxM"
+        "scale|x|--scale must be a positive number, got 'x'"
+        "workloads|nope|--workloads must be one of .*, got 'nope'")
+    string(REPLACE "|" ";" check "${check}")
+    list(GET check 0 opt)
+    list(GET check 1 bad)
+    list(GET check 2 reason)
+    if(NOT help MATCHES "--${opt}=")
+        set(reason "unknown option '--${opt}=${bad}'")
+    endif()
+    expect_usage(2 "${reason}" --${opt}=${bad})
+endforeach()
+
+message(STATUS "${DRIVER_NAME} usage checks passed")

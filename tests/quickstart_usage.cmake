@@ -1,27 +1,29 @@
 # Command-line strictness of the quickstart: --help/-h print the option
-# list and exit 0; an unknown option, a third positional argument or a
-# scale that is not a fully parsed positive number prints the usage to
-# stderr and exits 2 before any machine is built. None of these may
-# reach the simulator, so the run banner and the fatal()-path
-# "diagnostic snapshot" must never appear.
+# list and exit 0; an unknown option or workload, a third positional
+# argument or a scale that is not a fully parsed positive number
+# prints the usage to stderr and exits 2 before any machine is built.
+# None of these may reach the simulator, so the run banner and the
+# fatal()-path "diagnostic snapshot" must never appear.
 #
 # Invoked by ctest as:
 #   cmake -DQUICKSTART=<exe> -P quickstart_usage.cmake
+#
+# tests/driver_usage.cmake includes this file for expect_usage() alone
+# (with DRIVER and DRIVER_NAME set); the quickstart checks below run
+# only when QUICKSTART is set.
 
-if(NOT QUICKSTART)
-    message(FATAL_ERROR "QUICKSTART must be set")
-endif()
-
-# Run the quickstart with ARGN; assert exit status EXPECT_RC, that
+# Run ${DRIVER} with ARGN; assert exit status EXPECT_RC, that
 # MUST_MATCH appears on the stream the status implies (stdout for 0,
-# stderr otherwise), and that nothing was simulated.
+# stderr otherwise) next to "usage: ${DRIVER_NAME}", and that nothing
+# was simulated: no diagnostic snapshot, nothing on stdout after a
+# usage error, and no ${DRIVER_BANNER} (a regex) when it is set.
 function(expect_usage expect_rc must_match)
     execute_process(
-        COMMAND "${QUICKSTART}" ${ARGN}
+        COMMAND "${DRIVER}" ${ARGN}
         RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err
         TIMEOUT 20)
     if(NOT rc EQUAL expect_rc)
-        message(FATAL_ERROR "quickstart ${ARGN}: exit ${rc}, expected "
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: exit ${rc}, expected "
                             "${expect_rc}\nstdout: ${out}\nstderr: ${err}")
     endif()
     if(expect_rc EQUAL 0)
@@ -30,23 +32,37 @@ function(expect_usage expect_rc must_match)
         set(stream "${err}")
     endif()
     if(NOT stream MATCHES "${must_match}")
-        message(FATAL_ERROR "quickstart ${ARGN}: expected '${must_match}'"
-                            "\nstdout: ${out}\nstderr: ${err}")
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: expected "
+                            "'${must_match}'\nstdout: ${out}\nstderr: ${err}")
     endif()
-    if(NOT stream MATCHES "usage: quickstart")
-        message(FATAL_ERROR "quickstart ${ARGN}: no usage text\n"
+    if(NOT stream MATCHES "usage: ${DRIVER_NAME}")
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: no usage text\n"
                             "stdout: ${out}\nstderr: ${err}")
     endif()
     if("${out}${err}" MATCHES "diagnostic snapshot")
-        message(FATAL_ERROR "quickstart ${ARGN}: dumped a diagnostic "
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: dumped a diagnostic "
                             "snapshot for a machine that never ran:\n"
                             "${err}")
     endif()
-    if(out MATCHES "stream-floating quickstart: workload=")
-        message(FATAL_ERROR "quickstart ${ARGN}: started a simulation:\n"
-                            "${out}")
+    if(NOT expect_rc EQUAL 0 AND NOT out STREQUAL "")
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: printed to stdout "
+                            "after a usage error:\n${out}")
+    endif()
+    if(DRIVER_BANNER AND out MATCHES "${DRIVER_BANNER}")
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: started a "
+                            "simulation:\n${out}")
     endif()
 endfunction()
+
+if(NOT QUICKSTART)
+    if(DRIVER)
+        return()
+    endif()
+    message(FATAL_ERROR "QUICKSTART must be set")
+endif()
+set(DRIVER "${QUICKSTART}")
+set(DRIVER_NAME quickstart)
+set(DRIVER_BANNER "stream-floating quickstart: workload=")
 
 expect_usage(0 "--stats-json=DIR" --help)
 expect_usage(0 "--threads=N" -h)
@@ -67,5 +83,7 @@ foreach(bad abc 0.02x 0 nan inf 1e999)
 endforeach()
 # A negative scale reads as an option.
 expect_usage(2 "unknown option '-0.5'" pathfinder -0.5)
+# An unknown workload fails before anything is built.
+expect_usage(2 "workload must be one of .*, got 'nope'" nope)
 
 message(STATUS "quickstart usage checks passed")

@@ -46,7 +46,7 @@ function(run_faulted tag spec out_var)
         message(FATAL_ERROR
                 "faulted run '${tag}' (${spec}) failed rc=${rc}: ${err}")
     endif()
-    committed_ops("${dir}/SF_pathfinder.stats.json" ops)
+    committed_ops("${dir}/OOO8_SF_pathfinder.stats.json" ops)
     set(${out_var} "${ops}" PARENT_SCOPE)
 endfunction()
 

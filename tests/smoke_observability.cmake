@@ -35,8 +35,8 @@ endif()
 
 # JSON artifacts: one stats.json per machine plus the Chrome trace.
 foreach(f
-        "${OUT_DIR}/L1Bingo-L2Stride_pathfinder.stats.json"
-        "${OUT_DIR}/SF_pathfinder.stats.json"
+        "${OUT_DIR}/OOO8_L1Bingo_L2Stride_pathfinder.stats.json"
+        "${OUT_DIR}/OOO8_SF_pathfinder.stats.json"
         "${OUT_DIR}/streams.trace.json")
     if(NOT EXISTS "${f}")
         message(FATAL_ERROR "missing artifact: ${f}")
@@ -47,7 +47,7 @@ foreach(f
     endif()
 endforeach()
 
-file(READ "${OUT_DIR}/SF_pathfinder.stats.json" stats)
+file(READ "${OUT_DIR}/OOO8_SF_pathfinder.stats.json" stats)
 if(NOT stats MATCHES "\"schema\": \"sf-stats\"")
     message(FATAL_ERROR "stats.json missing schema stamp")
 endif()

@@ -27,7 +27,7 @@ foreach(run a b)
 endforeach()
 
 # Every machine writes a profile.json next to its stats.json.
-foreach(m "L1Bingo-L2Stride" "SF")
+foreach(m "OOO8_L1Bingo_L2Stride" "OOO8_SF")
     set(f "${OUT_DIR}/a/${m}_pathfinder.profile.json")
     if(NOT EXISTS "${f}")
         message(FATAL_ERROR "missing artifact: ${f}")
@@ -40,7 +40,7 @@ endforeach()
 
 # Schema validation on the SF report: schema stamp, phase taxonomy,
 # per-tile latency groups, exact top-down split, NoC heatmaps.
-file(READ "${OUT_DIR}/a/SF_pathfinder.profile.json" prof)
+file(READ "${OUT_DIR}/a/OOO8_SF_pathfinder.profile.json" prof)
 foreach(want
         "\"schema\": \"sf-profile\""
         "\"schemaVersion\": 1"
@@ -62,7 +62,7 @@ endforeach()
 
 # Determinism contract: rerunning the same configuration must render
 # byte-identical reports.
-foreach(m "L1Bingo-L2Stride" "SF")
+foreach(m "OOO8_L1Bingo_L2Stride" "OOO8_SF")
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files
                 "${OUT_DIR}/a/${m}_pathfinder.profile.json"
@@ -75,7 +75,7 @@ foreach(m "L1Bingo-L2Stride" "SF")
 endforeach()
 
 # stats.json gains the profile.* stat groups when profiling.
-file(READ "${OUT_DIR}/a/SF_pathfinder.stats.json" stats)
+file(READ "${OUT_DIR}/a/OOO8_SF_pathfinder.stats.json" stats)
 if(NOT stats MATCHES "profile\\.topdown")
     message(FATAL_ERROR "stats.json missing profile.topdown group")
 endif()

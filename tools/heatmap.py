@@ -17,9 +17,9 @@ Only the Python standard library is used; output is deterministic for
 a given report.
 
 Examples:
-  tools/heatmap.py out/SF_pathfinder.profile.json
-  tools/heatmap.py out/SF_pathfinder.profile.json --matrix nocRouterFlits
-  tools/heatmap.py out/SF_pathfinder.profile.json \
+  tools/heatmap.py out/OOO8_SF_pathfinder.profile.json
+  tools/heatmap.py out/OOO8_SF_pathfinder.profile.json --matrix nocRouterFlits
+  tools/heatmap.py out/OOO8_SF_pathfinder.profile.json \
       --matrix nocLinkBusy --frames --values
 """
 
