@@ -8,12 +8,12 @@
  * merge unit detects the identical patterns from each 2x2 tile block
  * and multicasts one response to the whole group.
  *
- * Usage: confluence_sharing [kilobytes-of-shared-data]
+ * Usage: confluence_sharing [kilobytes]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "sim/arg_parse.hh"
 #include "system/tiled_system.hh"
 #include "workload/kernel_util.hh"
 #include "workload/workload.hh"
@@ -102,7 +102,11 @@ runMachine(sys::Machine m, uint64_t bytes, bool confluence)
 int
 main(int argc, char **argv)
 {
-    uint64_t kb = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2048;
+    uint64_t kb = 2048;
+    OptionTable t(argv[0]);
+    t.bind("kilobytes", "", "size of the shared array (default 2048)", kb,
+           parseSize);
+    t.parse(argc, argv);
     uint64_t bytes = kb * 1024;
     std::printf("confluence demo: 16 cores streaming the same %llu kB "
                 "array (4x4 OOO8)\n\n",

@@ -12,8 +12,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "sim/arg_parse.hh"
 #include "sim/rng.hh"
 #include "system/tiled_system.hh"
 #include "workload/kernel_util.hh"
@@ -127,10 +127,14 @@ runMachine(sys::Machine m, uint64_t edges, uint64_t nodes)
 int
 main(int argc, char **argv)
 {
-    uint64_t edges = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                              : 100000;
-    uint64_t nodes = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                              : 1000000;
+    uint64_t edges = 100000;
+    uint64_t nodes = 1000000;
+    OptionTable t(argv[0]);
+    t.bind("edges", "", "edges to gather (default 100000)", edges,
+           parseSize);
+    t.bind("nodes", "", "nodes in the value array (default 1000000)",
+           nodes, parseSize);
+    t.parse(argc, argv);
     std::printf("indirect gather: %llu edges into %llu nodes "
                 "(4x4 OOO8)\n\n",
                 (unsigned long long)edges, (unsigned long long)nodes);

@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
@@ -14,6 +15,18 @@ namespace {
 /** Refill the fetch buffer when it drops below this many ops. */
 constexpr size_t fetchLowWater = 512;
 
+void
+setBit(std::vector<uint64_t> &bits, uint64_t slot)
+{
+    bits[slot >> 6] |= uint64_t(1) << (slot & 63);
+}
+
+void
+clearBit(std::vector<uint64_t> &bits, uint64_t slot)
+{
+    bits[slot >> 6] &= ~(uint64_t(1) << (slot & 63));
+}
+
 } // namespace
 
 Core::Core(const std::string &name, EventQueue &eq, TileId tile,
@@ -21,9 +34,16 @@ Core::Core(const std::string &name, EventQueue &eq, TileId tile,
            mem::TlbHierarchy &tlb, mem::AddressSpace &as,
            BarrierController *barrier, isa::OpSource *source)
     : SimObject(name, eq), _cfg(cfg), _tile(tile), _cache(cache),
-      _tlb(tlb), _as(as), _barrier(barrier), _source(source),
-      _completedRing(1 << 16, 1)
+      _tlb(tlb), _as(as), _barrier(barrier), _source(source)
 {
+    size_t ring = std::max<size_t>(
+        64, std::bit_ceil(static_cast<size_t>(cfg.robSize) + 1));
+    _rob.resize(ring);
+    _robMask = ring - 1;
+    _waitHead.assign(ring, -1);
+    _waitNext.assign(ring * isa::maxSrcs, -1);
+    _unissued.assign(ring / 64, 0);
+    _ready.assign(ring / 64, 0);
     _fu.intDivBusy.assign(static_cast<size_t>(cfg.numIntMultDiv), 0);
     _fu.fpDivBusy.assign(static_cast<size_t>(cfg.numFpDiv), 0);
 }
@@ -153,8 +173,8 @@ Core::classifyCycle(bool committed) const
 {
     if (committed)
         return prof::Bucket::Retired;
-    if (!_rob.empty()) {
-        const RobEntry &h = _rob.front();
+    if (robCount() > 0) {
+        const RobEntry &h = robAt(_headSeq);
         if (h.op.kind == isa::OpKind::StreamLoad && !h.completed &&
             !h.dataReady) {
             return prof::Bucket::StalledSebuf;
@@ -162,26 +182,40 @@ Core::classifyCycle(bool committed) const
     }
     if (_dispatchCreditStall)
         return prof::Bucket::StalledCredit;
-    if (!_rob.empty() || _sbInUse > 0 || !_pendingStores.empty())
+    if (robCount() > 0 || _sbInUse > 0 || !_pendingStores.empty())
         return prof::Bucket::StalledData;
     return prof::Bucket::Idle;
 }
 
-bool
-Core::depsCompleted(const RobEntry &e) const
+Core::RobEntry &
+Core::robAt(uint64_t seq)
 {
-    for (int i = 0; i < e.op.numSrcs; ++i) {
-        uint64_t dep_seq = e.seq - e.op.srcs[i];
-        if (!_completedRing[dep_seq & 0xffff])
-            return false;
-    }
-    return true;
+    sf_assert(seq >= _headSeq && seq < _nextSeq,
+              "seq %llu outside the ROB", (unsigned long long)seq);
+    return _rob[seq & _robMask];
+}
+
+const Core::RobEntry &
+Core::robAt(uint64_t seq) const
+{
+    return const_cast<Core *>(this)->robAt(seq);
+}
+
+void
+Core::release(RobEntry &e)
+{
+    if (--e.waiting == 0)
+        setBit(_ready, e.seq & _robMask);
 }
 
 void
 Core::markCompleted(uint64_t seq)
 {
-    _completedRing[seq & 0xffff] = 1;
+    robAt(seq).completed = true;
+    int32_t &head = _waitHead[seq & _robMask];
+    for (int32_t l = head; l >= 0; l = _waitNext[static_cast<size_t>(l)])
+        release(_rob[static_cast<size_t>(l) / isa::maxSrcs]);
+    head = -1;
 }
 
 void
@@ -189,18 +223,10 @@ Core::complete(RobEntry &e, Cycles extra_latency)
 {
     uint64_t seq = e.seq;
     if (extra_latency == 0) {
-        e.completed = true;
         markCompleted(seq);
         return;
     }
     scheduleIn(extra_latency, [this, seq]() {
-        // The entry may have moved in the deque; find it by seq.
-        for (auto &re : _rob) {
-            if (re.seq == seq) {
-                re.completed = true;
-                break;
-            }
-        }
         markCompleted(seq);
         wake();
     });
@@ -288,9 +314,6 @@ bool
 Core::tryIssue(RobEntry &e)
 {
     using isa::OpKind;
-    if (!depsCompleted(e))
-        return false;
-
     Tick now = curTick();
     Tick earliest = 0;
     if (!fuAvailable(e.op.kind, now, earliest)) {
@@ -307,22 +330,14 @@ Core::tryIssue(RobEntry &e)
       case OpKind::FpAlu:
       case OpKind::FpDiv:
         fuOccupy(e.op.kind, now);
-        e.issued = true;
         complete(e, opLatency(e.op.kind));
         return true;
 
       case OpKind::Load: {
         fuOccupy(e.op.kind, now);
-        e.issued = true;
         uint64_t seq = e.seq;
         issueMemAccess(e.op.addr, e.op.size, false, e.op.pc,
                        e.op.streamEligible, [this, seq]() {
-                           for (auto &re : _rob) {
-                               if (re.seq == seq) {
-                                   re.completed = true;
-                                   break;
-                               }
-                           }
                            markCompleted(seq);
                            wake();
                        });
@@ -331,7 +346,6 @@ Core::tryIssue(RobEntry &e)
 
       case OpKind::Store: {
         fuOccupy(e.op.kind, now);
-        e.issued = true;
         e.storeVaddr = e.op.addr;
         // Address generation + data ready; the write happens at commit
         // through the store buffer.
@@ -339,27 +353,17 @@ Core::tryIssue(RobEntry &e)
         return true;
       }
 
-      case OpKind::StreamLoad: {
-        if (!e.dataReady)
-            return false;
+      case OpKind::StreamLoad:
+      case OpKind::StreamStore:
+        // A StreamLoad is only ready once its FIFO data arrived.
         fuOccupy(e.op.kind, now);
-        e.issued = true;
-        complete(e, 1); // FIFO read
+        complete(e, 1); // FIFO read / SE-generated address
         return true;
-      }
-
-      case OpKind::StreamStore: {
-        fuOccupy(e.op.kind, now);
-        e.issued = true;
-        complete(e, 1);
-        return true;
-      }
 
       case OpKind::StreamCfg:
       case OpKind::StreamStep:
       case OpKind::StreamEnd:
       case OpKind::Nop:
-        e.issued = true;
         complete(e, 1);
         return true;
 
@@ -367,55 +371,74 @@ Core::tryIssue(RobEntry &e)
         // Execute only at the ROB head with the store buffer drained.
         // (Younger stores may hold SQ entries speculatively; only the
         // older, committed stores in the store buffer must drain.)
-        if (&e != &_rob.front() || _sbInUse > 0)
+        if (e.seq != _headSeq || _sbInUse > 0)
             return false;
-        if (!e.barrierSignalled) {
-            e.barrierSignalled = true;
-            e.issued = true;
+        if (_barrier) {
             uint64_t seq = e.seq;
-            if (_barrier) {
-                _barrier->arrive(_tile, [this, seq]() {
-                    for (auto &re : _rob) {
-                        if (re.seq == seq) {
-                            re.completed = true;
-                            break;
-                        }
-                    }
-                    markCompleted(seq);
-                    wake();
-                });
-            } else {
-                complete(e, 1);
-            }
-            return true;
+            _barrier->arrive(_tile, [this, seq]() {
+                markCompleted(seq);
+                wake();
+            });
+        } else {
+            complete(e, 1);
         }
-        return false;
+        return true;
       }
     }
     return false;
 }
 
+uint64_t
+Core::nextReady(uint64_t seq, int &skipped) const
+{
+    while (seq < _nextSeq) {
+        uint64_t slot = seq & _robMask;
+        unsigned bit = static_cast<unsigned>(slot & 63);
+        // Stop at the word's end and at the youngest live entry: slots
+        // beyond it hold no bits, but the ring may wrap into the head.
+        uint64_t span = std::min<uint64_t>(64 - bit, _nextSeq - seq);
+        uint64_t in_span = span == 64 ? ~uint64_t(0)
+                                      : (uint64_t(1) << span) - 1;
+        uint64_t ready = (_ready[slot >> 6] >> bit) & in_span;
+        uint64_t unissued = (_unissued[slot >> 6] >> bit) & in_span;
+        if (ready) {
+            int k = std::countr_zero(ready);
+            skipped += std::popcount(unissued & ((uint64_t(1) << k) - 1));
+            return seq + static_cast<uint64_t>(k);
+        }
+        skipped += std::popcount(unissued);
+        seq += span;
+    }
+    return _nextSeq;
+}
+
 bool
 Core::issueStage()
 {
+    // Program-order walk over the ready entries only. Unissued entries
+    // still waiting on a producer or on FIFO data would fail tryIssue
+    // without side effects, so they are skipped, but they still fill
+    // the iqSize-entry issue window, and in-order issue stops at the
+    // first of them.
     int issued = 0;
-    int scanned_unissued = 0;
+    int window = 0;
     bool in_order = _cfg.kind == CoreConfig::Kind::InOrder;
-
-    for (auto &e : _rob) {
-        if (issued >= _cfg.width)
+    uint64_t seq = _headSeq;
+    while (issued < _cfg.width) {
+        int skipped = 0;
+        seq = nextReady(seq, skipped);
+        window += skipped + 1;
+        if (seq == _nextSeq || window > _cfg.iqSize ||
+            (in_order && skipped > 0))
             break;
-        if (e.issued)
-            continue;
-        ++scanned_unissued;
-        if (scanned_unissued > _cfg.iqSize)
-            break;
-        bool ok = tryIssue(e);
-        if (ok) {
+        if (tryIssue(robAt(seq))) {
+            clearBit(_unissued, seq & _robMask);
+            clearBit(_ready, seq & _robMask);
             ++issued;
         } else if (in_order) {
             break; // strict program-order issue
         }
+        ++seq;
     }
     return issued > 0;
 }
@@ -425,8 +448,8 @@ Core::commitStage()
 {
     using isa::OpKind;
     int committed = 0;
-    while (committed < _cfg.width && !_rob.empty()) {
-        RobEntry &e = _rob.front();
+    while (committed < _cfg.width && robCount() > 0) {
+        RobEntry &e = robAt(_headSeq);
         if (!e.completed)
             break;
 
@@ -507,7 +530,7 @@ Core::commitStage()
         }
 
         ++_stats.committedOps;
-        _rob.pop_front();
+        ++_headSeq;
         ++committed;
     }
   done_commit:
@@ -607,7 +630,7 @@ Core::dispatchStage()
     using isa::OpKind;
     int dispatched = 0;
     while (dispatched < _cfg.width) {
-        if (static_cast<int>(_rob.size()) >= _cfg.robSize) {
+        if (robCount() >= static_cast<uint64_t>(_cfg.robSize)) {
             ++_stats.robFullStalls;
             break;
         }
@@ -646,33 +669,47 @@ Core::dispatchStage()
         if (is_store)
             ++_sqInUse;
 
-        RobEntry e;
-        e.op = head;
-        e.seq = _nextSeq++;
-        _completedRing[e.seq & 0xffff] = 0;
+        uint64_t seq = _nextSeq++;
+        uint64_t slot = seq & _robMask;
+        RobEntry &re_new = _rob[slot];
+        re_new = RobEntry();
+        re_new.op = head;
+        re_new.seq = seq;
         _fetchBuf.pop_front();
 
-        // Push first: SE callbacks may fire synchronously (data
-        // already in the FIFO) and must find the ROB entry.
-        _rob.push_back(std::move(e));
-        RobEntry &re_new = _rob.back();
+        // Chain onto every producer still executing. Seqs are
+        // contiguous, so a back-reference within the live ROB names
+        // its slot directly; anything older has committed.
+        for (int i = 0; i < re_new.op.numSrcs; ++i) {
+            uint64_t dist = re_new.op.srcs[i];
+            if (dist > seq - _headSeq || robAt(seq - dist).completed)
+                continue;
+            auto link = static_cast<int32_t>(slot * isa::maxSrcs +
+                                             static_cast<size_t>(i));
+            int32_t &head_link = _waitHead[(seq - dist) & _robMask];
+            _waitNext[static_cast<size_t>(link)] = head_link;
+            head_link = link;
+            ++re_new.waiting;
+        }
+        if (re_new.op.kind == OpKind::StreamLoad)
+            ++re_new.waiting; // until the FIFO data arrives
+        setBit(_unissued, slot);
+        if (re_new.waiting == 0)
+            setBit(_ready, slot);
 
         // Dispatch-time decoupled-stream actions (iteration map).
         if (_se) {
             switch (re_new.op.kind) {
               case OpKind::StreamLoad: {
-                uint64_t seq = re_new.seq;
-                re_new.streamFirstElem =
-                    _se->requestElems(re_new.op.sid, re_new.op.elems,
-                                  [this, seq]() {
-                                      for (auto &re : _rob) {
-                                          if (re.seq == seq) {
-                                              re.dataReady = true;
-                                              break;
-                                          }
-                                      }
-                                      wake();
-                                  });
+                // Fires once, possibly right here (data already in
+                // the FIFO); the entry cannot issue before it does.
+                re_new.streamFirstElem = _se->requestElems(
+                    re_new.op.sid, re_new.op.elems, [this, seq]() {
+                        RobEntry &re = robAt(seq);
+                        re.dataReady = true;
+                        release(re);
+                        wake();
+                    });
                 break;
               }
               case OpKind::StreamStep:
@@ -702,23 +739,24 @@ void
 Core::debugDump(std::FILE *f) const
 {
     std::fprintf(f,
-                 "  %s rob=%zu fetchBuf=%zu lq=%d sq=%d sb=%d "
+                 "  %s rob=%llu fetchBuf=%zu lq=%d sq=%d sb=%d "
                  "pendStores=%zu sleeping=%d ticking=%d\n",
-                 name().c_str(), _rob.size(), _fetchBuf.size(),
-                 _lqInUse, _sqInUse, _sbInUse, _pendingStores.size(),
-                 _sleeping, _ticking);
-    size_t shown = 0;
-    for (const auto &e : _rob) {
-        if (shown++ >= 4)
-            break;
+                 name().c_str(), (unsigned long long)robCount(),
+                 _fetchBuf.size(), _lqInUse, _sqInUse, _sbInUse,
+                 _pendingStores.size(), _sleeping, _ticking);
+    for (uint64_t seq = _headSeq;
+         seq < _nextSeq && seq < _headSeq + 4; ++seq) {
+        const RobEntry &e = robAt(seq);
+        uint64_t slot = seq & _robMask;
+        bool issued = !((_unissued[slot >> 6] >> (slot & 63)) & 1);
         std::fprintf(f,
                      "    head op kind=%d sid=%d seq=%llu issued=%d "
                      "completed=%d dataReady=%d elems=%u srcs=[%u %u "
-                     "%u] deps=%d\n",
+                     "%u] waiting=%d\n",
                      (int)e.op.kind, e.op.sid,
-                     (unsigned long long)e.seq, e.issued, e.completed,
+                     (unsigned long long)e.seq, issued, e.completed,
                      e.dataReady, e.op.elems, e.op.srcs[0],
-                     e.op.srcs[1], e.op.srcs[2], depsCompleted(e));
+                     e.op.srcs[1], e.op.srcs[2], e.waiting);
     }
 }
 
@@ -743,7 +781,7 @@ void
 Core::finishIfDrained()
 {
     if (_done || !_sourceExhausted || !_fetchBuf.empty() ||
-        !_rob.empty() || _sbInUse > 0 || !_pendingStores.empty()) {
+        robCount() > 0 || _sbInUse > 0 || !_pendingStores.empty()) {
         return;
     }
     _done = true;

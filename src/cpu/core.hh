@@ -129,12 +129,15 @@ class Core : public SimObject
     {
         isa::Op op;
         uint64_t seq = 0;
-        bool issued = false;
+        /**
+         * Issue blockers still open: producers not yet completed, plus
+         * one for a StreamLoad whose FIFO data has not arrived. The
+         * entry joins the ready set when this reaches zero.
+         */
+        int waiting = 0;
         bool completed = false;
         /** StreamLoad: FIFO data available. */
         bool dataReady = false;
-        /** Barrier: arrival signalled. */
-        bool barrierSignalled = false;
         /** StreamStore/Store resolved virtual address. */
         Addr storeVaddr = 0;
         /** StreamLoad: first element index consumed (--verify). */
@@ -152,8 +155,20 @@ class Core : public SimObject
     /** Drain one store-buffer entry to the L1; true if one issued. */
     bool drainStoreBuffer();
 
-    bool depsCompleted(const RobEntry &e) const;
     bool tryIssue(RobEntry &e);
+
+    /** Live ROB entries: seqs [_headSeq, _nextSeq). */
+    uint64_t robCount() const { return _nextSeq - _headSeq; }
+    /** The live entry with sequence number @p seq (O(1) ring lookup). */
+    RobEntry &robAt(uint64_t seq);
+    const RobEntry &robAt(uint64_t seq) const;
+    /** Close one of @p e's issue blockers; ready when none is left. */
+    void release(RobEntry &e);
+    /**
+     * First ready seq in [@p seq, _nextSeq), or _nextSeq if none; adds
+     * the unissued entries passed over on the way to @p skipped.
+     */
+    uint64_t nextReady(uint64_t seq, int &skipped) const;
 
     /** Top-down bucket for the cycle that just executed. */
     prof::Bucket classifyCycle(bool committed) const;
@@ -171,6 +186,7 @@ class Core : public SimObject
     /** --verify: value of @p e under the shared value semantics. */
     uint64_t verifyValueFor(const RobEntry &e);
     void complete(RobEntry &e, Cycles extra_latency);
+    /** @p seq finished executing: wake the consumers chained on it. */
     void markCompleted(uint64_t seq);
 
     void refillFetchBuffer();
@@ -201,7 +217,31 @@ class Core : public SimObject
     isa::OpSource *_source;
     StreamEngineIf *_se = nullptr;
 
-    std::deque<RobEntry> _rob;
+    /**
+     * ROB ring: seq s lives in slot s & _robMask. The ring has at least
+     * robSize + 1 slots (a power of two, >= 64), and seqs are
+     * contiguous, so a live entry is found by seq in O(1).
+     */
+    std::vector<RobEntry> _rob;
+    uint64_t _robMask = 0;
+    uint64_t _headSeq = 1;
+    uint64_t _nextSeq = 1;
+
+    /**
+     * Wakeup chains, allocation-free: link l = consumerSlot * maxSrcs +
+     * srcIndex. _waitHead[p] is the first link waiting on the producer
+     * in slot p (-1 = none) and _waitNext[l] the link after l.
+     */
+    std::vector<int32_t> _waitHead;
+    std::vector<int32_t> _waitNext;
+
+    /**
+     * Issue window bitsets over ROB slots: every dispatched,
+     * not-yet-issued entry, and the subset with no open blocker.
+     */
+    std::vector<uint64_t> _unissued;
+    std::vector<uint64_t> _ready;
+
     std::deque<isa::Op> _fetchBuf;
     bool _sourceExhausted = false;
 
@@ -215,15 +255,8 @@ class Core : public SimObject
     };
     std::deque<PendingStore> _pendingStores;
 
-    /**
-     * Completion ring indexed by seq % 2^16. Slots start "completed";
-     * dispatch clears the slot, completion sets it. Works because the
-     * in-flight window is far smaller than the 2^16 max back-reference.
-     */
-    std::vector<uint8_t> _completedRing;
-    uint64_t _nextSeq = 1;
-
-    /** --verify: committed value per seq (same indexing as above). */
+    /** --verify: committed value per seq, indexed by seq % 2^16 (the
+     *  largest back-reference). */
     verify::DataPlane *_verify = nullptr;
     std::vector<uint64_t> _valueRing;
 

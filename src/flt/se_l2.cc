@@ -86,7 +86,7 @@ SEL2::tryStencilAlias(FloatedStream &s, uint64_t start)
                                        : (horizon > k ? horizon - k
                                                       : start);
         s.tailStart = std::max(s.tailStart, start);
-        s.nextExpected = s.tailStart;
+        s.arrival.reset(s.tailStart);
         other.aliasedBy.push_back(s.cfg.sid);
         ++_stats.stencilMerges;
         return s.tailStart;
@@ -98,16 +98,16 @@ uint64_t
 SEL2::availableUpTo(const FloatedStream &s)
 {
     if (s.aliasRoot == invalidStream)
-        return s.nextExpected;
+        return s.arrival.next();
     auto it = _floated.find(s.aliasRoot);
     if (it == _floated.end())
-        return s.nextExpected; // leader gone; only the tail remains
-    uint64_t via_root = it->second.nextExpected > s.aliasOffset
-                            ? it->second.nextExpected - s.aliasOffset
+        return s.arrival.next(); // leader gone; only the tail remains
+    uint64_t via_root = it->second.arrival.next() > s.aliasOffset
+                            ? it->second.arrival.next() - s.aliasOffset
                             : 0;
     if (via_root < s.tailStart)
         return via_root;
-    return std::max(s.tailStart, s.nextExpected);
+    return std::max(s.tailStart, s.arrival.next());
 }
 
 Addr
@@ -156,7 +156,7 @@ SEL2::floatStream(const stream::FloatRequest &req)
         s.gen = ++_genCounter[cfg.sid];
         s.baseSid = base_sid;
         s.startElem = start;
-        s.nextExpected = start;
+        s.arrival.reset(start);
         s.consumedUpTo = start;
         uint32_t esz = cfg.hasIndirect ? cfg.indirect.elemSize
                                        : cfg.affine.elemSize;
@@ -235,7 +235,7 @@ SEL2::resendConfig(StreamId sid, FloatedStream &base)
     // elements that get re-produced are dropped by the frontier check
     // here), so it recovers from a lost config, migration, or credit
     // without needing to know which one was lost.
-    uint64_t next_elem = std::max(base.nextExpected, base.startElem);
+    uint64_t next_elem = std::max(base.arrival.next(), base.startElem);
     uint64_t horizon =
         base.cfg.lengthKnown ? base.cfg.totalElems() : ~0ULL;
     uint64_t bank_elem = next_elem;
@@ -402,10 +402,10 @@ SEL2::unfloatStream(StreamId sid)
     FloatedStream &base = it->second;
     ++_stats.unfloats;
     SF_DPRINTF(StreamFloat, "unfloat sid=%d nextExpected=%llu", sid,
-               (unsigned long long)base.nextExpected);
+               (unsigned long long)base.arrival.next());
 
     bool finished = base.cfg.lengthKnown &&
-                    base.nextExpected >= base.cfg.totalElems();
+                    base.arrival.next() >= base.cfg.totalElems();
     if (!finished) {
         // Early termination / sink: chase the engine with an end
         // packet (known-length streams that completed end silently).
@@ -542,38 +542,6 @@ SEL2::onFloatedHitInCache(const GlobalStreamId &stream, uint64_t elem_idx)
 }
 
 void
-SEL2::advanceArrival(FloatedStream &s, uint64_t first, uint16_t count)
-{
-    for (uint16_t i = 0; i < count; ++i) {
-        uint64_t idx = first + i;
-        if (idx < s.nextExpected)
-            continue;
-        if (idx == s.nextExpected) {
-            ++s.nextExpected;
-            // Absorb any buffered out-of-order arrivals.
-            bool advanced = true;
-            while (advanced) {
-                advanced = false;
-                for (size_t k = 0; k < s.outOfOrder.size(); ++k) {
-                    if (s.outOfOrder[k] == s.nextExpected) {
-                        ++s.nextExpected;
-                        s.outOfOrder[k] = s.outOfOrder.back();
-                        s.outOfOrder.pop_back();
-                        advanced = true;
-                        break;
-                    }
-                }
-            }
-        } else {
-            if (std::find(s.outOfOrder.begin(), s.outOfOrder.end(),
-                          idx) == s.outOfOrder.end()) {
-                s.outOfOrder.push_back(idx);
-            }
-        }
-    }
-}
-
-void
 SEL2::recvDataU(const mem::MemMsgPtr &msg)
 {
     // --verify: remember the serve-time image of every arriving DataU
@@ -606,7 +574,7 @@ SEL2::recvDataU(const mem::MemMsgPtr &msg)
     s->lastProgress = curTick();
     s->acked = true; // data proves the engine is alive
     s->retries = 0;  // fresh recovery budget after real progress
-    advanceArrival(*s, msg->elemIdx, msg->elemCount);
+    s->arrival.arrive(msg->elemIdx, msg->elemCount);
     serveWaiters(sid, *s);
     // New leader data may unblock lagging constant-offset streams.
     // Work from a copy: serving can mutate the stream table.
@@ -716,7 +684,7 @@ SEL2::advanceTail()
         auto it = _floated.find(g.sid);
         bool satisfied = it == _floated.end() ||
                          it->second.gen != g.gen ||
-                         it->second.nextExpected >= g.endElem;
+                         it->second.arrival.next() >= g.endElem;
         if (!satisfied)
             break;
         _tailSeq = g.seq;
@@ -773,17 +741,18 @@ SEL2::debugDump(std::FILE *f) const
     for (const auto &[sid, s] : _floated) {
         std::fprintf(f,
                      "  %s sid=%d gen=%u start=%llu nextExp=%llu "
-                     "consumed=%llu granted=%llu cap=%llu ooo=%zu "
+                     "consumed=%llu granted=%llu cap=%llu ooo=%llu "
                      "waiters=%zu acked=%d retries=%d "
                      "lastProgress=%llu\n",
                      name().c_str(), sid, s.gen,
                      (unsigned long long)s.startElem,
-                     (unsigned long long)s.nextExpected,
+                     (unsigned long long)s.arrival.next(),
                      (unsigned long long)s.consumedUpTo,
                      (unsigned long long)s.grantedUpTo,
                      (unsigned long long)s.capacityElems,
-                     s.outOfOrder.size(), s.waiters.size(), s.acked,
-                     s.retries, (unsigned long long)s.lastProgress);
+                     (unsigned long long)s.arrival.buffered(),
+                     s.waiters.size(), s.acked, s.retries,
+                     (unsigned long long)s.lastProgress);
     }
     std::fprintf(f, "  %s head=%u tail=%u grants=%zu\n", name().c_str(),
                  _headSeq, _tailSeq, _grants.size());

@@ -18,6 +18,7 @@
 #include <map>
 #include <vector>
 
+#include "flt/arrival_window.hh"
 #include "flt/stream_msg.hh"
 #include "mem/nuca.hh"
 #include "mem/phys_mem.hh"
@@ -197,10 +198,9 @@ class SEL2 : public SimObject,
         std::vector<StreamId> children;
 
         uint64_t startElem = 0;
-        /** Arrival frontier: contiguous data received below this. */
-        uint64_t nextExpected = 0;
-        /** Elements arrived beyond the contiguous frontier. */
-        std::vector<uint64_t> outOfOrder;
+        /** Arrival frontier (arrival.next(): contiguous data received
+         *  below it) and the elements received beyond it. */
+        ArrivalWindow arrival;
         /** Consumption frontier (served to SE_core / cache hits). */
         uint64_t consumedUpTo = 0;
         /** Credit horizon granted to the SE_L3. */
@@ -251,7 +251,6 @@ class SEL2 : public SimObject,
     /** Contiguous element availability, including via the alias root. */
     uint64_t availableUpTo(const FloatedStream &s);
 
-    void advanceArrival(FloatedStream &s, uint64_t first, uint16_t count);
     void serveWaiters(StreamId sid, FloatedStream &s);
     void maybeGrantCredits(StreamId sid, FloatedStream &s);
     void advanceTail();

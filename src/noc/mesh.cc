@@ -1,7 +1,6 @@
 #include "noc/mesh.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
@@ -244,18 +243,18 @@ Mesh::linkFrom(TileId at, int dir)
 }
 
 void
-Mesh::hop(const MsgPtr &msg, TileId at, std::vector<TileId> dests,
+Mesh::hop(const MsgPtr &msg, TileId at, const std::vector<TileId> &dests,
           uint32_t flits)
 {
     // Split destinations by output direction (multicast tree branch).
-    std::map<int, std::vector<TileId>> by_dir;
+    std::array<std::vector<TileId>, 4> by_dir;
     bool local = false;
     for (TileId d : dests) {
         int dir = routeDir(at, d);
         if (dir < 0)
             local = true;
         else
-            by_dir[dir].push_back(d);
+            by_dir[static_cast<size_t>(dir)].push_back(d);
     }
 
     _routerFlits[static_cast<size_t>(at)] += flits;
@@ -286,7 +285,10 @@ Mesh::hop(const MsgPtr &msg, TileId at, std::vector<TileId> dests,
             });
     }
 
-    for (auto &[dir, sub_dests] : by_dir) {
+    for (int dir = East; dir <= South; ++dir) {
+        std::vector<TileId> &sub_dests = by_dir[static_cast<size_t>(dir)];
+        if (sub_dests.empty())
+            continue;
         TileId next = neighbor(at, dir);
         sf_assert(next != invalidTile, "X-Y routing fell off the mesh");
 
@@ -314,14 +316,14 @@ Mesh::hop(const MsgPtr &msg, TileId at, std::vector<TileId> dests,
                            : prof::Phase::NocReqXfer,
                        _cfg.routerLatency + flits + _cfg.linkLatency);
         }
-        auto moved = std::move(sub_dests);
         // The only cross-tile event creation in the simulator: the
         // arrival is always >= router + 1 flit + link cycles away,
-        // which is exactly the PDES lookahead (DESIGN.md §4i).
+        // which is exactly the PDES lookahead (DESIGN.md §4i). The
+        // branch's destinations move into the event and are read in
+        // place by the next hop.
         scheduleHopEvent(at, next, arrive,
-                         [this, msg, next, moved, flits]() {
-                             hop(msg, next, moved, flits);
-                         });
+                         [this, msg, next, sub = std::move(sub_dests),
+                          flits]() { hop(msg, next, sub, flits); });
     }
 }
 

@@ -242,8 +242,8 @@ class Mesh : public SimObject
                           EventQueue::Handler fn);
 
     /** Deliver one (possibly multicast) packet one hop further. */
-    void hop(const MsgPtr &msg, TileId at, std::vector<TileId> dests,
-             uint32_t flits);
+    void hop(const MsgPtr &msg, TileId at,
+             const std::vector<TileId> &dests, uint32_t flits);
 
     /** Next output direction toward @p dest under X-Y routing; -1 if
      *  local. */

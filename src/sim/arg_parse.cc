@@ -79,6 +79,13 @@ parseCount(const std::string &value, const std::string &flag)
                    value);
 }
 
+uint64_t
+parseSize(const std::string &value, const std::string &flag)
+{
+    return decimal(value, 1, uint64_t(1) << 40, flag,
+                   "a positive integer up to 2^40", value);
+}
+
 std::vector<std::string>
 parseList(const std::string &value, const std::string &flag)
 {

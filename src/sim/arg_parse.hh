@@ -40,6 +40,8 @@ std::pair<int, int> parseMesh(const std::string &value,
 double parsePositiveReal(const std::string &value, const std::string &flag);
 /** A decimal integer that fits in 64 bits (0 allowed). */
 uint64_t parseCount(const std::string &value, const std::string &flag);
+/** A data-set size: a decimal integer in [1, 2^40]. */
+uint64_t parseSize(const std::string &value, const std::string &flag);
 /** A comma-separated list of non-empty items. */
 std::vector<std::string> parseList(const std::string &value,
                                    const std::string &flag);

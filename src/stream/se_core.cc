@@ -203,6 +203,8 @@ SECore::pump(StreamId sid, uint64_t min_end)
     // indirect elements are matched at the SE_L2 by (sid, index), so
     // they need no core-side address (the core cannot compute one
     // without the index data anyway).
+    uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
+                                     : s.cfg.affine.elemSize;
     while (s.commitBase + s.window.size() < cap_end) {
         uint64_t idx = s.commitBase + s.window.size();
         ElemRec rec;
@@ -210,6 +212,12 @@ SECore::pump(StreamId sid, uint64_t min_end)
                            idx >= s.floatFromElem;
         if (!floated_ind && !elemAddr(s, idx, rec.vaddr))
             break;
+        if (s.window.empty()) {
+            s.windowLo = ~Addr(0);
+            s.windowHi = 0;
+        }
+        s.windowLo = std::min(s.windowLo, rec.vaddr);
+        s.windowHi = std::max(s.windowHi, rec.vaddr + esz);
         s.window.push_back(rec);
     }
 
@@ -497,12 +505,13 @@ SECore::storeCommitted(Addr vaddr, uint16_t size)
     Addr lo = vaddr;
     Addr hi = vaddr + size;
     for (auto &[sid, s] : _streams) {
-        if (!s.active || s.cfg.isStore)
+        if (!s.active || s.cfg.isStore || s.windowHi <= lo ||
+            s.windowLo >= hi)
             continue;
         bool aliased = false;
+        uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
+                                         : s.cfg.affine.elemSize;
         for (const auto &rec : s.window) {
-            uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                             : s.cfg.affine.elemSize;
             if (rec.vaddr < hi && rec.vaddr + esz > lo) {
                 aliased = true;
                 break;

@@ -187,6 +187,10 @@ class SECore : public SimObject, public cpu::StreamEngineIf
         uint64_t dispatchIter = 0; //!< iteration map position
         uint64_t commitBase = 0;   //!< first live FIFO element
         std::deque<ElemRec> window;
+        /** Conservative cover [windowLo, windowHi) of the bytes of
+         *  every window element; stores outside it cannot alias. */
+        Addr windowLo = ~Addr(0);
+        Addr windowHi = 0;
         uint64_t readyUpTo = 0; //!< contiguous ready prefix (absolute)
         uint64_t nextFetch = 0; //!< first element with no request yet
         std::vector<Use> waiters;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Additional core-model timing tests: issue-width ceilings, divider
- * structural hazards, SIMD memory splitting, SB pressure, and the
- * IO4-vs-OOO latency-hiding relations Fig. 13/19 rest on.
+ * structural hazards, SIMD memory splitting, SB pressure, the
+ * IO4-vs-OOO latency-hiding relations Fig. 13/19 rest on, and the
+ * issue-window semantics the wakeup-driven scheduler must keep.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/test_fabric.hh"
 #include "cpu/core.hh"
+#include "cpu/stream_engine_if.hh"
 #include "isa/op_source.hh"
 
 using namespace sf;
@@ -37,7 +39,47 @@ class FixedSource : public isa::OpEmitter
     using isa::OpEmitter::emitCompute;
     using isa::OpEmitter::emitLoad;
     using isa::OpEmitter::emitStore;
+    using isa::OpEmitter::emitStreamLoad;
 };
+
+/** Stream engine whose FIFO data for every use arrives at @p readyAt. */
+class DelayedFifo : public cpu::StreamEngineIf
+{
+  public:
+    DelayedFifo(EventQueue &eq, Tick ready_at) : _eq(eq), _readyAt(ready_at)
+    {}
+
+    void noteConfigDispatched(const std::vector<isa::StreamConfig> &) override
+    {}
+    void configure(const std::vector<isa::StreamConfig> &) override {}
+    void end(StreamId) override {}
+
+    uint64_t
+    requestElems(StreamId, uint16_t, std::function<void()> on_ready) override
+    {
+        _eq.schedule(_readyAt, std::move(on_ready));
+        return 0;
+    }
+
+    void step(StreamId, uint16_t) override {}
+    void releaseAtCommit(StreamId, uint16_t) override {}
+    Addr storeAddr(StreamId) override { return 0; }
+    void storeCommitted(Addr, uint16_t) override {}
+    bool canAcceptUse(StreamId) const override { return true; }
+
+  private:
+    EventQueue &_eq;
+    Tick _readyAt;
+};
+
+/** A serial chain of @p n integer divides (12 cycles each). */
+void
+emitDivChain(FixedSource &src, int n)
+{
+    uint64_t prev = 0;
+    for (int i = 0; i < n; ++i)
+        prev = src.emitCompute(src.ops, isa::OpKind::IntDiv, prev);
+}
 
 struct CoreHarness
 {
@@ -178,4 +220,81 @@ TEST(CoreTiming, MemPortsLimitParallelHits)
     // The single-port core pays ~1 extra cycle per load in steady
     // state; the exact ratio is diluted by the shared cold miss.
     EXPECT_GT(t1, t4 * 5 / 4);
+}
+
+// --- Issue-window semantics -------------------------------------------
+
+TEST(CoreIssueWindow, WaitingOpsFillTheIssueQueue)
+{
+    // A missing load, K ops waiting on it, then an independent divide
+    // chain. With iqSize == K the chain sits outside the window until
+    // the load returns; one more IQ entry lets it run under the miss.
+    constexpr int waiters = 6;
+    auto run = [](int iq_size) {
+        cpu::CoreConfig cfg = cpu::CoreConfig::ooo4();
+        cfg.iqSize = iq_size;
+        CoreHarness h(cfg);
+        Addr buf = h.fabric.as().alloc(4096);
+        uint64_t ld = h.source->emitLoad(h.source->ops, buf, 4, 1);
+        for (int i = 0; i < waiters; ++i)
+            h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu, ld);
+        emitDivChain(*h.source, 8);
+        return h.run();
+    };
+    Tick blocked = run(waiters);
+    Tick open = run(waiters + 1);
+    EXPECT_GE(blocked, open + 8 * 12 - 16);
+}
+
+TEST(CoreIssueWindow, InOrderStopsAtTheFirstWaitingOp)
+{
+    auto run = [](bool consumer_waits) {
+        CoreHarness h(cpu::CoreConfig::io4());
+        Addr buf = h.fabric.as().alloc(4096);
+        uint64_t ld = h.source->emitLoad(h.source->ops, buf, 4, 1);
+        h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu,
+                              consumer_waits ? ld : 0);
+        emitDivChain(*h.source, 8);
+        return h.run();
+    };
+    Tick waits = run(true);
+    Tick free_run = run(false);
+    // The younger divides cannot pass the waiting consumer.
+    EXPECT_GE(waits, free_run + 8 * 12 - 16);
+}
+
+TEST(CoreIssueWindow, StreamLoadWithoutDataDoesNotBlockOoo)
+{
+    constexpr Tick dataAt = 300;
+    auto run = [](const cpu::CoreConfig &cfg) {
+        CoreHarness h(cfg);
+        DelayedFifo se(h.fabric.eq(), dataAt);
+        h.core->setStreamEngine(&se);
+        h.source->emitStreamLoad(h.source->ops, 0);
+        emitDivChain(*h.source, 8);
+        return h.run();
+    };
+    Tick ooo = run(cpu::CoreConfig::ooo4());
+    Tick io = run(cpu::CoreConfig::io4());
+    // OOO runs the chain while the FIFO is empty; IO4 must wait.
+    EXPECT_LT(ooo, dataAt + 16);
+    EXPECT_GE(io, dataAt + 8 * 12);
+}
+
+TEST(CoreIssueWindow, BusyDividerSchedulesItsRetryWake)
+{
+    cpu::CoreConfig cfg = cpu::CoreConfig::ooo4();
+    cfg.numIntMultDiv = 1;
+    CoreHarness h(cfg);
+    h.source->emitCompute(h.source->ops, isa::OpKind::IntDiv);
+    h.source->emitCompute(h.source->ops, isa::OpKind::IntDiv);
+    h.core->start();
+    // Tick 0 dispatches both, tick 1 issues the first, tick 2 finds
+    // the divider busy and sleeps. Two events remain: the first
+    // divide's completion and the retry wake at the divider's horizon.
+    h.fabric.eq().run(8);
+    EXPECT_EQ(h.fabric.eq().numPending(), 2u);
+    h.fabric.drain();
+    EXPECT_TRUE(h.core->done());
+    EXPECT_GE(h.core->stats().doneTick, 2u * 12);
 }

@@ -4,10 +4,12 @@
 # a malformed --cores/--scale/--workloads value prints the usage to
 # stderr and exits 2 before any machine is built. Which of those three
 # options the driver has is read from its own --help list; one it
-# lacks must be reported as unknown.
+# lacks must be reported as unknown. A driver with positional sizes
+# gets valid ones in POSITIONALS (comma-separated): the stray argument
+# then follows them, and a malformed or zero first size must exit 2.
 #
 # Invoked by ctest as:
-#   cmake -DDRIVER=<exe> -P driver_usage.cmake
+#   cmake -DDRIVER=<exe> [-DPOSITIONALS=<v1,v2,...>] -P driver_usage.cmake
 
 if(NOT DRIVER)
     message(FATAL_ERROR "DRIVER must be set")
@@ -20,7 +22,12 @@ execute_process(COMMAND "${DRIVER}" --help OUTPUT_VARIABLE help)
 
 expect_usage(2 "unknown option '--scael=0.5'" --scael=0.5)
 expect_usage(2 "unknown option '--bogus'" --bogus)
-expect_usage(2 "unexpected argument 'extra'" extra)
+string(REPLACE "," ";" positionals "${POSITIONALS}")
+expect_usage(2 "unexpected argument 'extra'" ${positionals} extra)
+if(positionals)
+    expect_usage(2 "must be a positive integer.*, got 'abc'" abc)
+    expect_usage(2 "must be a positive integer.*, got '0'" 0)
+endif()
 
 foreach(check
         "cores|abc|--cores must be NxM"

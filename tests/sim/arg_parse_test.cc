@@ -118,6 +118,14 @@ validators()
           {"18446744073709551615", "18446744073709551615"}},
          {"", "-1", "abc", "4x", "1e3", "1.5", " 1", "+1",
           "18446744073709551616", "nan"}},
+        {"parseSize",
+         [](const S &v, const S &f) {
+             return std::to_string(parseSize(v, f));
+         },
+         {{"1", "1"}, {"100000", "100000"},
+          {"1099511627776", "1099511627776"}},
+         {"", "0", "-1", "abc", "1e3", " 1", "1099511627777",
+          "18446744073709551616"}},
         {"parseList",
          [](const S &v, const S &f) {
              S out;
