@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -380,4 +386,376 @@ TEST(EventQueue, DeterministicAcrossInstances)
         return t;
     };
     EXPECT_EQ(trace(), trace());
+}
+
+// --- differential ordering against a reference queue ---
+
+namespace {
+
+/**
+ * Obviously-correct reference: one ordered map keyed by the full
+ * (when, priority, key, sequence) tuple. Same API subset as
+ * EventQueue, same id assignment (one sequence number per schedule).
+ */
+class RefQueue
+{
+  public:
+    using Handler = std::function<void()>;
+    using EventId = uint64_t;
+
+    Tick curTick() const { return _cur; }
+
+    EventId
+    schedule(Tick when, Handler fn,
+             EventPriority prio = EventPriority::Default)
+    {
+        return add(when, 0, std::move(fn), prio);
+    }
+
+    EventId
+    scheduleKeyed(Tick when, uint64_t key, Handler fn,
+                  EventPriority prio = EventPriority::Default)
+    {
+        return add(when, key, std::move(fn), prio);
+    }
+
+    void
+    deschedule(EventId id)
+    {
+        auto it = _byId.find(id);
+        ASSERT_NE(it, _byId.end());
+        _order.erase(it->second);
+        _byId.erase(it);
+    }
+
+    Tick
+    run(Tick limit = maxTick)
+    {
+        while (!_order.empty() && std::get<0>(_order.begin()->first) <=
+                                      limit) {
+            auto it = _order.begin();
+            _cur = std::get<0>(it->first);
+            Handler fn = std::move(it->second);
+            _byId.erase(std::get<3>(it->first));
+            _order.erase(it);
+            fn();
+        }
+        return _cur;
+    }
+
+    Tick
+    nextTick() const
+    {
+        return _order.empty() ? maxTick
+                              : std::get<0>(_order.begin()->first);
+    }
+
+    void
+    advanceTo(Tick t)
+    {
+        if (t > _cur)
+            _cur = t;
+    }
+
+    uint64_t numPending() const { return _order.size(); }
+
+  private:
+    using Key = std::tuple<Tick, int32_t, uint64_t, EventId>;
+
+    EventId
+    add(Tick when, uint64_t key, Handler fn, EventPriority prio)
+    {
+        EventId id = _nextSeq++;
+        Key k{when, static_cast<int32_t>(prio), key, id};
+        _byId[id] = _order.emplace(k, std::move(fn)).first;
+        return id;
+    }
+
+    std::map<Key, Handler> _order;
+    std::map<EventId, std::map<Key, Handler>::iterator> _byId;
+    Tick _cur = 0;
+    EventId _nextSeq = 0;
+};
+
+/** splitmix64: a per-(seed, event) stream both queues replay alike. */
+struct Mix
+{
+    uint64_t s;
+
+    uint64_t
+    next()
+    {
+        uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
+    uint64_t below(uint64_t n) { return next() % n; }
+};
+
+constexpr EventPriority allPrios[] = {
+    EventPriority::Delivery, EventPriority::Default,
+    EventPriority::ClockTick, EventPriority::Stat};
+
+/** What the queue under test reached, for coverage assertions. */
+struct Coverage
+{
+    uint64_t parkedInserts = 0;
+    uint64_t farWheelTies = 0;
+    uint64_t keyedBursts = 0;
+    uint64_t lowerPrioSameTick = 0;
+    uint64_t massCancels = 0;
+};
+
+/**
+ * One seeded scenario, replayed against queue type Q. Every decision
+ * comes from Mix streams seeded by (seed, event id), so two queues
+ * that execute the same order make the same decisions; the first
+ * ordering difference shows up in the returned log.
+ */
+template <class Q>
+class Scenario
+{
+  public:
+    /** Log entry: (tick, event id) per execution, plus probes. */
+    using Log = std::vector<std::pair<Tick, uint64_t>>;
+
+    explicit Scenario(uint64_t seed) : _seed(seed) {}
+
+    Log
+    play()
+    {
+        Mix top{_seed * 7919 + 1};
+        for (int phase = 0; phase < 6; ++phase) {
+            spawnSome(top, 4 + top.below(16));
+            if (phase == 1)
+                setUpMassCancel(top);
+            probe(q.run(q.curTick() + top.below(40)));
+            // run(limit) left a later tick parked: insert before it,
+            // at the current tick and at an earlier future tick.
+            Tick nt = q.nextTick();
+            probe(nt);
+            Tick now = q.curTick();
+            if (nt != maxTick && nt > now) {
+                ++cov.parkedInserts;
+                spawn(top, now, 1 + top.below(3));
+                if (nt > now + 1)
+                    spawn(top, now + 1 + top.below(nt - now - 1),
+                          1 + top.below(3));
+            }
+            // advanceTo a tick no later than the next event, then
+            // insert at the new current tick.
+            nt = q.nextTick();
+            Tick cap = std::min<Tick>(nt, q.curTick() + 30);
+            q.advanceTo(q.curTick() + top.below(cap - q.curTick() + 1));
+            probe(q.curTick());
+            spawn(top, q.curTick(), top.below(3));
+        }
+        probe(q.run());
+        probe(q.numPending());
+        return std::move(_log);
+    }
+
+    Q q;
+    Coverage cov;
+
+  private:
+    enum Kind : uint8_t { Normal, Leaf, MassCancel };
+
+    void probe(uint64_t v) { _log.push_back({~Tick(0), v}); }
+
+    /** Schedule one event of @p kind; tracks its id as live. */
+    void
+    add(Tick when, EventPriority prio, uint64_t key, Kind kind)
+    {
+        size_t slot = _ids.size();
+        _ids.push_back(0);
+        auto fn = [this, slot, kind]() { fire(_ids[slot], kind); };
+        uint64_t id = key ? q.scheduleKeyed(when, key, fn, prio)
+                          : q.schedule(when, fn, prio);
+        _ids[slot] = id;
+        _livePos[id] = _live.size();
+        _live.push_back(id);
+        if (when >= q.curTick() + EventQueue::wheelBuckets)
+            _farTicks.push_back(when);
+    }
+
+    void
+    dropLive(uint64_t id)
+    {
+        auto it = _livePos.find(id);
+        size_t pos = it->second;
+        _livePos.erase(it);
+        uint64_t last = _live.back();
+        _live.pop_back();
+        if (pos < _live.size()) {
+            _live[pos] = last;
+            _livePos[last] = pos;
+        }
+    }
+
+    void
+    cancelRandom(Mix &r)
+    {
+        uint64_t id = _live[r.below(_live.size())];
+        dropLive(id);
+        q.deschedule(id);
+    }
+
+    /** @p n events at exactly tick @p when, mixed priorities. */
+    void
+    spawn(Mix &r, Tick when, uint64_t n)
+    {
+        for (uint64_t i = 0; i < n; ++i)
+            add(when, allPrios[r.below(4)], 0, Normal);
+    }
+
+    /** @p n events drawn from the whole delay mix. */
+    void
+    spawnSome(Mix &r, uint64_t n)
+    {
+        for (uint64_t i = 0; i < n && _budget > 0; ++i) {
+            --_budget;
+            Tick now = q.curTick();
+            EventPriority prio = allPrios[r.below(4)];
+            switch (r.below(8)) {
+            case 0: // same tick; often below the running priority
+                add(now, prio, 0, Normal);
+                break;
+            case 1: { // keyed cross-tile burst, descending tile order
+                ++cov.keyedBursts;
+                Tick when = now + r.below(3);
+                uint64_t tiles = 1 + r.below(r.below(4) ? 16 : 160);
+                for (uint64_t t = tiles; t-- > 0;) {
+                    add(when, EventPriority::Delivery,
+                        ((t + 1) << 32) | ++_keyCnt, Leaf);
+                }
+                if (r.below(2))
+                    add(when, EventPriority::Default, 0, Leaf);
+                break;
+            }
+            case 2: // far heap: at or beyond the wheel horizon
+                add(now + EventQueue::wheelBuckets + r.below(8), prio, 0,
+                    Normal);
+                break;
+            case 3: { // wheel insert on a tick the far heap holds
+                while (_farHead < _farTicks.size() &&
+                       _farTicks[_farHead] <= now)
+                    ++_farHead;
+                Tick target = 0;
+                if (_farHead < _farTicks.size() &&
+                    _farTicks[_farHead] - now < EventQueue::wheelBuckets)
+                    target = _farTicks[_farHead];
+                if (target) {
+                    ++cov.farWheelTies;
+                    add(target, prio,
+                        r.below(2) ? 0 : ((r.below(64) + 1) << 32) | ++_keyCnt,
+                        Normal);
+                } else {
+                    add(now + 1 + r.below(4), prio, 0, Normal);
+                }
+                break;
+            }
+            default:
+                add(now + 1 + r.below(20), prio, 0, Normal);
+                break;
+            }
+        }
+    }
+
+    /**
+     * ~1100-1300 leaf events over ticks now+3 .. now+8 plus one event
+     * at now+3 that deschedules 1100 live ids, crossing the
+     * tombstone-compaction threshold in the middle of a drain.
+     */
+    void
+    setUpMassCancel(Mix &r)
+    {
+        Tick now = q.curTick();
+        uint64_t n = 1100 + r.below(200);
+        for (uint64_t i = 0; i < n; ++i)
+            add(now + 3 + r.below(6), allPrios[r.below(4)], 0, Leaf);
+        add(now + 3, allPrios[r.below(3)], 0, MassCancel);
+    }
+
+    void
+    fire(uint64_t id, Kind kind)
+    {
+        _log.push_back({q.curTick(), id});
+        dropLive(id);
+        Mix r{_seed ^ (id * 0x2545f4914f6cdd1dull)};
+        if (kind == MassCancel) {
+            ++cov.massCancels;
+            for (int i = 0; i < 1100 && !_live.empty(); ++i)
+                cancelRandom(r);
+            return;
+        }
+        if (kind == Leaf)
+            return;
+        if (r.below(4) == 0) {
+            // Same tick, lower priority than the running event when
+            // the draw allows it (runs next, ahead of the rest).
+            ++cov.lowerPrioSameTick;
+            add(q.curTick(), EventPriority::Delivery, 0, Leaf);
+        }
+        spawnSome(r, r.below(4));
+        if (r.below(8) == 0) {
+            for (uint64_t i = 1 + r.below(3); i > 0 && !_live.empty(); --i)
+                cancelRandom(r);
+        }
+    }
+
+    uint64_t _seed;
+    uint64_t _budget = 1500;
+    uint64_t _keyCnt = 0;
+    Log _log;
+    std::vector<uint64_t> _ids;
+    std::vector<uint64_t> _live;
+    std::unordered_map<uint64_t, size_t> _livePos;
+    /** Far-heap ticks in scheduling order; [_farHead, end) upcoming. */
+    std::vector<Tick> _farTicks;
+    size_t _farHead = 0;
+};
+
+} // namespace
+
+/**
+ * 200 seeded mixes, each replayed on EventQueue and on RefQueue: the
+ * execution logs (tick, id), clock probes and pending counts must
+ * agree event for event. The mixes cover all four priorities, keyed
+ * bursts inserted in descending key order, same-tick inserts below
+ * the running priority, far-heap and wheel events on one tick,
+ * tombstone compaction mid-drain, run(limit) parking a tick followed
+ * by inserts ahead of it, and advanceTo.
+ */
+TEST(EventQueue, DifferentialOrderingAgainstReference)
+{
+    Coverage total;
+    uint64_t compactions = 0;
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        Scenario<EventQueue> real(seed);
+        Scenario<RefQueue> ref(seed);
+        auto got = real.play();
+        auto want = ref.play();
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "seed " << seed << " entry " << i;
+        }
+        EXPECT_TRUE(real.q.empty());
+        EXPECT_EQ(real.q.arenaInUse(), 0u);
+        compactions += real.q.compactions();
+        total.parkedInserts += real.cov.parkedInserts;
+        total.farWheelTies += real.cov.farWheelTies;
+        total.keyedBursts += real.cov.keyedBursts;
+        total.lowerPrioSameTick += real.cov.lowerPrioSameTick;
+        total.massCancels += real.cov.massCancels;
+    }
+    EXPECT_GE(compactions, 100u);
+    EXPECT_GE(total.massCancels, 100u);
+    EXPECT_GT(total.parkedInserts, 0u);
+    EXPECT_GT(total.farWheelTies, 0u);
+    EXPECT_GT(total.keyedBursts, 0u);
+    EXPECT_GT(total.lowerPrioSameTick, 0u);
 }
