@@ -8,6 +8,8 @@
  *  - short-delay self-rescheduling ticks (cache / NoC / SE pipelines),
  *    the overwhelming majority of events in a run;
  *  - same-tick fan-out bursts (multicast delivery, barrier release);
+ *  - keyed cross-tile deliveries arriving in reverse tile order, with
+ *    a same-tick wake-up insert (the serial mesh's per-cycle mix);
  *  - mixed-horizon traffic (mostly near-future with a far-future tail:
  *    DRAM latencies, watchdog / checker / sampler periods);
  *  - schedule/deschedule churn (timeout events that almost never fire);
@@ -62,6 +64,7 @@ struct Ctx
     uint64_t budget = 0;
     int fanout = 0;
     Rng rng;
+    uint64_t keyCnt = 0;
 };
 
 /** One self-rescheduling tick chain with a fixed delay of 1..8. */
@@ -98,6 +101,54 @@ struct Burst
                                       : EventPriority::ClockTick);
         }
         ctx->eq->scheduleIn(1, *this, EventPriority::Stat);
+    }
+};
+
+/** A completion waking its core: a same-tick ClockTick insert. */
+struct Wake
+{
+    Ctx *ctx;
+
+    void
+    operator()() const
+    {
+        ctx->eq->schedule(ctx->eq->curTick(), Noop{},
+                          EventPriority::ClockTick);
+    }
+};
+
+/**
+ * One cycle of cross-tile traffic, booked for the next tick by this
+ * Stat-priority event: `fanout` keyed Delivery events inserted in
+ * reverse tile order, four Default events, and one delivery that
+ * wakes a core (a ClockTick inserted mid-tick, ahead of this event).
+ */
+struct KeyedCycle
+{
+    Ctx *ctx;
+
+    void
+    operator()() const
+    {
+        const uint64_t perCycle = static_cast<uint64_t>(ctx->fanout) + 6;
+        if (ctx->budget < perCycle)
+            return;
+        ctx->budget -= perCycle;
+        EventQueue &eq = *ctx->eq;
+        Tick next = eq.curTick() + 1;
+        for (int t = ctx->fanout; t-- > 0;) {
+            uint64_t key = (static_cast<uint64_t>(t + 1) << 32) |
+                           ++ctx->keyCnt;
+            if (t == ctx->fanout / 2)
+                eq.scheduleKeyed(next, key, Wake{ctx},
+                                 EventPriority::Delivery);
+            else
+                eq.scheduleKeyed(next, key, Noop{},
+                                 EventPriority::Delivery);
+        }
+        for (int i = 0; i < 4; ++i)
+            eq.schedule(next, Noop{});
+        eq.schedule(next, *this, EventPriority::Stat);
     }
 };
 
@@ -229,6 +280,30 @@ BM_SameTickFanout(benchmark::State &state)
         static_cast<double>(executed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SameTickFanout)->Arg(8)->Arg(64)->Unit(
+    benchmark::kMillisecond);
+
+/**
+ * Per-tick keyed deliveries from N tiles (16 and 150), inserted in
+ * reverse tile order, plus Default work and a same-tick wake-up. One
+ * long descending stretch per tick is the worst case for the run's
+ * insertion sort; simulated meshes invert only a few events at a time.
+ */
+static void
+BM_SameTickKeyedDeliveries(benchmark::State &state)
+{
+    const int tiles = static_cast<int>(state.range(0));
+    uint64_t executed = 0;
+    for (auto _ : state) {
+        EventQueue eq;
+        Ctx ctx{&eq, eventsPerIter, tiles, {}};
+        eq.schedule(0, KeyedCycle{&ctx}, EventPriority::Stat);
+        eq.run();
+        executed += eq.numExecuted();
+    }
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(executed), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SameTickKeyedDeliveries)->Arg(16)->Arg(150)->Unit(
     benchmark::kMillisecond);
 
 /**

@@ -616,9 +616,11 @@ SEL3::migrate(Entry &e, TileId next_bank)
         SF_DPRINTF(SEL3, "migrate c%d.s%d -> bank %d at elem %llu",
                    m.gsid.core, m.gsid.sid, next_bank,
                    (unsigned long long)e.issuePos);
-        trace::recordStream(curTick(), m.gsid,
-                            trace::StreamPhase::Migrate, _tile,
-                            "to bank " + std::to_string(next_bank));
+        if (trace::StreamLifecycleTracer::instance().enabled()) {
+            trace::recordStream(curTick(), m.gsid,
+                                trace::StreamPhase::Migrate, _tile,
+                                "to bank " + std::to_string(next_bank));
+        }
     }
     _entries.remove_if([&](const Entry &x) { return &x == &e; });
 }

@@ -3,12 +3,13 @@
  * Deterministic global event queue.
  *
  * All timing in the simulator is expressed as callbacks scheduled at a
- * future tick. Events scheduled at the same tick execute in ascending
- * (priority, insertion-sequence) order, which makes every simulation
- * fully deterministic and reproducible.
+ * future tick. Events execute in ascending (when, priority, key,
+ * sequence) order, which makes every simulation fully deterministic
+ * and reproducible.
  *
- * The kernel is a two-level scheme tuned for the simulator's event
- * mix, where almost every event is a short-delay tick:
+ * The kernel is tuned for the simulator's event mix, where almost
+ * every event is a short-delay tick and each tick holds a few dozen
+ * events (one core, SE and router per tile):
  *
  *  - a calendar wheel of `wheelBuckets` single-tick buckets covering
  *    (curTick, curTick + wheelBuckets): O(1) insert, O(1) amortized
@@ -16,9 +17,13 @@
  *  - a far-future binary heap for everything beyond the wheel horizon
  *    (DRAM round trips never reach it; watchdog / checker / sampler
  *    periods do);
- *  - a small "now" heap holding the events of the tick being drained,
- *    ordered by (when, priority, key, sequence) so same-tick
- *    scheduling during execution stays exact.
+ *  - a sorted run holding the tick being drained: a contiguous vector
+ *    consumed by a head cursor. Collecting a tick appends its bucket
+ *    chain (already in sequence order) and far-heap events, then an
+ *    insertion sort fixes the few priority / key inversions; popping
+ *    is one increment. A same-tick insert appends when it sorts last
+ *    (its sequence number is the largest) and otherwise goes to its
+ *    upper bound in the undrained range.
  *
  * The optional per-event `key` (scheduleKeyed) exists for the
  * tile-parallel engine (sim/shard.hh): events that may be inserted
@@ -246,7 +251,7 @@ class EventQueue
                   "advanceTo(%llu) would skip a pending event at %llu",
                   (unsigned long long)t,
                   (unsigned long long)nextTick());
-        // Pull events at exactly t into the now-heap first: the wheel
+        // Pull events at exactly t into the run first: the wheel
         // front scan starts at curTick + 1 and would miss them after
         // the jump.
         collectTick(t);
@@ -315,18 +320,36 @@ class EventQueue
         Event *tail = nullptr;
     };
 
-    /** Min-first comparison by (when, priority, key, sequence). */
-    static bool
-    later(const Event *a, const Event *b)
+    /**
+     * True when @p a runs after @p b in (when, priority, key,
+     * sequence) order. Sequence numbers are unique, so the order is
+     * total. Both orders are function objects rather than function
+     * pointers, so the std algorithms can inline them.
+     */
+    struct Later
     {
-        if (a->when != b->when)
-            return a->when > b->when;
-        if (a->prio != b->prio)
-            return a->prio > b->prio;
-        if (a->key != b->key)
-            return a->key > b->key;
-        return a->seq > b->seq;
-    }
+        bool
+        operator()(const Event *a, const Event *b) const
+        {
+            if (a->when != b->when)
+                return a->when > b->when;
+            if (a->prio != b->prio)
+                return a->prio > b->prio;
+            if (a->key != b->key)
+                return a->key > b->key;
+            return a->seq > b->seq;
+        }
+    };
+
+    /** True when @p a runs before @p b: the sorted run's order. */
+    struct Before
+    {
+        bool
+        operator()(const Event *a, const Event *b) const
+        {
+            return Later{}(b, a);
+        }
+    };
 
     // --- slab arena ---
 
@@ -380,18 +403,30 @@ class EventQueue
             pushFar(e);
     }
 
+    /**
+     * Same-tick insert. Its sequence number is the largest queued, so
+     * it usually sorts last and appends; otherwise (a lower priority
+     * or key than the tail, or a parked later tick behind it) it goes
+     * to its place in the undrained range.
+     */
     void
     pushNow(Event *e)
     {
-        _now.push_back(e);
-        std::push_heap(_now.begin(), _now.end(), later);
+        if (_head == _run.size() || Later{}(e, _run.back()))
+            _run.push_back(e);
+        else
+            _run.insert(std::upper_bound(_run.begin() + _head,
+                                         _run.end(), e, Before{}),
+                        e);
     }
 
     void
     popNow()
     {
-        std::pop_heap(_now.begin(), _now.end(), later);
-        _now.pop_back();
+        if (++_head == _run.size()) {
+            _run.clear();
+            _head = 0;
+        }
         --_numNodes;
     }
 
@@ -416,10 +451,10 @@ class EventQueue
     pushFar(Event *e)
     {
         _far.push_back(e);
-        std::push_heap(_far.begin(), _far.end(), later);
+        std::push_heap(_far.begin(), _far.end(), Later{});
     }
 
-    /** Earliest tick queued outside the now-heap; maxTick when none. */
+    /** Earliest tick queued outside the run; maxTick when none. */
     Tick
     peekOutsideTick() const
     {
@@ -456,10 +491,20 @@ class EventQueue
         return maxTick;
     }
 
-    /** Move every event queued for tick @p t into the now-heap. */
+    /**
+     * Append every event queued for tick @p t to the run, then restore
+     * order over its undrained range.
+     */
     void
     collectTick(Tick t)
     {
+        // A parked later tick may still sit in the run: drop the
+        // drained prefix so it cannot grow while that tick waits.
+        if (_head > 0) {
+            _run.erase(_run.begin(), _run.begin() + _head);
+            _head = 0;
+        }
+        size_t first = _run.size();
         if (_wheelCount > 0) {
             size_t idx = static_cast<size_t>(t) & (wheelBuckets - 1);
             Bucket &b = _wheel[idx];
@@ -471,47 +516,75 @@ class EventQueue
                     Event *nxt = e->next;
                     e->next = nullptr;
                     --_wheelCount;
-                    _now.push_back(e);
-                    std::push_heap(_now.begin(), _now.end(), later);
+                    _run.push_back(e);
                     e = nxt;
                 }
             }
         }
         while (!_far.empty() && _far.front()->when == t) {
-            Event *e = _far.front();
-            std::pop_heap(_far.begin(), _far.end(), later);
+            _run.push_back(_far.front());
+            std::pop_heap(_far.begin(), _far.end(), Later{});
             _far.pop_back();
-            pushNow(e);
+        }
+        sortRun(first);
+    }
+
+    /**
+     * Sort the run after appending [first, end) behind its sorted
+     * (possibly empty) parked range. A bucket chain arrives in
+     * sequence order and only priority and key invert it, a few
+     * places at a time, so this is an insertion sort: an event already
+     * in place costs one compare. A batch that needs more than about
+     * eight shifts per event falls back to std::sort.
+     */
+    void
+    sortRun(size_t first)
+    {
+        auto run = _run.begin();
+        const size_t n = _run.size();
+        size_t budget = 8 * (n - first) + 64;
+        for (size_t i = std::max<size_t>(first, 1); i < n; ++i) {
+            Event *e = run[i];
+            size_t j = i;
+            for (; j > 0 && Before{}(e, run[j - 1]); --j)
+                run[j] = run[j - 1];
+            run[j] = e;
+            if (i - j > budget) {
+                std::sort(run, _run.end(), Before{});
+                return;
+            }
+            budget -= i - j;
         }
     }
 
     /**
-     * The globally next event (still queued in the now-heap), or null.
-     * Hot path: while draining the current tick this is one compare;
-     * the bitmap scan only runs on tick advancement.
+     * The globally next event (still queued at the run's head), or
+     * null. Hot path: while draining the current tick this is one
+     * compare; the bitmap scan only runs on tick advancement.
      */
     Event *
     next()
     {
-        Tick now_tick = _now.empty() ? maxTick : _now.front()->when;
+        Tick now_tick =
+            _head == _run.size() ? maxTick : _run[_head]->when;
         if (now_tick == _curTick)
-            return _now.front();
+            return _run[_head];
         Tick out_tick = peekOutsideTick();
         if (now_tick < out_tick)
-            return _now.front();
+            return _run[_head];
         if (out_tick == maxTick)
             return nullptr;
-        // out_tick is minimal, so after collecting it the now-heap
-        // front is the global minimum: no rescan needed. On a tick tie
+        // out_tick is minimal, so after collecting it the run's head
+        // is the global minimum: no rescan needed. On a tick tie
         // the bucket must be collected too: an event scheduled for a
         // tick whose bucket was already drained (run(limit) stops with
-        // that tick's events parked in the now-heap, then an insert
+        // that tick's events parked in the run, then an insert
         // for the same tick lands in the wheel) would otherwise sit in
         // a bucket the front scan can no longer see once _curTick
         // reaches it — and same-tick (prio, key, seq) ordering demands
         // the merge regardless.
         collectTick(out_tick);
-        return _now.front();
+        return _run[_head];
     }
 
     bool
@@ -563,7 +636,12 @@ class EventQueue
             return e->cancelled ||
                    _cancelled.find(e->seq) != _cancelled.end();
         };
-        for (auto *vp : {&_now, &_far}) {
+        // Filtering keeps the run's order, so only the far heap needs
+        // rebuilding. The run's drained prefix holds recycled nodes
+        // and goes first.
+        _run.erase(_run.begin(), _run.begin() + _head);
+        _head = 0;
+        for (auto *vp : {&_run, &_far}) {
             auto &v = *vp;
             size_t kept = 0;
             for (Event *e : v) {
@@ -575,8 +653,8 @@ class EventQueue
                 }
             }
             v.resize(kept);
-            std::make_heap(v.begin(), v.end(), later);
         }
+        std::make_heap(_far.begin(), _far.end(), Later{});
         if (_wheelCount > 0) {
             for (size_t idx = 0; idx < wheelBuckets; ++idx) {
                 Bucket &b = _wheel[idx];
@@ -606,10 +684,16 @@ class EventQueue
     std::array<Bucket, wheelBuckets> _wheel;
     std::array<uint64_t, wheelBuckets / 64> _occupied{};
     uint64_t _wheelCount = 0;
-    /** Far-future events, min-heap by (when, prio, seq). */
+    /** Far-future events, min-heap by (when, prio, key, seq). */
     std::vector<Event *> _far;
-    /** Events of the tick being drained, same ordering. */
-    std::vector<Event *> _now;
+    /**
+     * The sorted run: events of the tick being drained (and, after
+     * run(limit) stops, of a parked later tick), in (when, prio, key,
+     * seq) order. [0, _head) is drained; popping is ++_head, and the
+     * vector is cleared once it drains.
+     */
+    std::vector<Event *> _run;
+    size_t _head = 0;
     /** Ids of descheduled one-shot events, skipped when popped. */
     std::unordered_set<EventId> _cancelled;
 
