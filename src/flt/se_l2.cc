@@ -517,7 +517,7 @@ SEL2::fetchFloatedElems(StreamId sid, uint64_t first_idx, uint16_t count,
 }
 
 bool
-SEL2::handleFloatedFetch(const mem::Access &access)
+SEL2::handleFloatedFetch(mem::Access &access)
 {
     StreamId sid = access.stream.sid;
     FloatedStream *s = find(sid);
@@ -527,7 +527,7 @@ SEL2::handleFloatedFetch(const mem::Access &access)
                                       : s->cfg.affine.elemSize;
     uint16_t count = static_cast<uint16_t>(
         std::max<uint32_t>(1, access.size / std::max(1u, esz)));
-    fetchFloatedElems(sid, access.elemIdx, count, access.onDone,
+    fetchFloatedElems(sid, access.elemIdx, count, std::move(access.onDone),
                       access.profId);
     return true;
 }
@@ -593,35 +593,47 @@ SEL2::serveWaiters(StreamId sid, FloatedStream &s)
 {
     if (s.waiters.empty())
         return;
-    std::vector<Waiter> keep;
-    std::vector<std::function<void()>> fire;
+    // Served callbacks move to a pooled batch; the rest compact in
+    // place, keeping their order.
+    std::vector<std::function<void()>> *fire = nullptr;
     uint64_t avail = availableUpTo(s);
-    for (auto &w : s.waiters) {
+    size_t kept = 0;
+    for (size_t i = 0; i < s.waiters.size(); ++i) {
+        Waiter &w = s.waiters[i];
         if (w.endElem <= avail) {
             if (_prof && w.profId) {
                 _prof->add(_tile, w.profId, prof::Phase::SEBuffer,
                            curTick() - w.parkTick);
             }
-            fire.push_back(std::move(w.cb));
+            if (!fire)
+                fire = _servedPool.acquire();
+            fire->push_back(std::move(w.cb));
             s.consumedUpTo = std::max(s.consumedUpTo, w.endElem);
             if (s.aliasRoot != invalidStream && w.endElem <= s.tailStart)
                 ++_stats.stencilServes;
         } else {
-            keep.push_back(std::move(w));
+            if (kept != i)
+                s.waiters[kept] = std::move(w);
+            ++kept;
         }
     }
-    s.waiters = std::move(keep);
-    if (!fire.empty()) {
+    s.waiters.erase(s.waiters.begin() + kept, s.waiters.end());
+    if (fire) {
         s.lastProgress = curTick();
-        _stats.servedFetches += fire.size();
+        _stats.servedFetches += fire->size();
         _seCore.notifyFloatedBufferServe(sid);
         // Defer: callbacks can re-enter the SE (refetch, refloat) and
         // must not run while we hold references into _floated.
-        scheduleIn(1, [fire = std::move(fire)]() {
-            for (auto &cb : fire)
-                cb();
-        });
+        scheduleIn(1, [this, fire] { fireServed(fire); });
     }
+}
+
+void
+SEL2::fireServed(std::vector<std::function<void()>> *batch)
+{
+    for (auto &cb : *batch)
+        cb();
+    _servedPool.release(batch);
 }
 
 void

@@ -25,6 +25,7 @@
 #include "mem/priv_cache.hh"
 #include "mem/tlb.hh"
 #include "noc/mesh.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "stream/float_if.hh"
@@ -131,7 +132,7 @@ class SEL2 : public SimObject,
                            uint32_t prof_id = 0) override;
 
     // --- mem::StreamBufferIf (calls from the private cache) ---
-    bool handleFloatedFetch(const mem::Access &access) override;
+    bool handleFloatedFetch(mem::Access &access) override;
     void onFloatedHitInCache(const GlobalStreamId &stream,
                              uint64_t elem_idx) override;
     void recvDataU(const mem::MemMsgPtr &msg) override;
@@ -252,6 +253,8 @@ class SEL2 : public SimObject,
     uint64_t availableUpTo(const FloatedStream &s);
 
     void serveWaiters(StreamId sid, FloatedStream &s);
+    /** Run (and recycle) a batch of served fetch callbacks. */
+    void fireServed(std::vector<std::function<void()>> *batch);
     void maybeGrantCredits(StreamId sid, FloatedStream &s);
     void advanceTail();
 
@@ -299,6 +302,8 @@ class SEL2 : public SimObject,
     uint16_t _tailSeq = 0;
     /** Progress scan: recurring while streams are floated. */
     RecurringEvent _scan;
+    /** Served callbacks waiting out their one-cycle deferral. */
+    sim::RecordPool<std::vector<std::function<void()>>> _servedPool;
 
     SEL2Stats _stats;
 };

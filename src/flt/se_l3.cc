@@ -430,9 +430,13 @@ SEL3::issueOne(Entry &e)
     req.gen = e.members.front().gen;
     req.elemIdx = e.issuePos;
     req.elemCount = count;
+    // These lists become the DataU's own (L3Bank::serveUncached moves
+    // them): size them once.
+    req.dests.reserve(e.members.size());
     for (const auto &m : e.members)
         req.dests.push_back(m.gsid.core);
     if (e.members.size() > 1) {
+        req.merged.reserve(e.members.size());
         for (const auto &m : e.members)
             req.merged.push_back(m.gsid);
         req.reqClass = mem::ReqClass::FloatConfluence;

@@ -70,7 +70,7 @@ L3Bank::recvMsg(const MemMsgPtr &msg)
             auto sub = std::make_shared<MemMsg>(*msg);
             sub->lineAddr = msg->lineAddr + uint64_t(i) * lineBytes;
             sub->bulkLines = 1;
-            scheduleIn(_cfg.latency, [this, sub]() { process(sub); });
+            after<&L3Bank::process>(_cfg.latency, sub);
         }
         return;
     }
@@ -79,7 +79,15 @@ L3Bank::recvMsg(const MemMsgPtr &msg)
     // so attributing it at receipt keeps the hot path branch-free.
     if (_prof && msg->profId)
         _prof->add(_tile, msg->profId, prof::Phase::L3Service, _cfg.latency);
-    scheduleIn(_cfg.latency, [this, msg]() { process(msg); });
+    after<&L3Bank::process>(_cfg.latency, msg);
+}
+
+template <void (L3Bank::*Fn)(const MemMsgPtr &)>
+void
+L3Bank::after(Cycles delay, const MemMsgPtr &msg)
+{
+    MemMsgPtr *p = _msgPool.acquire(msg);
+    scheduleIn(delay, [this, p] { (this->*Fn)(_msgPool.take(p)); });
 }
 
 void
@@ -144,10 +152,9 @@ L3Bank::streamRead(StreamReadReq req)
 {
     sf_assert(_nuca.bankOf(req.lineAddr) == _tile,
               "stream read for a line homed elsewhere");
+    StreamReadReq *p = _streamPool.acquire(std::move(req));
     scheduleIn(_cfg.latency,
-               [this, req = std::move(req)]() mutable {
-                   processStream(std::move(req));
-               });
+               [this, p] { processStream(_streamPool.take(p)); });
 }
 
 void
@@ -213,7 +220,7 @@ L3Bank::processStream(StreamReadReq req)
 
 void
 L3Bank::serveUncached(const Txn *txn, const MemMsgPtr &msg,
-                      const StreamReadReq *sreq)
+                      StreamReadReq *sreq)
 {
     // --verify: DataU carries the serve-time image. Normally that is
     // the system-wide view; under the stale-getu injection only this
@@ -234,9 +241,9 @@ L3Bank::serveUncached(const Txn *txn, const MemMsgPtr &msg,
         data->type = MemMsgType::DataU;
         data->lineAddr = sreq->lineAddr;
         data->src = _tile;
-        data->dests = sreq->dests;
         data->requester =
             sreq->dests.empty() ? invalidTile : sreq->dests.front();
+        data->dests = std::move(sreq->dests);
         data->payloadBytes = sreq->dataBytes;
         data->dataBytes = sreq->dataBytes;
         data->cls = noc::FlitClass::Data;
@@ -245,7 +252,7 @@ L3Bank::serveUncached(const Txn *txn, const MemMsgPtr &msg,
         data->streamGen = sreq->gen;
         data->elemIdx = sreq->elemIdx;
         data->elemCount = sreq->elemCount;
-        data->mergedStreams = sreq->merged;
+        data->mergedStreams = std::move(sreq->merged);
         data->vdata = vp;
         _mesh.send(data);
         if (sreq->onLocalData)
@@ -685,8 +692,7 @@ L3Bank::handleMemData(const MemMsgPtr &msg)
         // inclusive), then retry.
         ++_stats.fillRetries;
         recallOwnedLine(msg->lineAddr);
-        auto retry = msg;
-        scheduleIn(64, [this, retry]() { handleMemData(retry); });
+        after<&L3Bank::handleMemData>(64, msg);
         return;
     }
 

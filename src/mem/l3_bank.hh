@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -26,6 +25,7 @@
 #include "mem/mem_msg.hh"
 #include "mem/nuca.hh"
 #include "noc/mesh.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -176,8 +176,16 @@ class L3Bank : public SimObject
         Tick memIssueTick = 0;
         int pendingAcks = 0;
         /** Requests that arrived while the line was blocked. */
-        std::deque<std::variant<MemMsgPtr, StreamReadReq>> queued;
+        std::vector<std::variant<MemMsgPtr, StreamReadReq>> queued;
     };
+
+    /**
+     * Run @p Fn(msg) after @p delay cycles. The message waits in a
+     * pool record, so the event captures only `[this, MemMsgPtr *]`
+     * (DESIGN.md §4l).
+     */
+    template <void (L3Bank::*Fn)(const MemMsgPtr &)>
+    void after(Cycles delay, const MemMsgPtr &msg);
 
     /** Entry point after the bank access latency. */
     void process(const MemMsgPtr &msg);
@@ -192,9 +200,13 @@ class L3Bank : public SimObject
     void handleFwdMiss(const MemMsgPtr &msg);
     void handleMemData(const MemMsgPtr &msg);
 
-    /** Serve a GetU/stream read that hits a directory-clean line. */
+    /**
+     * Serve a GetU/stream read that hits a directory-clean line. A
+     * stream read is consumed: its destination and merged-stream
+     * lists move into the DataU.
+     */
     void serveUncached(const Txn *txn, const MemMsgPtr &msg,
-                       const StreamReadReq *sreq);
+                       StreamReadReq *sreq);
 
     /** Respond with DataS/DataE and update the directory. */
     void serveShared(const MemMsgPtr &msg, CacheLine &line);
@@ -225,6 +237,9 @@ class L3Bank : public SimObject
     const NucaMap &_nuca;
     CacheArray _array;
     std::unordered_map<Addr, Txn> _txns;
+    /** Messages and stream reads waiting out a bank latency. */
+    sim::RecordPool<MemMsgPtr> _msgPool;
+    sim::RecordPool<StreamReadReq> _streamPool;
     verify::DataPlane *_verify = nullptr;
     prof::Profiler *_prof = nullptr;
     std::string _verifyBug;

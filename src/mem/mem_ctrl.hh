@@ -11,6 +11,7 @@
 #include "mem/mem_msg.hh"
 #include "noc/mesh.hh"
 #include "sim/debug.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 #include "verify/data_plane.hh"
 
@@ -43,10 +44,13 @@ class MemCtrl : public SimObject
         SF_DPRINTF(DRAM, "read %llx for tile %d (requester %d)",
                    (unsigned long long)msg->lineAddr, (int)msg->src,
                    (int)msg->requester);
-        _channel.access(false, [this, msg]() {
-            auto data = makeMemMsg(MemMsgType::MemData, msg->lineAddr,
-                                   _tile, msg->src, msg->requester);
-            _mesh.send(data);
+        // The request waits in a pool record, so the completion
+        // captures only `[this, MemMsgPtr *]` (DESIGN.md §4l).
+        MemMsgPtr *read = _reads.acquire(msg);
+        _channel.access(false, [this, read] {
+            MemMsgPtr req = _reads.take(read);
+            _mesh.send(makeMemMsg(MemMsgType::MemData, req->lineAddr,
+                                  _tile, req->src, req->requester));
         });
     }
 
@@ -59,6 +63,8 @@ class MemCtrl : public SimObject
     TileId _tile;
     noc::Mesh &_mesh;
     DramChannel _channel;
+    /** Reads waiting for the channel. */
+    sim::RecordPool<MemMsgPtr> _reads;
     verify::DataPlane *_verify = nullptr;
 };
 

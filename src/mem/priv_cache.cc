@@ -36,8 +36,15 @@ PrivCache::access(Access a)
     }
 
     // The L1 lookup result is available after the L1 latency.
-    scheduleIn(_cfg.l1Latency,
-               [this, a = std::move(a)]() mutable { accessL1(std::move(a)); });
+    park<&PrivCache::accessL1>(_cfg.l1Latency, std::move(a));
+}
+
+template <void (PrivCache::*Phase)(Access)>
+void
+PrivCache::park(Cycles delay, Access &&a)
+{
+    Access *p = _accessPool.acquire(std::move(a));
+    scheduleIn(delay, [this, p] { (this->*Phase)(_accessPool.take(p)); });
 }
 
 void
@@ -68,9 +75,7 @@ PrivCache::accessL1(Access a)
             return;
         }
         // Check L2 tags after the L2 latency.
-        scheduleIn(_cfg.l2Latency, [this, a = std::move(a)]() mutable {
-            handleFloatedAccess(std::move(a));
-        });
+        park<&PrivCache::handleFloatedAccess>(_cfg.l2Latency, std::move(a));
         return;
     }
 
@@ -140,22 +145,25 @@ PrivCache::accessL1(Access a)
             return;
         }
         ++_l1MissInFlight;
-        auto user_done = std::make_shared<std::function<void()>>(
-            std::move(a.onDone));
-        a.onDone = [this, user_done]() {
-            --_l1MissInFlight;
-            schedulePumpL1Waiters();
-            if (*user_done)
-                (*user_done)();
-        };
+        std::function<void()> *user_done =
+            _missDonePool.acquire(std::move(a.onDone));
+        a.onDone = [this, user_done] { l1MissDone(user_done); };
     }
-    scheduleIn(_cfg.l2Latency, [this, a = std::move(a)]() mutable {
-        accessL2(std::move(a), true);
-    });
+    park<&PrivCache::accessL2Missed>(_cfg.l2Latency, std::move(a));
 }
 
 void
-PrivCache::handleFloatedAccess(const Access &a)
+PrivCache::l1MissDone(std::function<void()> *user_done)
+{
+    --_l1MissInFlight;
+    schedulePumpL1Waiters();
+    std::function<void()> done = _missDonePool.take(user_done);
+    if (done)
+        done();
+}
+
+void
+PrivCache::handleFloatedAccess(Access a)
 {
     CacheLine *l2_line = _l2.access(a.paddr);
     if (l2_line) {
@@ -174,9 +182,8 @@ PrivCache::handleFloatedAccess(const Access &a)
         return;
     // Stream unknown at the SE_L2 (e.g. just sunk): fall back to a
     // normal stream fetch through the cache.
-    Access fallback = a;
-    fallback.kind = AccessKind::StreamFetch;
-    accessL2(std::move(fallback), true);
+    a.kind = AccessKind::StreamFetch;
+    accessL2(std::move(a), true);
 }
 
 void
@@ -931,11 +938,11 @@ PrivCache::debugDump(std::FILE *f) const
 }
 
 void
-PrivCache::finishWaiter(const Access &w)
+PrivCache::finishWaiter(Access &w)
 {
     // Data is at the L2; charge the L1 fill latency to the consumer.
     if (w.onDone)
-        scheduleIn(_cfg.l1Latency, w.onDone);
+        scheduleIn(_cfg.l1Latency, std::move(w.onDone));
 }
 
 void

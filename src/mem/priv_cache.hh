@@ -27,6 +27,7 @@
 #include "mem/mem_msg.hh"
 #include "mem/nuca.hh"
 #include "noc/mesh.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -89,11 +90,12 @@ class StreamBufferIf
 
     /**
      * A floated-stream fetch missed in L1/L2 tags; the stream buffer
-     * takes ownership and will invoke the access's callback when the
-     * element arrives. @return false if the stream is unknown (e.g.
-     * just sunk) and the cache should fall back to a demand fetch.
+     * takes ownership and will invoke the access's callback (moved
+     * out of @p access) when the element arrives. @return false, with
+     * @p access untouched, if the stream is unknown (e.g. just sunk)
+     * and the cache should fall back to a demand fetch.
      */
-    virtual bool handleFloatedFetch(const Access &access) = 0;
+    virtual bool handleFloatedFetch(Access &access) = 0;
 
     /** A floated-stream fetch hit in the private cache (§IV-A). */
     virtual void onFloatedHitInCache(const GlobalStreamId &stream,
@@ -309,12 +311,29 @@ class PrivCache : public SimObject
         std::vector<MemMsgPtr> deferredFwds;
     };
 
+    /**
+     * Run @p Phase on @p a after @p delay cycles. The access waits in
+     * a pool record, so the event captures only `[this, Access *]`
+     * (DESIGN.md §4l).
+     */
+    template <void (PrivCache::*Phase)(Access)>
+    void park(Cycles delay, Access &&a);
+
     /** Second phase of access() after the L1 lookup latency. */
     void accessL1(Access a);
     /** L2 phase. */
     void accessL2(Access a, bool l1_was_miss);
+    /** L2 phase of an access that missed the L1. */
+    void accessL2Missed(Access a) { accessL2(std::move(a), true); }
 
-    void handleFloatedAccess(const Access &a);
+    /** Floated fetch: L2 tag check, else the SE_L2 stream buffer. */
+    void handleFloatedAccess(Access a);
+
+    /**
+     * Completion of a demand L1 miss: frees its L1 MSHR, then runs the
+     * requester's callback parked in @p user_done.
+     */
+    void l1MissDone(std::function<void()> *user_done);
 
     /** Send a request to the home L3 bank. */
     void sendRequest(MemMsgType type, Addr line_addr,
@@ -345,7 +364,7 @@ class PrivCache : public SimObject
     void recordReuse(CacheLine &line, bool is_demand);
 
     /** Complete one waiting access (adds the L1 fill latency). */
-    void finishWaiter(const Access &w);
+    void finishWaiter(Access &w);
 
     /** Re-issue accesses that were blocked on a full MSHR file. */
     void retryMshrWaiters();
@@ -398,6 +417,11 @@ class PrivCache : public SimObject
 
     /** Pending L2-prefetch lines buffered for bulk grouping. */
     std::vector<Addr> _bulkPending;
+
+    /** Accesses waiting out a lookup latency (park()). */
+    sim::RecordPool<Access> _accessPool;
+    /** Requester callbacks of demand L1 misses in flight. */
+    sim::RecordPool<std::function<void()>> _missDonePool;
 
     PrivCacheStats _stats;
 };

@@ -13,6 +13,7 @@ Mesh::Mesh(EventQueue &eq, const MeshConfig &config)
       _sinks(static_cast<size_t>(config.nx * config.ny)),
       _links(static_cast<size_t>(config.nx * config.ny) * 4),
       _routerFlits(static_cast<size_t>(config.nx * config.ny), 0),
+      _hopPools(1),
       _traffic(static_cast<size_t>(config.nx * config.ny)),
       _packetHops(static_cast<size_t>(config.nx * config.ny),
                   stats::Histogram(1, 16)),
@@ -204,7 +205,8 @@ Mesh::inject(const MsgPtr &msg)
         info.remaining += static_cast<int>(msg->dests.size());
     }
     // Injection passes through the local router pipeline once.
-    hop(msg, msg->src, msg->dests, flits);
+    hop(hopPool(msg->src).acquire(
+        Hop{msg, msg->src, flits, -1}));
 }
 
 int
@@ -242,53 +244,60 @@ Mesh::linkFrom(TileId at, int dir)
     return _links[static_cast<size_t>(at) * 4 + static_cast<size_t>(dir)];
 }
 
-void
-Mesh::hop(const MsgPtr &msg, TileId at, const std::vector<TileId> &dests,
-          uint32_t flits)
+bool
+Mesh::covers(const Hop &h, TileId d) const
 {
-    // Split destinations by output direction (multicast tree branch).
-    std::array<std::vector<TileId>, 4> by_dir;
+    // X-Y routing: a copy moving horizontally still serves every
+    // column on its far side; a vertical copy serves only its own
+    // column, on its far side. Both sides are inclusive of h.at.
+    int x = xOf(h.at), y = yOf(h.at);
+    switch (h.inDir) {
+      case East: return xOf(d) >= x;
+      case West: return xOf(d) <= x;
+      case North: return xOf(d) == x && yOf(d) <= y;
+      case South: return xOf(d) == x && yOf(d) >= y;
+      default: return true;
+    }
+}
+
+void
+Mesh::hop(Hop *h)
+{
+    // Split the copy's destinations by output direction (multicast
+    // tree branch).
+    TileId at = h->at;
     bool local = false;
-    for (TileId d : dests) {
+    unsigned dirs = 0;
+    for (TileId d : h->msg->dests) {
+        if (!covers(*h, d))
+            continue;
         int dir = routeDir(at, d);
         if (dir < 0)
             local = true;
         else
-            by_dir[static_cast<size_t>(dir)].push_back(d);
+            dirs |= 1u << dir;
     }
+    sf_assert(local || dirs, "packet copy with no destination");
 
+    uint32_t flits = h->flits;
     _routerFlits[static_cast<size_t>(at)] += flits;
+    // The last event scheduled here takes over h; earlier ones get
+    // copies from the shard's pool.
+    sim::RecordPool<Hop> &pool = hopPool(at);
 
     if (local) {
         // Eject through the local port after the router pipeline
         // (same tile, so the event stays on @p at's shard).
-        scheduleHopEvent(
-            at, at, now(at) + _cfg.routerLatency, [this, msg, at]() {
-                auto &sink = _sinks[static_cast<size_t>(at)];
-                sf_assert(static_cast<bool>(sink),
-                          "no sink bound on tile %d", at);
-                // Settle the conservation account before the
-                // sink runs: the receiver may legally re-send
-                // the same message object (forwarding).
-                if (_trackInFlight) {
-                    auto sit = _inFlightSeq.find(msg.get());
-                    if (sit != _inFlightSeq.end()) {
-                        auto it = _inFlight.find(sit->second);
-                        if (it != _inFlight.end() &&
-                            --it->second.remaining <= 0) {
-                            _inFlight.erase(it);
-                            _inFlightSeq.erase(sit);
-                        }
-                    }
-                }
-                sink(msg);
-            });
+        Hop *e = dirs ? pool.acquire(*h) : h;
+        scheduleHopEvent(at, at, now(at) + _cfg.routerLatency,
+                         [this, e] { eject(e); });
     }
 
     for (int dir = East; dir <= South; ++dir) {
-        std::vector<TileId> &sub_dests = by_dir[static_cast<size_t>(dir)];
-        if (sub_dests.empty())
+        if (!(dirs >> dir & 1u))
             continue;
+        dirs &= ~(1u << dir);
+        Hop *c = dirs ? pool.acquire(*h) : h;
         TileId next = neighbor(at, dir);
         sf_assert(next != invalidTile, "X-Y routing fell off the mesh");
 
@@ -300,31 +309,63 @@ Mesh::hop(const MsgPtr &msg, TileId at, const std::vector<TileId> &dests,
         link.nextFree = depart;
         link.busyCycles += flits;
         link.queueCycles += start - ready;
+        const Message &msg = *c->msg;
         _traffic[static_cast<size_t>(at)].linkBusyCycles += flits;
         _traffic[static_cast<size_t>(at)]
-            .flitHops[static_cast<size_t>(msg->cls)] += flits;
+            .flitHops[static_cast<size_t>(msg.cls)] += flits;
 
         Tick arrive = depart + _cfg.linkLatency;
-        if (_prof && msg->profId) {
-            bool rsp = msg->vnet == VNet::Response;
-            _prof->add(at, msg->profId,
+        if (_prof && msg.profId) {
+            bool rsp = msg.vnet == VNet::Response;
+            _prof->add(at, msg.profId,
                        rsp ? prof::Phase::NocRspQueue
                            : prof::Phase::NocReqQueue,
                        start - ready);
-            _prof->add(at, msg->profId,
+            _prof->add(at, msg.profId,
                        rsp ? prof::Phase::NocRspXfer
                            : prof::Phase::NocReqXfer,
                        _cfg.routerLatency + flits + _cfg.linkLatency);
         }
         // The only cross-tile event creation in the simulator: the
         // arrival is always >= router + 1 flit + link cycles away,
-        // which is exactly the PDES lookahead (DESIGN.md §4i). The
-        // branch's destinations move into the event and are read in
-        // place by the next hop.
-        scheduleHopEvent(at, next, arrive,
-                         [this, msg, next, sub = std::move(sub_dests),
-                          flits]() { hop(msg, next, sub, flits); });
+        // which is exactly the PDES lookahead (DESIGN.md §4i).
+        c->at = next;
+        c->inDir = dir;
+        if (&hopPool(next) == &pool) {
+            scheduleHopEvent(at, next, arrive, [this, c] { hop(c); });
+        } else {
+            // A record never leaves its shard's pool: a copy bound for
+            // another shard travels by value, and the receiving router
+            // parks it in its own pool.
+            scheduleHopEvent(
+                at, next, arrive, [this, copy = pool.take(c)]() mutable {
+                    hop(hopPool(copy.at).acquire(std::move(copy)));
+                });
+        }
     }
+}
+
+void
+Mesh::eject(Hop *h)
+{
+    TileId at = h->at;
+    MsgPtr msg = hopPool(at).take(h).msg;
+    auto &sink = _sinks[static_cast<size_t>(at)];
+    sf_assert(static_cast<bool>(sink), "no sink bound on tile %d", at);
+    // Settle the conservation account before the sink runs: the
+    // receiver may legally re-send the same message object
+    // (forwarding).
+    if (_trackInFlight) {
+        auto sit = _inFlightSeq.find(msg.get());
+        if (sit != _inFlightSeq.end()) {
+            auto it = _inFlight.find(sit->second);
+            if (it != _inFlight.end() && --it->second.remaining <= 0) {
+                _inFlight.erase(it);
+                _inFlightSeq.erase(sit);
+            }
+        }
+    }
+    sink(msg);
 }
 
 } // namespace noc

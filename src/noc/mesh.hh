@@ -29,6 +29,7 @@
 
 #include "noc/message.hh"
 #include "sim/profile.hh"
+#include "sim/record_pool.hh"
 #include "sim/shard.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
@@ -107,7 +108,13 @@ class Mesh : public SimObject
      * default) keeps the legacy single-queue behaviour for unit tests
      * that drive the mesh standalone.
      */
-    void setDomains(sim::TileDomains *d) { _domains = d; }
+    void
+    setDomains(sim::TileDomains *d)
+    {
+        _domains = d;
+        _hopPools = std::vector<sim::RecordPool<Hop>>(
+            d ? static_cast<size_t>(d->shards()) : 1);
+    }
 
     /** Register the receiver for tile @p tile. */
     void bindSink(TileId tile, Sink sink);
@@ -222,8 +229,32 @@ class Mesh : public SimObject
         int remaining = 0;
     };
 
+    /**
+     * One copy of a packet in flight toward router @p at, parked in a
+     * RecordPool so its hop and eject events capture only
+     * `[this, Hop *]` (DESIGN.md §4l). The copy's destinations are
+     * not stored: under X-Y routing they are the message's
+     * destinations that lie ahead of @p at in the direction the copy
+     * travelled (covers()).
+     */
+    struct Hop
+    {
+        MsgPtr msg;
+        TileId at = invalidTile;
+        uint32_t flits = 0;
+        /** Direction travelled into @p at; -1 at injection. */
+        int inDir = -1;
+    };
+
     /** Inject bypassing the interceptor (delayed/duplicated copies). */
     void inject(const MsgPtr &msg);
+
+    /** Hop records of tile @p at's execution context (its shard). */
+    sim::RecordPool<Hop> &
+    hopPool(TileId at)
+    {
+        return _hopPools[_domains ? size_t(_domains->shardOf(at)) : 0];
+    }
 
     /** Current tick in tile @p at's execution context. */
     Tick
@@ -241,9 +272,18 @@ class Mesh : public SimObject
     void scheduleHopEvent(TileId at, TileId target, Tick when,
                           EventQueue::Handler fn);
 
-    /** Deliver one (possibly multicast) packet one hop further. */
-    void hop(const MsgPtr &msg, TileId at,
-             const std::vector<TileId> &dests, uint32_t flits);
+    /**
+     * Route packet copy @p h through router h->at: eject it locally
+     * and/or forward it, splitting at multicast branch points. Runs in
+     * h->at's execution context, which now owns the record.
+     */
+    void hop(Hop *h);
+
+    /** Hand an ejected copy to the tile's sink; frees the record. */
+    void eject(Hop *h);
+
+    /** True when destination @p d belongs to packet copy @p h. */
+    bool covers(const Hop &h, TileId d) const;
 
     /** Next output direction toward @p dest under X-Y routing; -1 if
      *  local. */
@@ -260,6 +300,15 @@ class Mesh : public SimObject
     std::vector<Link> _links;
     /** Per-router traversed-flit counters (heatmap). */
     std::vector<uint64_t> _routerFlits;
+    /**
+     * Hop records per shard (hopPool()). A copy's record is acquired
+     * by the router that creates the copy and freed by the router
+     * that ejects it, or that sends it to another shard by value.
+     * Per-tile pools would drift: records flow from injecting to
+     * ejecting tiles, so senders keep growing while receivers hoard
+     * (DESIGN.md §4l).
+     */
+    std::vector<sim::RecordPool<Hop>> _hopPools;
     prof::Profiler *_prof = nullptr;
     /**
      * Traffic accounts indexed by the tile whose execution context

@@ -272,22 +272,15 @@ SECore::issueFetch(StreamId sid, uint64_t first_idx, uint16_t count)
         _td->setGapReason(prof::Bucket::StalledData);
     }
 
+    // sflint: allow(T1, profiler record handle, not a tick)
+    uint32_t pid = _prof ? _prof->open(_tile, sid, curTick()) : 0;
+    FetchCtx *ctx =
+        _fetchPool.acquire(FetchCtx{sid, first_idx, count, epoch, pid});
+    auto on_done = [this, ctx] { fetchDone(ctx); };
+
     if (floated && s.cfg.hasIndirect) {
         ++_stats.floatedFetchesIssued;
-        // sflint: allow(T1, profiler record handle, not a tick)
-        uint32_t pid =
-            _prof ? _prof->open(_tile, sid, curTick()) : 0;
-        _floatCtrl->fetchFloatedElems(
-            sid, first_idx, count,
-            [this, sid, first_idx, count, epoch, pid]() {
-                if (pid)
-                    _prof->close(_tile, pid, curTick());
-                onFetchDone(sid, first_idx, count, false);
-                auto it = _streams.find(sid);
-                if (it != _streams.end() && it->second.epoch != epoch)
-                    return;
-            },
-            pid);
+        _floatCtrl->fetchFloatedElems(sid, first_idx, count, on_done, pid);
         return;
     }
 
@@ -308,41 +301,31 @@ SECore::issueFetch(StreamId sid, uint64_t first_idx, uint16_t count)
     a.stream = {_tile, sid};
     a.elemIdx = first_idx;
 
+    a.profId = pid;
+    a.onDone = on_done;
     if (floated) {
         ++_stats.floatedFetchesIssued;
         a.kind = mem::AccessKind::FloatedFetch;
-        // sflint: allow(T1, profiler record handle, not a tick)
-        uint32_t pid =
-            _prof ? _prof->open(_tile, sid, curTick()) : 0;
-        a.profId = pid;
-        a.onDone = [this, sid, first_idx, count, epoch, pid]() {
-            if (pid)
-                _prof->close(_tile, pid, curTick());
-            auto it = _streams.find(sid);
-            if (it == _streams.end() || it->second.epoch != epoch)
-                return;
-            onFetchDone(sid, first_idx, count, false);
-        };
-        _cache.access(std::move(a));
-        return;
+    } else {
+        ++_stats.fetchesIssued;
+        a.kind = mem::AccessKind::StreamFetch;
+        a.missOut = &ctx->missed;
     }
-
-    ++_stats.fetchesIssued;
-    a.kind = mem::AccessKind::StreamFetch;
-    auto miss = std::make_shared<bool>(false);
-    a.missOut = miss.get();
-    // sflint: allow(T1, profiler record handle, not a tick)
-    uint32_t pid = _prof ? _prof->open(_tile, sid, curTick()) : 0;
-    a.profId = pid;
-    a.onDone = [this, sid, first_idx, count, epoch, miss, pid]() {
-        if (pid)
-            _prof->close(_tile, pid, curTick());
-        auto it = _streams.find(sid);
-        if (it == _streams.end() || it->second.epoch != epoch)
-            return;
-        onFetchDone(sid, first_idx, count, *miss);
-    };
     _cache.access(std::move(a));
+}
+
+void
+SECore::fetchDone(FetchCtx *ctx)
+{
+    FetchCtx f = _fetchPool.take(ctx);
+    if (f.pid)
+        _prof->close(_tile, f.pid, curTick());
+    // A completion from an ended or reconfigured stream must not mark
+    // elements of the new epoch ready.
+    auto it = _streams.find(f.sid);
+    if (it == _streams.end() || it->second.epoch != f.epoch)
+        return;
+    onFetchDone(f.sid, f.first, f.count, f.missed);
 }
 
 void
@@ -417,18 +400,28 @@ SECore::fireWaiters(StreamState &s)
 {
     if (s.waiters.empty())
         return;
-    std::vector<Use> still_waiting;
+    // Ready callbacks move to the member scratch (swapped out, so a
+    // re-entrant call gets its own); the rest compact in place.
     std::vector<std::function<void()>> ready;
-    for (auto &u : s.waiters) {
-        if (u.endElem <= s.readyUpTo)
+    ready.swap(_readyScratch);
+    size_t kept = 0;
+    for (size_t i = 0; i < s.waiters.size(); ++i) {
+        Use &u = s.waiters[i];
+        if (u.endElem <= s.readyUpTo) {
             ready.push_back(std::move(u.cb));
-        else
-            still_waiting.push_back(std::move(u));
+        } else {
+            if (kept != i)
+                s.waiters[kept] = std::move(u);
+            ++kept;
+        }
     }
-    s.waiters = std::move(still_waiting);
+    s.waiters.erase(s.waiters.begin() + kept, s.waiters.end());
     for (auto &cb : ready)
         cb();
-    if (!ready.empty() && _wake)
+    bool fired = !ready.empty();
+    ready.clear();
+    _readyScratch.swap(ready);
+    if (fired && _wake)
         _wake();
 }
 

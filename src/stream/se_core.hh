@@ -25,6 +25,7 @@
 #include "mem/priv_cache.hh"
 #include "mem/tlb.hh"
 #include "sim/profile.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "stream/float_if.hh"
@@ -176,6 +177,23 @@ class SECore : public SimObject, public cpu::StreamEngineIf
         std::function<void()> cb;
     };
 
+    /**
+     * One in-flight fetch, parked in a pool record so its completion
+     * callback captures only `[this, FetchCtx *]` (DESIGN.md §4l).
+     */
+    struct FetchCtx
+    {
+        StreamId sid = invalidStream;
+        uint64_t first = 0;
+        uint16_t count = 0;
+        /** Stream epoch at issue; a stale completion is dropped. */
+        uint32_t epoch = 0;
+        /** Latency-attribution record (0 = untracked). */
+        uint32_t pid = 0;
+        /** Written by the cache before completion (Table II "miss"). */
+        bool missed = false;
+    };
+
     struct StreamState
     {
         bool active = false;
@@ -219,6 +237,8 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     void pump(StreamId sid, uint64_t min_end = 0);
     /** Issue one line-coalesced fetch starting at @p first_idx. */
     void issueFetch(StreamId sid, uint64_t first_idx, uint16_t count);
+    /** Completion of @p ctx: recycles it, then onFetchDone(). */
+    void fetchDone(FetchCtx *ctx);
     void onFetchDone(StreamId sid, uint64_t first_idx, uint16_t count,
                      bool missed);
     void advanceReady(StreamState &s);
@@ -260,6 +280,9 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     std::map<StreamId, int> _pendingCfgs;
     StreamHistoryTable _history;
     SECoreStats _stats;
+    sim::RecordPool<FetchCtx> _fetchPool;
+    /** fireWaiters()'s ready list, kept for its capacity. */
+    std::vector<std::function<void()>> _readyScratch;
 };
 
 } // namespace stream

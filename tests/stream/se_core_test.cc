@@ -272,3 +272,98 @@ TEST(SECore, ManyStreamsWithinLimit)
     h.fabric.drain();
     EXPECT_EQ(ready, 6);
 }
+
+namespace {
+
+/**
+ * A floating controller that accepts every float and parks floated
+ * indirect fetches until the test completes them by hand.
+ */
+class ParkingFloatCtrl : public stream::FloatControllerIf
+{
+  public:
+    struct Fetch
+    {
+        StreamId sid;
+        uint64_t first;
+        uint16_t count;
+        std::function<void()> cb;
+    };
+
+    bool floatStream(const stream::FloatRequest &) override { return true; }
+    void unfloatStream(StreamId) override {}
+    bool isFloating(StreamId) const override { return true; }
+
+    void
+    fetchFloatedElems(StreamId sid, uint64_t first_idx, uint16_t count,
+                      std::function<void()> on_ready, uint32_t) override
+    {
+        parked.push_back({sid, first_idx, count, std::move(on_ready)});
+    }
+
+    /** Complete (and forget) parked fetch number @p i. */
+    void
+    complete(size_t i)
+    {
+        ASSERT_LT(i, parked.size());
+        std::function<void()> cb = std::move(parked[i].cb);
+        parked.erase(parked.begin() + static_cast<long>(i));
+        cb();
+    }
+
+    std::vector<Fetch> parked;
+};
+
+} // namespace
+
+TEST(SECore, StaleFloatedIndirectCompletionIsDropped)
+{
+    SeHarness h;
+    ParkingFloatCtrl ctrl;
+    h.se().setFloatController(&ctrl);
+    // A 400 kB base footprint exceeds the 256 kB L2, so the group
+    // floats at configuration and the indirect child's fetches go to
+    // the controller by (sid, index).
+    Addr a = h.fabric.as().alloc(400 * 1024);
+    Addr b = h.fabric.as().alloc(1 << 16);
+    StreamConfig base = affine(0, a, 100000);
+    StreamConfig ind;
+    ind.sid = 1;
+    ind.hasIndirect = true;
+    ind.baseSid = 0;
+    ind.indirect.base = b;
+    ind.indirect.elemSize = 4;
+    ind.indirect.idxSize = 4;
+    ind.indirect.scale = 4;
+    ind.affine.elemSize = 4;
+    ind.affine.len[0] = 100000;
+
+    h.se().configure({base, ind});
+    ASSERT_TRUE(h.se().isFloating(1));
+    ASSERT_FALSE(ctrl.parked.empty());
+    ASSERT_EQ(ctrl.parked[0].sid, 1);
+    ASSERT_EQ(ctrl.parked[0].first, 0u);
+    size_t old_fetches = ctrl.parked.size();
+
+    // End the group and configure it again: a new epoch whose first
+    // elements are fetched afresh.
+    h.se().end(1);
+    h.se().end(0);
+    h.se().configure({base, ind});
+    ASSERT_GT(ctrl.parked.size(), old_fetches);
+    ASSERT_EQ(ctrl.parked[old_fetches].sid, 1);
+    ASSERT_EQ(ctrl.parked[old_fetches].first, 0u);
+
+    int ready = 0;
+    h.se().requestElems(1, 1, [&]() { ++ready; });
+    // The ended epoch's fetch of element 0 lands now. It must not mark
+    // the new epoch's element 0 ready.
+    ctrl.complete(0);
+    h.fabric.drain();
+    EXPECT_EQ(ready, 0);
+
+    // The new epoch's own fetch of element 0 does.
+    ctrl.complete(old_fetches - 1);
+    h.fabric.drain();
+    EXPECT_EQ(ready, 1);
+}
