@@ -29,7 +29,6 @@
 
 #include "sim/arg_parse.hh"
 #include "sim/output_path.hh"
-#include "sim/stream_trace.hh"
 #include "system/tiled_system.hh"
 #include "verify/oracle.hh"
 #include "workload/workload.hh"
@@ -166,11 +165,16 @@ checkAgainstReference(sys::TiledSystem &system, workload::Workload &wl,
 /** Adjusts a run's SystemConfig beyond what BenchOptions sets. */
 using ConfigHook = std::function<void(sys::SystemConfig &)>;
 
-/** Run one (machine, workload) simulation. */
+/**
+ * Run one (machine, workload) simulation. SF_STREAM_TRACE=1 (any value
+ * but "0") records stream lifecycles, written next to the stats.json
+ * as <stem>.trace.json; a non-null @p trace records them too and gets
+ * the Chrome trace.
+ */
 inline sys::SimResults
 runSim(sys::Machine machine, const cpu::CoreConfig &core,
        const std::string &wl_name, const BenchOptions &opt,
-       const ConfigHook &hook = nullptr)
+       const ConfigHook &hook = nullptr, std::ostream *trace = nullptr)
 {
     sys::SystemConfig cfg =
         sys::SystemConfig::make(machine, core, opt.nx, opt.ny);
@@ -190,10 +194,10 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
     cfg.threads = opt.threads;
     if (const char *bug = std::getenv("SF_VERIFY_BUG"))
         cfg.verifyBug = bug;
+    const char *trace_env = std::getenv("SF_STREAM_TRACE");
+    cfg.traceStreams = trace || (trace_env && *trace_env &&
+                                 std::string(trace_env) != "0");
     sys::TiledSystem system(cfg);
-
-    auto &tracer = trace::StreamLifecycleTracer::instance();
-    tracer.clear();
 
     workload::WorkloadParams wp;
     wp.numThreads = cfg.numTiles();
@@ -225,13 +229,15 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
                 "--profile");
             system.dumpProfileSummaryJson(ps);
         }
-        if (tracer.enabled() && !tracer.events().empty()) {
+        if (r.streamTraceEvents > 0) {
             std::ofstream tr = openOutputFile(
                 opt.statsJsonDir + "/" + stem + ".trace.json",
                 "--stats-json");
-            tracer.exportChromeTrace(tr);
+            system.writeStreamTrace(tr);
         }
     }
+    if (trace)
+        system.writeStreamTrace(*trace);
     return r;
 }
 

@@ -12,7 +12,6 @@
  *    a same-tick wake-up insert (the serial mesh's per-cycle mix);
  *  - mixed-horizon traffic (mostly near-future with a far-future tail:
  *    DRAM latencies, watchdog / checker / sampler periods);
- *  - schedule/deschedule churn (timeout events that almost never fire);
  *  - recurring periodic events (watchdog / checker / sampler ticks).
  *
  * Handlers are small function objects (a context pointer plus an
@@ -215,26 +214,6 @@ struct HookTick
  */
 prof::Profiler *volatile nullProfiler = nullptr;
 
-/** Three descheduled timeouts per real tick. */
-struct ChurnTick
-{
-    Ctx *ctx;
-
-    void
-    operator()() const
-    {
-        if (ctx->budget < 4)
-            return;
-        ctx->budget -= 4;
-        for (int i = 0; i < 3; ++i) {
-            auto id = ctx->eq->scheduleIn(
-                500 + static_cast<Cycles>(i), Noop{});
-            ctx->eq->deschedule(id);
-        }
-        ctx->eq->scheduleIn(2, *this);
-    }
-};
-
 } // namespace
 
 /**
@@ -326,27 +305,6 @@ BM_MixedHorizon(benchmark::State &state)
         static_cast<double>(executed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MixedHorizon)->Unit(benchmark::kMillisecond);
-
-/**
- * Timeout churn: most scheduled events are descheduled before firing
- * (the float-ack / progress-timeout pattern). Counts live + cancelled
- * slots pushed through the queue.
- */
-static void
-BM_ScheduleDescheduleChurn(benchmark::State &state)
-{
-    uint64_t slots = 0;
-    for (auto _ : state) {
-        EventQueue eq;
-        Ctx ctx{&eq, eventsPerIter, 0, {}};
-        eq.schedule(0, ChurnTick{&ctx});
-        eq.run();
-        slots += eventsPerIter;
-    }
-    state.counters["events/s"] = benchmark::Counter(
-        static_cast<double>(slots), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ScheduleDescheduleChurn)->Unit(benchmark::kMillisecond);
 
 /**
  * The profiling-overhead pair (tentpole budget: ≤2% when disabled).
@@ -473,7 +431,6 @@ BM_ProfilerHooksOn(benchmark::State &state)
 }
 BENCHMARK(BM_ProfilerHooksOn)->Unit(benchmark::kMillisecond);
 
-#ifdef SF_EVENTQ_HAS_RECURRING
 /**
  * Fixed-period recurring events (watchdog / checker / sampler / issue
  * pumps): the intrusive requeue path that re-allocates nothing.
@@ -508,6 +465,5 @@ BM_RecurringTicks(benchmark::State &state)
 }
 BENCHMARK(BM_RecurringTicks)->Arg(4)->Arg(64)->Unit(
     benchmark::kMillisecond);
-#endif // SF_EVENTQ_HAS_RECURRING
 
 BENCHMARK_MAIN();

@@ -67,20 +67,14 @@ try {
                 "(4x4 OOO8)\n\n",
                 wl.c_str(), opt.scale);
 
-    auto &tracer = trace::StreamLifecycleTracer::instance();
-    if (!trace_file.empty())
-        tracer.setEnabled(true);
-
-    // runSim() clears the tracer per run, so it ends up holding only
-    // the SF run's stream events.
     const cpu::CoreConfig core = cpu::CoreConfig::ooo8();
     auto base = bench::runSim(sys::Machine::BingoPf, core, wl, opt);
-    auto sf_run = bench::runSim(sys::Machine::SF, core, wl, opt);
+    auto sf_run = bench::runSim(sys::Machine::SF, core, wl, opt, nullptr,
+                                trace_file.empty() ? nullptr : &trace_os);
 
     if (!trace_file.empty()) {
-        tracer.exportChromeTrace(trace_os);
-        std::printf("wrote %s (%zu stream events)\n", trace_file.c_str(),
-                    tracer.events().size());
+        std::printf("wrote %s (%llu stream events)\n", trace_file.c_str(),
+                    (unsigned long long)sf_run.streamTraceEvents);
     }
 
     std::printf("%-22s %15s %15s\n", "", "L1Bingo-L2Stride", "SF");

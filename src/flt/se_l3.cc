@@ -6,7 +6,6 @@
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "sim/stream_trace.hh"
 
 namespace sf {
 namespace flt {
@@ -77,9 +76,11 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
                msg->gsid.core, msg->gsid.sid, msg->gen,
                (unsigned long long)msg->nextElem,
                (unsigned long long)msg->creditLimit);
-    trace::recordStream(curTick(), msg->gsid,
-                        trace::StreamPhase::Arrive, _tile,
-                        msg->isMigration ? "migration" : "config");
+    if (_streamLog) {
+        _streamLog->push_back({curTick(), msg->gsid,
+                               trace::StreamPhase::Arrive, _tile,
+                               msg->isMigration ? "migration" : "config"});
+    }
 
     // Stale replay? A duplicated or long-delayed config/migration
     // that arrives at or behind the point where this stream already
@@ -199,8 +200,11 @@ SEL3::sendAck(const GlobalStreamId &gsid, uint32_t gen, bool nack)
         ++_stats.floatNacksSent;
         SF_DPRINTF(SEL3, "NACK c%d.s%d gen=%u (table full)", gsid.core,
                    gsid.sid, gen);
-        trace::recordStream(curTick(), gsid, trace::StreamPhase::Arrive,
-                            _tile, "nack");
+        if (_streamLog) {
+            _streamLog->push_back({curTick(), gsid,
+                                   trace::StreamPhase::Arrive, _tile,
+                                   "nack"});
+        }
     } else {
         ++_stats.acksSent;
     }
@@ -269,8 +273,10 @@ SEL3::recvCredit(const std::shared_ptr<StreamCreditMsg> &msg)
         SF_DPRINTF(SEL3, "credit resume c%d.s%d limit=%llu",
                    msg->gsid.core, msg->gsid.sid,
                    (unsigned long long)msg->creditLimit);
-        trace::recordStream(curTick(), it->members.front().gsid,
-                            trace::StreamPhase::Resume, _tile);
+        if (_streamLog) {
+            _streamLog->push_back({curTick(), it->members.front().gsid,
+                                   trace::StreamPhase::Resume, _tile, {}});
+        }
     }
     it->stalledOnCredit = false;
     kick();
@@ -405,8 +411,11 @@ SEL3::issueOne(Entry &e)
             SF_DPRINTF(SEL3, "credit stall c%d.s%d at elem %llu",
                        gsid.core, gsid.sid,
                        (unsigned long long)e.issuePos);
-            trace::recordStream(curTick(), gsid,
-                                trace::StreamPhase::CreditStall, _tile);
+            if (_streamLog) {
+                _streamLog->push_back({curTick(), gsid,
+                                       trace::StreamPhase::CreditStall,
+                                       _tile, {}});
+            }
         }
         return false;
     }
@@ -620,10 +629,10 @@ SEL3::migrate(Entry &e, TileId next_bank)
         SF_DPRINTF(SEL3, "migrate c%d.s%d -> bank %d at elem %llu",
                    m.gsid.core, m.gsid.sid, next_bank,
                    (unsigned long long)e.issuePos);
-        if (trace::StreamLifecycleTracer::instance().enabled()) {
-            trace::recordStream(curTick(), m.gsid,
-                                trace::StreamPhase::Migrate, _tile,
-                                "to bank " + std::to_string(next_bank));
+        if (_streamLog) {
+            _streamLog->push_back({curTick(), m.gsid,
+                                   trace::StreamPhase::Migrate, _tile,
+                                   "to bank " + std::to_string(next_bank)});
         }
     }
     _entries.remove_if([&](const Entry &x) { return &x == &e; });

@@ -28,6 +28,7 @@
 #include "noc/mesh.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
+#include "sim/stream_trace.hh"
 
 namespace sf {
 namespace flt {
@@ -108,6 +109,9 @@ class SEL3 : public SimObject
     SEL3Stats &stats() { return _stats; }
     size_t numStreams() const { return _entries.size(); }
     TileId tile() const { return _tile; }
+
+    /** Append stream transitions to @p log (null = off, the default). */
+    void setStreamLog(trace::StreamLog *log) { _streamLog = log; }
 
     /** Dump resident stream contexts (debugging aid). */
     void debugDump(std::FILE *f) const;
@@ -217,6 +221,7 @@ class SEL3 : public SimObject
                          uint64_t frontier);
 
     SEL3Stats _stats;
+    trace::StreamLog *_streamLog = nullptr;
 };
 
 } // namespace flt

@@ -39,12 +39,8 @@
  * steady-state scheduling performs zero allocations. Fixed-period
  * work (watchdog, checker, sampler, issue pumps) uses RecurringEvent,
  * which re-queues its own node each period instead of re-building a
- * closure.
- *
- * deschedule() stays lazy (cancelled ids are skipped when popped),
- * but the tombstone set is compacted once it passes
- * `tombstoneCompactionThreshold`, so long runs that deschedule ids
- * which already fired can no longer grow it without bound.
+ * closure; its stop() marks the queued node dead in place, and the
+ * queue skips (and recycles) dead nodes when it pops them.
  */
 
 #ifndef SF_SIM_EVENT_QUEUE_HH
@@ -55,15 +51,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
-
-/** The kernel supports intrusive fixed-period events (RecurringEvent). */
-#define SF_EVENTQ_HAS_RECURRING 1
 
 namespace sf {
 
@@ -93,8 +85,6 @@ class EventQueue
 
     /** Buckets in the near-future calendar wheel (power of two). */
     static constexpr size_t wheelBuckets = 8192;
-    /** Cancelled-id set size that triggers a physical compaction. */
-    static constexpr size_t tombstoneCompactionThreshold = 1024;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -105,7 +95,7 @@ class EventQueue
 
     /**
      * Schedule @p fn to run at absolute tick @p when.
-     * @return an id usable with deschedule().
+     * @return the event's sequence number.
      */
     EventId
     schedule(Tick when, Handler fn,
@@ -158,26 +148,10 @@ class EventQueue
         return e->seq;
     }
 
-    /**
-     * Cancel a previously scheduled event. Lazy: the node stays queued
-     * but is skipped (and recycled) when popped; once the tombstone
-     * set passes the compaction threshold, cancelled nodes are removed
-     * physically and stale ids dropped.
-     */
-    void
-    deschedule(EventId id)
-    {
-        _cancelled.insert(id);
-        sf_assert(_numPending > 0, "descheduling with no pending events");
-        --_numPending;
-        if (_cancelled.size() >= tombstoneCompactionThreshold)
-            compact();
-    }
-
     /** True when no live events remain. */
     bool empty() const { return _numPending == 0; }
 
-    /** Number of live (non-cancelled) pending events. */
+    /** Number of live (non-stopped) pending events. */
     uint64_t numPending() const { return _numPending; }
 
     /**
@@ -191,9 +165,9 @@ class EventQueue
             Event *e = next();
             if (!e)
                 break;
-            if (isDead(e)) {
+            if (e->cancelled) {
                 popNow();
-                discard(e);
+                freeEvent(e);
                 continue;
             }
             if (e->when > limit)
@@ -216,8 +190,8 @@ class EventQueue
 
     /**
      * Tick of the earliest live pending event, or maxTick when the
-     * queue is empty. Lazily discards tombstones it encounters, so the
-     * answer is exact (never a cancelled event's tick).
+     * queue is empty. Lazily discards dead nodes it encounters, so the
+     * answer is exact (never a stopped event's tick).
      */
     Tick
     nextTick()
@@ -226,9 +200,9 @@ class EventQueue
             Event *e = next();
             if (!e)
                 return maxTick;
-            if (isDead(e)) {
+            if (e->cancelled) {
                 popNow();
-                discard(e);
+                freeEvent(e);
                 continue;
             }
             return e->when;
@@ -267,8 +241,8 @@ class EventQueue
             if (!e)
                 return false;
             popNow();
-            if (isDead(e)) {
-                discard(e);
+            if (e->cancelled) {
+                freeEvent(e);
                 continue;
             }
             _curTick = e->when;
@@ -282,16 +256,10 @@ class EventQueue
     /** Total events executed so far (for reporting / debugging). */
     uint64_t numExecuted() const { return _numExecuted; }
 
-    /** Cancelled ids awaiting skip-on-pop or compaction. */
-    uint64_t tombstones() const { return _cancelled.size(); }
-
-    /** Physical tombstone compactions performed so far. */
-    uint64_t compactions() const { return _compactions; }
-
     /** Event nodes the slab arena has ever carved out. */
     uint64_t arenaCapacity() const { return _arenaCapacity; }
 
-    /** Nodes currently queued (live + tombstoned). */
+    /** Nodes currently queued (live + stopped). */
     uint64_t arenaInUse() const { return _numNodes; }
 
   private:
@@ -308,7 +276,7 @@ class EventQueue
         Event *next = nullptr;
         /** Non-null for fixed-period events; re-queued, not re-built. */
         RecurringEvent *rec = nullptr;
-        /** Direct tombstone (O(1) RecurringEvent::stop()). */
+        /** Stopped in place by RecurringEvent::stop(); skipped. */
         bool cancelled = false;
         /** One-shot payload; unused when rec is set. */
         Handler fn;
@@ -587,23 +555,6 @@ class EventQueue
         return _run[_head];
     }
 
-    bool
-    isDead(const Event *e) const
-    {
-        return e->cancelled ||
-               (!_cancelled.empty() &&
-                _cancelled.find(e->seq) != _cancelled.end());
-    }
-
-    /** Recycle a popped tombstone (accounting already settled). */
-    void
-    discard(Event *e)
-    {
-        if (!e->cancelled)
-            _cancelled.erase(e->seq);
-        freeEvent(e);
-    }
-
     /** Run a popped live event. */
     void
     execute(Event *e)
@@ -622,65 +573,6 @@ class EventQueue
 
     void runRecurring(Event *e); // defined after RecurringEvent
 
-    /**
-     * Physically remove every cancelled node and drop the whole
-     * tombstone set — including ids that matched no queued node
-     * (descheduled after their event already fired), which previously
-     * accumulated forever in long runs.
-     */
-    void
-    compact()
-    {
-        ++_compactions;
-        auto dead = [this](Event *e) {
-            return e->cancelled ||
-                   _cancelled.find(e->seq) != _cancelled.end();
-        };
-        // Filtering keeps the run's order, so only the far heap needs
-        // rebuilding. The run's drained prefix holds recycled nodes
-        // and goes first.
-        _run.erase(_run.begin(), _run.begin() + _head);
-        _head = 0;
-        for (auto *vp : {&_run, &_far}) {
-            auto &v = *vp;
-            size_t kept = 0;
-            for (Event *e : v) {
-                if (dead(e)) {
-                    freeEvent(e);
-                    --_numNodes;
-                } else {
-                    v[kept++] = e;
-                }
-            }
-            v.resize(kept);
-        }
-        std::make_heap(_far.begin(), _far.end(), Later{});
-        if (_wheelCount > 0) {
-            for (size_t idx = 0; idx < wheelBuckets; ++idx) {
-                Bucket &b = _wheel[idx];
-                if (!b.head)
-                    continue;
-                Event *e = b.head;
-                b.head = b.tail = nullptr;
-                _occupied[idx >> 6] &= ~(1ull << (idx & 63));
-                while (e) {
-                    Event *nxt = e->next;
-                    e->next = nullptr;
-                    --_wheelCount;
-                    --_numNodes;
-                    if (dead(e)) {
-                        freeEvent(e);
-                    } else {
-                        ++_numNodes;
-                        pushWheel(e);
-                    }
-                    e = nxt;
-                }
-            }
-        }
-        _cancelled.clear();
-    }
-
     std::array<Bucket, wheelBuckets> _wheel;
     std::array<uint64_t, wheelBuckets / 64> _occupied{};
     uint64_t _wheelCount = 0;
@@ -694,8 +586,6 @@ class EventQueue
      */
     std::vector<Event *> _run;
     size_t _head = 0;
-    /** Ids of descheduled one-shot events, skipped when popped. */
-    std::unordered_set<EventId> _cancelled;
 
     std::vector<std::unique_ptr<Event[]>> _slabs;
     Event *_freeList = nullptr;
@@ -704,10 +594,9 @@ class EventQueue
     Tick _curTick = 0;
     EventId _nextSeq = 0;
     uint64_t _numPending = 0;
-    /** Queued nodes including tombstones (arena accounting). */
+    /** Queued nodes including stopped ones (arena accounting). */
     uint64_t _numNodes = 0;
     uint64_t _numExecuted = 0;
-    uint64_t _compactions = 0;
 };
 
 /**
@@ -716,7 +605,7 @@ class EventQueue
  * pump pattern, with no per-period closure rebuild and an O(1) stop().
  *
  * start()/stop() may be called freely, including from inside the
- * callback itself; stop() tombstones the queued node in place.
+ * callback itself; stop() marks the queued node dead in place.
  */
 class RecurringEvent
 {

@@ -1,7 +1,6 @@
 #include "sim/stream_trace.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -24,21 +23,6 @@ phaseName(StreamPhase p)
       case StreamPhase::End: return "end";
     }
     return "?";
-}
-
-StreamLifecycleTracer::StreamLifecycleTracer()
-{
-    const char *env = std::getenv("SF_STREAM_TRACE");
-    _enabled = env && *env && std::string(env) != "0";
-}
-
-StreamLifecycleTracer &
-StreamLifecycleTracer::instance()
-{
-    // Tracing forces the engine down to a single worker thread.
-    // sflint: allow(S1, process-wide singleton behind serial fallback)
-    static StreamLifecycleTracer tracer;
-    return tracer;
 }
 
 namespace {
@@ -77,13 +61,20 @@ writeEvent(json::Writer &w, const StreamEvent &e, const char *ph,
 } // namespace
 
 void
-StreamLifecycleTracer::exportChromeTrace(std::ostream &os) const
+writeChromeTrace(std::ostream &os, const std::vector<StreamLog> &logs)
 {
-    // Bucket the interleaved log per stream, preserving time order.
     std::map<std::pair<TileId, StreamId>, std::vector<const StreamEvent *>>
         perStream;
-    for (const auto &e : _events)
-        perStream[{e.gsid.core, e.gsid.sid}].push_back(&e);
+    for (const StreamLog &log : logs) {
+        for (const auto &e : log)
+            perStream[{e.gsid.core, e.gsid.sid}].push_back(&e);
+    }
+    for (auto &[key, evs] : perStream) {
+        std::stable_sort(evs.begin(), evs.end(),
+                         [](const StreamEvent *a, const StreamEvent *b) {
+                             return a->tick < b->tick;
+                         });
+    }
 
     json::Writer w(os, /*pretty=*/false);
     w.beginObject();
@@ -109,10 +100,7 @@ StreamLifecycleTracer::exportChromeTrace(std::ostream &os) const
         for (size_t i = 0; i < evs.size(); ++i) {
             const StreamEvent &e = *evs[i];
             if (i + 1 < evs.size()) {
-                Tick dur = evs[i + 1]->tick >= e.tick
-                               ? evs[i + 1]->tick - e.tick
-                               : 0;
-                writeEvent(w, e, "X", dur);
+                writeEvent(w, e, "X", evs[i + 1]->tick - e.tick);
             } else {
                 // Final transition: an instant marker.
                 writeEvent(w, e, "i", 0);

@@ -3,10 +3,11 @@
  * Stream-lifecycle tracing: config → float → migrate → credit-stall →
  * sink → end transitions per stream, with ticks and tile coordinates.
  *
- * The tracer is a process-wide singleton so every component (SE_core,
- * SE_L2, SE_L3) can record without plumbing; recording is a no-op
- * unless enabled via the SF_STREAM_TRACE environment variable or the
- * API. Events export as Chrome trace-event JSON (load in
+ * Each SE_core and SE_L3 appends its own transitions to its own
+ * StreamLog (SystemConfig::traceStreams; no log, no recording). Every
+ * record is made in the owning tile's execution context, so the logs
+ * need no lock and their contents do not depend on the worker count.
+ * writeChromeTrace() merges them into Chrome trace-event JSON (load in
  * chrome://tracing or https://ui.perfetto.dev): one track per stream
  * (pid = owning core, tid = stream id), with each lifecycle state
  * rendered as a duration slice up to the next transition.
@@ -49,48 +50,16 @@ struct StreamEvent
     std::string detail;
 };
 
-class StreamLifecycleTracer
-{
-  public:
-    static StreamLifecycleTracer &instance();
+/** One component's transitions, in its execution order. */
+using StreamLog = std::vector<StreamEvent>;
 
-    void setEnabled(bool e) { _enabled = e; }
-    bool enabled() const { return _enabled; }
-
-    void clear() { _events.clear(); }
-
-    void
-    record(Tick tick, GlobalStreamId gsid, StreamPhase phase,
-           TileId tile, std::string detail = std::string())
-    {
-        _events.push_back(
-            {tick, gsid, phase, tile, std::move(detail)});
-    }
-
-    const std::vector<StreamEvent> &events() const { return _events; }
-
-    /**
-     * Write the event log as Chrome trace-event JSON. Ticks map to
-     * trace microseconds at the 2 GHz clock of Table III.
-     */
-    void exportChromeTrace(std::ostream &os) const;
-
-  private:
-    StreamLifecycleTracer();
-
-    bool _enabled = false;
-    std::vector<StreamEvent> _events;
-};
-
-/** Single-branch recording helper for instrumentation sites. */
-inline void
-recordStream(Tick tick, GlobalStreamId gsid, StreamPhase phase,
-             TileId tile, std::string detail = std::string())
-{
-    auto &t = StreamLifecycleTracer::instance();
-    if (__builtin_expect(t.enabled(), 0))
-        t.record(tick, gsid, phase, tile, std::move(detail));
-}
+/**
+ * Write @p logs as Chrome trace-event JSON. Events are bucketed per
+ * stream in the order given, then stable-sorted by tick, so same-tick
+ * events of one stream keep log order. Ticks map to trace
+ * microseconds at the 2 GHz clock of Table III.
+ */
+void writeChromeTrace(std::ostream &os, const std::vector<StreamLog> &logs);
 
 } // namespace trace
 } // namespace sf

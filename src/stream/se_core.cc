@@ -4,7 +4,6 @@
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "sim/stream_trace.hh"
 #include "verify/data_plane.hh"
 #include "verify/value.hh"
 
@@ -105,8 +104,10 @@ SECore::configure(const std::vector<isa::StreamConfig> &group)
                    cfg.hasIndirect ? cfg.indirect.elemSize
                                    : cfg.affine.elemSize,
                    cfg.lengthKnown);
-        trace::recordStream(curTick(), {_tile, cfg.sid},
-                            trace::StreamPhase::Config, _tile);
+        if (_streamLog) {
+            _streamLog->push_back({curTick(), {_tile, cfg.sid},
+                                   trace::StreamPhase::Config, _tile, {}});
+        }
     }
     // Wire children after all group members exist.
     for (const auto &cfg : group) {
@@ -141,8 +142,10 @@ SECore::end(StreamId sid)
     StreamState &s = it->second;
     SF_DPRINTF(StreamFloat, "end sid=%d floating=%d consumed=%llu", sid,
                s.floating, (unsigned long long)s.commitBase);
-    trace::recordStream(curTick(), {_tile, sid},
-                        trace::StreamPhase::End, _tile);
+    if (_streamLog) {
+        _streamLog->push_back(
+            {curTick(), {_tile, sid}, trace::StreamPhase::End, _tile, {}});
+    }
     if (s.floating && _floatCtrl)
         _floatCtrl->unfloatStream(sid);
     // Children are configured and ended by their own stream_end ops.
@@ -754,8 +757,10 @@ SECore::maybeFloat(StreamId sid, uint64_t start_elem, bool at_config)
                "floated sid=%d from elem %llu (%s, %zu indirects)", sid,
                (unsigned long long)start_elem, reason,
                req.indirects.size());
-    trace::recordStream(curTick(), {_tile, sid},
-                        trace::StreamPhase::Float, _tile, reason);
+    if (_streamLog) {
+        _streamLog->push_back({curTick(), {_tile, sid},
+                               trace::StreamPhase::Float, _tile, reason});
+    }
     s.floating = true;
     s.floatFromElem = start_elem;
     s.consecutiveCacheHits = 0;
@@ -797,8 +802,10 @@ SECore::sink(StreamId sid, const char *reason)
     if (!s.floating)
         return;
     SF_DPRINTF(StreamFloat, "sink sid=%d (%s)", sid, reason);
-    trace::recordStream(curTick(), {_tile, sid},
-                        trace::StreamPhase::Sink, _tile, reason);
+    if (_streamLog) {
+        _streamLog->push_back({curTick(), {_tile, sid},
+                               trace::StreamPhase::Sink, _tile, reason});
+    }
     // Sink the whole group: the base and its indirect children.
     StreamId base = s.cfg.hasIndirect ? s.parent : sid;
     auto bit = _streams.find(base);

@@ -28,6 +28,7 @@
 #include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
+#include "sim/stream_trace.hh"
 #include "stream/float_if.hh"
 #include "stream/history.hh"
 
@@ -122,6 +123,9 @@ class SECore : public SimObject, public cpu::StreamEngineIf
      * routed line image, and folded per stream_load at commit.
      */
     void setVerify(verify::DataPlane *v) { _verify = v; }
+
+    /** Append stream transitions to @p log (null = off, the default). */
+    void setStreamLog(trace::StreamLog *log) { _streamLog = log; }
 
     // --- cpu::StreamEngineIf ---
     void noteConfigDispatched(
@@ -271,6 +275,7 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     verify::DataPlane *_verify = nullptr;
     prof::Profiler *_prof = nullptr;
     prof::TopDownAccount *_td = nullptr;
+    trace::StreamLog *_streamLog = nullptr;
 
     // Ordered by StreamId: quota recomputation, context-switch
     // flushes and debug dumps iterate this table, and their order

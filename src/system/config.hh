@@ -138,10 +138,17 @@ struct SystemConfig
      * are sharded tile%threads across workers; results are
      * byte-identical to threads=1 by construction (DESIGN.md §4i).
      * Clamped to numTiles(); modes that need a single execution
-     * context (verify, fault injection, stream tracing, full checks)
+     * context (verify, fault injection, full checks, debug output)
      * fall back to one worker with a warning.
      */
     int threads = 1;
+
+    /**
+     * Stream-lifecycle tracing: every SE_core and SE_L3 keeps a log of
+     * its streams' transitions for TiledSystem::writeStreamTrace().
+     * Works at any worker count; off by default.
+     */
+    bool traceStreams = false;
 
     /**
      * Latency-attribution profiler (--profile): per-request lifecycle

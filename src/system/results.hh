@@ -50,6 +50,8 @@ struct SimResults
     uint64_t confluenceMerges = 0, confluenceRequests = 0;
     uint64_t creditMessages = 0;
     uint64_t seL3LineRequests = 0, seL3IndirectRequests = 0;
+    /** Stream-lifecycle events recorded (SystemConfig::traceStreams). */
+    uint64_t streamTraceEvents = 0;
 
     // Prefetchers.
     uint64_t prefetchesIssued = 0, prefetchesUseful = 0;

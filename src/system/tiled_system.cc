@@ -30,9 +30,11 @@ effectiveThreadCount(const SystemConfig &cfg, CheckLevel check)
     threads = std::min(threads, cfg.numTiles());
     auto force_serial = [&threads](const char *why) {
         if (threads > 1) {
-            warn("--threads=%d ignored: %s needs a single execution "
-                 "context; running with one worker",
-                 threads, why);
+            // Once per process: a driver runs many simulations with
+            // the same options.
+            warn_once("--threads=%d ignored: %s needs a single execution "
+                      "context; running with one worker",
+                      threads, why);
             threads = 1;
         }
     };
@@ -42,8 +44,6 @@ effectiveThreadCount(const SystemConfig &cfg, CheckLevel check)
         force_serial("fault injection");
     if (check >= CheckLevel::Full)
         force_serial("full invariant checking");
-    if (trace::StreamLifecycleTracer::instance().enabled())
-        force_serial("stream lifecycle tracing");
     if (debug::flagMask != 0)
         force_serial("debug output (SF_DEBUG_FLAGS)");
     return threads;
@@ -130,6 +130,8 @@ TiledSystem::buildTiles()
     _l1Pf.resize(n);
     _l2Pf.resize(n);
     _cores.resize(n);
+    if (_cfg.traceStreams)
+        _streamLogs.resize(2 * n);
 
     auto as_resolver = [this](int asid) -> mem::AddressSpace * {
         return asid == 0 ? _as.get() : nullptr;
@@ -181,6 +183,8 @@ TiledSystem::buildTiles()
                 _seCores[t]->setVerify(_verify.get());
             if (_prof)
                 _seCores[t]->setProfiler(_prof.get());
+            if (_cfg.traceStreams)
+                _seCores[t]->setStreamLog(&_streamLogs[2 * t]);
         }
         if (floats) {
             _seL2[t] = std::make_unique<flt::SEL2>(
@@ -194,6 +198,8 @@ TiledSystem::buildTiles()
             _seL3[t] = std::make_unique<flt::SEL3>(
                 tn + ".sel3", teq, t, _cfg.sel3, *_mesh, *_nuca,
                 *_l3[t], as_resolver);
+            if (_cfg.traceStreams)
+                _seL3[t]->setStreamLog(&_streamLogs[2 * t + 1]);
         }
 
         switch (_cfg.machine) {
@@ -920,23 +926,11 @@ TiledSystem::buildStatRegistry(stats::StatRegistry &reg) const
         return double(_eq.numPending() +
                       _domains->shardEventsPending());
     });
-    // Wheel-internals are per-queue quantities: how events spread over
-    // the shard queues (and hence tombstone/compaction dynamics)
-    // depends on the worker count, so they live with the other
-    // host-variant stats and stay out of the determinism contract.
+    // Arena capacity is a per-queue quantity: how events spread over
+    // the shard queues depends on the worker count, so it lives with
+    // the other host-variant stats and stays out of the determinism
+    // contract.
     if (_hostStatsInJson) {
-        eg.regFormula("tombstones", [this]() {
-            double n = double(_eq.tombstones());
-            for (int sh = 0; sh < _domains->shards(); ++sh)
-                n += double(_domains->shardQueue(sh).tombstones());
-            return n;
-        });
-        eg.regFormula("compactions", [this]() {
-            double n = double(_eq.compactions());
-            for (int sh = 0; sh < _domains->shards(); ++sh)
-                n += double(_domains->shardQueue(sh).compactions());
-            return n;
-        });
         eg.regFormula("arenaCapacity", [this]() {
             double n = double(_eq.arenaCapacity());
             for (int sh = 0; sh < _domains->shards(); ++sh)
@@ -1159,6 +1153,14 @@ TiledSystem::dumpProfileSummaryJson(std::ostream &os) const
     os << "\n";
 }
 
+void
+TiledSystem::writeStreamTrace(std::ostream &os) const
+{
+    sf_assert(_cfg.traceStreams, "writeStreamTrace requires "
+                                 "cfg.traceStreams");
+    trace::writeChromeTrace(os, _streamLogs);
+}
+
 SimResults
 TiledSystem::collect(bool hit_limit)
 {
@@ -1255,6 +1257,9 @@ TiledSystem::collect(bool hit_limit)
     ev.streamHardware = machineUsesStreams(_cfg.machine);
     r.energy = energy::computeEnergy(ev);
     r.energyNj = r.energy.total();
+
+    for (const trace::StreamLog &log : _streamLogs)
+        r.streamTraceEvents += log.size();
 
     r.hostSeconds = _hostSeconds;
     r.eventsExecuted = _eq.numExecuted() +

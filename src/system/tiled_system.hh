@@ -35,6 +35,7 @@
 #include "sim/profile.hh"
 #include "sim/shard.hh"
 #include "sim/stat_registry.hh"
+#include "sim/stream_trace.hh"
 #include "sim/watchdog.hh"
 #include "system/config.hh"
 #include "system/results.hh"
@@ -112,6 +113,12 @@ class TiledSystem
      */
     void dumpProfileSummaryJson(std::ostream &os) const;
 
+    /**
+     * Chrome trace of the stream lifecycles (requires
+     * cfg.traceStreams), merged from the per-component logs.
+     */
+    void writeStreamTrace(std::ostream &os) const;
+
     /** Component access for tests. */
     mem::PrivCache &privCache(TileId t) { return *_priv[t]; }
     mem::L3Bank &l3Bank(TileId t) { return *_l3[t]; }
@@ -183,6 +190,14 @@ class TiledSystem
     std::unique_ptr<noc::Mesh> _mesh;
     std::unique_ptr<mem::NucaMap> _nuca;
     std::unique_ptr<cpu::BarrierController> _barrier;
+    /**
+     * Stream-lifecycle logs, empty unless cfg.traceStreams: [2t] is
+     * tile t's SE_core, [2t+1] its SE_L3. Each is written only in its
+     * tile's execution context, and this tile order makes the merged
+     * trace the same for any worker count. Declared before the
+     * components that point into it.
+     */
+    std::vector<trace::StreamLog> _streamLogs;
 
     std::vector<std::unique_ptr<mem::TlbHierarchy>> _tlbs;
     std::vector<std::unique_ptr<mem::PrivCache>> _priv;

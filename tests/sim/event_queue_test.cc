@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,29 +57,6 @@ TEST(EventQueue, ScheduleInIsRelative)
     });
     eq.run();
     EXPECT_EQ(seen, 105u);
-}
-
-TEST(EventQueue, DescheduleSkipsEvent)
-{
-    EventQueue eq;
-    bool ran = false;
-    auto id = eq.schedule(10, [&]() { ran = true; });
-    eq.deschedule(id);
-    EXPECT_TRUE(eq.empty());
-    eq.run();
-    EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, DescheduleOneOfManyAtSameTick)
-{
-    EventQueue eq;
-    int sum = 0;
-    eq.schedule(10, [&]() { sum += 1; });
-    auto id = eq.schedule(10, [&]() { sum += 10; });
-    eq.schedule(10, [&]() { sum += 100; });
-    eq.deschedule(id);
-    eq.run();
-    EXPECT_EQ(sum, 101);
 }
 
 TEST(EventQueue, RunWithLimitStopsEarly)
@@ -219,56 +195,34 @@ TEST(EventQueue, ArenaReusesNodesOverMillionEvents)
     EXPECT_EQ(eq.arenaInUse(), 0u);
 }
 
-/** Deschedule/reschedule churn recycles nodes through the free list. */
+/**
+ * Start/stop churn recycles the stopped nodes through the free list:
+ * run(0) executes nothing but pops the dead node at the queue head.
+ */
 TEST(EventQueue, ArenaReusesCancelledNodes)
 {
     EventQueue eq;
+    RecurringEvent rec(eq);
     for (int round = 0; round < 100'000; ++round) {
-        auto id = eq.schedule(Tick(round + 10), []() {});
-        eq.deschedule(id);
+        rec.start(Cycles(round % 100 + 10), []() {});
+        rec.stop();
+        eq.run(0);
     }
     EXPECT_TRUE(eq.empty());
-    EXPECT_LE(eq.arenaCapacity(), 1024u);
+    EXPECT_EQ(eq.arenaInUse(), 0u);
+    EXPECT_LE(eq.arenaCapacity(), 512u);
     eq.run();
     EXPECT_EQ(eq.numExecuted(), 0u);
+    EXPECT_EQ(eq.curTick(), 0u);
 }
 
-// --- tombstone compaction ---
-
-TEST(EventQueue, TombstonesCompactPastThreshold)
-{
-    EventQueue eq;
-    const size_t n = EventQueue::tombstoneCompactionThreshold + 100;
-    std::vector<EventQueue::EventId> ids;
-    int ran = 0;
-    for (size_t i = 0; i < n; ++i)
-        ids.push_back(
-            eq.schedule(Tick(1000 + i), [&]() { ++ran; }));
-    // A survivor among the tombstones, plus one beyond the horizon so
-    // the compaction walks the far heap too.
-    eq.schedule(1500, [&]() { ++ran; });
-    eq.schedule(Tick(EventQueue::wheelBuckets + 5000), [&]() { ++ran; });
-    for (auto id : ids)
-        eq.deschedule(id);
-    // Crossing the threshold compacted once: the first 1024 dead
-    // nodes are physically gone; the 100 descheduled afterwards are
-    // lazy tombstones still queued.
-    EXPECT_EQ(eq.compactions(), 1u);
-    EXPECT_EQ(eq.tombstones(),
-              n - EventQueue::tombstoneCompactionThreshold);
-    EXPECT_EQ(eq.numPending(), 2u);
-    EXPECT_EQ(eq.arenaInUse(),
-              2u + n - EventQueue::tombstoneCompactionThreshold);
-    eq.run();
-    EXPECT_EQ(ran, 2);
-    EXPECT_EQ(eq.arenaInUse(), 0u);
-}
-
+/** A stopped node beyond run(limit) is still popped and recycled. */
 TEST(EventQueue, CancelledEventsDiscardedBeyondRunLimit)
 {
     EventQueue eq;
-    auto id = eq.schedule(100, []() {});
-    eq.deschedule(id);
+    RecurringEvent rec(eq);
+    rec.start(100, []() {});
+    rec.stop();
     eq.run(50);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.arenaInUse(), 0u);
@@ -419,15 +373,6 @@ class RefQueue
         return add(when, key, std::move(fn), prio);
     }
 
-    void
-    deschedule(EventId id)
-    {
-        auto it = _byId.find(id);
-        ASSERT_NE(it, _byId.end());
-        _order.erase(it->second);
-        _byId.erase(it);
-    }
-
     Tick
     run(Tick limit = maxTick)
     {
@@ -436,7 +381,6 @@ class RefQueue
             auto it = _order.begin();
             _cur = std::get<0>(it->first);
             Handler fn = std::move(it->second);
-            _byId.erase(std::get<3>(it->first));
             _order.erase(it);
             fn();
         }
@@ -466,13 +410,12 @@ class RefQueue
     add(Tick when, uint64_t key, Handler fn, EventPriority prio)
     {
         EventId id = _nextSeq++;
-        Key k{when, static_cast<int32_t>(prio), key, id};
-        _byId[id] = _order.emplace(k, std::move(fn)).first;
+        _order.emplace(Key{when, static_cast<int32_t>(prio), key, id},
+                       std::move(fn));
         return id;
     }
 
     std::map<Key, Handler> _order;
-    std::map<EventId, std::map<Key, Handler>::iterator> _byId;
     Tick _cur = 0;
     EventId _nextSeq = 0;
 };
@@ -505,7 +448,6 @@ struct Coverage
     uint64_t farWheelTies = 0;
     uint64_t keyedBursts = 0;
     uint64_t lowerPrioSameTick = 0;
-    uint64_t massCancels = 0;
 };
 
 /**
@@ -529,8 +471,6 @@ class Scenario
         Mix top{_seed * 7919 + 1};
         for (int phase = 0; phase < 6; ++phase) {
             spawnSome(top, 4 + top.below(16));
-            if (phase == 1)
-                setUpMassCancel(top);
             probe(q.run(q.curTick() + top.below(40)));
             // run(limit) left a later tick parked: insert before it,
             // at the current tick and at an earlier future tick.
@@ -561,46 +501,21 @@ class Scenario
     Coverage cov;
 
   private:
-    enum Kind : uint8_t { Normal, Leaf, MassCancel };
+    enum Kind : uint8_t { Normal, Leaf };
 
     void probe(uint64_t v) { _log.push_back({~Tick(0), v}); }
 
-    /** Schedule one event of @p kind; tracks its id as live. */
+    /** Schedule one event of @p kind. */
     void
     add(Tick when, EventPriority prio, uint64_t key, Kind kind)
     {
         size_t slot = _ids.size();
         _ids.push_back(0);
         auto fn = [this, slot, kind]() { fire(_ids[slot], kind); };
-        uint64_t id = key ? q.scheduleKeyed(when, key, fn, prio)
-                          : q.schedule(when, fn, prio);
-        _ids[slot] = id;
-        _livePos[id] = _live.size();
-        _live.push_back(id);
+        _ids[slot] = key ? q.scheduleKeyed(when, key, fn, prio)
+                         : q.schedule(when, fn, prio);
         if (when >= q.curTick() + EventQueue::wheelBuckets)
             _farTicks.push_back(when);
-    }
-
-    void
-    dropLive(uint64_t id)
-    {
-        auto it = _livePos.find(id);
-        size_t pos = it->second;
-        _livePos.erase(it);
-        uint64_t last = _live.back();
-        _live.pop_back();
-        if (pos < _live.size()) {
-            _live[pos] = last;
-            _livePos[last] = pos;
-        }
-    }
-
-    void
-    cancelRandom(Mix &r)
-    {
-        uint64_t id = _live[r.below(_live.size())];
-        dropLive(id);
-        q.deschedule(id);
     }
 
     /** @p n events at exactly tick @p when, mixed priorities. */
@@ -664,35 +579,13 @@ class Scenario
         }
     }
 
-    /**
-     * ~1100-1300 leaf events over ticks now+3 .. now+8 plus one event
-     * at now+3 that deschedules 1100 live ids, crossing the
-     * tombstone-compaction threshold in the middle of a drain.
-     */
-    void
-    setUpMassCancel(Mix &r)
-    {
-        Tick now = q.curTick();
-        uint64_t n = 1100 + r.below(200);
-        for (uint64_t i = 0; i < n; ++i)
-            add(now + 3 + r.below(6), allPrios[r.below(4)], 0, Leaf);
-        add(now + 3, allPrios[r.below(3)], 0, MassCancel);
-    }
-
     void
     fire(uint64_t id, Kind kind)
     {
         _log.push_back({q.curTick(), id});
-        dropLive(id);
-        Mix r{_seed ^ (id * 0x2545f4914f6cdd1dull)};
-        if (kind == MassCancel) {
-            ++cov.massCancels;
-            for (int i = 0; i < 1100 && !_live.empty(); ++i)
-                cancelRandom(r);
-            return;
-        }
         if (kind == Leaf)
             return;
+        Mix r{_seed ^ (id * 0x2545f4914f6cdd1dull)};
         if (r.below(4) == 0) {
             // Same tick, lower priority than the running event when
             // the draw allows it (runs next, ahead of the rest).
@@ -700,10 +593,6 @@ class Scenario
             add(q.curTick(), EventPriority::Delivery, 0, Leaf);
         }
         spawnSome(r, r.below(4));
-        if (r.below(8) == 0) {
-            for (uint64_t i = 1 + r.below(3); i > 0 && !_live.empty(); --i)
-                cancelRandom(r);
-        }
     }
 
     uint64_t _seed;
@@ -711,8 +600,6 @@ class Scenario
     uint64_t _keyCnt = 0;
     Log _log;
     std::vector<uint64_t> _ids;
-    std::vector<uint64_t> _live;
-    std::unordered_map<uint64_t, size_t> _livePos;
     /** Far-heap ticks in scheduling order; [_farHead, end) upcoming. */
     std::vector<Tick> _farTicks;
     size_t _farHead = 0;
@@ -726,13 +613,12 @@ class Scenario
  * agree event for event. The mixes cover all four priorities, keyed
  * bursts inserted in descending key order, same-tick inserts below
  * the running priority, far-heap and wheel events on one tick,
- * tombstone compaction mid-drain, run(limit) parking a tick followed
- * by inserts ahead of it, and advanceTo.
+ * run(limit) parking a tick followed by inserts ahead of it, and
+ * advanceTo.
  */
 TEST(EventQueue, DifferentialOrderingAgainstReference)
 {
     Coverage total;
-    uint64_t compactions = 0;
     for (uint64_t seed = 0; seed < 200; ++seed) {
         Scenario<EventQueue> real(seed);
         Scenario<RefQueue> ref(seed);
@@ -745,15 +631,11 @@ TEST(EventQueue, DifferentialOrderingAgainstReference)
         }
         EXPECT_TRUE(real.q.empty());
         EXPECT_EQ(real.q.arenaInUse(), 0u);
-        compactions += real.q.compactions();
         total.parkedInserts += real.cov.parkedInserts;
         total.farWheelTies += real.cov.farWheelTies;
         total.keyedBursts += real.cov.keyedBursts;
         total.lowerPrioSameTick += real.cov.lowerPrioSameTick;
-        total.massCancels += real.cov.massCancels;
     }
-    EXPECT_GE(compactions, 100u);
-    EXPECT_GE(total.massCancels, 100u);
     EXPECT_GT(total.parkedInserts, 0u);
     EXPECT_GT(total.farWheelTies, 0u);
     EXPECT_GT(total.keyedBursts, 0u);

@@ -3,7 +3,8 @@
  * Observability-layer integration tests: the JSON stat dump must
  * round-trip through a parser and agree with the SimResults aggregates,
  * interval sampling must produce aligned time series, and the
- * stream-lifecycle tracer must export a well-formed Chrome trace.
+ * stream-lifecycle logs must export a well-formed Chrome trace that is
+ * the same for any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 #include <sstream>
 
 #include "common/test_json.hh"
-#include "sim/stream_trace.hh"
 #include "system/tiled_system.hh"
 #include "workload/workload.hh"
 
@@ -26,26 +26,55 @@ struct RunOutput
     test_json::Value json;
 };
 
-RunOutput
-runWithJson(Machine m, const std::string &wl_name, Cycles interval)
+SystemConfig
+smallConfig(Machine m)
 {
     SystemConfig cfg =
         SystemConfig::make(m, cpu::CoreConfig::ooo4(), 2, 2);
     cfg.maxCycles = 30'000'000;
-    cfg.samplingInterval = interval;
-    TiledSystem sys(cfg);
+    return cfg;
+}
+
+/** Run @p wl_name at scale 0.02 on @p sys, built from @p cfg. */
+SimResults
+runOn(TiledSystem &sys, const SystemConfig &cfg, const std::string &wl_name)
+{
     workload::WorkloadParams wp;
     wp.numThreads = cfg.numTiles();
     wp.scale = 0.02;
-    wp.useStreams = machineUsesStreams(m);
+    wp.useStreams = machineUsesStreams(cfg.machine);
     auto wl = workload::makeWorkload(wl_name, wp);
     wl->init(sys.addressSpace());
     SimResults r = sys.run(wl->makeAllThreads());
     EXPECT_FALSE(r.hitCycleLimit);
+    return r;
+}
+
+RunOutput
+runWithJson(Machine m, const std::string &wl_name, Cycles interval)
+{
+    SystemConfig cfg = smallConfig(m);
+    cfg.samplingInterval = interval;
+    TiledSystem sys(cfg);
+    SimResults r = runOn(sys, cfg, wl_name);
 
     std::ostringstream os;
     sys.dumpStatsJson(os, r);
     return {r, test_json::parse(os.str())};
+}
+
+/** An SF run with stream tracing on; @return its Chrome trace. */
+std::string
+tracedRun(const std::string &wl_name, int threads, SimResults *out)
+{
+    SystemConfig cfg = smallConfig(Machine::SF);
+    cfg.traceStreams = true;
+    cfg.threads = threads;
+    TiledSystem sys(cfg);
+    *out = runOn(sys, cfg, wl_name);
+    std::ostringstream os;
+    sys.writeStreamTrace(os);
+    return os.str();
 }
 
 } // namespace
@@ -90,11 +119,9 @@ TEST(StatsJson, EventQueueGroupAndHostStatsOptIn)
     const auto &eq = j.at("groups").at("sim.eventq");
     EXPECT_GE(eq.at("executed").number, double(r.eventsExecuted));
     EXPECT_GT(eq.at("executed").number, 0.0);
-    // Kernel-internal gauges (arena capacity, tombstone compactions)
-    // vary with the worker count, so like wall-clock they only enter
-    // the dump on the host-stats opt-in.
+    // The kernel's arena capacity varies with the worker count, so
+    // like wall-clock it only enters the dump on the host-stats opt-in.
     EXPECT_EQ(off.str().find("arenaCapacity"), std::string::npos);
-    EXPECT_EQ(off.str().find("compactions"), std::string::npos);
 
     // Host timing is measured on every run but, being wall-clock and
     // hence nondeterministic, only enters the dump on opt-in.
@@ -111,7 +138,6 @@ TEST(StatsJson, EventQueueGroupAndHostStatsOptIn)
     EXPECT_GT(j2.at("groups").at("host").at("eventsPerSec").number, 0.0);
     const auto &eq2 = j2.at("groups").at("sim.eventq");
     EXPECT_GE(eq2.at("arenaCapacity").number, 512.0);
-    EXPECT_GE(eq2.at("compactions").number, 0.0);
 }
 
 TEST(StatsJson, GroupTotalsMatchAggregates)
@@ -170,28 +196,22 @@ TEST(StatsJson, SamplingOffEmitsNoSeries)
 
 TEST(StreamTrace, ChromeTraceExportRoundTrips)
 {
-    auto &tracer = trace::StreamLifecycleTracer::instance();
-    tracer.clear();
-    tracer.setEnabled(true);
-    RunOutput out = runWithJson(Machine::SF, "pathfinder", 0);
-    tracer.setEnabled(false);
-    EXPECT_GT(out.results.streamsFloated, 0u);
-    ASSERT_FALSE(tracer.events().empty());
-
-    std::ostringstream os;
-    tracer.exportChromeTrace(os);
-    test_json::Value j = test_json::parse(os.str());
-    tracer.clear();
+    SimResults r;
+    test_json::Value j = test_json::parse(tracedRun("pathfinder", 1, &r));
+    EXPECT_GT(r.streamsFloated, 0u);
+    EXPECT_GT(r.streamTraceEvents, 0u);
 
     const auto &evs = j.at("traceEvents").array;
     ASSERT_FALSE(evs.empty());
     bool saw_float = false, saw_meta = false;
+    size_t stream_events = 0;
     for (const auto &e : evs) {
         const std::string &ph = e.at("ph").str;
         if (ph == "M") {
             saw_meta = true;
             continue;
         }
+        ++stream_events;
         // Every non-metadata event sits on a (pid, tid) stream track
         // with a microsecond timestamp and the raw tick in args.
         EXPECT_TRUE(e.has("pid"));
@@ -203,14 +223,27 @@ TEST(StreamTrace, ChromeTraceExportRoundTrips)
     }
     EXPECT_TRUE(saw_meta);
     EXPECT_TRUE(saw_float);
+    EXPECT_EQ(stream_events, r.streamTraceEvents);
 }
 
 TEST(StreamTrace, DisabledTracerRecordsNothing)
 {
-    auto &tracer = trace::StreamLifecycleTracer::instance();
-    tracer.clear();
-    tracer.setEnabled(false);
     RunOutput out = runWithJson(Machine::SF, "pathfinder", 0);
     EXPECT_GT(out.results.streamsFloated, 0u);
-    EXPECT_TRUE(tracer.events().empty());
+    EXPECT_EQ(out.results.streamTraceEvents, 0u);
+}
+
+/**
+ * Each log is one tile's own history, so the merged trace is the same
+ * file whether one worker or four ran the tiles.
+ */
+TEST(StreamTrace, SameTraceAtAnyWorkerCount)
+{
+    SimResults r1, r4;
+    std::string t1 = tracedRun("conv3d", 1, &r1);
+    std::string t4 = tracedRun("conv3d", 4, &r4);
+    EXPECT_GT(r1.migrations, 0u);
+    EXPECT_GT(r1.streamTraceEvents, 0u);
+    EXPECT_EQ(r1.cycles, r4.cycles);
+    EXPECT_EQ(t1, t4);
 }
