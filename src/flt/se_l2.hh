@@ -174,7 +174,7 @@ class SEL2 : public SimObject,
         const std::function<void(const FloatedView &)> &fn) const;
     /** Latest generation ever issued for @p sid (0 = never floated). */
     uint32_t
-    latestGen(StreamId sid) const
+    latestGen(StreamId sid) const override
     {
         auto it = _genCounter.find(sid);
         return it == _genCounter.end() ? 0 : it->second;

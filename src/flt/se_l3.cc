@@ -77,7 +77,7 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
                (unsigned long long)msg->nextElem,
                (unsigned long long)msg->creditLimit);
     if (_streamLog) {
-        _streamLog->push_back({curTick(), msg->gsid,
+        _streamLog->push_back({curTick(), msg->gsid, msg->gen,
                                trace::StreamPhase::Arrive, _tile,
                                msg->isMigration ? "migration" : "config"});
     }
@@ -201,7 +201,7 @@ SEL3::sendAck(const GlobalStreamId &gsid, uint32_t gen, bool nack)
         SF_DPRINTF(SEL3, "NACK c%d.s%d gen=%u (table full)", gsid.core,
                    gsid.sid, gen);
         if (_streamLog) {
-            _streamLog->push_back({curTick(), gsid,
+            _streamLog->push_back({curTick(), gsid, gen,
                                    trace::StreamPhase::Arrive, _tile,
                                    "nack"});
         }
@@ -274,7 +274,8 @@ SEL3::recvCredit(const std::shared_ptr<StreamCreditMsg> &msg)
                    msg->gsid.core, msg->gsid.sid,
                    (unsigned long long)msg->creditLimit);
         if (_streamLog) {
-            _streamLog->push_back({curTick(), it->members.front().gsid,
+            const Member &lead = it->members.front();
+            _streamLog->push_back({curTick(), lead.gsid, lead.gen,
                                    trace::StreamPhase::Resume, _tile, {}});
         }
     }
@@ -407,12 +408,13 @@ SEL3::issueOne(Entry &e)
         if (!e.stalledOnCredit) {
             e.stalledOnCredit = true;
             ++_stats.creditStalls;
-            const GlobalStreamId &gsid = e.members.front().gsid;
+            const Member &lead = e.members.front();
+            const GlobalStreamId &gsid = lead.gsid;
             SF_DPRINTF(SEL3, "credit stall c%d.s%d at elem %llu",
                        gsid.core, gsid.sid,
                        (unsigned long long)e.issuePos);
             if (_streamLog) {
-                _streamLog->push_back({curTick(), gsid,
+                _streamLog->push_back({curTick(), gsid, lead.gen,
                                        trace::StreamPhase::CreditStall,
                                        _tile, {}});
             }
@@ -630,7 +632,7 @@ SEL3::migrate(Entry &e, TileId next_bank)
                    m.gsid.core, m.gsid.sid, next_bank,
                    (unsigned long long)e.issuePos);
         if (_streamLog) {
-            _streamLog->push_back({curTick(), m.gsid,
+            _streamLog->push_back({curTick(), m.gsid, m.gen,
                                    trace::StreamPhase::Migrate, _tile,
                                    "to bank " + std::to_string(next_bank)});
         }

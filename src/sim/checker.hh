@@ -13,16 +13,14 @@
  * Levels: Off (no checks, zero overhead), Basic (cheap structural
  * scans: stream tables, credit windows, drain residue), Full (adds
  * the expensive sweeps: full cache-array MESI walks and per-packet
- * NoC conservation tracking). Selected via SystemConfig::checkLevel,
- * overridable with the SF_CHECK environment variable
- * (off|basic|full).
+ * NoC conservation tracking). Selected via SystemConfig::checkLevel
+ * (the --check=off|basic|full option).
  */
 
 #ifndef SF_SIM_CHECKER_HH
 #define SF_SIM_CHECKER_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <utility>
@@ -63,14 +61,6 @@ checkLevelFromString(const std::string &s)
     if (s == "full" || s == "2" || s == "strict")
         return CheckLevel::Full;
     fatal("unknown check level '%s' (off|basic|full)", s.c_str());
-}
-
-/** SF_CHECK environment override; @p dflt when unset. */
-inline CheckLevel
-checkLevelFromEnv(CheckLevel dflt)
-{
-    const char *env = std::getenv("SF_CHECK");
-    return env && *env ? checkLevelFromString(env) : dflt;
 }
 
 class Checker

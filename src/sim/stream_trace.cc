@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "sim/json.hh"
 
@@ -35,7 +36,7 @@ tickToUs(Tick t)
 }
 
 void
-writeEvent(json::Writer &w, const StreamEvent &e, const char *ph,
+writeEvent(json::Writer &w, const StreamEvent &e, int tid, const char *ph,
            Tick dur_ticks)
 {
     w.beginObject();
@@ -48,9 +49,10 @@ writeEvent(json::Writer &w, const StreamEvent &e, const char *ph,
     if (ph[0] == 'i')
         w.kv("s", "t");
     w.kv("pid", static_cast<int>(e.gsid.core));
-    w.kv("tid", static_cast<int>(e.gsid.sid));
+    w.kv("tid", tid);
     w.beginObject("args");
     w.kv("tick", e.tick);
+    w.kv("gen", static_cast<uint64_t>(e.gen));
     w.kv("tile", static_cast<int>(e.tile));
     if (!e.detail.empty())
         w.kv("detail", e.detail);
@@ -63,13 +65,14 @@ writeEvent(json::Writer &w, const StreamEvent &e, const char *ph,
 void
 writeChromeTrace(std::ostream &os, const std::vector<StreamLog> &logs)
 {
-    std::map<std::pair<TileId, StreamId>, std::vector<const StreamEvent *>>
-        perStream;
+    std::map<std::tuple<TileId, StreamId, uint32_t>,
+             std::vector<const StreamEvent *>>
+        perTrack;
     for (const StreamLog &log : logs) {
         for (const auto &e : log)
-            perStream[{e.gsid.core, e.gsid.sid}].push_back(&e);
+            perTrack[{e.gsid.core, e.gsid.sid, e.gen}].push_back(&e);
     }
-    for (auto &[key, evs] : perStream) {
+    for (auto &[key, evs] : perTrack) {
         std::stable_sort(evs.begin(), evs.end(),
                          [](const StreamEvent *a, const StreamEvent *b) {
                              return a->tick < b->tick;
@@ -83,8 +86,8 @@ writeChromeTrace(std::ostream &os, const std::vector<StreamLog> &logs)
 
     // Name each per-core process track once.
     std::set<TileId> cores;
-    for (const auto &[key, evs] : perStream)
-        cores.insert(key.first);
+    for (const auto &[key, evs] : perTrack)
+        cores.insert(std::get<0>(key));
     for (TileId core : cores) {
         w.beginObject();
         w.kv("name", "process_name");
@@ -96,14 +99,36 @@ writeChromeTrace(std::ostream &os, const std::vector<StreamLog> &logs)
         w.endObject();
     }
 
-    for (const auto &[key, evs] : perStream) {
+    // One named thread per track; tids count up per core in
+    // (stream id, gen) order.
+    TileId lastCore = invalidTile;
+    int tid = 0;
+    for (const auto &[key, evs] : perTrack) {
+        const auto &[core, sid, gen] = key;
+        tid = core == lastCore ? tid + 1 : 0;
+        lastCore = core;
+        w.beginObject();
+        w.kv("name", "thread_name");
+        w.kv("ph", "M");
+        w.kv("pid", static_cast<int>(core));
+        w.kv("tid", tid);
+        // Not `"s" + std::to_string(sid)`: gcc 12 at -O3 flags that
+        // with a false -Wrestrict.
+        std::string name = "s";
+        name += std::to_string(sid) + " gen " + std::to_string(gen);
+        w.beginObject("args");
+        w.kv("name", name);
+        w.endObject();
+        w.endObject();
         for (size_t i = 0; i < evs.size(); ++i) {
             const StreamEvent &e = *evs[i];
-            if (i + 1 < evs.size()) {
-                writeEvent(w, e, "X", evs[i + 1]->tick - e.tick);
+            if (i + 1 < evs.size() && e.phase != StreamPhase::End) {
+                writeEvent(w, e, tid, "X", evs[i + 1]->tick - e.tick);
             } else {
-                // Final transition: an instant marker.
-                writeEvent(w, e, "i", 0);
+                // Final transition, or an end that a later incarnation
+                // which never floated shares the track with: an
+                // instant marker.
+                writeEvent(w, e, tid, "i", 0);
             }
         }
     }

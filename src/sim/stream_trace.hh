@@ -9,8 +9,9 @@
  * need no lock and their contents do not depend on the worker count.
  * writeChromeTrace() merges them into Chrome trace-event JSON (load in
  * chrome://tracing or https://ui.perfetto.dev): one track per stream
- * (pid = owning core, tid = stream id), with each lifecycle state
- * rendered as a duration slice up to the next transition.
+ * incarnation (pid = owning core, one named thread per (stream id,
+ * generation)), with each lifecycle state rendered as a duration
+ * slice up to the next transition; `end` is an instant.
  */
 
 #ifndef SF_SIM_STREAM_TRACE_HH
@@ -44,6 +45,15 @@ struct StreamEvent
 {
     Tick tick = 0;
     GlobalStreamId gsid;
+    /**
+     * Float generation of the incarnation (SE_L2 stamps it on every
+     * float and migration message). SE_core records the generation
+     * the stream's next float will carry until it floats. So once a
+     * stream has floated, the next stream_cfg of its id gets a new
+     * track, and a late message of the old generation stays on the
+     * old one; incarnations that never float share a track in order.
+     */
+    uint32_t gen = 0;
     StreamPhase phase = StreamPhase::Config;
     /** Tile where the transition happened (bank for SE_L3 events). */
     TileId tile = invalidTile;
@@ -55,9 +65,9 @@ using StreamLog = std::vector<StreamEvent>;
 
 /**
  * Write @p logs as Chrome trace-event JSON. Events are bucketed per
- * stream in the order given, then stable-sorted by tick, so same-tick
- * events of one stream keep log order. Ticks map to trace
- * microseconds at the 2 GHz clock of Table III.
+ * (core, stream id, gen) track in the order given, then stable-sorted
+ * by tick, so same-tick events of one track keep log order. Ticks map
+ * to trace microseconds at the 2 GHz clock of Table III.
  */
 void writeChromeTrace(std::ostream &os, const std::vector<StreamLog> &logs);
 

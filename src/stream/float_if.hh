@@ -57,6 +57,12 @@ class FloatControllerIf
     virtual bool isFloating(StreamId sid) const = 0;
 
     /**
+     * Latest float generation issued for @p sid (0 = never floated);
+     * each accepted float of @p sid issues the next one.
+     */
+    virtual uint32_t latestGen(StreamId sid) const = 0;
+
+    /**
      * Fetch indirect floated elements by (sid, index): the core cannot
      * compute their addresses, so these bypass the L1/L2 tag check and
      * match directly in the SE_L2 buffer. @p prof_id is the caller's

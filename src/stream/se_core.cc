@@ -105,7 +105,8 @@ SECore::configure(const std::vector<isa::StreamConfig> &group)
                                    : cfg.affine.elemSize,
                    cfg.lengthKnown);
         if (_streamLog) {
-            _streamLog->push_back({curTick(), {_tile, cfg.sid},
+            s.traceGen = (_floatCtrl ? _floatCtrl->latestGen(cfg.sid) : 0) + 1;
+            _streamLog->push_back({curTick(), {_tile, cfg.sid}, s.traceGen,
                                    trace::StreamPhase::Config, _tile, {}});
         }
     }
@@ -143,8 +144,8 @@ SECore::end(StreamId sid)
     SF_DPRINTF(StreamFloat, "end sid=%d floating=%d consumed=%llu", sid,
                s.floating, (unsigned long long)s.commitBase);
     if (_streamLog) {
-        _streamLog->push_back(
-            {curTick(), {_tile, sid}, trace::StreamPhase::End, _tile, {}});
+        _streamLog->push_back({curTick(), {_tile, sid}, s.traceGen,
+                               trace::StreamPhase::End, _tile, {}});
     }
     if (s.floating && _floatCtrl)
         _floatCtrl->unfloatStream(sid);
@@ -758,7 +759,8 @@ SECore::maybeFloat(StreamId sid, uint64_t start_elem, bool at_config)
                (unsigned long long)start_elem, reason,
                req.indirects.size());
     if (_streamLog) {
-        _streamLog->push_back({curTick(), {_tile, sid},
+        s.traceGen = _floatCtrl->latestGen(sid);
+        _streamLog->push_back({curTick(), {_tile, sid}, s.traceGen,
                                trace::StreamPhase::Float, _tile, reason});
     }
     s.floating = true;
@@ -803,7 +805,7 @@ SECore::sink(StreamId sid, const char *reason)
         return;
     SF_DPRINTF(StreamFloat, "sink sid=%d (%s)", sid, reason);
     if (_streamLog) {
-        _streamLog->push_back({curTick(), {_tile, sid},
+        _streamLog->push_back({curTick(), {_tile, sid}, s.traceGen,
                                trace::StreamPhase::Sink, _tile, reason});
     }
     // Sink the whole group: the base and its indirect children.

@@ -229,6 +229,9 @@ class SECore : public SimObject, public cpu::StreamEngineIf
         uint64_t quotaElems = 8;
         /** Guards stale fetch callbacks across reconfigurations. */
         uint32_t epoch = 0;
+        /** Float generation this incarnation's trace records carry
+         *  (trace::StreamEvent::gen; set only while tracing). */
+        uint32_t traceGen = 0;
         /** --verify: observed element bytes, keyed by absolute index
          *  (ordered — the commit-time sweep iterates it). */
         std::map<uint64_t, std::vector<uint8_t>> vElems;

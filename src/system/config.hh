@@ -159,10 +159,7 @@ struct SystemConfig
     bool profile = false;
 
     // --- robustness layer ---
-    /**
-     * Invariant-checker level (off/basic/full); the SF_CHECK env var
-     * overrides whatever the driver configured.
-     */
+    /** Invariant-checker level (off/basic/full; set by --check). */
     CheckLevel checkLevel = CheckLevel::Off;
     /** Cycles between periodic invariant sweeps. */
     Cycles checkInterval = 50'000;

@@ -24,7 +24,7 @@ namespace {
  * never results.
  */
 int
-effectiveThreadCount(const SystemConfig &cfg, CheckLevel check)
+effectiveThreadCount(const SystemConfig &cfg)
 {
     int threads = std::max(1, cfg.threads);
     threads = std::min(threads, cfg.numTiles());
@@ -42,7 +42,7 @@ effectiveThreadCount(const SystemConfig &cfg, CheckLevel check)
         force_serial("--verify");
     if (cfg.faults.enabled())
         force_serial("fault injection");
-    if (check >= CheckLevel::Full)
+    if (cfg.checkLevel >= CheckLevel::Full)
         force_serial("full invariant checking");
     if (debug::flagMask != 0)
         force_serial("debug output (SF_DEBUG_FLAGS)");
@@ -53,8 +53,6 @@ effectiveThreadCount(const SystemConfig &cfg, CheckLevel check)
 
 TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
 {
-    _checkLevel = checkLevelFromEnv(_cfg.checkLevel);
-
     // Structural faults reshape the machine itself, so they apply
     // before any tile is built.
     if (_cfg.faults.overflowEntries > 0) {
@@ -70,7 +68,7 @@ TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
     Cycles lookahead = _cfg.noc.routerLatency + _cfg.noc.linkLatency + 1;
     _domains = std::make_unique<sim::TileDomains>(
         _eq, _cfg.numTiles(),
-        effectiveThreadCount(_cfg, _checkLevel), lookahead);
+        effectiveThreadCount(_cfg), lookahead);
 
     _as = std::make_unique<mem::AddressSpace>(0, _physMem);
     // Lazy first-touch (speculative indirect chasing) can translate
@@ -379,7 +377,7 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
     if (_sampler)
         _sampler->stop();
 
-    if (!hit_limit && _checkLevel > CheckLevel::Off)
+    if (!hit_limit && _cfg.checkLevel > CheckLevel::Off)
         drainAndCheck();
 
     if (_prof) {
@@ -441,10 +439,10 @@ TiledSystem::setupRobustness()
         warn("fault injection active: %s", _cfg.faults.describe().c_str());
     }
 
-    if (_checkLevel > CheckLevel::Off) {
-        _checker = std::make_unique<Checker>(_eq, _checkLevel,
+    if (_cfg.checkLevel > CheckLevel::Off) {
+        _checker = std::make_unique<Checker>(_eq, _cfg.checkLevel,
                                              _cfg.checkInterval);
-        if (_checkLevel >= CheckLevel::Full)
+        if (_cfg.checkLevel >= CheckLevel::Full)
             _mesh->setTrackInFlight(true);
         registerInvariantChecks();
     }
@@ -994,7 +992,7 @@ TiledSystem::dumpStatsJson(std::ostream &os, const SimResults &r) const
     w.kv("ny", _cfg.ny);
     w.kv("samplingInterval", uint64_t(_cfg.samplingInterval));
     w.kv("maxCycles", uint64_t(_cfg.maxCycles));
-    w.kv("checkLevel", checkLevelName(_checkLevel));
+    w.kv("checkLevel", checkLevelName(_cfg.checkLevel));
     w.kv("watchdogCycles", uint64_t(_cfg.watchdogCycles));
     w.kv("faults", _cfg.faults.enabled() ? _cfg.faults.describe()
                                          : std::string("none"));

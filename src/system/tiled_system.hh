@@ -127,8 +127,7 @@ class TiledSystem
     flt::SEL2 *seL2(TileId t) { return _seL2[t].get(); }
     flt::SEL3 *seL3(TileId t) { return _seL3[t].get(); }
 
-    /** Effective check level (SF_CHECK overrides the config). */
-    CheckLevel checkLevel() const { return _checkLevel; }
+    CheckLevel checkLevel() const { return _cfg.checkLevel; }
     Checker *checker() { return _checker.get(); }
     Watchdog *watchdog() { return _watchdog.get(); }
     /** Null unless message-level fault injection is configured. */
@@ -214,7 +213,6 @@ class TiledSystem
     /** Latency-attribution profiler; null unless cfg.profile. */
     std::unique_ptr<prof::Profiler> _prof;
 
-    CheckLevel _checkLevel = CheckLevel::Off;
     std::unique_ptr<verify::DataPlane> _verify;
     std::unique_ptr<FaultInjector> _faults;
     std::unique_ptr<Checker> _checker;

@@ -20,6 +20,7 @@
 #include "mem/priv_cache.hh"
 #include "mem/tlb.hh"
 #include "noc/mesh.hh"
+#include "sim/logging.hh"
 #include "stream/se_core.hh"
 
 namespace sf {
@@ -128,6 +129,7 @@ class TestFabric
     flt::SEL3 &seL3(TileId t) { return *_seL3[t]; }
 
   private:
+    /** Routes exactly as TiledSystem::dispatch does. */
     void
     dispatch(TileId tile, const noc::MsgPtr &msg)
     {
@@ -147,14 +149,26 @@ class TestFabric
                 return;
               case MemMsgType::MemRead:
               case MemMsgType::MemWrite:
+                sf_assert(_memCtrls[tile], "memory message at non-corner");
                 _memCtrls[tile]->recvMsg(mm);
                 return;
-              default:
+              case MemMsgType::FwdGetS:
+              case MemMsgType::FwdGetM:
+              case MemMsgType::FwdGetU:
+              case MemMsgType::Inv:
+              case MemMsgType::PutAck:
+              case MemMsgType::DataS:
+              case MemMsgType::DataE:
+              case MemMsgType::DataM:
+              case MemMsgType::DataU:
                 _priv[tile]->recvMsg(mm);
                 return;
             }
+            panic("unroutable MemMsgType %d on tile %d", (int)mm->type,
+                  tile);
         }
         if (auto c = std::dynamic_pointer_cast<flt::StreamFloatMsg>(msg)) {
+            sf_assert(_seL3[tile], "stream config at non-SF tile");
             _seL3[tile]->recvConfig(c);
             return;
         }
@@ -167,10 +181,11 @@ class TestFabric
             return;
         }
         if (auto c = std::dynamic_pointer_cast<flt::StreamAckMsg>(msg)) {
-            if (_seL2[tile])
-                _seL2[tile]->recvFloatAck(c);
+            sf_assert(_seL2[tile], "stream ack at non-SF tile");
+            _seL2[tile]->recvFloatAck(c);
             return;
         }
+        panic("unroutable message on tile %d", tile);
     }
 
     Options _opt;

@@ -13,6 +13,13 @@
 
 using namespace sf;
 
+// Event nodes come only from the queue's own slab arena. The node type
+// is private, so no code outside the queue can name it, let alone
+// `new` one; this fails to compile if it ever becomes public.
+template <class Q>
+concept ExposesEventNode = requires { typename Q::Event; };
+static_assert(!ExposesEventNode<sf::EventQueue>);
+
 TEST(EventQueue, StartsAtTickZeroAndEmpty)
 {
     EventQueue eq;

@@ -303,7 +303,7 @@ TEST(ExitCodes, DefaultFatalIsConfigError)
     }
 }
 
-TEST(CheckLevelParsing, StringsAndEnv)
+TEST(CheckLevelParsing, Strings)
 {
     EXPECT_EQ(checkLevelFromString("off"), CheckLevel::Off);
     EXPECT_EQ(checkLevelFromString("none"), CheckLevel::Off);
@@ -313,9 +313,4 @@ TEST(CheckLevelParsing, StringsAndEnv)
     EXPECT_EQ(checkLevelFromString("strict"), CheckLevel::Full);
     EXPECT_THROW(checkLevelFromString("bogus"), FatalError);
     EXPECT_STREQ(checkLevelName(CheckLevel::Full), "full");
-
-    ::setenv("SF_CHECK", "full", 1);
-    EXPECT_EQ(checkLevelFromEnv(CheckLevel::Off), CheckLevel::Full);
-    ::unsetenv("SF_CHECK");
-    EXPECT_EQ(checkLevelFromEnv(CheckLevel::Basic), CheckLevel::Basic);
 }

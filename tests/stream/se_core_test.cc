@@ -293,6 +293,7 @@ class ParkingFloatCtrl : public stream::FloatControllerIf
     bool floatStream(const stream::FloatRequest &) override { return true; }
     void unfloatStream(StreamId) override {}
     bool isFloating(StreamId) const override { return true; }
+    uint32_t latestGen(StreamId) const override { return 0; }
 
     void
     fetchFloatedElems(StreamId sid, uint64_t first_idx, uint16_t count,

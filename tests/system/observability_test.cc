@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/test_json.hh"
+#include "sim/stream_trace.hh"
 #include "system/tiled_system.hh"
 #include "workload/workload.hh"
 
@@ -231,6 +235,60 @@ TEST(StreamTrace, DisabledTracerRecordsNothing)
     RunOutput out = runWithJson(Machine::SF, "pathfinder", 0);
     EXPECT_GT(out.results.streamsFloated, 0u);
     EXPECT_EQ(out.results.streamTraceEvents, 0u);
+}
+
+/**
+ * Two incarnations of one stream id get separate tracks. The case: a
+ * late SE_L3 arrive of generation 1 lands at the tick at which the
+ * core configures and floats the stream again (generation 2). Keyed
+ * by (core, sid) alone, both would share one track.
+ */
+TEST(StreamTrace, IncarnationsGetSeparateTracks)
+{
+    using trace::StreamPhase;
+    const GlobalStreamId c0s3{0, 3};
+    trace::StreamLog core = {
+        {100, c0s3, 1, StreamPhase::Config, 0, {}},
+        {100, c0s3, 1, StreamPhase::Float, 0, "config"},
+        {5000, c0s3, 1, StreamPhase::End, 0, {}},
+        {38350, c0s3, 2, StreamPhase::Config, 0, {}},
+        {38350, c0s3, 2, StreamPhase::Float, 0, "config"},
+    };
+    trace::StreamLog bank = {
+        {2000, c0s3, 1, StreamPhase::Arrive, 2, "config"},
+        {38350, c0s3, 1, StreamPhase::Arrive, 2, "config"},
+        {38357, c0s3, 2, StreamPhase::Arrive, 2, "config"},
+    };
+    std::ostringstream os;
+    trace::writeChromeTrace(os, {core, bank});
+    test_json::Value j = test_json::parse(os.str());
+
+    // tid of each (name, tick) record, and the name of each track.
+    std::map<std::pair<std::string, double>, double> tidOf;
+    std::string endPh;
+    std::map<double, std::string> trackName;
+    for (const auto &e : j.at("traceEvents").array) {
+        if (e.at("name").str == "thread_name") {
+            trackName[e.at("tid").number] =
+                e.at("args").at("name").str;
+        } else if (e.at("ph").str != "M") {
+            EXPECT_EQ(e.at("pid").number, 0.0);
+            tidOf[{e.at("name").str, e.at("args").at("tick").number}] =
+                e.at("tid").number;
+            if (e.at("name").str == "end")
+                endPh = e.at("ph").str;
+        }
+    }
+    ASSERT_EQ(tidOf.size(), 8u);
+    double oldArrive = tidOf.at({"arrive", 38350});
+    double newConfig = tidOf.at({"config", 38350});
+    EXPECT_NE(oldArrive, newConfig);
+    EXPECT_EQ(oldArrive, tidOf.at({"config", 100}));
+    EXPECT_EQ(newConfig, tidOf.at({"arrive", 38357}));
+    EXPECT_EQ(trackName.at(oldArrive), "s3 gen 1");
+    EXPECT_EQ(trackName.at(newConfig), "s3 gen 2");
+    // No slice runs from the end into the late arrival behind it.
+    EXPECT_EQ(endPh, "i");
 }
 
 /**

@@ -1,16 +1,17 @@
 /**
  * @file
  * sflint unit tests: every rule class detects its seeded fixture
- * violation, suppressions work (and unjustified ones do not), the
- * baseline ratchet only shrinks, JSON/SARIF output is byte-stable,
- * --fix is idempotent, and the concurrency contracts C1/C2 catch
- * seeded bugs in copies of the real annotated tree sources.
+ * violation, suppressions work (and unjustified or retired-rule ones
+ * do not), the text report is byte-stable and pins the full fixture
+ * finding list, and the concurrency contracts C1/C2 catch seeded bugs
+ * in copies of the real annotated tree sources.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -92,8 +93,6 @@ TEST(SflintRules, DetectsSeededViolations)
 
     EXPECT_EQ(newFindings(res, "T1", "fixtures/t1_narrow.cc").size(),
               3u);
-    EXPECT_EQ(newFindings(res, "E1", "fixtures/e1_raw_new.cc").size(),
-              1u);
 
     // s1_static.cc seeds one namespace-scope and one function-local
     // mutable static; its const/constexpr/thread_local/atomic/mutex/
@@ -162,7 +161,7 @@ TEST(SflintRules, UnjustifiedSuppressionsDoNotSilence)
     AnalysisResult res = analyze(fixtureConfig());
 
     // An `allow(RULE)` with no justification text leaves the finding
-    // new and tags it so --fix/reviewers see what is missing.
+    // new and tags it so the report says what is missing.
     for (const char *file :
          {"fixtures/c1_nojustify.cc", "fixtures/c2_nojustify.cc",
           "fixtures/d2v2_nojustify.cc"}) {
@@ -193,69 +192,97 @@ TEST(SflintRules, SuppressionsAndCleanFile)
         }
         EXPECT_NE(fd.file, "fixtures/clean.cc");
     }
-    // One suppressed case per rule class (D1, D2, E1, P1, S1, T1, C1,
-    // C2).
-    EXPECT_EQ(suppressedSeen, 8);
+    // One suppressed case per rule class (D1, D2, P1, S1, T1, C1, C2).
+    EXPECT_EQ(suppressedSeen, 7);
 }
 
-TEST(SflintBaseline, RoundTripAndRatchet)
+TEST(SflintRules, RetiredRuleSuppressionIsUnknown)
 {
-    AnalysisResult res = analyze(fixtureConfig());
-    Baseline b = baselineFromFindings(res);
-    // Suppressed findings never enter the baseline.
-    EXPECT_EQ(b.entries.size(), 22u);
+    // E1 (raw `new` of events) is retired: EventQueue::Event is a
+    // private nested type, which tests/sim/event_queue_test.cc pins at
+    // compile time. A leftover allow(E1, ...) is an A1 finding, and the
+    // `new` it sat on is no longer a finding of any rule.
+    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_retired";
+    fs::create_directories(tmp / "seed");
+    spit(tmp / "seed" / "retired.cc",
+         "struct FxDrainEvent\n"
+         "{\n"
+         "    int pad = 0;\n"
+         "};\n"
+         "\n"
+         "inline FxDrainEvent *\n"
+         "fxMake()\n"
+         "{\n"
+         "    // sflint: allow(E1, fixture: off-arena event)\n"
+         "    return new FxDrainEvent;\n"
+         "}\n");
 
-    fs::path tmp =
-        fs::path(::testing::TempDir()) / "sflint_baseline.json";
-    spit(tmp, renderBaseline(b));
-    Baseline reread = loadBaseline(tmp.string());
-    EXPECT_EQ(reread.entries, b.entries);
+    Config cfg;
+    cfg.root = tmp.string();
+    cfg.inputs = {"seed"};
+    AnalysisResult res = analyze(cfg);
+    ASSERT_EQ(res.findings.size(), 1u);
+    EXPECT_EQ(res.findings[0].rule, "A1");
+    EXPECT_EQ(res.findings[0].context, "E1");
+    EXPECT_EQ(res.findings[0].line, 9);
+    EXPECT_FALSE(res.findings[0].suppressed);
+}
 
-    // A full baseline marks every new finding as grandfathered and
-    // reports nothing stale.
-    AnalysisResult covered = analyze(fixtureConfig());
-    EXPECT_TRUE(applyBaseline(covered, reread).empty());
-    for (const Finding &fd : covered.findings) {
-        if (!fd.suppressed)
-            EXPECT_TRUE(fd.baselined) << fd.file << ":" << fd.line;
+TEST(SflintLexer, OneCommentCarriesSeveralSuppressions)
+{
+    // One line carrying findings from two rules is suppressed by two
+    // `sflint: allow(...)` groups in a single comment; the lexer must
+    // parse every group, not just the first.
+    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_shared";
+    fs::create_directories(tmp / "seed");
+    const std::string body =
+        "struct EventQueue\n"
+        "{\n"
+        "    void run();\n"
+        "};\n"
+        "\n"
+        "void\n"
+        "EventQueue::run()\n"
+        "{\n"
+        "%s"
+        "    int t = (int)curTick + rand();\n"
+        "}\n";
+    auto withComment = [&](const std::string &comment) {
+        std::string text = body;
+        text.replace(text.find("%s"), 2, comment);
+        return text;
+    };
+
+    Config cfg;
+    cfg.root = tmp.string();
+    cfg.inputs = {"seed"};
+
+    spit(tmp / "seed" / "mixed.cc", withComment(""));
+    std::set<std::string> rules;
+    AnalysisResult before = analyze(cfg);
+    for (const Finding &fd : before.findings) {
+        EXPECT_FALSE(fd.suppressed);
+        rules.insert(fd.rule);
     }
+    ASSERT_EQ(rules, (std::set<std::string>{"D2", "T1"}));
 
-    // The ratchet only shrinks: an entry whose finding is gone comes
-    // back as stale, and a finding missing from the baseline stays
-    // new.
-    Baseline drifted = b;
-    drifted.entries.insert({"D2", "fixtures/gone.cc", "rand#0"});
-    BaselineEntry dropped = *drifted.entries.begin();
-    drifted.entries.erase(drifted.entries.begin());
-
-    AnalysisResult partial = analyze(fixtureConfig());
-    std::vector<BaselineEntry> stale = applyBaseline(partial, drifted);
-    ASSERT_EQ(stale.size(), 1u);
-    EXPECT_EQ(stale[0].file, "fixtures/gone.cc");
-    int stillNew = 0;
-    for (const Finding &fd : partial.findings) {
-        if (!fd.suppressed && !fd.baselined) {
-            ++stillNew;
-            EXPECT_EQ(fd.file, dropped.file);
-            EXPECT_EQ(fd.rule, dropped.rule);
-            EXPECT_EQ(fd.key, dropped.key);
-        }
-    }
-    EXPECT_EQ(stillNew, 1);
+    spit(tmp / "seed" / "mixed.cc",
+         withComment("    // sflint: allow(D2, fixture: seeded) "
+                     "sflint: allow(T1, fixture: seeded)\n"));
+    AnalysisResult after = analyze(cfg);
+    ASSERT_EQ(after.findings.size(), before.findings.size());
+    for (const Finding &fd : after.findings)
+        EXPECT_TRUE(fd.suppressed) << fd.rule << " " << fd.message;
 }
 
 TEST(SflintOutput, ByteStableAndMatchesGolden)
 {
     AnalysisResult a = analyze(fixtureConfig());
     AnalysisResult b = analyze(fixtureConfig());
-
-    EXPECT_EQ(renderJson(a), renderJson(b));
-    EXPECT_EQ(renderSarif(a), renderSarif(b));
     EXPECT_EQ(renderText(a, true), renderText(b, true));
 
     fs::path root(SFLINT_FIXTURE_ROOT);
-    EXPECT_EQ(renderJson(a), slurp(root / "fixtures_golden.json"));
-    EXPECT_EQ(renderSarif(a), slurp(root / "fixtures_golden.sarif"));
+    EXPECT_EQ(renderText(a, true), slurp(root / "fixtures_golden.txt"));
 }
 
 TEST(SflintConcurrency, CatchesSeededLockBugInPhysMem)
@@ -328,77 +355,4 @@ TEST(SflintConcurrency, CatchesSeededAffinityBugInShard)
     ASSERT_EQ(c2.size(), 1u);
     EXPECT_EQ(c2[0].context, "_keyCnt");
     EXPECT_NE(c2[0].message.find("SF_SHARD_LOCAL"), std::string::npos);
-}
-
-TEST(SflintFix, IdempotentAcrossRerunsIncludingSharedLines)
-{
-    // One line carrying findings from two different rules forces
-    // --fix to write two `sflint: allow(...)` groups into a single
-    // comment; the re-run must parse every group (regression test for
-    // the one-directive-per-comment lexer bug) and a second --fix
-    // must change nothing.
-    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_fixidem";
-    fs::create_directories(tmp / "seed");
-    spit(tmp / "seed" / "mixed.cc",
-         "struct EventQueue\n"
-         "{\n"
-         "    void run();\n"
-         "};\n"
-         "\n"
-         "void\n"
-         "EventQueue::run()\n"
-         "{\n"
-         "    int t = (int)curTick + rand();\n"
-         "}\n");
-
-    Config cfg;
-    cfg.root = tmp.string();
-    cfg.inputs = {"seed"};
-
-    AnalysisResult before = analyze(cfg);
-    int fresh = 0;
-    for (const Finding &fd : before.findings)
-        fresh += fd.suppressed ? 0 : 1;
-    ASSERT_GE(fresh, 2); // T1 and D2 share the line
-
-    EXPECT_EQ(applyFixes(cfg, before), 1);
-    std::string once = slurp(tmp / "seed" / "mixed.cc");
-    EXPECT_NE(once.find("allow(D2, FIXME: justify)"),
-              std::string::npos);
-    EXPECT_NE(once.find("allow(T1, FIXME: justify)"),
-              std::string::npos);
-
-    AnalysisResult after = analyze(cfg);
-    for (const Finding &fd : after.findings)
-        EXPECT_TRUE(fd.suppressed) << fd.rule << " " << fd.message;
-
-    // Second pass: nothing new to fix, bytes untouched.
-    EXPECT_EQ(applyFixes(cfg, after), 0);
-    EXPECT_EQ(slurp(tmp / "seed" / "mixed.cc"), once);
-}
-
-TEST(SflintFix, InsertedAnnotationSuppresses)
-{
-    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_fixcase";
-    fs::create_directories(tmp / "fixcase");
-    fs::copy_file(fs::path(SFLINT_FIXTURE_ROOT) / "fixtures" /
-                      "d2_banned.cc",
-                  tmp / "fixcase" / "d2_banned.cc",
-                  fs::copy_options::overwrite_existing);
-
-    Config cfg;
-    cfg.root = tmp.string();
-    cfg.inputs = {"fixcase"};
-
-    AnalysisResult before = analyze(cfg);
-    ASSERT_EQ(before.findings.size(), 1u);
-    EXPECT_FALSE(before.findings[0].suppressed);
-
-    EXPECT_EQ(applyFixes(cfg, before), 1);
-    std::string fixedText = slurp(tmp / "fixcase" / "d2_banned.cc");
-    EXPECT_NE(fixedText.find("sflint: allow(D2"), std::string::npos);
-
-    AnalysisResult after = analyze(cfg);
-    ASSERT_EQ(after.findings.size(), 1u);
-    EXPECT_TRUE(after.findings[0].suppressed);
 }

@@ -1,9 +1,8 @@
 /**
  * @file
- * sflint engine: deterministic file walk, staged analysis
+ * sflint engine: deterministic file walk and staged analysis
  * (declaration registry + declaration-scoped AST, cross-TU call
- * graph, then rules), stable key assignment, and the `--fix`
- * annotation writer.
+ * graph, then rules).
  */
 
 #include "sflint.hh"
@@ -68,7 +67,7 @@ analyze(const Config &cfg)
         }
     }
     // The walk order of the filesystem is not guaranteed; sort so
-    // findings, keys and every output format are byte-stable.
+    // the findings and the report are byte-stable.
     std::vector<std::string> rels;
     rels.reserve(files.size());
     for (const fs::path &p : files)
@@ -109,60 +108,7 @@ analyze(const Config &cfg)
                       return a.rule < b.rule;
                   return a.context < b.context;
               });
-
-    // Stable keys: `<context>#<n>` numbered per (file, rule, context)
-    // in line order, so baselines survive unrelated line drift.
-    std::map<std::string, int> seen;
-    for (Finding &fd : res.findings) {
-        if (fd.suppressed)
-            continue;
-        std::string k = fd.file + "|" + fd.rule + "|" + fd.context;
-        fd.key = fd.context + "#" + std::to_string(seen[k]++);
-    }
     return res;
-}
-
-int
-applyFixes(const Config &cfg, const AnalysisResult &res)
-{
-    // Collect per file: line -> set of rules to annotate.
-    std::map<std::string, std::map<int, std::set<std::string>>> plan;
-    for (const Finding &fd : res.findings) {
-        if (fd.suppressed || fd.baselined)
-            continue;
-        plan[fd.file][fd.line].insert(fd.rule);
-    }
-    int sites = 0;
-    for (const auto &[file, lines] : plan) {
-        fs::path p = fs::path(cfg.root) / file;
-        std::string text = readFile(p);
-        std::vector<std::string> src;
-        std::istringstream in(text);
-        std::string l;
-        while (std::getline(in, l))
-            src.push_back(l);
-        // Insert bottom-up so earlier line numbers stay valid.
-        for (auto it = lines.rbegin(); it != lines.rend(); ++it) {
-            int line = it->first;
-            if (line < 1 || line > static_cast<int>(src.size()))
-                continue;
-            const std::string &target = src[line - 1];
-            std::string indent =
-                target.substr(0, target.find_first_not_of(" \t"));
-            std::string ann = indent + "//";
-            for (const std::string &r : it->second)
-                ann += " sflint: allow(" + r + ", FIXME: justify)";
-            src.insert(src.begin() + (line - 1), ann);
-            ++sites;
-        }
-        std::ofstream outf(p, std::ios::binary | std::ios::trunc);
-        if (!outf)
-            throw std::runtime_error("sflint: cannot write " +
-                                     p.string());
-        for (const std::string &s : src)
-            outf << s << '\n';
-    }
-    return sites;
 }
 
 } // namespace sflint

@@ -53,9 +53,8 @@ parseDirectives(const std::string &text, int line, SourceFile &out)
         return s.substr(b, e - b + 1);
     };
 
-    // A comment may carry several `sflint:` groups (e.g. two --fix
-    // annotations merged onto one line); parse every one of them so a
-    // re-run sees the same suppressions the writer intended.
+    // A comment may carry several `sflint:` groups (one allow() per
+    // rule when two rules fire on the same line); parse every one.
     size_t at = text.find("sflint:");
     while (at != std::string::npos) {
         size_t pos = at + 7;

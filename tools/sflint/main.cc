@@ -1,23 +1,16 @@
 /**
  * @file
- * sflint CLI. Typical invocations:
+ * sflint CLI. Typical invocation, from the repo root:
  *
- *   sflint --src src bench examples
- *   sflint --root /path/to/repo --src src \
- *       --baseline tools/sflint/baseline.json --fail-on-stale
- *   sflint --src src --json - --sarif out.sarif
- *   sflint --src src --fix          # write suppression annotations
+ *   sflint --src src bench examples tools/sflint
  *
- * Exit codes: 0 clean (every finding suppressed or baselined),
- * 1 findings / stale-baseline / ratchet violation, 2 usage or I/O
- * error.
+ * Exit codes: 0 clean (every finding carries a justified in-source
+ * suppression), 1 findings, 2 usage or I/O error.
  */
 
 #include "sflint.hh"
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -32,35 +25,11 @@ usage(const char *argv0)
         "  --root DIR            analysis root (default: .)\n"
         "  --src DIR...          directories/files to scan, relative "
         "to root\n"
-        "  --baseline FILE       grandfathered findings (ratchet)\n"
-        "  --update-baseline     drop stale entries from FILE; "
-        "refuses to add\n"
-        "  --write-baseline      bootstrap FILE from current "
-        "findings\n"
-        "  --fail-on-stale       error when baseline entries are "
-        "stale\n"
-        "  --json FILE|-         write findings JSON\n"
-        "  --sarif FILE|-        write SARIF 2.1.0\n"
-        "  --fix                 insert suppression annotations "
-        "above new findings\n"
         "  --show-suppressed     include suppressed findings in text "
         "output\n"
         "  --quiet               suppress the text report\n",
         argv0);
     return 2;
-}
-
-void
-writeOut(const std::string &path, const std::string &content)
-{
-    if (path == "-") {
-        std::fwrite(content.data(), 1, content.size(), stdout);
-        return;
-    }
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("sflint: cannot write " + path);
-    out << content;
 }
 
 } // namespace
@@ -69,40 +38,19 @@ int
 main(int argc, char **argv)
 {
     sflint::Config cfg;
-    std::string baselinePath, jsonPath, sarifPath;
-    bool updateBaseline = false, writeBaseline = false;
-    bool failOnStale = false, fix = false;
     bool showSuppressed = false, quiet = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "sflint: %s needs a value\n",
-                             a.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
         if (a == "--root") {
-            cfg.root = val();
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "sflint: --root needs a value\n");
+                return 2;
+            }
+            cfg.root = argv[++i];
         } else if (a == "--src") {
             while (i + 1 < argc && argv[i + 1][0] != '-')
                 cfg.inputs.push_back(argv[++i]);
-        } else if (a == "--baseline") {
-            baselinePath = val();
-        } else if (a == "--update-baseline") {
-            updateBaseline = true;
-        } else if (a == "--write-baseline") {
-            writeBaseline = true;
-        } else if (a == "--fail-on-stale") {
-            failOnStale = true;
-        } else if (a == "--json") {
-            jsonPath = val();
-        } else if (a == "--sarif") {
-            sarifPath = val();
-        } else if (a == "--fix") {
-            fix = true;
         } else if (a == "--show-suppressed") {
             showSuppressed = true;
         } else if (a == "--quiet") {
@@ -113,88 +61,17 @@ main(int argc, char **argv)
     }
     if (cfg.inputs.empty())
         return usage(argv[0]);
-    if ((updateBaseline || writeBaseline || failOnStale) &&
-        baselinePath.empty()) {
-        std::fprintf(stderr,
-                     "sflint: baseline operations need --baseline\n");
-        return 2;
-    }
 
     try {
         sflint::AnalysisResult res = sflint::analyze(cfg);
-
-        std::vector<sflint::BaselineEntry> stale;
-        if (!baselinePath.empty() && !writeBaseline) {
-            sflint::Baseline base = sflint::loadBaseline(baselinePath);
-            stale = sflint::applyBaseline(res, base);
-        }
-
-        if (!jsonPath.empty())
-            writeOut(jsonPath, sflint::renderJson(res));
-        if (!sarifPath.empty())
-            writeOut(sarifPath, sflint::renderSarif(res));
         if (!quiet) {
-            std::string text =
-                sflint::renderText(res, showSuppressed);
+            std::string text = sflint::renderText(res, showSuppressed);
             std::fwrite(text.data(), 1, text.size(), stdout);
         }
-
-        int fresh = 0;
         for (const sflint::Finding &fd : res.findings) {
-            if (!fd.suppressed && !fd.baselined)
-                ++fresh;
-        }
-
-        if (fix) {
-            int n = sflint::applyFixes(cfg, res);
-            std::fprintf(stdout,
-                         "sflint: annotated %d site(s); justify each "
-                         "FIXME before committing\n",
-                         n);
-            return 0;
-        }
-
-        if (writeBaseline) {
-            writeOut(baselinePath, sflint::renderBaseline(
-                                       sflint::baselineFromFindings(
-                                           res)));
-            std::fprintf(stdout, "sflint: baseline written to %s\n",
-                         baselinePath.c_str());
-            return 0;
-        }
-
-        if (updateBaseline) {
-            if (fresh > 0) {
-                std::fprintf(stderr,
-                             "sflint: refusing to add %d new "
-                             "finding(s) to the baseline — the "
-                             "ratchet only shrinks; fix or annotate "
-                             "them instead\n",
-                             fresh);
+            if (!fd.suppressed)
                 return 1;
-            }
-            writeOut(baselinePath, sflint::renderBaseline(
-                                       sflint::baselineFromFindings(
-                                           res)));
-            std::fprintf(stdout,
-                         "sflint: baseline updated (%zu stale "
-                         "entr%s removed)\n",
-                         stale.size(),
-                         stale.size() == 1 ? "y" : "ies");
-            return 0;
         }
-
-        for (const sflint::BaselineEntry &e : stale) {
-            std::fprintf(stderr,
-                         "sflint: stale baseline entry %s %s %s — "
-                         "run --update-baseline to shrink\n",
-                         e.rule.c_str(), e.file.c_str(),
-                         e.key.c_str());
-        }
-        if (fresh > 0)
-            return 1;
-        if (failOnStale && !stale.empty())
-            return 1;
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());

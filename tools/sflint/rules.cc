@@ -1,6 +1,6 @@
 /**
  * @file
- * sflint rule passes D1/D2/P1/T1/E1/S1/A1 (see sflint.hh for the
+ * sflint rule passes D1/D2/P1/T1/S1/A1 (see sflint.hh for the
  * registry of what each rule enforces and why). The concurrency rules
  * C1/C2 live in rules_concurrency.cc.
  */
@@ -487,46 +487,6 @@ ruleT1(const SourceFile &f, std::vector<Finding> &out)
     }
 }
 
-// ------------------------------------------------------------------ E1
-
-void
-ruleE1(const SourceFile &f, const Config &cfg,
-       std::vector<Finding> &out)
-{
-    if (cfg.e1Allow.count(f.path))
-        return;
-    const std::vector<Token> &toks = f.toks;
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (!isIdent(toks[i], "new"))
-            continue;
-        size_t j = i + 1;
-        // Placement form: new (addr) Type
-        if (isPunct(toks[j], "("))
-            j = matchDelim(toks, j, "(", ")");
-        // Qualified name: keep the final identifier.
-        std::string type;
-        while (j < toks.size()) {
-            if (toks[j].kind == TokKind::Ident) {
-                type = toks[j].text;
-                if (j + 1 < toks.size() && isPunct(toks[j + 1], "::")) {
-                    j += 2;
-                    continue;
-                }
-            }
-            break;
-        }
-        if (type.empty())
-            continue;
-        if (type == "Event" || type == "RecurringEvent" ||
-            endsWith(type, "Event")) {
-            emit(out, f, "E1", toks[i].line, type,
-                 "raw `new " + type +
-                     "`: event objects must come from the event-queue "
-                     "slab arena (src/sim/event_queue.hh)");
-        }
-    }
-}
-
 // ------------------------------------------------------------------ S1
 
 /**
@@ -693,7 +653,6 @@ runRules(const SourceFile &f, const Config &cfg, const Registry &reg,
     ruleD2(f, cfg, prog, cg, raw);
     ruleP1(f, cfg, reg, raw);
     ruleT1(f, raw);
-    ruleE1(f, cfg, raw);
     ruleS1(f, raw);
     ruleC1(f, prog, raw);
     ruleC2(f, prog, cg, raw);

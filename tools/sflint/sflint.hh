@@ -17,9 +17,12 @@
  *       `// sflint: ordered-ok(<reason>)`.
  *   D2  no rand()/srand()/std::random_device, no wall-clock reads
  *       (time(), gettimeofday, system_clock/steady_clock/
- *       high_resolution_clock), no getenv() outside the approved
- *       host-timing/config allowlist (bench_util.hh, sweep.cc,
- *       threads.cc — the wall-clock scaling benchmark).
+ *       high_resolution_clock) and no getenv() in functions on the
+ *       timed simulation path: reachable, via the call graph, from a
+ *       timed root (TiledSystem::run / TileDomains::runWindows /
+ *       EventQueue::run / the barrier merge) or from any callback
+ *       scheduled onto an event queue. Host-side reporting
+ *       code may read clocks and the environment freely.
  *   P1  every switch over a monitored message/coherence enum
  *       (MemMsgType, MsgType, StreamMsgType, LineState, plus any
  *       enum annotated `// sflint: exhaustive`) must be exhaustive
@@ -27,8 +30,6 @@
  *   T1  tick/cycle arithmetic must stay in the 64-bit Tick/Cycles
  *       aliases: flag declarations, static_casts and C-style casts
  *       that narrow a tick-ish expression to int/unsigned/…
- *   E1  no raw `new` of event objects outside the PR-3 slab arena
- *       (src/sim/event_queue.hh).
  *   S1  no mutable namespace-scope or function-local `static` state:
  *       with the tile-parallel engine (DESIGN.md §4i) any hidden
  *       global is a data race and a shard-count-variance hazard.
@@ -48,22 +49,20 @@
  *       not touch `SF_SHARD_LOCAL` members, and `SF_BARRIER_ONLY`
  *       functions must not be reachable from `SF_SHARD_LOCAL`
  *       (shard-context) code.
- *   D2 (v2)  a banned primitive is only illegal in functions on the
- *       timed simulation path: reachable, via the call graph, from a
- *       timed root (TiledSystem::run / TileDomains::runWindows /
- *       EventQueue::run / the barrier merge) or from any callback
- *       scheduled onto an event queue. Host-side driver/reporting
- *       code may read clocks and the environment freely — the old
- *       per-file allowlist is gone.
  *   A1  annotation hygiene: a `// sflint: allow(<RULE>, …)` naming a
  *       rule id that does not exist in the registry is a hard
  *       finding — a typo like `allow(S3, …)` must not silently mask
- *       a hazard.
+ *       a hazard. Retired ids (S2, E1) are unknown too.
  *
  * Generic suppression for any rule:
  *   `// sflint: allow(<RULE>, <reason>)` on the finding line or the
  * line directly above. A suppression without a justification is
- * invalid and the finding stands.
+ * invalid and the finding stands. A justified in-source suppression
+ * is the only way a finding is accepted: sflint has no baseline file
+ * and never rewrites sources.
+ *
+ * P1's compiler half is -Werror=switch (top-level CMakeLists.txt):
+ * once a switch is default-free, a new enumerator fails the build.
  */
 
 #ifndef SFLINT_SFLINT_HH
@@ -97,7 +96,7 @@ struct Token
 /** One parsed `sflint:` directive from a comment. */
 struct Suppression
 {
-    std::string rule;   //!< "D1".."E1", or "*"
+    std::string rule;   //!< a rule id such as "D1", or "*"
     std::string reason; //!< empty => invalid suppression
 };
 
@@ -286,13 +285,11 @@ struct Config
     std::string root = ".";
     /** Directories (or files) under root to scan. */
     std::vector<std::string> inputs;
-    /** Files allowed to place event objects (the slab arena). */
-    std::set<std::string> e1Allow = {"src/sim/event_queue.hh"};
     /** Enums whose switches must be exhaustive (P1). */
     std::set<std::string> monitoredEnums = {"MemMsgType", "MsgType",
                                             "StreamMsgType", "LineState"};
     /**
-     * Timed-simulation-path roots for D2v2, matched as a suffix of
+     * Timed-simulation-path roots for D2, matched as a suffix of
      * the qualified function name (so `sf::sim::EventQueue::run`
      * matches `EventQueue::run`). A banned D2 primitive is only
      * illegal in functions reachable from one of these roots or from
@@ -312,7 +309,7 @@ struct Config
         "scheduleTile",   "postGlobal", "deferWake",
         "setBarrierHook"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
-    std::set<std::string> knownRules = {"D1", "D2", "P1", "T1", "E1",
+    std::set<std::string> knownRules = {"D1", "D2", "P1", "T1",
                                         "S1", "C1", "C2", "A1"};
 };
 
@@ -324,10 +321,7 @@ struct Finding
     /** Stable context id (container / enum / identifier name). */
     std::string context;
     std::string message;
-    /** `<context>#<n>`: nth same-context finding in this file. */
-    std::string key;
     bool suppressed = false;
-    bool baselined = false;
 };
 
 struct AnalysisResult
@@ -346,72 +340,14 @@ void runRules(const SourceFile &f, const Config &cfg,
               const CallGraph &cg, std::vector<Finding> &out);
 
 /**
- * Walk cfg.inputs, lex, build the registry, run all rules, apply
- * suppressions and assign stable keys. Throws std::runtime_error on
- * I/O failure.
+ * Walk cfg.inputs, lex, build the registry, run all rules and apply
+ * suppressions. Throws std::runtime_error on I/O failure.
  */
 AnalysisResult analyze(const Config &cfg);
-
-// ------------------------------------------------------------- baseline
-
-struct BaselineEntry
-{
-    std::string rule;
-    std::string file;
-    std::string key;
-
-    bool
-    operator<(const BaselineEntry &o) const
-    {
-        if (file != o.file)
-            return file < o.file;
-        if (rule != o.rule)
-            return rule < o.rule;
-        return key < o.key;
-    }
-
-    bool
-    operator==(const BaselineEntry &o) const
-    {
-        return file == o.file && rule == o.rule && key == o.key;
-    }
-};
-
-struct Baseline
-{
-    std::set<BaselineEntry> entries;
-};
-
-/** Parse a baseline.json; throws std::runtime_error on bad input. */
-Baseline loadBaseline(const std::string &path);
-
-/** Serialize a baseline (stable ordering, trailing newline). */
-std::string renderBaseline(const Baseline &b);
-
-/**
- * Mark baselined findings in @p res; returns the stale entries
- * (baselined findings that no longer exist — the ratchet shrinks).
- */
-std::vector<BaselineEntry> applyBaseline(AnalysisResult &res,
-                                         const Baseline &b);
-
-/** Baseline containing exactly the active findings of @p res. */
-Baseline baselineFromFindings(const AnalysisResult &res);
 
 // -------------------------------------------------------------- output
 
 std::string renderText(const AnalysisResult &res, bool showSuppressed);
-std::string renderJson(const AnalysisResult &res);
-std::string renderSarif(const AnalysisResult &res);
-
-// ----------------------------------------------------------------- fix
-
-/**
- * Insert `// sflint: allow(<rule>, FIXME: justify)` annotations above
- * every new (non-suppressed, non-baselined) finding, rewriting files
- * under cfg.root in place. Returns the number of annotated sites.
- */
-int applyFixes(const Config &cfg, const AnalysisResult &res);
 
 } // namespace sflint
 
