@@ -26,8 +26,8 @@ namespace cpu {
  * barrier and applied in canonical (tick, tile) order — the order a
  * serial run would observe them in — because which arrival completes
  * an episode determines the release tick. The release itself executes
- * on the global queue; waiter wake-ups are re-injected into each
- * waiter's tile queue at exactly the release tick via deferWake().
+ * on the global queue, which schedules each waiter's wake-up onto its
+ * tile queue at exactly the release tick.
  */
 class BarrierController : public SimObject
 {
@@ -113,7 +113,9 @@ class BarrierController : public SimObject
             [this, waiters = std::move(waiters)]() {
                 for (const Waiter &w : waiters) {
                     if (_domains)
-                        _domains->deferWake(w.first, w.second);
+                        _domains->scheduleTile(w.first, curTick(), 0,
+                                               w.second,
+                                               EventPriority::Default);
                     else
                         w.second();
                 }

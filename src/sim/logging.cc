@@ -18,8 +18,9 @@ struct HookEntry
 std::vector<HookEntry> &
 hookRegistry()
 {
-    // Workers never add or fire diagnostic hooks.
-    // sflint: allow(S1, registry touched by the main thread only)
+    // Hooks are added and removed only while no simulation runs; an
+    // error fires them from whichever thread raised it.
+    // sflint: allow(S1, registry written only while no simulation runs)
     static std::vector<HookEntry> hooks;
     return hooks;
 }

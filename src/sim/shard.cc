@@ -8,6 +8,7 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -17,35 +18,62 @@ namespace sim {
 namespace {
 
 /**
- * Shard index of the executing host thread: 0 for the main thread
- * (which always runs shard 0 and the barrier phase), 1..S-1 for the
- * workers. Used to pick the right outbox without locks.
+ * Shard index of the executing host thread: 0 for the thread that
+ * calls runWindows() (it runs shard 0), 1..S-1 for the workers. Used
+ * to pick the right outbox without locks.
  */
 // sflint: allow(S1, thread_local is per-thread state, not shared)
 thread_local int tlsShard = 0;
+
+/** @p shards clamped to the tile count, after checking both. */
+int
+shardCount(int shards, int numTiles)
+{
+    sf_assert(shards >= 1, "need at least one shard");
+    sf_assert(numTiles >= 1, "need at least one tile");
+    return std::min(shards, numTiles);
+}
 
 } // namespace
 
 TileDomains::TileDomains(EventQueue &global, int numTiles, int shards,
                          Cycles lookahead)
-    : _global(global), _numTiles(numTiles),
-      _lookahead(lookahead ? lookahead : 1)
+    : _global(global), _lookahead(lookahead ? lookahead : 1),
+      _barrier(shardCount(shards, numTiles), WindowStep{this})
 {
-    sf_assert(shards >= 1, "need at least one shard");
-    sf_assert(numTiles >= 1, "need at least one tile");
-    if (shards > numTiles)
-        shards = numTiles;
+    shards = shardCount(shards, numTiles);
     for (int s = 0; s < shards; ++s)
         _shardQ.push_back(std::make_unique<EventQueue>());
     _keyCnt.assign(size_t(numTiles), 0);
     _outbox.resize(size_t(shards));
     _postGlobal.resize(size_t(shards));
     _errors.assign(size_t(shards), nullptr);
+    try {
+        for (int s = 1; s < shards; ++s)
+            _workers.emplace_back([this, s] { workerLoop(s); });
+    } catch (...) {
+        // Arrive for the workers that never started, then stop the
+        // ones that did before the error leaves the constructor.
+        (void)_barrier.arrive(shards - 1 - ptrdiff_t(_workers.size()));
+        stopWorkers();
+        throw;
+    }
 }
 
 TileDomains::~TileDomains()
 {
     stopWorkers();
+}
+
+void
+TileDomains::stopWorkers()
+{
+    // The completion step turns the request into _quit, so no worker
+    // can read it before every worker has arrived.
+    _quitRequested = true;
+    _barrier.arrive_and_wait();
+    for (auto &t : _workers)
+        t.join();
 }
 
 void
@@ -74,21 +102,6 @@ TileDomains::postGlobal(Tick when, TileId srcTile,
 }
 
 void
-TileDomains::deferWake(TileId tile, Handler fn)
-{
-    _wakes.emplace_back(tile, std::move(fn));
-}
-
-Tick
-TileDomains::earliestShardTick()
-{
-    Tick t = maxTick;
-    for (auto &q : _shardQ)
-        t = std::min(t, q->nextTick());
-    return t;
-}
-
-void
 TileDomains::runShardSlice(int shard)
 {
     try {
@@ -103,54 +116,34 @@ TileDomains::workerLoop(int shard)
 {
     tlsShard = shard;
     for (;;) {
-        _startBarrier->arrive_and_wait();
-        if (_shutdown)
+        _barrier.arrive_and_wait();
+        if (_quit)
             return;
-        runShardSlice(shard);
-        _endBarrier->arrive_and_wait();
+        if (_inWindow)
+            runShardSlice(shard);
     }
 }
 
 void
-TileDomains::startWorkers()
+TileDomains::completeWindow() noexcept
 {
-    if (_workersStarted)
-        return;
-    _workersStarted = true;
-    _shutdown = false;
-    ptrdiff_t n = ptrdiff_t(shards());
-    _startBarrier = std::make_unique<std::barrier<>>(n);
-    _endBarrier = std::make_unique<std::barrier<>>(n);
-    for (int s = 1; s < shards(); ++s)
-        _workers.emplace_back([this, s] { workerLoop(s); });
-}
-
-void
-TileDomains::stopWorkers()
-{
-    if (!_workersStarted)
-        return;
-    _shutdown = true;
-    _startBarrier->arrive_and_wait();
-    for (auto &t : _workers)
-        t.join();
-    _workers.clear();
-    _workersStarted = false;
-}
-
-void
-TileDomains::rethrowWorkerError()
-{
-    for (auto &err : _errors) {
-        if (!err)
-            continue;
-        std::exception_ptr e = err;
-        for (auto &x : _errors)
-            x = nullptr;
-        // Park the pool before unwinding: the error path (fatal
-        // diagnostics, drain checks) must not race live workers.
-        stopWorkers();
-        std::rethrow_exception(e);
+    try {
+        if (_inWindow) {
+            _inWindow = false;
+            for (auto &err : _errors) {
+                if (err && !_error)
+                    _error = err;
+                err = nullptr;
+            }
+            if (!_error)
+                windowBarrier(_windowEnd);
+        }
+        if (_quitRequested)
+            _quit = true;
+        else if (!_error)
+            _inWindow = openWindow();
+    } catch (...) {
+        _error = std::current_exception();
     }
 }
 
@@ -174,7 +167,7 @@ TileDomains::windowBarrier(Tick windowEnd)
         box.clear();
     }
 
-    // 2. Main-thread hook (profiler cross-tile op flush).
+    // 2. Barrier hook (profiler cross-tile op flush).
     if (_barrierHook)
         _barrierHook();
 
@@ -205,62 +198,59 @@ TileDomains::windowBarrier(Tick windowEnd)
 
     // 4. Global services up to the boundary. A global event at tick g
     //    only ever executes in the window with boundary == g (the
-    //    g + 1 term in the window computation), so anything it defers
-    //    for tiles via deferWake lands exactly at its own tick.
+    //    g + 1 term in the window computation), so the tile events it
+    //    schedules through scheduleTile land exactly at its own tick.
     _global.run(boundary);
 
-    // 5. Insert deferred wakes at the boundary tick. Unkeyed events
-    //    order before keyed ones, and the wake list order is the
-    //    (deterministic) global-slice execution order.
-    for (auto &w : _wakes) {
-        _shardQ[size_t(shardOf(w.first))]->schedule(
-            boundary, std::move(w.second), EventPriority::Default);
-    }
-    _wakes.clear();
-
-    // 6. Park the global clock on the boundary so end-of-run reads
+    // 5. Park the global clock on the boundary so end-of-run reads
     //    (sampler stop, utilization denominators, stats formulas) are
     //    partition-independent.
     _global.advanceTo(boundary);
 }
 
+bool
+TileDomains::openWindow()
+{
+    if (*_stop && (*_stop)()) {
+        _exit = Exit::Stopped;
+        return false;
+    }
+    Tick smin = maxTick;
+    for (auto &q : _shardQ)
+        smin = std::min(smin, q->nextTick());
+    Tick g = _global.nextTick();
+    Tick first = std::min(smin, g);
+    if (first == maxTick) {
+        _exit = Exit::Empty;
+        return false;
+    }
+    if (first > _limit) {
+        _exit = Exit::Limit;
+        return false;
+    }
+    Tick eShard = smin > maxTick - _lookahead ? maxTick : smin + _lookahead;
+    Tick eGlob = g == maxTick ? maxTick : g + 1;
+    Tick end = std::min(eShard, eGlob);
+    if (_limit != maxTick && end > _limit + 1)
+        end = _limit + 1;
+    _windowEnd = end;
+    return true;
+}
+
 TileDomains::Exit
 TileDomains::runWindows(const std::function<bool()> &stop, Tick limit)
 {
+    _stop = &stop;
+    _limit = limit;
     for (;;) {
-        if (stop && stop())
-            return Exit::Stopped;
-        Tick smin = earliestShardTick();
-        Tick g = _global.nextTick();
-        Tick first = std::min(smin, g);
-        if (first == maxTick)
-            return Exit::Empty;
-        if (first > limit)
-            return Exit::Limit;
-        Tick eShard =
-            smin > maxTick - _lookahead ? maxTick : smin + _lookahead;
-        Tick eGlob = g == maxTick ? maxTick : g + 1;
-        Tick end = std::min(eShard, eGlob);
-        if (limit != maxTick && end > limit + 1)
-            end = limit + 1;
-
-        if (shards() == 1) {
-            // Same engine, no synchronization: exceptions propagate
-            // directly, matching the pre-parallel serial behavior.
-            _windowEnd = end;
-            _shardQ[0]->run(end - 1);
-        } else {
-            startWorkers();
-            _windowEnd = end;
-            _inWindow = true;
-            _startBarrier->arrive_and_wait();
-            runShardSlice(0);
-            _endBarrier->arrive_and_wait();
-            _inWindow = false;
-            rethrowWorkerError();
-        }
-        windowBarrier(end);
+        _barrier.arrive_and_wait();
+        if (!_inWindow)
+            break;
+        runShardSlice(0);
     }
+    if (_error)
+        std::rethrow_exception(std::exchange(_error, nullptr));
+    return _exit;
 }
 
 } // namespace sim

@@ -15,12 +15,14 @@
  *
  * computed from the union of all queues — a partition-independent
  * quantity, so window boundaries are identical for any shard count,
- * including 1. At the window barrier the main thread merges cross-
- * shard NoC messages (each carrying a canonical (src-tile, seq) key,
- * see EventQueue::scheduleKeyed), applies deferred global-service
- * operations in (when, src-tile) order, runs the global service
- * queue (watchdog / checker / sampler / barrier controller), and
- * releases the next window.
+ * including 1. Every host thread, the main thread included, loops
+ * "arrive at the one window barrier, then run my shard if a window is
+ * open". The barrier's completion step runs once all have arrived:
+ * it merges cross-shard NoC messages (each carrying a canonical
+ * (src-tile, seq) key, see EventQueue::scheduleKeyed), applies
+ * deferred global-service operations in (when, src-tile) order, runs
+ * the global service queue (watchdog / checker / sampler / barrier
+ * controller), and opens the next window.
  *
  * Determinism argument (short form; full version in DESIGN.md §4i):
  * per-tile event sequences are shard-count-invariant by induction —
@@ -55,9 +57,12 @@ namespace sim {
  * queueOf(tile) at construction and the window loop replaces the
  * serial step loop in TiledSystem::run().
  *
- * With shards == 1 the same engine runs single-threaded (no worker
- * threads, no synchronization), so the serial and threaded paths are
- * literally the same code — identity by construction, not by luck.
+ * One std::barrier sized to the shard count separates windows. The
+ * S-1 workers start with the object, park at the barrier between
+ * runWindows() calls and stop with the object; the calling thread is
+ * the shard-0 participant. With shards == 1 the barrier has that one
+ * participant, so the serial and threaded paths are literally the
+ * same code — identity by construction, not by luck.
  */
 class TileDomains
 {
@@ -69,7 +74,7 @@ class TileDomains
      *                checker, sampler, barrier controller, drivers)
      * @param numTiles  tiles in the system; tile t lives on shard
      *                t % shards
-     * @param shards  worker count (>= 1)
+     * @param shards  worker count (>= 1; clamped to @p numTiles)
      * @param lookahead  minimum cross-tile event-creation distance in
      *                cycles (router + link + 1); must be >= 1
      */
@@ -81,13 +86,10 @@ class TileDomains
     TileDomains &operator=(const TileDomains &) = delete;
 
     int shards() const { return int(_shardQ.size()); }
-    int numTiles() const { return _numTiles; }
-    Cycles lookahead() const { return _lookahead; }
 
     int shardOf(TileId t) const { return int(t) % shards(); }
     EventQueue &queueOf(TileId t) { return *_shardQ[shardOf(t)]; }
     EventQueue &shardQueue(int s) { return *_shardQ[s]; }
-    EventQueue &globalQueue() { return _global; }
 
     /**
      * Canonical same-tick ordering key for an event scheduled by
@@ -102,10 +104,11 @@ class TileDomains
 
     /**
      * Schedule onto @p target tile's queue from any execution
-     * context. Same-shard (or outside a parallel window) the event is
-     * inserted directly; cross-shard it is appended to the calling
-     * shard's outbox and merged at the window barrier. Either way the
-     * canonical @p key makes the resulting execution order identical.
+     * context. Same-shard (or outside a parallel window, e.g. from
+     * the global queue) the event is inserted directly; cross-shard
+     * it is appended to the calling shard's outbox and merged at the
+     * window barrier. Either way the canonical @p key makes the
+     * resulting execution order identical.
      */
     void scheduleTile(TileId target, Tick when, uint64_t key,
                       Handler fn,
@@ -121,23 +124,10 @@ class TileDomains
     void postGlobal(Tick when, TileId srcTile, std::function<void()> op);
 
     /**
-     * Defer a callback into @p tile's queue at the current window
-     * boundary (global services only; used by the barrier controller
-     * to wake waiters at the release tick).
-     */
-    void deferWake(TileId tile, Handler fn);
-
-    /**
-     * Hook run on the main thread at every window barrier, before the
-     * global queue's slice (the profiler's cross-tile op flush).
+     * Hook run at every window barrier, before the global queue's
+     * slice (the profiler's cross-tile op flush).
      */
     void setBarrierHook(std::function<void()> fn) { _barrierHook = std::move(fn); }
-
-    /** True while shards are executing a window concurrently. */
-    bool inParallelWindow() const { return _inWindow; }
-
-    /** Earliest live event over all shard queues (maxTick if none). */
-    Tick earliestShardTick();
 
     /** Why runWindows() returned. */
     enum class Exit
@@ -152,7 +142,9 @@ class TileDomains
      * window boundaries), every queue drains, or the earliest pending
      * event exceeds @p limit. On return all queues have executed
      * everything up to the final window boundary and the global queue
-     * clock is advanced to that boundary (deterministically).
+     * clock is advanced to that boundary (deterministically). An
+     * exception thrown by a shard event or a global service stops the
+     * run and is rethrown here (the lowest shard's first, if several).
      */
     Exit runWindows(const std::function<bool()> &stop, Tick limit);
 
@@ -193,17 +185,31 @@ class TileDomains
         std::function<void()> op;
     };
 
+    /** The barrier's completion step (std::barrier needs noexcept). */
+    struct WindowStep
+    {
+        TileDomains *domains;
+        void operator()() noexcept { domains->completeWindow(); }
+    };
+
     /** Run one shard's queue up to the window end, capturing errors. */
     void runShardSlice(int shard) SF_SHARD_LOCAL;
+    /** Worker thread body: arrive, then run the shard's slice. */
     void workerLoop(int shard) SF_SHARD_LOCAL;
-    void startWorkers();
+    /** Release every worker from the barrier and join it. */
     void stopWorkers();
-    /** Merge outboxes / global ops / wakes; run the global slice. */
+    /**
+     * Runs on one thread while every other participant waits at the
+     * barrier: close the window that just ran (collect errors, merge),
+     * then open the next one or end the run.
+     */
+    void completeWindow() noexcept SF_BARRIER_ONLY;
+    /** Merge outboxes / global ops; run the global slice. */
     void windowBarrier(Tick windowEnd) SF_BARRIER_ONLY;
-    void rethrowWorkerError();
+    /** Set _windowEnd for the next window, or _exit if there is none. */
+    bool openWindow() SF_BARRIER_ONLY;
 
     EventQueue &_global;
-    int _numTiles;
     Cycles _lookahead;
     std::vector<std::unique_ptr<EventQueue>> _shardQ;
     /** Per-tile canonical key counters (owned by the tile's shard). */
@@ -213,19 +219,25 @@ class TileDomains
     std::vector<std::vector<OutboxEntry>> _outbox;
     /** Per-shard deferred global-service ops. */
     std::vector<std::vector<GlobalOp>> _postGlobal;
-    /** Barrier-phase wakes to insert at the window boundary. */
-    std::vector<std::pair<TileId, Handler>> _wakes;
+    /** Per-shard slice exceptions (owner-write, barrier-read). */
+    std::vector<std::exception_ptr> _errors;
     std::function<void()> _barrierHook;
 
-    // --- worker pool (only with shards > 1) ---
-    std::vector<std::thread> _workers;
-    std::unique_ptr<std::barrier<>> _startBarrier;
-    std::unique_ptr<std::barrier<>> _endBarrier;
-    std::vector<std::exception_ptr> _errors;
+    // Requests from the calling thread, written before it arrives.
+    const std::function<bool()> *_stop = nullptr;
+    Tick _limit = maxTick;
+    bool _quitRequested = false;
+
+    // Window state: written only by the completion step, while every
+    // participant waits, and read by all of them after it.
     Tick _windowEnd = 0;
     bool _inWindow = false;
-    bool _shutdown = false;
-    bool _workersStarted = false;
+    bool _quit = false;
+    Exit _exit = Exit::Empty;
+    std::exception_ptr _error;
+
+    std::barrier<WindowStep> _barrier;
+    std::vector<std::thread> _workers;
 };
 
 } // namespace sim

@@ -17,17 +17,16 @@ namespace sys {
 namespace {
 
 /**
- * Worker count actually used: cfg.threads clamped to the tile count,
- * forced down to 1 by every mode that needs a single execution
- * context. The engine itself is identical either way (S==1 runs the
- * same window loop inline), so the fallback changes wall-clock only,
- * never results.
+ * Worker count requested from the engine (which clamps it to the tile
+ * count): cfg.threads, forced down to 1 by every mode that needs a
+ * single execution context. The engine is identical either way (one
+ * worker is one barrier participant running the same window loop),
+ * so the fallback changes wall-clock only, never results.
  */
 int
 effectiveThreadCount(const SystemConfig &cfg)
 {
     int threads = std::max(1, cfg.threads);
-    threads = std::min(threads, cfg.numTiles());
     auto force_serial = [&threads](const char *why) {
         if (threads > 1) {
             // Once per process: a driver runs many simulations with

@@ -55,13 +55,6 @@ class TiledSystem
     mem::AddressSpace &addressSpace() { return *_as; }
     /** Global-service queue (also the simulation clock at barriers). */
     EventQueue &eventQueue() { return _eq; }
-    /** Tile-parallel engine: shard queues + the window loop. */
-    sim::TileDomains &domains() { return *_domains; }
-    /**
-     * Worker threads actually used (cfg.threads clamped to the tile
-     * count, forced to 1 by modes that need one execution context).
-     */
-    int effectiveThreads() const { return _domains->shards(); }
     const SystemConfig &config() const { return _cfg; }
     noc::Mesh &mesh() { return *_mesh; }
 

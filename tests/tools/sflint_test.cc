@@ -355,4 +355,19 @@ TEST(SflintConcurrency, CatchesSeededAffinityBugInShard)
     ASSERT_EQ(c2.size(), 1u);
     EXPECT_EQ(c2[0].context, "_keyCnt");
     EXPECT_NE(c2[0].message.find("SF_SHARD_LOCAL"), std::string::npos);
+
+    // A worker running the barrier's completion step itself, instead
+    // of leaving it to the barrier, puts the merge inside a window.
+    const std::string slice = "            runShardSlice(shard);\n";
+    at = cc.find(slice);
+    ASSERT_NE(at, std::string::npos);
+    broken = cc;
+    broken.insert(at + slice.size(), "        completeWindow();\n");
+    spit(tmp / "seed" / "shard.cc", broken);
+
+    res = analyze(cfg);
+    bool flagged = false;
+    for (const Finding &fd : newFindings(res, "C2", "seed/shard.cc"))
+        flagged |= fd.context == "completeWindow";
+    EXPECT_TRUE(flagged);
 }

@@ -298,7 +298,7 @@ struct Config
      */
     std::set<std::string> timedRoots = {
         "TiledSystem::run", "TileDomains::runWindows",
-        "TileDomains::windowBarrier", "EventQueue::run"};
+        "TileDomains::completeWindow", "EventQueue::run"};
     /**
      * Callback-registration calls whose lambda arguments execute on
      * the timed path (event handlers): any function called inside
@@ -306,8 +306,7 @@ struct Config
      */
     std::set<std::string> schedulers = {
         "schedule",       "scheduleIn", "scheduleKeyed",
-        "scheduleTile",   "postGlobal", "deferWake",
-        "setBarrierHook"};
+        "scheduleTile",   "postGlobal", "setBarrierHook"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
     std::set<std::string> knownRules = {"D1", "D2", "P1", "T1",
                                         "S1", "C1", "C2", "A1"};
