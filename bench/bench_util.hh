@@ -65,12 +65,6 @@ struct BenchOptions
      * writes a standalone profile.json + profsum.json per run.
      */
     bool profile = false;
-    /**
-     * Worker threads for the tile-parallel engine (DESIGN.md §4i).
-     * Byte-identical results for any value; >1 only changes wall
-     * clock.
-     */
-    int threads = 1;
 
     /** Register the options every simulating driver shares. */
     void
@@ -90,8 +84,6 @@ struct BenchOptions
                watchdogCycles, parseCount);
         t.flag("--verify", "diff against the reference executor", verify);
         t.flag("--profile", "latency-attribution profiler", profile);
-        t.bind("--threads", "N", "tile-parallel worker threads", threads,
-               parseThreadCount);
     }
 
     /** Register the mesh and dataset grid options of the benches. */
@@ -191,7 +183,6 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
         cfg.watchdogCycles = opt.watchdogCycles;
     cfg.verify = opt.verify;
     cfg.profile = opt.profile;
-    cfg.threads = opt.threads;
     if (const char *bug = std::getenv("SF_VERIFY_BUG"))
         cfg.verifyBug = bug;
     const char *trace_env = std::getenv("SF_STREAM_TRACE");

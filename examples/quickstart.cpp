@@ -10,8 +10,8 @@
  *   workload          one of the Table IV names (default pathfinder)
  *   scale             dataset scale, a positive number (default 0.05)
  *
- * Options: the run options every bench shares (bench_util.hh; here
- * --threads=N is also -jN / -j N) plus --trace=FILE, the SF run's
+ * Options: the run options every bench shares (bench_util.hh) plus
+ * --trace=FILE, the SF run's
  * stream-lifecycle events as a Chrome trace (open in Perfetto); -h
  * lists them. Both runs go through bench::runSim(), so --stats-json=DIR
  * writes e.g. DIR/OOO8_SF_pathfinder.stats.json (plus .profile.json
@@ -49,7 +49,6 @@ try {
     t.bind("scale", "", "positive dataset scale (default 0.05)", opt.scale,
            parsePositiveReal);
     opt.addRunOptions(t);
-    t.bind("-j", "N", "same as --threads=N", opt.threads, parseThreadCount);
     t.text("--trace", "FILE", "SF stream-lifecycle Chrome trace",
            trace_file);
     t.parse(argc, argv);

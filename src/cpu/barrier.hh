@@ -21,12 +21,11 @@ namespace cpu {
  * All participating cores must arrive before any is released. Arrival
  * and release are modelled with a small fixed signalling latency.
  *
- * Under tile-parallel simulation the controller is a global service
- * (DESIGN.md §4i): arrivals and retirements are deferred to the window
- * barrier and applied in canonical (tick, tile) order — the order a
- * serial run would observe them in — because which arrival completes
+ * Under the window loop the controller is a global service (DESIGN.md
+ * §4i): arrivals and retirements are deferred to the end of the window
+ * and applied in (tick, tile) order, because which arrival completes
  * an episode determines the release tick. The release itself executes
- * on the global queue, which schedules each waiter's wake-up onto its
+ * on the global queue, which schedules each waiter's wake-up onto the
  * tile queue at exactly the release tick.
  */
 class BarrierController : public SimObject
@@ -38,19 +37,18 @@ class BarrierController : public SimObject
           _signalLatency(signal_latency)
     {}
 
-    /** Route arrive/retire through the PDES engine (null = legacy). */
+    /** Route arrive/retire through the window loop (null = legacy). */
     void setDomains(sim::TileDomains *d) { _domains = d; }
 
     /**
-     * Thread on @p tile arrives; @p on_release fires in @p tile's
-     * execution context (after the signalling latency) once every
-     * thread has arrived.
+     * Thread on @p tile arrives; @p on_release fires on @p tile (after
+     * the signalling latency) once every thread has arrived.
      */
     void
     arrive(TileId tile, std::function<void()> on_release)
     {
         if (_domains) {
-            Tick when = _domains->queueOf(tile).curTick();
+            Tick when = _domains->queue().curTick();
             _domains->postGlobal(
                 when, tile,
                 [this, tile, when, cb = std::move(on_release)]() mutable {
@@ -66,7 +64,7 @@ class BarrierController : public SimObject
     retire(TileId tile)
     {
         if (_domains) {
-            Tick when = _domains->queueOf(tile).curTick();
+            Tick when = _domains->queue().curTick();
             _domains->postGlobal(when, tile,
                                  [this, when]() { retireNow(when); });
         } else {
@@ -107,15 +105,14 @@ class BarrierController : public SimObject
         _waiters.clear();
         // Always a future tick relative to the current window
         // boundary: the boundary trails the completing event by less
-        // than the PDES lookahead, which is < the signal latency.
+        // than the window lookahead, which is < the signal latency.
         eventQueue().schedule(
             when + _signalLatency,
             [this, waiters = std::move(waiters)]() {
                 for (const Waiter &w : waiters) {
                     if (_domains)
-                        _domains->scheduleTile(w.first, curTick(), 0,
-                                               w.second,
-                                               EventPriority::Default);
+                        _domains->queue().schedule(curTick(), w.second,
+                                                   EventPriority::Default);
                     else
                         w.second();
                 }

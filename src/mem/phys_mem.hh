@@ -18,14 +18,11 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "sim/annotations.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -41,18 +38,7 @@ pageAlign(Addr a)
     return a & pageMask;
 }
 
-/**
- * Sparse page-granularity physical memory with typed accessors.
- *
- * Thread safety: with setConcurrent(true) (the tile-parallel engine,
- * DESIGN.md §4i) the page map is guarded by a reader/writer lock, so
- * functional accesses from different shard threads — including lazy
- * first-touch allocation from speculative indirect-stream chasing —
- * are safe. Page *contents* carry no locking: two simulated writers
- * to the same line are a workload race and already nondeterministic
- * at the protocol level. In the default serial mode every lock is
- * skipped, keeping the hot path identical to the pre-parallel kernel.
- */
+/** Sparse page-granularity physical memory with typed accessors. */
 class PhysMem
 {
   public:
@@ -60,7 +46,6 @@ class PhysMem
     void
     read(Addr paddr, void *out, size_t size) const
     {
-        auto l = readLock();
         auto *dst = static_cast<uint8_t *>(out);
         while (size > 0) {
             Addr page = pageAlign(paddr);
@@ -87,21 +72,10 @@ class PhysMem
             Addr page = pageAlign(paddr);
             size_t off = static_cast<size_t>(paddr - page);
             size_t chunk = std::min(size, pageBytes - off);
-            uint8_t *data = nullptr;
-            {
-                auto l = readLock();
-                auto it = _pages.find(page);
-                if (it != _pages.end())
-                    data = it->second.data();
-            }
-            if (!data) {
-                auto l = writeLock();
-                auto &storage = _pages[page];
-                if (storage.empty())
-                    storage.resize(pageBytes, 0);
-                data = storage.data();
-            }
-            std::memcpy(data + off, src, chunk);
+            auto &storage = _pages[page];
+            if (storage.empty())
+                storage.resize(pageBytes, 0);
+            std::memcpy(storage.data() + off, src, chunk);
             src += chunk;
             paddr += chunk;
             size -= chunk;
@@ -112,19 +86,10 @@ class PhysMem
     void
     materialize(Addr paddr)
     {
-        Addr page = pageAlign(paddr);
-        auto l = writeLock();
-        auto &storage = _pages[page];
+        auto &storage = _pages[pageAlign(paddr)];
         if (storage.empty())
             storage.resize(pageBytes, 0);
     }
-
-    /**
-     * Guard the page map for concurrent functional access from shard
-     * worker threads. Serial runs leave this off and never touch the
-     * lock. Flip only while no worker is running.
-     */
-    void setConcurrent(bool on) { _concurrent = on; }
 
     template <typename T>
     T
@@ -168,36 +133,10 @@ class PhysMem
         }
     }
 
-    size_t
-    numAllocatedPages() const
-    {
-        auto l = readLock();
-        return _pages.size();
-    }
+    size_t numAllocatedPages() const { return _pages.size(); }
 
   private:
-    std::shared_lock<std::shared_mutex>
-    readLock() const
-    {
-        std::shared_lock<std::shared_mutex> l(_mu, std::defer_lock);
-        if (_concurrent)
-            l.lock();
-        return l;
-    }
-
-    std::unique_lock<std::shared_mutex>
-    writeLock() const
-    {
-        std::unique_lock<std::shared_mutex> l(_mu, std::defer_lock);
-        if (_concurrent)
-            l.lock();
-        return l;
-    }
-
-    std::unordered_map<Addr, std::vector<uint8_t>> _pages
-        SF_GUARDED_BY(_mu);
-    mutable std::shared_mutex _mu;
-    bool _concurrent = false;
+    std::unordered_map<Addr, std::vector<uint8_t>> _pages;
 };
 
 /**
@@ -209,15 +148,8 @@ class PhysMem
  * deterministic. The frame is a pure hash of the virtual page number,
  * so a lazily first-touched page (speculative indirect-stream chasing
  * can translate any address mid-run) gets the same frame no matter
- * which shard thread touches it first or when — placement, and hence
- * timing, is independent of worker count. The only order-dependent
- * path is the linear probe on a frame-hash collision; with thousands
- * of pages hashed into a 2^28-frame window, the smoke_threads
- * byte-compare would surface one, and none occurs in the shipped
- * workloads.
- *
- * Thread safety mirrors PhysMem: setConcurrent(true) guards the page
- * table with a reader/writer lock; serial mode skips every lock.
+ * when it is first touched. The only order-dependent path is the
+ * linear probe on a frame-hash collision.
  */
 class AddressSpace
 {
@@ -234,7 +166,6 @@ class AddressSpace
     alloc(uint64_t bytes, const std::string &label = "")
     {
         (void)label;
-        auto l = writeLock();
         Addr base = _brk;
         uint64_t span = (bytes + pageBytes - 1) & ~uint64_t(pageBytes - 1);
         // Leave a guard page between allocations.
@@ -249,13 +180,6 @@ class AddressSpace
     translate(Addr vaddr)
     {
         Addr vpage = pageAlign(vaddr);
-        {
-            auto l = readLock();
-            auto it = _pageTable.find(vpage);
-            if (it != _pageTable.end())
-                return it->second + (vaddr - vpage);
-        }
-        auto l = writeLock();
         auto it = _pageTable.find(vpage);
         if (it != _pageTable.end())
             return it->second + (vaddr - vpage);
@@ -267,23 +191,10 @@ class AddressSpace
     translateExisting(Addr vaddr) const
     {
         Addr vpage = pageAlign(vaddr);
-        auto l = readLock();
         auto it = _pageTable.find(vpage);
         if (it == _pageTable.end())
             return invalidAddr;
         return it->second + (vaddr - vpage);
-    }
-
-    /**
-     * Guard the page table for concurrent translation from shard
-     * worker threads (see PhysMem::setConcurrent); propagated to the
-     * backing store too. Flip only while no worker is running.
-     */
-    void
-    setConcurrent(bool on)
-    {
-        _concurrent = on;
-        _mem.setConcurrent(on);
     }
 
     // Typed functional accessors through the translation.
@@ -310,9 +221,9 @@ class AddressSpace
     PhysMem &mem() { return _mem; }
 
   private:
-    /** Map one page; the caller holds the write lock (concurrent mode). */
+    /** Map one page. */
     Addr
-    mapPage(Addr vpage) SF_REQUIRES(_mu)
+    mapPage(Addr vpage)
     {
         // Deterministic frame scramble: hash the virtual page number.
         uint64_t vpn = vpage / pageBytes;
@@ -333,31 +244,11 @@ class AddressSpace
         return paddr;
     }
 
-    std::shared_lock<std::shared_mutex>
-    readLock() const
-    {
-        std::shared_lock<std::shared_mutex> l(_mu, std::defer_lock);
-        if (_concurrent)
-            l.lock();
-        return l;
-    }
-
-    std::unique_lock<std::shared_mutex>
-    writeLock()
-    {
-        std::unique_lock<std::shared_mutex> l(_mu, std::defer_lock);
-        if (_concurrent)
-            l.lock();
-        return l;
-    }
-
     int _asid;
     PhysMem &_mem;
-    Addr _brk SF_GUARDED_BY(_mu);
-    std::unordered_map<Addr, Addr> _pageTable SF_GUARDED_BY(_mu);
-    std::unordered_set<Addr> _usedFrames SF_GUARDED_BY(_mu);
-    mutable std::shared_mutex _mu;
-    bool _concurrent = false;
+    Addr _brk;
+    std::unordered_map<Addr, Addr> _pageTable;
+    std::unordered_set<Addr> _usedFrames;
 };
 
 } // namespace mem

@@ -13,7 +13,6 @@ Mesh::Mesh(EventQueue &eq, const MeshConfig &config)
       _sinks(static_cast<size_t>(config.nx * config.ny)),
       _links(static_cast<size_t>(config.nx * config.ny) * 4),
       _routerFlits(static_cast<size_t>(config.nx * config.ny), 0),
-      _hopPools(1),
       _traffic(static_cast<size_t>(config.nx * config.ny)),
       _packetHops(static_cast<size_t>(config.nx * config.ny),
                   stats::Histogram(1, 16)),
@@ -24,12 +23,12 @@ Mesh::Mesh(EventQueue &eq, const MeshConfig &config)
 }
 
 void
-Mesh::scheduleHopEvent(TileId at, TileId target, Tick when,
-                       EventQueue::Handler fn)
+Mesh::scheduleHopEvent(TileId at, Tick when, EventQueue::Handler fn)
 {
     if (_domains) {
-        _domains->scheduleTile(target, when, _domains->nextKey(at),
-                               std::move(fn), EventPriority::Delivery);
+        _domains->queue().scheduleKeyed(when, _domains->nextKey(at),
+                                        std::move(fn),
+                                        EventPriority::Delivery);
     } else {
         eventQueue().schedule(when, std::move(fn),
                               EventPriority::Delivery);
@@ -158,9 +157,8 @@ Mesh::send(const MsgPtr &msg)
             SF_DPRINTF(NoC, "fault: delaying %d -> %d by %llu",
                        (int)msg->src, (int)msg->dests.front(),
                        (unsigned long long)delay);
-            // Re-injection stays in the sender's execution context
-            // (same tile, so any delay is shard-safe).
-            scheduleHopEvent(msg->src, msg->src, now(msg->src) + delay,
+            // Re-injection is keyed by the sender, like its hops.
+            scheduleHopEvent(msg->src, now() + delay,
                              [this, msg] { inject(msg); });
             return;
           case SendAction::Duplicate:
@@ -179,8 +177,7 @@ Mesh::inject(const MsgPtr &msg)
     sf_assert(!msg->dests.empty(), "message with no destination");
     uint32_t flits = flitsOf(msg->payloadBytes);
     auto cls = static_cast<size_t>(msg->cls);
-    // Injection-side counters belong to the sending tile's account
-    // (send() runs in the sender's execution context).
+    // Injection-side counters belong to the sending tile's account.
     TrafficStats &ts = _traffic[static_cast<size_t>(msg->src)];
     ts.flitsInjected[cls] += flits;
     ++ts.packets[cls];
@@ -200,12 +197,12 @@ Mesh::inject(const MsgPtr &msg)
         InFlightInfo &info = _inFlight[sit->second];
         if (info.remaining == 0) {
             info.msg = msg;
-            info.injectTick = now(msg->src);
+            info.injectTick = now();
         }
         info.remaining += static_cast<int>(msg->dests.size());
     }
     // Injection passes through the local router pipeline once.
-    hop(hopPool(msg->src).acquire(
+    hop(_hopPool.acquire(
         Hop{msg, msg->src, flits, -1}));
 }
 
@@ -282,14 +279,12 @@ Mesh::hop(Hop *h)
     uint32_t flits = h->flits;
     _routerFlits[static_cast<size_t>(at)] += flits;
     // The last event scheduled here takes over h; earlier ones get
-    // copies from the shard's pool.
-    sim::RecordPool<Hop> &pool = hopPool(at);
+    // copies from the pool.
 
     if (local) {
-        // Eject through the local port after the router pipeline
-        // (same tile, so the event stays on @p at's shard).
-        Hop *e = dirs ? pool.acquire(*h) : h;
-        scheduleHopEvent(at, at, now(at) + _cfg.routerLatency,
+        // Eject through the local port after the router pipeline.
+        Hop *e = dirs ? _hopPool.acquire(*h) : h;
+        scheduleHopEvent(at, now() + _cfg.routerLatency,
                          [this, e] { eject(e); });
     }
 
@@ -297,13 +292,13 @@ Mesh::hop(Hop *h)
         if (!(dirs >> dir & 1u))
             continue;
         dirs &= ~(1u << dir);
-        Hop *c = dirs ? pool.acquire(*h) : h;
+        Hop *c = dirs ? _hopPool.acquire(*h) : h;
         TileId next = neighbor(at, dir);
         sf_assert(next != invalidTile, "X-Y routing fell off the mesh");
 
         Link &link = linkFrom(at, dir);
         // Router pipeline, then wait for the link, then serialize.
-        Tick ready = now(at) + _cfg.routerLatency;
+        Tick ready = now() + _cfg.routerLatency;
         Tick start = std::max(ready, link.nextFree);
         Tick depart = start + flits; // 1 flit per cycle serialization
         link.nextFree = depart;
@@ -328,20 +323,10 @@ Mesh::hop(Hop *h)
         }
         // The only cross-tile event creation in the simulator: the
         // arrival is always >= router + 1 flit + link cycles away,
-        // which is exactly the PDES lookahead (DESIGN.md §4i).
+        // which is exactly the window lookahead (DESIGN.md §4i).
         c->at = next;
         c->inDir = dir;
-        if (&hopPool(next) == &pool) {
-            scheduleHopEvent(at, next, arrive, [this, c] { hop(c); });
-        } else {
-            // A record never leaves its shard's pool: a copy bound for
-            // another shard travels by value, and the receiving router
-            // parks it in its own pool.
-            scheduleHopEvent(
-                at, next, arrive, [this, copy = pool.take(c)]() mutable {
-                    hop(hopPool(copy.at).acquire(std::move(copy)));
-                });
-        }
+        scheduleHopEvent(at, arrive, [this, c] { hop(c); });
     }
 }
 
@@ -349,7 +334,7 @@ void
 Mesh::eject(Hop *h)
 {
     TileId at = h->at;
-    MsgPtr msg = hopPool(at).take(h).msg;
+    MsgPtr msg = _hopPool.take(h).msg;
     auto &sink = _sinks[static_cast<size_t>(at)];
     sf_assert(static_cast<bool>(sink), "no sink bound on tile %d", at);
     // Settle the conservation account before the sink runs: the

@@ -101,20 +101,13 @@ class Mesh : public SimObject
     Mesh(EventQueue &eq, const MeshConfig &config);
 
     /**
-     * Route all mesh events through the tile-sharded PDES engine
-     * (DESIGN.md §4i): hop/ejection events go to the owning tile's
-     * shard queue carrying a canonical (src-tile, seq) key, so the
-     * same-tick execution order is shard-count-invariant. Null (the
-     * default) keeps the legacy single-queue behaviour for unit tests
-     * that drive the mesh standalone.
+     * Route all mesh events through the window loop (DESIGN.md §4i):
+     * hop/ejection events go to the tile queue carrying a canonical
+     * (src-tile, seq) key. Null (the default) keeps the legacy
+     * single-queue behaviour for unit tests that drive the mesh
+     * standalone.
      */
-    void
-    setDomains(sim::TileDomains *d)
-    {
-        _domains = d;
-        _hopPools = std::vector<sim::RecordPool<Hop>>(
-            d ? static_cast<size_t>(d->shards()) : 1);
-    }
+    void setDomains(sim::TileDomains *d) { _domains = d; }
 
     /** Register the receiver for tile @p tile. */
     void bindSink(TileId tile, Sink sink);
@@ -166,8 +159,7 @@ class Mesh : public SimObject
 
     /**
      * Aggregate traffic counters, folded over the per-tile accounts in
-     * tile order at read time (per-tile storage keeps the hot counters
-     * shard-owned under tile-parallel simulation).
+     * tile order at read time.
      */
     TrafficStats traffic() const;
 
@@ -249,33 +241,23 @@ class Mesh : public SimObject
     /** Inject bypassing the interceptor (delayed/duplicated copies). */
     void inject(const MsgPtr &msg);
 
-    /** Hop records of tile @p at's execution context (its shard). */
-    sim::RecordPool<Hop> &
-    hopPool(TileId at)
-    {
-        return _hopPools[_domains ? size_t(_domains->shardOf(at)) : 0];
-    }
-
-    /** Current tick in tile @p at's execution context. */
+    /** Current tick of the queue that runs tile events. */
     Tick
-    now(TileId at)
+    now()
     {
-        return _domains ? _domains->queueOf(at).curTick() : curTick();
+        return _domains ? _domains->queue().curTick() : curTick();
     }
 
     /**
-     * Schedule a mesh event in @p at's execution context targeting
-     * tile @p target (== @p at except for the next-hop handoff). Under
-     * domains the event carries a canonical key minted from @p at's
-     * per-tile counter; standalone it lands on the legacy queue.
+     * Schedule a mesh event created by router @p at. Under domains the
+     * event carries a canonical key minted from @p at's per-tile
+     * counter; standalone it lands on the legacy queue.
      */
-    void scheduleHopEvent(TileId at, TileId target, Tick when,
-                          EventQueue::Handler fn);
+    void scheduleHopEvent(TileId at, Tick when, EventQueue::Handler fn);
 
     /**
      * Route packet copy @p h through router h->at: eject it locally
-     * and/or forward it, splitting at multicast branch points. Runs in
-     * h->at's execution context, which now owns the record.
+     * and/or forward it, splitting at multicast branch points.
      */
     void hop(Hop *h);
 
@@ -301,19 +283,18 @@ class Mesh : public SimObject
     /** Per-router traversed-flit counters (heatmap). */
     std::vector<uint64_t> _routerFlits;
     /**
-     * Hop records per shard (hopPool()). A copy's record is acquired
-     * by the router that creates the copy and freed by the router
-     * that ejects it, or that sends it to another shard by value.
-     * Per-tile pools would drift: records flow from injecting to
-     * ejecting tiles, so senders keep growing while receivers hoard
-     * (DESIGN.md §4l).
+     * Hop records. A copy's record is acquired by the router that
+     * creates the copy and freed by the router that ejects it. One
+     * pool, not one per tile: records flow from injecting to ejecting
+     * tiles, so per-tile senders would keep growing while receivers
+     * hoard (DESIGN.md §4l).
      */
-    std::vector<sim::RecordPool<Hop>> _hopPools;
+    sim::RecordPool<Hop> _hopPool;
     prof::Profiler *_prof = nullptr;
     /**
-     * Traffic accounts indexed by the tile whose execution context
-     * mutates them (injector for injection-side counters, the hopping
-     * router otherwise); folded in tile order by traffic().
+     * Traffic accounts indexed by the tile that mutates them (injector
+     * for injection-side counters, the hopping router otherwise);
+     * folded in tile order by traffic().
      */
     std::vector<TrafficStats> _traffic;
     /** Per-injecting-tile hop histograms; folded by packetHops(). */

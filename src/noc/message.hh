@@ -45,10 +45,9 @@ enum class FlitClass : uint8_t
  *
  * Delivery ordering contract: every hop/ejection event the mesh
  * schedules for a message carries a canonical (src-tile, sequence) key
- * minted in the scheduling router's execution context, so same-cycle
- * deliveries execute in a shard-count-invariant order under the
- * tile-parallel engine (DESIGN.md §4i). Senders must therefore inject
- * with `src` set to the tile whose execution context calls send().
+ * minted by the scheduling router, so same-cycle deliveries execute in
+ * an order fixed by simulated history (DESIGN.md §4i). Senders must
+ * therefore inject with `src` set to the tile that calls send().
  */
 struct Message
 {

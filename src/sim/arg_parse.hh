@@ -1,7 +1,7 @@
 /**
  * @file
  * The command-line front end of every driver (quickstart, explore, the
- * benches, sweep, threads, fuzz): one declarative option table plus
+ * benches, sweep, fuzz): one declarative option table plus
  * the value validators its entries use.
  */
 
@@ -31,7 +31,7 @@ class UsageError : public FatalError
 // Validators: the parsed value, or a UsageError naming @p flag. None
 // skips whitespace or accepts trailing characters.
 
-/** A worker-thread count: a decimal integer in [1, 4096]. */
+/** A worker count (sweep -j): a decimal integer in [1, 4096]. */
 int parseThreadCount(const std::string &value, const std::string &flag);
 /** A mesh size "NxM", both sides decimal integers in [1, 4096]. */
 std::pair<int, int> parseMesh(const std::string &value,

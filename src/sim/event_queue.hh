@@ -25,13 +25,11 @@
  *    (its sequence number is the largest) and otherwise goes to its
  *    upper bound in the undrained range.
  *
- * The optional per-event `key` (scheduleKeyed) exists for the
- * tile-parallel engine (sim/shard.hh): events that may be inserted
- * from different host threads or at different wall-clock moments
- * (directly mid-window vs. merged at a quantum barrier) carry a
- * canonical key derived from (scheduling tile, per-tile counter), so
- * their same-tick order is a pure function of simulated history and
- * never of insertion sequence. Unkeyed events (key 0) order before
+ * The optional per-event `key` (scheduleKeyed) exists for the mesh's
+ * events under the window loop (sim/shard.hh): they carry a canonical
+ * key derived from (scheduling tile, per-tile counter), so their
+ * same-tick order is a pure function of simulated history and never
+ * of insertion sequence. Unkeyed events (key 0) order before
  * all keyed events at the same (when, priority) and retain exact
  * insertion-sequence order among themselves.
  *
@@ -125,8 +123,7 @@ class EventQueue
     /**
      * Schedule with an explicit same-tick ordering key (see the file
      * header): at equal (when, priority), events execute in ascending
-     * key order regardless of which host thread inserted them or
-     * whether they arrived directly or via a quantum-barrier merge.
+     * key order regardless of insertion order.
      * @p key must be nonzero (zero marks unkeyed events).
      */
     EventId

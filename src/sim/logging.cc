@@ -19,7 +19,7 @@ std::vector<HookEntry> &
 hookRegistry()
 {
     // Hooks are added and removed only while no simulation runs; an
-    // error fires them from whichever thread raised it.
+    // error fires them where it is raised.
     // sflint: allow(S1, registry written only while no simulation runs)
     static std::vector<HookEntry> hooks;
     return hooks;

@@ -106,8 +106,8 @@ Profiler::open(TileId tile, StreamId sid, Tick now)
     if (tile < 0 || uint32_t(tile) >= maxTiles)
         return 0;
     if (size_t(tile) >= _tiles.size()) {
-        // Lazy growth is only safe serially; the engine pre-sizes via
-        // configureTiles() before any worker exists.
+        // Standalone use grows lazily; TiledSystem pre-sizes via
+        // configureTiles().
         _tiles.resize(size_t(tile) + 1);
     }
     TileState &t = _tiles[size_t(tile)];

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/annotations.hh"
 #include "sim/json.hh"
 #include "sim/stat_registry.hh"
 #include "sim/types.hh"
@@ -252,15 +251,14 @@ class TopDownAccount
  * and counted instead of corrupting another record. Handle 0 is "no
  * record" and is ignored by every entry point.
  *
- * Threading (DESIGN.md §4i): every mutable structure is owned by the
- * tile encoded in the handle. mark/add/close take the tile whose
- * execution context makes the call; with setDeferCrossTile(true) (the
- * PDES engine, any shard count) an op touching another tile's record
- * is queued on the calling tile and applied at the window barrier in
- * (tile, FIFO) order. Two tiles never touch one record in the same
- * window — consecutive touches are separated by at least the NoC
- * lookahead — so the applied per-record op sequence, including stale
- * classification, is shard-count-invariant.
+ * Cross-tile ops (DESIGN.md §4i): every mutable structure is owned by
+ * the tile encoded in the handle. mark/add/close take the calling
+ * tile; with setDeferCrossTile(true) (the window loop) an op touching
+ * another tile's record is queued on the calling tile and applied
+ * after the window in (tile, FIFO) order. Two tiles never touch one
+ * record in the same window — consecutive touches are separated by at
+ * least the NoC lookahead — so deferral never reorders the ops on one
+ * record.
  */
 class Profiler
 {
@@ -277,25 +275,24 @@ class Profiler
 
     /**
      * Defer cross-tile mark/add/close ops to flushDeferred() instead
-     * of applying them inline. The PDES engine turns this on for every
-     * shard count (including 1) so the op application order is
-     * engine-invariant; standalone serial users leave it off.
+     * of applying them inline. TiledSystem turns this on; standalone
+     * users leave it off.
      */
     void setDeferCrossTile(bool on) { _deferCrossTile = on; }
 
-    /** Apply queued cross-tile ops in (tile, FIFO) order. Call at the
-     *  window barrier (never concurrently with shard execution). */
-    void flushDeferred() SF_BARRIER_ONLY;
+    /** Apply queued cross-tile ops in (tile, FIFO) order. Call
+     *  between windows. */
+    void flushDeferred();
 
     /** Begin tracking one request/element on @p tile (the calling
-     *  execution context). sid == invalidStream means a plain demand
-     *  access. Returns 0 when the tile's arena is full. */
-    uint32_t open(TileId tile, StreamId sid, Tick now) SF_SHARD_LOCAL;
+     *  tile). sid == invalidStream means a plain demand access.
+     *  Returns 0 when the tile's arena is full. */
+    uint32_t open(TileId tile, StreamId sid, Tick now);
 
     /** Fold [lastMark, now) into @p p and advance the mark. @p exec
-     *  is the tile whose execution context calls. */
+     *  is the calling tile. */
     void
-    mark(TileId exec, uint32_t id, Phase p, Tick now) SF_SHARD_LOCAL
+    mark(TileId exec, uint32_t id, Phase p, Tick now)
     {
         if (!id)
             return;
@@ -310,7 +307,7 @@ class Profiler
     /** Attribute @p cycles to @p p without moving the phase mark
      *  (overlapping sub-interval, e.g. one NoC hop). */
     void
-    add(TileId exec, uint32_t id, Phase p, uint64_t cycles) SF_SHARD_LOCAL
+    add(TileId exec, uint32_t id, Phase p, uint64_t cycles)
     {
         if (!id)
             return;
@@ -326,7 +323,7 @@ class Profiler
      *  end-to-end latency lands in Phase::Total, the slot recycles. */
     void
     close(TileId exec, uint32_t id, Tick now,
-          Phase residual = Phase::Fill) SF_SHARD_LOCAL
+          Phase residual = Phase::Fill)
     {
         if (!id)
             return;
@@ -411,7 +408,7 @@ class Profiler
         uint64_t value; //!< mark/close: now; add: cycles
     };
 
-    /** All state owned by one tile's execution context. */
+    /** All state owned by one tile. */
     struct TileState
     {
         std::vector<Rec> recs;

@@ -16,13 +16,8 @@
  * what a record holds (a MsgPtr, a callback) is dropped as soon as
  * its event returns it, not when the pool dies.
  *
- * Ownership rule under the tile-parallel engine: every pool belongs to
- * one execution context (a shard, or a per-tile component, whose tile
- * lives in one shard), and only that context's thread acquires and
- * releases its records. Records never change pools, so no lock or
- * barrier step is needed and a pool holds at most its context's peak
- * of live records, rounded up to a slab. A payload that must cross to
- * another shard travels by value instead (noc::Mesh::hop).
+ * Records never change pools, so a pool holds at most its owner's peak
+ * of live records, rounded up to a slab.
  */
 
 #ifndef SF_SIM_RECORD_POOL_HH

@@ -4,9 +4,7 @@
  * sink → end transitions per stream, with ticks and tile coordinates.
  *
  * Each SE_core and SE_L3 appends its own transitions to its own
- * StreamLog (SystemConfig::traceStreams; no log, no recording). Every
- * record is made in the owning tile's execution context, so the logs
- * need no lock and their contents do not depend on the worker count.
+ * StreamLog (SystemConfig::traceStreams; no log, no recording).
  * writeChromeTrace() merges them into Chrome trace-event JSON (load in
  * chrome://tracing or https://ui.perfetto.dev): one track per stream
  * incarnation (pid = owning core, one named thread per (stream id,

@@ -97,15 +97,7 @@ machineFloats(Machine m)
            m == Machine::SF;
 }
 
-/**
- * Full system configuration.
- *
- * Threading (sim/annotations.hh): deliberately un-annotated. The
- * config is built by the driver, copied into TiledSystem, and never
- * mutated once workers exist — immutable-after-construction state
- * needs no SF_GUARDED_BY. Anything added here that a shard thread
- * writes mid-run must move behind a lock and carry an annotation.
- */
+/** Full system configuration. */
 struct SystemConfig
 {
     int nx = 4;
@@ -134,19 +126,16 @@ struct SystemConfig
     Cycles samplingInterval = 0;
 
     /**
-     * Worker threads for the tile-parallel engine (--threads). Tiles
-     * are sharded tile%threads across workers; results are
-     * byte-identical to threads=1 by construction (DESIGN.md §4i).
-     * Clamped to numTiles(); modes that need a single execution
-     * context (verify, fault injection, full checks, debug output)
-     * fall back to one worker with a warning.
+     * Worker count of the deleted tile-parallel engine, still set by
+     * perfbench. The simulator runs one execution context; TiledSystem
+     * ignores any value above 1 with a one-time warning.
      */
     int threads = 1;
 
     /**
      * Stream-lifecycle tracing: every SE_core and SE_L3 keeps a log of
      * its streams' transitions for TiledSystem::writeStreamTrace().
-     * Works at any worker count; off by default.
+     * Off by default.
      */
     bool traceStreams = false;
 

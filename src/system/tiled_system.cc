@@ -7,48 +7,11 @@
 #include <unordered_map>
 
 #include "flt/stream_msg.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "sim/stream_trace.hh"
 
 namespace sf {
 namespace sys {
-
-namespace {
-
-/**
- * Worker count requested from the engine (which clamps it to the tile
- * count): cfg.threads, forced down to 1 by every mode that needs a
- * single execution context. The engine is identical either way (one
- * worker is one barrier participant running the same window loop),
- * so the fallback changes wall-clock only, never results.
- */
-int
-effectiveThreadCount(const SystemConfig &cfg)
-{
-    int threads = std::max(1, cfg.threads);
-    auto force_serial = [&threads](const char *why) {
-        if (threads > 1) {
-            // Once per process: a driver runs many simulations with
-            // the same options.
-            warn_once("--threads=%d ignored: %s needs a single execution "
-                      "context; running with one worker",
-                      threads, why);
-            threads = 1;
-        }
-    };
-    if (cfg.verify)
-        force_serial("--verify");
-    if (cfg.faults.enabled())
-        force_serial("fault injection");
-    if (cfg.checkLevel >= CheckLevel::Full)
-        force_serial("full invariant checking");
-    if (debug::flagMask != 0)
-        force_serial("debug output (SF_DEBUG_FLAGS)");
-    return threads;
-}
-
-} // namespace
 
 TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
 {
@@ -61,19 +24,21 @@ TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
     if (_cfg.faults.noRetry)
         _cfg.sel2.retryEnabled = false;
 
-    // The PDES lookahead: a router pass, at least one flit of link
+    // perfbench still sets the worker count of the deleted
+    // tile-parallel engine; everything runs in one execution context.
+    if (_cfg.threads > 1)
+        warn_once("SystemConfig::threads=%d ignored: the simulator runs "
+                  "one execution context",
+                  _cfg.threads);
+
+    // The window lookahead: a router pass, at least one flit of link
     // serialization, and the link latency separate any event from the
     // earliest cross-tile event it can create (noc/mesh.cc::hop).
     Cycles lookahead = _cfg.noc.routerLatency + _cfg.noc.linkLatency + 1;
-    _domains = std::make_unique<sim::TileDomains>(
-        _eq, _cfg.numTiles(),
-        effectiveThreadCount(_cfg), lookahead);
+    _domains = std::make_unique<sim::TileDomains>(_eq, _cfg.numTiles(),
+                                                  lookahead);
 
     _as = std::make_unique<mem::AddressSpace>(0, _physMem);
-    // Lazy first-touch (speculative indirect chasing) can translate
-    // from any shard thread; arm the page-table/page-map locks when
-    // more than one worker will run.
-    _as->setConcurrent(_domains->shards() > 1);
     if (_cfg.verify) {
         _verify = std::make_unique<verify::DataPlane>(*_as,
                                                       _cfg.numTiles());
@@ -81,9 +46,8 @@ TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
     if (_cfg.profile) {
         _prof = std::make_unique<prof::Profiler>();
         _prof->configureTiles(_cfg.numTiles());
-        // Cross-tile record touches are deferred and applied at the
-        // window barrier in canonical order regardless of the worker
-        // count, so profile.json stays shard-count-invariant.
+        // Cross-tile record touches are deferred and applied after
+        // each window in canonical order (DESIGN.md §4i).
         _prof->setDeferCrossTile(true);
         _domains->setBarrierHook([this]() { _prof->flushDeferred(); });
     }
@@ -139,7 +103,7 @@ TiledSystem::buildTiles()
         // L1 TLB 64/8w; L2 TLB 2k/16w, 8-cycle; ~80-cycle walk.
         _tlbs[t] = std::make_unique<mem::TlbHierarchy>(64, 8, 2048, 16,
                                                        8, 80);
-        EventQueue &teq = _domains->queueOf(t);
+        EventQueue &teq = _domains->queue();
         _priv[t] = std::make_unique<mem::PrivCache>(
             tn + ".priv", teq, t, _cfg.priv, *_mesh, *_nuca);
         _l3[t] = std::make_unique<mem::L3Bank>(tn + ".l3", teq, t,
@@ -320,7 +284,7 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
     for (TileId t = 0; t < _cfg.numTiles(); ++t) {
         std::string cn = "tile" + std::to_string(t) + ".core";
         _cores[t] = std::make_unique<cpu::Core>(
-            cn, _domains->queueOf(t), t, _cfg.core, *_priv[t],
+            cn, _domains->queue(), t, _cfg.core, *_priv[t],
             *_tlbs[t], *_as, _barrier.get(), _threads[t].get());
         if (_seCores[t]) {
             _cores[t]->setStreamEngine(_seCores[t].get());
@@ -348,8 +312,7 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
     auto host_start = std::chrono::steady_clock::now();
     auto exit = _domains->runWindows(
         [this]() {
-            return _coresDone.load(std::memory_order_acquire) >=
-                   _cfg.numTiles();
+            return _coresDone >= _cfg.numTiles();
         },
         _cfg.maxCycles);
     switch (exit) {
@@ -357,7 +320,7 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
         break;
       case sim::TileDomains::Exit::Empty:
         panic("deadlock: %d/%d cores done, no pending events",
-              _coresDone.load(), _cfg.numTiles());
+              _coresDone, _cfg.numTiles());
       case sim::TileDomains::Exit::Limit:
         hit_limit = true;
         warn("cycle limit reached (%llu)",
@@ -654,27 +617,22 @@ TiledSystem::registerDiagnostics()
 {
     _diagHooks.push_back(addDiagnosticHook(
         "event-queue", [this](std::FILE *f) {
+            const EventQueue &q = _domains->queue();
             std::fprintf(f,
                          "tick=%llu pending=%llu executed=%llu "
-                         "coresDone=%d/%d shards=%d\n",
+                         "coresDone=%d/%d\n",
                          (unsigned long long)_eq.curTick(),
-                         (unsigned long long)(
-                             _eq.numPending() +
-                             _domains->shardEventsPending()),
-                         (unsigned long long)(
-                             _eq.numExecuted() +
-                             _domains->shardEventsExecuted()),
-                         _coresDone.load(), _cfg.numTiles(),
-                         _domains->shards());
-            for (int sh = 0; sh < _domains->shards(); ++sh) {
-                const EventQueue &q = _domains->shardQueue(sh);
-                std::fprintf(f,
-                             "  shard %d: tick=%llu pending=%llu "
-                             "executed=%llu\n",
-                             sh, (unsigned long long)q.curTick(),
-                             (unsigned long long)q.numPending(),
-                             (unsigned long long)q.numExecuted());
-            }
+                         (unsigned long long)(_eq.numPending() +
+                                              q.numPending()),
+                         (unsigned long long)(_eq.numExecuted() +
+                                              q.numExecuted()),
+                         _coresDone, _cfg.numTiles());
+            std::fprintf(f,
+                         "  tiles: tick=%llu pending=%llu "
+                         "executed=%llu\n",
+                         (unsigned long long)q.curTick(),
+                         (unsigned long long)q.numPending(),
+                         (unsigned long long)q.numExecuted());
         }));
     if (_watchdog) {
         _diagHooks.push_back(addDiagnosticHook(
@@ -724,7 +682,7 @@ TiledSystem::drainAndCheck()
     _domains->runWindows([]() { return false; }, limit);
 
     std::vector<std::string> residue;
-    uint64_t pending = _eq.numPending() + _domains->shardEventsPending();
+    uint64_t pending = _eq.numPending() + _domains->queue().numPending();
     if (pending > 0) {
         residue.push_back("event queue not empty after drain (" +
                           std::to_string(pending) + " pending)");
@@ -917,22 +875,18 @@ TiledSystem::buildStatRegistry(stats::StatRegistry &reg) const
     const EventQueue *eq = &_eq;
     eg.regFormula("executed", [this]() {
         return double(_eq.numExecuted() +
-                      _domains->shardEventsExecuted());
+                      _domains->queue().numExecuted());
     });
     eg.regFormula("pending", [this]() {
-        return double(_eq.numPending() +
-                      _domains->shardEventsPending());
+        return double(_eq.numPending() + _domains->queue().numPending());
     });
-    // Arena capacity is a per-queue quantity: how events spread over
-    // the shard queues depends on the worker count, so it lives with
-    // the other host-variant stats and stays out of the determinism
+    // Arena capacity is a host-side quantity (slab growth), so it lives
+    // with the other host stats and stays out of the determinism
     // contract.
     if (_hostStatsInJson) {
         eg.regFormula("arenaCapacity", [this]() {
-            double n = double(_eq.arenaCapacity());
-            for (int sh = 0; sh < _domains->shards(); ++sh)
-                n += double(_domains->shardQueue(sh).arenaCapacity());
-            return n;
+            return double(_eq.arenaCapacity() +
+                          _domains->queue().arenaCapacity());
         });
     }
 
@@ -1259,8 +1213,7 @@ TiledSystem::collect(bool hit_limit)
         r.streamTraceEvents += log.size();
 
     r.hostSeconds = _hostSeconds;
-    r.eventsExecuted = _eq.numExecuted() +
-                       _domains->shardEventsExecuted();
+    r.eventsExecuted = _eq.numExecuted() + _domains->queue().numExecuted();
     return r;
 }
 

@@ -9,7 +9,6 @@
 #ifndef SF_SYSTEM_TILED_SYSTEM_HH
 #define SF_SYSTEM_TILED_SYSTEM_HH
 
-#include <atomic>
 #include <functional>
 #include <ostream>
 #include <memory>
@@ -28,7 +27,6 @@
 #include "noc/mesh.hh"
 #include "prefetch/bingo.hh"
 #include "prefetch/stride.hh"
-#include "sim/annotations.hh"
 #include "sim/checker.hh"
 #include "sim/fault.hh"
 #include "sim/interval_sampler.hh"
@@ -143,8 +141,8 @@ class TiledSystem
 
   private:
     void buildTiles();
-    /** Mesh sink: runs in @p tile's shard execution context. */
-    void dispatch(TileId tile, const noc::MsgPtr &msg) SF_SHARD_LOCAL;
+    /** Mesh sink: hands @p msg to @p tile's component. */
+    void dispatch(TileId tile, const noc::MsgPtr &msg);
     /** Create the interval sampler and register its standard probes. */
     void startSampler();
     SimResults collect(bool hit_limit);
@@ -172,9 +170,9 @@ class TiledSystem
     /** Global-service queue (watchdog / checker / sampler / barrier). */
     EventQueue _eq;
     /**
-     * Shard partition and window loop; every per-tile component is
-     * wired to _domains->queueOf(tile). Destroyed after the
-     * components (declared before them), created first in the ctor.
+     * Tile queue and window loop; every per-tile component is wired
+     * to _domains->queue(). Destroyed after the components (declared
+     * before them), created first in the ctor.
      */
     std::unique_ptr<sim::TileDomains> _domains;
     mem::PhysMem _physMem;
@@ -184,10 +182,9 @@ class TiledSystem
     std::unique_ptr<cpu::BarrierController> _barrier;
     /**
      * Stream-lifecycle logs, empty unless cfg.traceStreams: [2t] is
-     * tile t's SE_core, [2t+1] its SE_L3. Each is written only in its
-     * tile's execution context, and this tile order makes the merged
-     * trace the same for any worker count. Declared before the
-     * components that point into it.
+     * tile t's SE_core, [2t+1] its SE_L3; the merged trace folds them
+     * in this order. Declared before the components that point into
+     * it.
      */
     std::vector<trace::StreamLog> _streamLogs;
 
@@ -213,10 +210,8 @@ class TiledSystem
     /** Diagnostic-hook ids to unregister on destruction. */
     std::vector<int> _diagHooks;
 
-    /** Incremented from shard threads as cores drain; read at window
-     *  boundaries (a partition-invariant point), so the stop decision
-     *  is identical for every worker count. */
-    std::atomic<int> _coresDone{0};
+    /** Incremented as cores drain; read at window boundaries. */
+    int _coresDone = 0;
     double _hostSeconds = 0.0;
     bool _hostStatsInJson = false;
 };

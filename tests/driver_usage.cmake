@@ -1,8 +1,8 @@
 # Command-line strictness of one bench/example driver, the same bar
 # quickstart_usage sets for the quickstart: --help prints the option
-# list and exits 0; an unknown option, a stray positional argument or
-# a malformed --cores/--scale/--workloads value prints the usage to
-# stderr and exits 2 before any machine is built. Which of those three
+# list and exits 0; an unknown option (--threads included), a stray
+# positional argument or a malformed --cores/--scale/--workloads value
+# prints the usage to stderr and exits 2 before any machine is built. Which of those three
 # options the driver has is read from its own --help list; one it
 # lacks must be reported as unknown. A driver with positional sizes
 # gets valid ones in POSITIONALS (comma-separated): the stray argument
@@ -22,6 +22,8 @@ execute_process(COMMAND "${DRIVER}" --help OUTPUT_VARIABLE help)
 
 expect_usage(2 "unknown option '--scael=0.5'" --scael=0.5)
 expect_usage(2 "unknown option '--bogus'" --bogus)
+# The tile-parallel engine and its worker count are gone.
+expect_usage(2 "unknown option '--threads=4'" --threads=4)
 string(REPLACE "," ";" positionals "${POSITIONALS}")
 expect_usage(2 "unexpected argument 'extra'" ${positionals} extra)
 if(positionals)

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "mem/phys_mem.hh"
@@ -67,19 +66,6 @@ TEST(PhysMem, MaterializeAllocatesZeroFilledPage)
     EXPECT_EQ(m.numAllocatedPages(), 1u);
 }
 
-TEST(PhysMem, ConcurrentModeIsFunctionallyIdentical)
-{
-    PhysMem m;
-    m.setConcurrent(true);
-    m.writeT<uint32_t>(0x1000, 1u);
-    EXPECT_EQ(m.readT<uint32_t>(0x1000), 1u);
-    // Fresh pages still zero-fill on read without allocating.
-    EXPECT_EQ(m.readT<uint64_t>(0x9000), 0u);
-    EXPECT_EQ(m.numAllocatedPages(), 1u);
-    m.materialize(0x9000);
-    EXPECT_EQ(m.numAllocatedPages(), 2u);
-}
-
 TEST(AddressSpace, MapPageMaterializesEagerly)
 {
     PhysMem m;
@@ -91,8 +77,8 @@ TEST(AddressSpace, MapPageMaterializesEagerly)
 TEST(AddressSpace, FirstTouchFrameIsTouchOrderIndependent)
 {
     // The frame is a pure hash of the virtual page, so the physical
-    // placement of a lazily touched page cannot depend on which shard
-    // thread translated it first (DESIGN.md §4i).
+    // placement of a lazily touched page cannot depend on which page
+    // was translated first.
     PhysMem m1, m2;
     AddressSpace a(0, m1), b(0, m2);
     Addr va1 = 0x10000000, va2 = 0x10300000, va3 = 0x13370000;
@@ -101,35 +87,6 @@ TEST(AddressSpace, FirstTouchFrameIsTouchOrderIndependent)
     EXPECT_EQ(b.translate(va3), f3);
     EXPECT_EQ(b.translate(va1), f1);
     EXPECT_EQ(b.translate(va2), f2);
-}
-
-TEST(AddressSpace, ConcurrentFirstTouchIsSafe)
-{
-    PhysMem m;
-    AddressSpace as(0, m);
-    as.setConcurrent(true);
-    Addr base = 0x10000000;
-    constexpr int nThreads = 4, pagesPerThread = 64;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < nThreads; ++t) {
-        threads.emplace_back([&as, base, t]() {
-            for (int p = 0; p < pagesPerThread; ++p) {
-                // Disjoint pages plus a contended shared page per
-                // iteration: both must map and read back safely.
-                Addr mine = base + Addr(t * pagesPerThread + p) * pageBytes;
-                as.writeT<uint32_t>(mine, uint32_t(t * 1000 + p));
-                as.readT<uint64_t>(base + Addr(p) * 0x40000);
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    for (int t = 0; t < nThreads; ++t) {
-        for (int p = 0; p < pagesPerThread; ++p) {
-            Addr mine = base + Addr(t * pagesPerThread + p) * pageBytes;
-            EXPECT_EQ(as.readT<uint32_t>(mine), uint32_t(t * 1000 + p));
-        }
-    }
 }
 
 TEST(AddressSpace, AllocReturnsPageAlignedDistinctRegions)

@@ -65,7 +65,7 @@ set(DRIVER_NAME quickstart)
 set(DRIVER_BANNER "stream-floating quickstart: workload=")
 
 expect_usage(0 "--stats-json=DIR" --help)
-expect_usage(0 "--threads=N" -h)
+expect_usage(0 "--profile" -h)
 # --help wins even after otherwise valid arguments.
 expect_usage(0 "--verify" pathfinder 0.02 --help)
 
@@ -73,7 +73,10 @@ expect_usage(2 "unknown option '--bogus'" --bogus)
 expect_usage(2 "unknown option '-x'" pathfinder -x)
 expect_usage(2 "unknown option '--checkpoint=x'" pathfinder 0.02
              --checkpoint=x)
-# A trailing -j has no count to take.
+# The tile-parallel engine and its worker count (--threads, -j) are
+# gone.
+expect_usage(2 "unknown option '--threads=4'" pathfinder 0.02 --threads=4)
+expect_usage(2 "unknown option '-j4'" pathfinder 0.02 -j4)
 expect_usage(2 "unknown option '-j'" pathfinder 0.02 -j)
 expect_usage(2 "unexpected argument 'extra'" pathfinder 0.02 extra)
 

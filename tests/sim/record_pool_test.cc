@@ -2,8 +2,7 @@
  * @file
  * RecordPool: steady-state reuse without growth, reset on release
  * (captured state dropped, vector capacity kept), and the NoC hop
- * records built on it, serially and across the shards of the
- * tile-parallel engine.
+ * records built on it, standalone and under the window loop.
  */
 
 #include <gtest/gtest.h>
@@ -178,20 +177,18 @@ TEST(RecordPool, MeshHopRecordsDropTheMessage)
         EXPECT_EQ(arrivals[size_t(t)], t == 0 ? 100 : 50) << "tile " << t;
 }
 
-TEST(RecordPool, MeshHopsAcrossShardsDeliverOnceAndDropTheMessage)
+TEST(RecordPool, MeshHopsThroughWindowLoopDeliverOnceAndDropTheMessage)
 {
-    // Two worker shards over a 4x4 mesh: tile t lives on shard t % 2,
-    // so every X hop crosses shards (the copy travels by value) and
-    // every Y hop stays inside one (the record moves with the event).
+    // Keyed hop events on the window loop's tile queue, run window by
+    // window.
     EventQueue global;
     noc::MeshConfig cfg;
     cfg.nx = 4;
     cfg.ny = 4;
-    sim::TileDomains domains(global, 16, 2,
+    sim::TileDomains domains(global, 16,
                              cfg.routerLatency + cfg.linkLatency + 1);
     noc::Mesh mesh(global, cfg);
     mesh.setDomains(&domains);
-    // One counter per tile: each is touched only by its tile's shard.
     std::vector<int> arrivals(16, 0);
     for (TileId t = 0; t < mesh.numTiles(); ++t)
         mesh.bindSink(t, [&arrivals, t](const noc::MsgPtr &) {
@@ -209,11 +206,11 @@ TEST(RecordPool, MeshHopsAcrossShardsDeliverOnceAndDropTheMessage)
         uni->src = src;
         uni->dests = {TileId(15 - src)};
         for (Tick when = 1; when <= 40; when += 13) {
-            domains.scheduleTile(src, when, domains.nextKey(src),
-                                 [&mesh, multi, uni] {
-                                     mesh.send(multi);
-                                     mesh.send(uni);
-                                 });
+            domains.queue().scheduleKeyed(when, domains.nextKey(src),
+                                          [&mesh, multi, uni] {
+                                              mesh.send(multi);
+                                              mesh.send(uni);
+                                          });
         }
         sent.push_back(multi);
         sent.push_back(uni);

@@ -292,8 +292,8 @@ TEST(StreamTrace, IncarnationsGetSeparateTracks)
 }
 
 /**
- * Each log is one tile's own history, so the merged trace is the same
- * file whether one worker or four ran the tiles.
+ * SystemConfig::threads is ignored (perfbench still sets it): a run
+ * asking for four workers writes the same trace as a one-worker run.
  */
 TEST(StreamTrace, SameTraceAtAnyWorkerCount)
 {

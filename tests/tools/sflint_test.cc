@@ -2,9 +2,8 @@
  * @file
  * sflint unit tests: every rule class detects its seeded fixture
  * violation, suppressions work (and unjustified or retired-rule ones
- * do not), the text report is byte-stable and pins the full fixture
- * finding list, and the concurrency contracts C1/C2 catch seeded bugs
- * in copies of the real annotated tree sources.
+ * do not), and the text report is byte-stable and pins the full
+ * fixture finding list.
  */
 
 #include <gtest/gtest.h>
@@ -102,26 +101,6 @@ TEST(SflintRules, DetectsSeededViolations)
     EXPECT_EQ(s1[0].context, "fxGlobalCounter");
     EXPECT_EQ(s1[1].context, "fxCache");
 
-    // c1_unlocked.cc seeds an unguarded SF_GUARDED_BY access and an
-    // SF_REQUIRES call without the lock; its lock_guard, SF_REQUIRES
-    // body and lock-helper shapes must all stay silent.
-    auto c1 = newFindings(res, "C1", "fixtures/c1_unlocked.cc");
-    ASSERT_EQ(c1.size(), 2u);
-    EXPECT_EQ(c1[0].context, "_hits");
-    EXPECT_NE(c1[0].message.find("SF_GUARDED_BY(_m)"),
-              std::string::npos);
-    EXPECT_EQ(c1[1].context, "fxReset");
-    EXPECT_NE(c1[1].message.find("SF_REQUIRES"), std::string::npos);
-
-    // c2_cross.cc seeds both shard-affinity directions.
-    auto c2 = newFindings(res, "C2", "fixtures/c2_cross.cc");
-    ASSERT_EQ(c2.size(), 2u);
-    EXPECT_EQ(c2[0].context, "_seq");
-    EXPECT_NE(c2[0].message.find("SF_BARRIER_ONLY"), std::string::npos);
-    EXPECT_EQ(c2[1].context, "fxDrain");
-    EXPECT_NE(c2[1].message.find("reachable from SF_SHARD_LOCAL"),
-              std::string::npos);
-
     // a1_unknown.cc suppresses a rule id that does not exist and one
     // that was retired (S2).
     auto a1 = newFindings(res, "A1", "fixtures/a1_unknown.cc");
@@ -162,21 +141,16 @@ TEST(SflintRules, UnjustifiedSuppressionsDoNotSilence)
 
     // An `allow(RULE)` with no justification text leaves the finding
     // new and tags it so the report says what is missing.
-    for (const char *file :
-         {"fixtures/c1_nojustify.cc", "fixtures/c2_nojustify.cc",
-          "fixtures/d2v2_nojustify.cc"}) {
-        SCOPED_TRACE(file);
-        int fresh = 0;
-        for (const Finding &fd : res.findings) {
-            if (fd.file != file)
-                continue;
-            EXPECT_FALSE(fd.suppressed);
-            EXPECT_NE(fd.message.find("missing a justification"),
-                      std::string::npos);
-            ++fresh;
-        }
-        EXPECT_EQ(fresh, 1);
+    int fresh = 0;
+    for (const Finding &fd : res.findings) {
+        if (fd.file != "fixtures/d2v2_nojustify.cc")
+            continue;
+        EXPECT_FALSE(fd.suppressed);
+        EXPECT_NE(fd.message.find("missing a justification"),
+                  std::string::npos);
+        ++fresh;
     }
+    EXPECT_EQ(fresh, 1);
 }
 
 TEST(SflintRules, SuppressionsAndCleanFile)
@@ -192,8 +166,8 @@ TEST(SflintRules, SuppressionsAndCleanFile)
         }
         EXPECT_NE(fd.file, "fixtures/clean.cc");
     }
-    // One suppressed case per rule class (D1, D2, P1, S1, T1, C1, C2).
-    EXPECT_EQ(suppressedSeen, 7);
+    // One suppressed case per rule class (D1, D2, P1, S1, T1).
+    EXPECT_EQ(suppressedSeen, 5);
 }
 
 TEST(SflintRules, RetiredRuleSuppressionIsUnknown)
@@ -283,91 +257,4 @@ TEST(SflintOutput, ByteStableAndMatchesGolden)
 
     fs::path root(SFLINT_FIXTURE_ROOT);
     EXPECT_EQ(renderText(a, true), slurp(root / "fixtures_golden.txt"));
-}
-
-TEST(SflintConcurrency, CatchesSeededLockBugInPhysMem)
-{
-    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_c1_tree";
-    fs::create_directories(tmp / "seed");
-    std::string text =
-        slurp(fs::path(SFLINT_SOURCE_ROOT) / "src/mem/phys_mem.hh");
-
-    Config cfg;
-    cfg.root = tmp.string();
-    cfg.inputs = {"seed"};
-
-    // The annotated file as shipped is contract-clean.
-    spit(tmp / "seed" / "phys_mem.hh", text);
-    for (const Finding &fd : analyze(cfg).findings)
-        EXPECT_TRUE(fd.suppressed) << fd.message;
-
-    // Deleting the writeLock() acquisition in materialize() is
-    // exactly the bug C1 exists to catch. The search string pins the
-    // 8-space indent so only materialize()'s copy matches.
-    const std::string lock =
-        "        auto l = writeLock();\n        auto &storage";
-    size_t at = text.find(lock);
-    ASSERT_NE(at, std::string::npos);
-    std::string broken = text;
-    broken.erase(at, lock.find('\n') + 1);
-    spit(tmp / "seed" / "phys_mem.hh", broken);
-
-    AnalysisResult res = analyze(cfg);
-    auto c1 = newFindings(res, "C1", "seed/phys_mem.hh");
-    ASSERT_EQ(c1.size(), 1u);
-    EXPECT_EQ(c1[0].context, "_pages");
-    EXPECT_NE(c1[0].message.find("SF_GUARDED_BY(_mu)"),
-              std::string::npos);
-}
-
-TEST(SflintConcurrency, CatchesSeededAffinityBugInShard)
-{
-    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_c2_tree";
-    fs::create_directories(tmp / "seed");
-    fs::path root(SFLINT_SOURCE_ROOT);
-    std::string hh = slurp(root / "src/sim/shard.hh");
-    std::string cc = slurp(root / "src/sim/shard.cc");
-
-    Config cfg;
-    cfg.root = tmp.string();
-    cfg.inputs = {"seed"};
-
-    // The annotated pair as shipped is contract-clean.
-    spit(tmp / "seed" / "shard.hh", hh);
-    spit(tmp / "seed" / "shard.cc", cc);
-    for (const Finding &fd : analyze(cfg).findings)
-        EXPECT_TRUE(fd.suppressed) << fd.file << ": " << fd.message;
-
-    // The barrier merge touching a shard-owned counter is exactly
-    // the worker-count-dependent race C2 exists to catch. The
-    // SF_BARRIER_ONLY annotation lives on the .hh declaration; the
-    // cross-TU merge must carry it to the .cc definition.
-    const std::string anchor =
-        "TileDomains::windowBarrier(Tick windowEnd)\n{\n";
-    size_t at = cc.find(anchor);
-    ASSERT_NE(at, std::string::npos);
-    std::string broken = cc;
-    broken.insert(at + anchor.size(), "    _keyCnt[0] = 0;\n");
-    spit(tmp / "seed" / "shard.cc", broken);
-
-    AnalysisResult res = analyze(cfg);
-    auto c2 = newFindings(res, "C2", "seed/shard.cc");
-    ASSERT_EQ(c2.size(), 1u);
-    EXPECT_EQ(c2[0].context, "_keyCnt");
-    EXPECT_NE(c2[0].message.find("SF_SHARD_LOCAL"), std::string::npos);
-
-    // A worker running the barrier's completion step itself, instead
-    // of leaving it to the barrier, puts the merge inside a window.
-    const std::string slice = "            runShardSlice(shard);\n";
-    at = cc.find(slice);
-    ASSERT_NE(at, std::string::npos);
-    broken = cc;
-    broken.insert(at + slice.size(), "        completeWindow();\n");
-    spit(tmp / "seed" / "shard.cc", broken);
-
-    res = analyze(cfg);
-    bool flagged = false;
-    for (const Finding &fd : newFindings(res, "C2", "seed/shard.cc"))
-        flagged |= fd.context == "completeWindow";
-    EXPECT_TRUE(flagged);
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * sflint declaration-scoped AST: namespaces, classes, function
- * definitions (with body token ranges) and data members, plus the
- * concurrency annotations from src/sim/annotations.hh.
+ * definitions (with body token ranges) and data members.
  *
  * Deliberately lightweight. The parser walks namespace/class scopes
  * statement by statement; function bodies are opaque token ranges
@@ -59,14 +58,6 @@ const std::set<std::string> kHeadKeywords = {
     "uint32_t", "uint64_t",  "int8_t",    "int16_t",  "int32_t",
     "int64_t"};
 
-/** The zero-cost annotation macros (src/sim/annotations.hh). */
-bool
-isAnnotation(const std::string &s)
-{
-    return s == "SF_GUARDED_BY" || s == "SF_REQUIRES" ||
-           s == "SF_SHARD_LOCAL" || s == "SF_BARRIER_ONLY";
-}
-
 struct Scope
 {
     bool isClass = false;
@@ -95,17 +86,6 @@ innerClass(const std::vector<Scope> &scopes)
             return it->name;
     }
     return "";
-}
-
-/** Identifiers inside an annotation argument list (mutex names). */
-void
-collectArgIdents(const std::vector<Token> &toks, size_t open, size_t end,
-                 std::set<std::string> &out)
-{
-    for (size_t j = open + 1; j + 1 < end; ++j) {
-        if (toks[j].kind == TokKind::Ident && toks[j].text != "std")
-            out.insert(toks[j].text);
-    }
 }
 
 /**
@@ -144,15 +124,12 @@ struct FnHead
     bool hasBody = false;
     size_t bodyBegin = 0;
     size_t bodyEnd = 0;
-    std::set<std::string> requiresMutexes;
-    bool shardLocal = false;
-    bool barrierOnly = false;
 };
 
 /**
  * Validate the `(` at @p j as a function parameter list by parsing
  * the qualifier run after the matching `)` down to a body, `;`, or
- * `= default/delete/0 ;`. Collects the concurrency annotations.
+ * `= default/delete/0 ;`.
  */
 bool
 validateFunction(const std::vector<Token> &toks, size_t j, size_t end,
@@ -172,24 +149,6 @@ validateFunction(const std::vector<Token> &toks, size_t j, size_t end,
             if (t.text == "const" || t.text == "override" ||
                 t.text == "final" || t.text == "mutable" ||
                 t.text == "volatile" || t.text == "try") {
-                ++q;
-                continue;
-            }
-            if (t.text == "SF_REQUIRES") {
-                if (q + 1 >= end || !isPunct(toks[q + 1], "("))
-                    return false;
-                size_t e = matchDelim(toks, q + 1, "(", ")");
-                collectArgIdents(toks, q + 1, e, out.requiresMutexes);
-                q = e;
-                continue;
-            }
-            if (t.text == "SF_SHARD_LOCAL") {
-                out.shardLocal = true;
-                ++q;
-                continue;
-            }
-            if (t.text == "SF_BARRIER_ONLY") {
-                out.barrierOnly = true;
                 ++q;
                 continue;
             }
@@ -237,48 +196,6 @@ validateFunction(const std::vector<Token> &toks, size_t j, size_t end,
         return false;
     }
     return false;
-}
-
-/**
- * Discover lock helpers: a body that constructs a
- * shared_lock/unique_lock/lock_guard/scoped_lock over mutex members
- * and `return`s the lock variable hands those mutexes to its caller
- * (`auto l = readLock();` then holds them — the PhysMem idiom).
- */
-void
-findReturnedLocks(const std::vector<Token> &toks, FunctionDecl &fn)
-{
-    if (!fn.hasBody)
-        return;
-    std::map<std::string, std::set<std::string>> lockVars;
-    for (size_t j = fn.bodyBegin; j < fn.bodyEnd; ++j) {
-        const Token &t = toks[j];
-        if (t.kind != TokKind::Ident)
-            continue;
-        if (t.text == "shared_lock" || t.text == "unique_lock" ||
-            t.text == "lock_guard" || t.text == "scoped_lock") {
-            size_t k = j + 1;
-            if (k < fn.bodyEnd && isPunct(toks[k], "<"))
-                k = matchDelim(toks, k, "<", ">");
-            if (k < fn.bodyEnd && toks[k].kind == TokKind::Ident &&
-                k + 1 < fn.bodyEnd && isPunct(toks[k + 1], "(")) {
-                size_t e = matchDelim(toks, k + 1, "(", ")");
-                std::set<std::string> ms;
-                collectArgIdents(toks, k + 1, e, ms);
-                ms.erase("defer_lock");
-                ms.erase("adopt_lock");
-                ms.erase("try_to_lock");
-                lockVars[toks[k].text].insert(ms.begin(), ms.end());
-            }
-        } else if (t.text == "return" && j + 2 < fn.bodyEnd &&
-                   toks[j + 1].kind == TokKind::Ident &&
-                   isPunct(toks[j + 2], ";")) {
-            auto it = lockVars.find(toks[j + 1].text);
-            if (it != lockVars.end())
-                fn.returnsLockOn.insert(it->second.begin(),
-                                        it->second.end());
-        }
-    }
 }
 
 struct Parser
@@ -454,8 +371,7 @@ struct Parser
                 continue;
             }
             if (isPunct(t, "(")) {
-                if (!sawEq && j > i && toks[j - 1].kind == TokKind::Ident &&
-                    !isAnnotation(toks[j - 1].text)) {
+                if (!sawEq && j > i && toks[j - 1].kind == TokKind::Ident) {
                     FnHead head;
                     if (validateFunction(toks, j, end, head)) {
                         recordFunction(i, j, head);
@@ -479,11 +395,8 @@ struct Parser
         FunctionDecl fn;
         fn.name = toks[p].text;
         size_t chainHead = p;
-        bool dtor = false;
-        if (p > stmtBegin && isPunct(toks[p - 1], "~")) {
-            dtor = true;
+        if (p > stmtBegin && isPunct(toks[p - 1], "~"))
             chainHead = p - 1;
-        }
         std::vector<std::string> quals;
         while (chainHead >= stmtBegin + 2 &&
                isPunct(toks[chainHead - 1], "::") &&
@@ -503,17 +416,11 @@ struct Parser
         fn.hasBody = head.hasBody;
         fn.bodyBegin = head.bodyBegin;
         fn.bodyEnd = head.bodyEnd;
-        fn.ctorDtor = dtor || (!fn.className.empty() &&
-                               fn.name == fn.className);
-        fn.requiresMutexes = head.requiresMutexes;
-        fn.shardLocal = head.shardLocal;
-        fn.barrierOnly = head.barrierOnly;
         for (size_t k = stmtBegin; k < chainHead; ++k) {
             if (toks[k].kind == TokKind::Ident &&
                 !kHeadKeywords.count(toks[k].text))
                 fn.typeIdents.insert(toks[k].text);
         }
-        findReturnedLocks(toks, fn);
         prog.functions.push_back(std::move(fn));
     }
 
@@ -541,23 +448,8 @@ struct Parser
             }
             if (depth == 0 && isPunct(t, "="))
                 break; // initializer: the name is already behind us
-            if (t.kind != TokKind::Ident || depth != 0)
-                continue;
-            if (t.text == "SF_GUARDED_BY") {
-                if (j + 1 < stmtEnd && isPunct(toks[j + 1], "(")) {
-                    size_t e = matchDelim(toks, j + 1, "(", ")");
-                    std::set<std::string> ms;
-                    collectArgIdents(toks, j + 1, e, ms);
-                    if (!ms.empty())
-                        m.guardedBy = *ms.rbegin();
-                }
-                continue;
-            }
-            if (t.text == "SF_SHARD_LOCAL") {
-                m.shardLocal = true;
-                continue;
-            }
-            nameAt = j;
+            if (t.kind == TokKind::Ident && depth == 0)
+                nameAt = j;
         }
         if (!nameAt)
             return;
@@ -565,8 +457,7 @@ struct Parser
         m.line = toks[nameAt].line;
         for (size_t j = stmtBegin; j < stmtEnd; ++j) {
             if (toks[j].kind == TokKind::Ident && j != nameAt &&
-                !kHeadKeywords.count(toks[j].text) &&
-                !isAnnotation(toks[j].text))
+                !kHeadKeywords.count(toks[j].text))
                 m.typeIdents.insert(toks[j].text);
         }
         prog.members[cls].push_back(std::move(m));
@@ -592,34 +483,6 @@ indexProgram(Program &prog)
         prog.byName[fn.name].push_back(i);
         if (!fn.className.empty())
             prog.methodsOf[fn.className].insert(fn.name);
-    }
-    // Merge annotations and discovered lock helpers across every
-    // declaration/definition of the same qualified name, so an
-    // annotation on the .hh declaration covers the .cc definition.
-    std::map<std::string, std::vector<size_t>> byQual;
-    for (size_t i = 0; i < prog.functions.size(); ++i)
-        byQual[prog.functions[i].qualName].push_back(i);
-    for (const auto &[qn, idxs] : byQual) {
-        if (idxs.size() < 2)
-            continue;
-        std::set<std::string> req, locks;
-        bool shard = false, barrier = false;
-        for (size_t i : idxs) {
-            const FunctionDecl &fn = prog.functions[i];
-            req.insert(fn.requiresMutexes.begin(),
-                       fn.requiresMutexes.end());
-            locks.insert(fn.returnsLockOn.begin(),
-                         fn.returnsLockOn.end());
-            shard = shard || fn.shardLocal;
-            barrier = barrier || fn.barrierOnly;
-        }
-        for (size_t i : idxs) {
-            FunctionDecl &fn = prog.functions[i];
-            fn.requiresMutexes = req;
-            fn.returnsLockOn = locks;
-            fn.shardLocal = shard;
-            fn.barrierOnly = barrier;
-        }
     }
 }
 

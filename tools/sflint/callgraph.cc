@@ -1,10 +1,10 @@
 /**
  * @file
- * sflint cross-TU call graph and reachability sets.
+ * sflint cross-TU call graph and timed-path reachability.
  *
  * Call edges are added only when confidently resolved; an ambiguous
  * name gets no edge. That makes the graph an under-approximation of
- * the real program — the honest direction for C2/D2v2, which flag
+ * the real program — the honest direction for D2v2, which flags
  * code *on* a reachable path: a dropped edge can hide a finding but
  * never invents one. The resolution ladder:
  *
@@ -112,8 +112,11 @@ typeIdentsOf(const Program &prog, const FunctionDecl &caller,
     return {};
 }
 
-} // namespace
-
+/**
+ * Resolve the call site whose callee identifier is token @p i
+ * (toks[i+1] is `(`) to Program::functions indices; empty when the
+ * name is ambiguous or unknown (see the ladder above).
+ */
 std::vector<size_t>
 resolveCall(const Program &prog, const FunctionDecl &caller,
             const std::vector<Token> &toks, size_t i)
@@ -210,6 +213,8 @@ resolveCall(const Program &prog, const FunctionDecl &caller,
     return uniqueByQual(prog, all);
 }
 
+} // namespace
+
 CallGraph
 buildCallGraph(const std::vector<SourceFile> &files, const Program &prog,
                const Config &cfg)
@@ -218,8 +223,6 @@ buildCallGraph(const std::vector<SourceFile> &files, const Program &prog,
     const size_t n = prog.functions.size();
     cg.callees.assign(n, {});
     cg.timedReachable.assign(n, 0);
-    cg.barrierReachable.assign(n, 0);
-    cg.shardReachable.assign(n, 0);
 
     std::map<std::string, const SourceFile *> byPath;
     for (const SourceFile &f : files)
@@ -258,27 +261,6 @@ buildCallGraph(const std::vector<SourceFile> &files, const Program &prog,
         cg.callees[fi].assign(outs.begin(), outs.end());
     }
 
-    auto bfs = [&](const std::vector<size_t> &seeds,
-                   std::vector<char> &mark) {
-        std::deque<size_t> q;
-        for (size_t s : seeds) {
-            if (!mark[s]) {
-                mark[s] = 1;
-                q.push_back(s);
-            }
-        }
-        while (!q.empty()) {
-            size_t cur = q.front();
-            q.pop_front();
-            for (size_t nx : cg.callees[cur]) {
-                if (!mark[nx]) {
-                    mark[nx] = 1;
-                    q.push_back(nx);
-                }
-            }
-        }
-    };
-
     std::vector<size_t> roots;
     for (size_t i = 0; i < n; ++i) {
         for (const std::string &r : cfg.timedRoots) {
@@ -292,20 +274,28 @@ buildCallGraph(const std::vector<SourceFile> &files, const Program &prog,
         // Fail-safe: a tree that defines no timed root at all gets
         // the old whole-tree behavior instead of a silent all-clear.
         cg.timedReachable.assign(n, 1);
-    } else {
-        roots.insert(roots.end(), timedSeeds.begin(), timedSeeds.end());
-        bfs(roots, cg.timedReachable);
+        return cg;
     }
-
-    std::vector<size_t> bSeeds, sSeeds;
-    for (size_t i = 0; i < n; ++i) {
-        if (prog.functions[i].barrierOnly)
-            bSeeds.push_back(i);
-        if (prog.functions[i].shardLocal)
-            sSeeds.push_back(i);
+    // Breadth-first walk from the roots and the scheduled callbacks.
+    std::vector<char> &mark = cg.timedReachable;
+    std::deque<size_t> q;
+    roots.insert(roots.end(), timedSeeds.begin(), timedSeeds.end());
+    for (size_t s : roots) {
+        if (!mark[s]) {
+            mark[s] = 1;
+            q.push_back(s);
+        }
     }
-    bfs(bSeeds, cg.barrierReachable);
-    bfs(sSeeds, cg.shardReachable);
+    while (!q.empty()) {
+        size_t cur = q.front();
+        q.pop_front();
+        for (size_t nx : cg.callees[cur]) {
+            if (!mark[nx]) {
+                mark[nx] = 1;
+                q.push_back(nx);
+            }
+        }
+    }
     return cg;
 }
 

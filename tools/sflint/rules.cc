@@ -1,8 +1,7 @@
 /**
  * @file
  * sflint rule passes D1/D2/P1/T1/S1/A1 (see sflint.hh for the
- * registry of what each rule enforces and why). The concurrency rules
- * C1/C2 live in rules_concurrency.cc.
+ * registry of what each rule enforces and why).
  */
 
 #include "sflint.hh"
@@ -567,10 +566,10 @@ ruleS1(const SourceFile &f, std::vector<Finding> &out)
             continue; // synchronization primitive
         emit(out, f, "S1", toks[i].line, name,
              "mutable static '" + name +
-                 "': shared state races under the tile-parallel "
-                 "engine and can make results depend on the worker "
-                 "count; scope it per tile/system, make it "
-                 "const/atomic, or annotate "
+                 "': hidden process-wide state carries over from one "
+                 "simulation to the next in a driver that runs many; "
+                 "scope it per tile/system, make it const/atomic, or "
+                 "annotate "
                  "`// sflint: allow(S1, <reason>)`");
     }
 }
@@ -654,8 +653,6 @@ runRules(const SourceFile &f, const Config &cfg, const Registry &reg,
     ruleP1(f, cfg, reg, raw);
     ruleT1(f, raw);
     ruleS1(f, raw);
-    ruleC1(f, prog, raw);
-    ruleC2(f, prog, cg, raw);
     ruleA1(f, cfg, raw);
     for (Finding &fd : raw) {
         fd.suppressed = suppressed(f, fd);

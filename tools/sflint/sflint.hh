@@ -20,7 +20,7 @@
  *       high_resolution_clock) and no getenv() in functions on the
  *       timed simulation path: reachable, via the call graph, from a
  *       timed root (TiledSystem::run / TileDomains::runWindows /
- *       EventQueue::run / the barrier merge) or from any callback
+ *       EventQueue::run) or from any callback
  *       scheduled onto an event queue. Host-side reporting
  *       code may read clocks and the environment freely.
  *   P1  every switch over a monitored message/coherence enum
@@ -31,28 +31,16 @@
  *       aliases: flag declarations, static_casts and C-style casts
  *       that narrow a tick-ish expression to int/unsigned/…
  *   S1  no mutable namespace-scope or function-local `static` state:
- *       with the tile-parallel engine (DESIGN.md §4i) any hidden
- *       global is a data race and a shard-count-variance hazard.
+ *       a driver runs many simulations in one process, and hidden
+ *       global state carries over from one to the next.
  *       const/constexpr, thread_local, and synchronization types
  *       (std::atomic, mutexes, once_flag, …) are exempt; functions
  *       (internal linkage, static members) are not state. Suppress
  *       with `// sflint: allow(S1, <reason>)`.
- *   C1  lock discipline: a member annotated `SF_GUARDED_BY(m)`
- *       (src/sim/annotations.hh) may only be accessed while `m` is
- *       held — via lock_guard/unique_lock/shared_lock/scoped_lock,
- *       via an interprocedurally-discovered lock helper that returns
- *       such a lock, or inside a function annotated
- *       `SF_REQUIRES(m)`; calling an `SF_REQUIRES(m)` function also
- *       demands `m` be held. Constructors/destructors are exempt.
- *   C2  shard affinity (DESIGN.md §4i): over the cross-TU call
- *       graph, code reachable from `SF_BARRIER_ONLY` functions must
- *       not touch `SF_SHARD_LOCAL` members, and `SF_BARRIER_ONLY`
- *       functions must not be reachable from `SF_SHARD_LOCAL`
- *       (shard-context) code.
  *   A1  annotation hygiene: a `// sflint: allow(<RULE>, …)` naming a
  *       rule id that does not exist in the registry is a hard
  *       finding — a typo like `allow(S3, …)` must not silently mask
- *       a hazard. Retired ids (S2, E1) are unknown too.
+ *       a hazard. Retired ids (S2, E1, C1, C2) are unknown too.
  *
  * Generic suppression for any rule:
  *   `// sflint: allow(<RULE>, <reason>)` on the finding line or the
@@ -145,11 +133,11 @@ struct Registry
 // ------------------------------------------------------------------ ast
 
 /**
- * One parsed function — a definition (with a body token range) or an
- * annotated declaration. The declaration-scoped AST is deliberately
- * lightweight: enough structure to attach annotations, resolve
- * member/qualified calls, and walk bodies; no expressions, no types
- * beyond the identifier soup needed for receiver resolution.
+ * One parsed function — a definition (with a body token range) or a
+ * declaration. The declaration-scoped AST is deliberately lightweight:
+ * enough structure to resolve member/qualified calls and walk bodies;
+ * no expressions, no types beyond the identifier soup needed for
+ * receiver resolution.
  */
 struct FunctionDecl
 {
@@ -161,28 +149,15 @@ struct FunctionDecl
     bool hasBody = false;
     size_t bodyBegin = 0;  //!< token index of the body `{`
     size_t bodyEnd = 0;    //!< one past the matching `}`
-    bool ctorDtor = false;
     /** Identifiers appearing in the return type / declaration head. */
     std::set<std::string> typeIdents;
-    /** SF_REQUIRES(m) mutexes (last identifier of each argument). */
-    std::set<std::string> requiresMutexes;
-    bool shardLocal = false;  //!< SF_SHARD_LOCAL
-    bool barrierOnly = false; //!< SF_BARRIER_ONLY
-    /**
-     * Mutexes this function acquires and returns as a movable lock
-     * (`auto l = readLock();` at a call site then holds them).
-     * Discovered from the body, not annotated.
-     */
-    std::set<std::string> returnsLockOn;
 };
 
-/** An annotated or type-recorded data member. */
+/** A type-recorded data member. */
 struct MemberDecl
 {
     std::string name;
     std::string className;
-    std::string guardedBy; //!< SF_GUARDED_BY mutex ("" = none)
-    bool shardLocal = false;
     /** Identifiers of the declared type (receiver resolution). */
     std::set<std::string> typeIdents;
     std::string file;
@@ -198,7 +173,7 @@ struct Program
     std::vector<FunctionDecl> functions;
     /** bare name -> indices into functions. */
     std::map<std::string, std::vector<size_t>> byName;
-    /** class -> member declarations (annotated or typed). */
+    /** class -> member declarations. */
     std::map<std::string, std::vector<MemberDecl>> members;
     /** class -> set of method bare names it declares. */
     std::map<std::string, std::set<std::string>> methodsOf;
@@ -220,14 +195,14 @@ struct Program
 /** Parse one file's declaration-scoped AST into @p prog. */
 void buildAst(const SourceFile &f, Program &prog);
 
-/** Merge per-file declarations, build indices, find lock helpers. */
+/** Build the name and class-method indices. */
 void indexProgram(Program &prog);
 
 // ------------------------------------------------------------ callgraph
 
 /**
  * Cross-TU call graph over Program::functions plus the timed-path
- * and barrier/shard reachability sets the C2 and D2v2 rules consume.
+ * reachability set the D2v2 rule consumes.
  * Call edges are added only when confidently resolved (qualified
  * name, same-class bare call, receiver-typed member call, or a
  * program-unique bare name); ambiguous names get no edge — an
@@ -239,10 +214,6 @@ struct CallGraph
     std::vector<std::vector<size_t>> callees;
     /** Reachable from a timed root or a scheduled callback (D2v2). */
     std::vector<char> timedReachable;
-    /** Reachable from an SF_BARRIER_ONLY function (C2). */
-    std::vector<char> barrierReachable;
-    /** Reachable from an SF_SHARD_LOCAL function (C2). */
-    std::vector<char> shardReachable;
 };
 
 struct Config; // forward
@@ -255,27 +226,6 @@ CallGraph buildCallGraph(const std::vector<SourceFile> &files,
  *  of @p file ((size_t)-1 when none). */
 size_t enclosingFunction(const Program &prog, const std::string &file,
                          size_t tokIndex);
-
-/**
- * Resolve the call site whose callee identifier is token @p i
- * (toks[i+1] is `(`) to Program::functions indices; empty when the
- * name is ambiguous or unknown (see callgraph.cc for the ladder).
- */
-std::vector<size_t> resolveCall(const Program &prog,
-                                const FunctionDecl &caller,
-                                const std::vector<Token> &toks, size_t i);
-
-// -------------------------------------------------- concurrency rules
-
-struct Finding; // forward
-
-/** C1 lock discipline over one file (rules_concurrency.cc). */
-void ruleC1(const SourceFile &f, const Program &prog,
-            std::vector<Finding> &out);
-
-/** C2 shard affinity over one file (rules_concurrency.cc). */
-void ruleC2(const SourceFile &f, const Program &prog, const CallGraph &cg,
-            std::vector<Finding> &out);
 
 // -------------------------------------------------------------- engine
 
@@ -297,19 +247,18 @@ struct Config
      * all, every function is treated as reachable (fail-safe).
      */
     std::set<std::string> timedRoots = {
-        "TiledSystem::run", "TileDomains::runWindows",
-        "TileDomains::completeWindow", "EventQueue::run"};
+        "TiledSystem::run", "TileDomains::runWindows", "EventQueue::run"};
     /**
      * Callback-registration calls whose lambda arguments execute on
      * the timed path (event handlers): any function called inside
      * their argument lists seeds timed reachability.
      */
-    std::set<std::string> schedulers = {
-        "schedule",       "scheduleIn", "scheduleKeyed",
-        "scheduleTile",   "postGlobal", "setBarrierHook"};
+    std::set<std::string> schedulers = {"schedule",   "scheduleIn",
+                                        "scheduleKeyed", "postGlobal",
+                                        "setBarrierHook"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
-    std::set<std::string> knownRules = {"D1", "D2", "P1", "T1",
-                                        "S1", "C1", "C2", "A1"};
+    std::set<std::string> knownRules = {"D1", "D2", "P1", "T1", "S1",
+                                        "A1"};
 };
 
 struct Finding
