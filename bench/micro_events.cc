@@ -194,13 +194,12 @@ struct HookTick
             Tick now = ctx->eq->curTick();
             // The hook pattern components use verbatim (core.cc,
             // caches, se_core.cc): guarded open, mark, close.
-            // sflint: allow(T1, profiler record handle, not a tick)
             uint32_t pid =
                 prof ? prof->open(0, invalidStream, now) : 0;
             if (prof && pid)
-                prof->mark(0, pid, prof::Phase::PrivCache, now);
+                prof->mark(pid, prof::Phase::PrivCache, now);
             if (prof && pid)
-                prof->close(0, pid, now);
+                prof->close(pid, now);
         }
         ctx->eq->scheduleIn(1 + static_cast<Cycles>(ctx->budget % 8),
                             *this, EventPriority::ClockTick);

@@ -375,7 +375,7 @@ Core::tryIssue(RobEntry &e)
             return false;
         if (_barrier) {
             uint64_t seq = e.seq;
-            _barrier->arrive(_tile, [this, seq]() {
+            _barrier->arrive([this, seq]() {
                 markCompleted(seq);
                 wake();
             });
@@ -606,7 +606,7 @@ Core::issueMemAccess(Addr vaddr, uint16_t size, bool is_write,
                 a.profId = pid;
                 a.onDone = [this, pid,
                             inner = std::move(a.onDone)]() {
-                    _prof->close(_tile, pid, curTick());
+                    _prof->close(pid, curTick());
                     if (inner)
                         inner();
                 };
@@ -789,7 +789,7 @@ Core::finishIfDrained()
     SF_DPRINTF(Core, "done: %llu ops committed",
                (unsigned long long)_stats.committedOps.value());
     if (_barrier)
-        _barrier->retire(_tile);
+        _barrier->retire();
     if (onDone)
         onDone();
 }

@@ -509,7 +509,7 @@ SEL2::fetchFloatedElems(StreamId sid, uint64_t first_idx, uint16_t count,
         _seCore.notifyFloatedBufferServe(sid);
         maybeGrantCredits(sid, *s);
         if (_prof && prof_id)
-            _prof->add(_tile, prof_id, prof::Phase::SEBuffer, 0);
+            _prof->add(prof_id, prof::Phase::SEBuffer, 0);
         scheduleIn(1, std::move(on_ready));
         return;
     }
@@ -602,7 +602,7 @@ SEL2::serveWaiters(StreamId sid, FloatedStream &s)
         Waiter &w = s.waiters[i];
         if (w.endElem <= avail) {
             if (_prof && w.profId) {
-                _prof->add(_tile, w.profId, prof::Phase::SEBuffer,
+                _prof->add(w.profId, prof::Phase::SEBuffer,
                            curTick() - w.parkTick);
             }
             if (!fire)

@@ -78,7 +78,7 @@ L3Bank::recvMsg(const MemMsgPtr &msg)
     // Charge the bank access pipeline up front: the latency is fixed,
     // so attributing it at receipt keeps the hot path branch-free.
     if (_prof && msg->profId)
-        _prof->add(_tile, msg->profId, prof::Phase::L3Service, _cfg.latency);
+        _prof->add(msg->profId, prof::Phase::L3Service, _cfg.latency);
     after<&L3Bank::process>(_cfg.latency, msg);
 }
 
@@ -107,7 +107,7 @@ L3Bank::process(const MemMsgPtr &msg)
         return;
     }
     if (_prof && msg->profId && msg->profEnqTick) {
-        _prof->add(_tile, msg->profId, prof::Phase::L3Queue,
+        _prof->add(msg->profId, prof::Phase::L3Queue,
                    curTick() - msg->profEnqTick);
         msg->profEnqTick = 0;
     }
@@ -699,7 +699,7 @@ L3Bank::handleMemData(const MemMsgPtr &msg)
     // Attribute the DRAM round trip (including any fill-retry wait) to
     // the request that opened the transaction.
     if (_prof && !txn.isStream && txn.req->profId) {
-        _prof->add(_tile, txn.req->profId, prof::Phase::Mem,
+        _prof->add(txn.req->profId, prof::Phase::Mem,
                    curTick() - txn.memIssueTick);
     }
 

@@ -69,7 +69,7 @@ PrivCache::accessL1(Access a)
             if (_streamBuf)
                 _streamBuf->onFloatedHitInCache(a.stream, a.elemIdx);
             if (_prof && a.profId)
-                _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+                _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
             if (a.onDone)
                 a.onDone();
             return;
@@ -106,7 +106,7 @@ PrivCache::accessL1(Access a)
                                         a.isWrite, false, false});
             }
             if (_prof && a.profId)
-                _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+                _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
             if (a.onDone)
                 a.onDone();
             return;
@@ -127,7 +127,7 @@ PrivCache::accessL1(Access a)
                                         a.isWrite, false, false});
             }
             if (_prof && a.profId)
-                _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+                _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
             if (a.onDone)
                 a.onDone();
             return;
@@ -173,7 +173,7 @@ PrivCache::handleFloatedAccess(Access a)
         if (_streamBuf)
             _streamBuf->onFloatedHitInCache(a.stream, a.elemIdx);
         if (_prof && a.profId)
-            _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+            _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
         if (a.onDone)
             a.onDone();
         return;
@@ -209,7 +209,7 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
         }
         ++_stats.l2Hits;
         if (_prof && a.profId)
-            _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+            _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
         SF_DPRINTF(Cache, "L2 hit %s %llx kind=%d",
                    a.isWrite ? "st" : "ld", (unsigned long long)a.paddr,
                    (int)a.kind);
@@ -251,7 +251,7 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
         if (a.kind == AccessKind::Prefetch)
             return; // demand/earlier request already in flight
         if (_prof && a.profId)
-            _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+            _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
         m.waiters.push_back(std::move(a));
         Access &queued = m.waiters.back();
         if (queued.isWrite && !m.pendingM)
@@ -305,7 +305,7 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
         ++_stats.prefetchesIssued;
     }
     if (_prof && a.profId)
-        _prof->mark(_tile, a.profId, prof::Phase::PrivCache, curTick());
+        _prof->mark(a.profId, prof::Phase::PrivCache, curTick());
     m.waiters.push_back(std::move(a));
     _mshrs.emplace(line_addr, std::move(m));
 
@@ -629,7 +629,7 @@ PrivCache::handleData(const MemMsgPtr &msg)
                 continue;
             }
             if (_prof && w.profId)
-                _prof->mark(_tile, w.profId, prof::Phase::Remote, curTick());
+                _prof->mark(w.profId, prof::Phase::Remote, curTick());
             finishWaiter(w);
         }
         m.waiters = std::move(keep);
@@ -686,7 +686,7 @@ PrivCache::handleData(const MemMsgPtr &msg)
             }
         }
         if (_prof && w.profId)
-            _prof->mark(_tile, w.profId, prof::Phase::Remote, curTick());
+            _prof->mark(w.profId, prof::Phase::Remote, curTick());
         finishWaiter(w);
     }
 

@@ -11,11 +11,9 @@ namespace noc {
 Mesh::Mesh(EventQueue &eq, const MeshConfig &config)
     : SimObject("mesh", eq), _cfg(config),
       _sinks(static_cast<size_t>(config.nx * config.ny)),
+      _keyCnt(static_cast<size_t>(config.nx * config.ny), 0),
       _links(static_cast<size_t>(config.nx * config.ny) * 4),
       _routerFlits(static_cast<size_t>(config.nx * config.ny), 0),
-      _traffic(static_cast<size_t>(config.nx * config.ny)),
-      _packetHops(static_cast<size_t>(config.nx * config.ny),
-                  stats::Histogram(1, 16)),
       _startTick(eq.curTick())
 {
     sf_assert(config.nx > 0 && config.ny > 0, "empty mesh");
@@ -25,38 +23,9 @@ Mesh::Mesh(EventQueue &eq, const MeshConfig &config)
 void
 Mesh::scheduleHopEvent(TileId at, Tick when, EventQueue::Handler fn)
 {
-    if (_domains) {
-        _domains->queue().scheduleKeyed(when, _domains->nextKey(at),
-                                        std::move(fn),
-                                        EventPriority::Delivery);
-    } else {
-        eventQueue().schedule(when, std::move(fn),
-                              EventPriority::Delivery);
-    }
-}
-
-TrafficStats
-Mesh::traffic() const
-{
-    TrafficStats total;
-    for (const TrafficStats &t : _traffic) {
-        for (size_t c = 0; c < 3; ++c) {
-            total.flitsInjected[c] += t.flitsInjected[c];
-            total.flitHops[c] += t.flitHops[c];
-            total.packets[c] += t.packets[c];
-        }
-        total.linkBusyCycles += t.linkBusyCycles;
-    }
-    return total;
-}
-
-const stats::Histogram &
-Mesh::packetHops() const
-{
-    _packetHopsMerged = stats::Histogram(1, 16);
-    for (const stats::Histogram &h : _packetHops)
-        _packetHopsMerged.merge(h);
-    return _packetHopsMerged;
+    uint64_t key = (uint64_t(at) + 1) << 40 | _keyCnt[size_t(at)]++;
+    eventQueue().scheduleKeyed(when, key, std::move(fn),
+                               EventPriority::Delivery);
 }
 
 void
@@ -158,7 +127,7 @@ Mesh::send(const MsgPtr &msg)
                        (int)msg->src, (int)msg->dests.front(),
                        (unsigned long long)delay);
             // Re-injection is keyed by the sender, like its hops.
-            scheduleHopEvent(msg->src, now() + delay,
+            scheduleHopEvent(msg->src, curTick() + delay,
                              [this, msg] { inject(msg); });
             return;
           case SendAction::Duplicate:
@@ -177,15 +146,12 @@ Mesh::inject(const MsgPtr &msg)
     sf_assert(!msg->dests.empty(), "message with no destination");
     uint32_t flits = flitsOf(msg->payloadBytes);
     auto cls = static_cast<size_t>(msg->cls);
-    // Injection-side counters belong to the sending tile's account.
-    TrafficStats &ts = _traffic[static_cast<size_t>(msg->src)];
-    ts.flitsInjected[cls] += flits;
-    ++ts.packets[cls];
+    _traffic.flitsInjected[cls] += flits;
+    ++_traffic.packets[cls];
     int max_hops = 0;
     for (TileId d : msg->dests)
         max_hops = std::max(max_hops, hopDistance(msg->src, d));
-    _packetHops[static_cast<size_t>(msg->src)].sample(
-        static_cast<uint64_t>(max_hops));
+    _packetHops.sample(static_cast<uint64_t>(max_hops));
     SF_DPRINTF(NoC, "inject %d -> %d (+%zu) cls=%d flits=%u hops=%d",
                (int)msg->src, (int)msg->dests.front(),
                msg->dests.size() - 1, (int)msg->cls, flits, max_hops);
@@ -197,7 +163,7 @@ Mesh::inject(const MsgPtr &msg)
         InFlightInfo &info = _inFlight[sit->second];
         if (info.remaining == 0) {
             info.msg = msg;
-            info.injectTick = now();
+            info.injectTick = curTick();
         }
         info.remaining += static_cast<int>(msg->dests.size());
     }
@@ -284,7 +250,7 @@ Mesh::hop(Hop *h)
     if (local) {
         // Eject through the local port after the router pipeline.
         Hop *e = dirs ? _hopPool.acquire(*h) : h;
-        scheduleHopEvent(at, now() + _cfg.routerLatency,
+        scheduleHopEvent(at, curTick() + _cfg.routerLatency,
                          [this, e] { eject(e); });
     }
 
@@ -298,32 +264,28 @@ Mesh::hop(Hop *h)
 
         Link &link = linkFrom(at, dir);
         // Router pipeline, then wait for the link, then serialize.
-        Tick ready = now() + _cfg.routerLatency;
+        Tick ready = curTick() + _cfg.routerLatency;
         Tick start = std::max(ready, link.nextFree);
         Tick depart = start + flits; // 1 flit per cycle serialization
         link.nextFree = depart;
         link.busyCycles += flits;
         link.queueCycles += start - ready;
         const Message &msg = *c->msg;
-        _traffic[static_cast<size_t>(at)].linkBusyCycles += flits;
-        _traffic[static_cast<size_t>(at)]
-            .flitHops[static_cast<size_t>(msg.cls)] += flits;
+        _traffic.linkBusyCycles += flits;
+        _traffic.flitHops[static_cast<size_t>(msg.cls)] += flits;
 
         Tick arrive = depart + _cfg.linkLatency;
         if (_prof && msg.profId) {
             bool rsp = msg.vnet == VNet::Response;
-            _prof->add(at, msg.profId,
+            _prof->add(msg.profId,
                        rsp ? prof::Phase::NocRspQueue
                            : prof::Phase::NocReqQueue,
                        start - ready);
-            _prof->add(at, msg.profId,
+            _prof->add(msg.profId,
                        rsp ? prof::Phase::NocRspXfer
                            : prof::Phase::NocReqXfer,
                        _cfg.routerLatency + flits + _cfg.linkLatency);
         }
-        // The only cross-tile event creation in the simulator: the
-        // arrival is always >= router + 1 flit + link cycles away,
-        // which is exactly the window lookahead (DESIGN.md §4i).
         c->at = next;
         c->inDir = dir;
         scheduleHopEvent(at, arrive, [this, c] { hop(c); });

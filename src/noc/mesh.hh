@@ -30,7 +30,6 @@
 #include "noc/message.hh"
 #include "sim/profile.hh"
 #include "sim/record_pool.hh"
-#include "sim/shard.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -100,15 +99,6 @@ class Mesh : public SimObject
 
     Mesh(EventQueue &eq, const MeshConfig &config);
 
-    /**
-     * Route all mesh events through the window loop (DESIGN.md §4i):
-     * hop/ejection events go to the tile queue carrying a canonical
-     * (src-tile, seq) key. Null (the default) keeps the legacy
-     * single-queue behaviour for unit tests that drive the mesh
-     * standalone.
-     */
-    void setDomains(sim::TileDomains *d) { _domains = d; }
-
     /** Register the receiver for tile @p tile. */
     void bindSink(TileId tile, Sink sink);
 
@@ -157,14 +147,11 @@ class Mesh : public SimObject
     /** Manhattan hop distance between two tiles. */
     int hopDistance(TileId a, TileId b) const;
 
-    /**
-     * Aggregate traffic counters, folded over the per-tile accounts in
-     * tile order at read time.
-     */
-    TrafficStats traffic() const;
+    /** Aggregate traffic counters. */
+    const TrafficStats &traffic() const { return _traffic; }
 
     /** Distribution of per-packet hop counts (max over multicast dests). */
-    const stats::Histogram &packetHops() const;
+    const stats::Histogram &packetHops() const { return _packetHops; }
 
     /**
      * Average link utilization: busy link-cycles over total
@@ -241,17 +228,11 @@ class Mesh : public SimObject
     /** Inject bypassing the interceptor (delayed/duplicated copies). */
     void inject(const MsgPtr &msg);
 
-    /** Current tick of the queue that runs tile events. */
-    Tick
-    now()
-    {
-        return _domains ? _domains->queue().curTick() : curTick();
-    }
-
     /**
-     * Schedule a mesh event created by router @p at. Under domains the
-     * event carries a canonical key minted from @p at's per-tile
-     * counter; standalone it lands on the legacy queue.
+     * Schedule a mesh event created by router @p at. It carries the
+     * canonical key (at + 1) << 40 | (at's event counter), so mesh
+     * events of one tick run in an order that depends only on
+     * simulated history (DESIGN.md §4i).
      */
     void scheduleHopEvent(TileId at, Tick when, EventQueue::Handler fn);
 
@@ -276,8 +257,9 @@ class Mesh : public SimObject
     Link &linkFrom(TileId at, int dir);
 
     MeshConfig _cfg;
-    sim::TileDomains *_domains = nullptr;
     std::vector<Sink> _sinks;
+    /** Per-router counters that mint the hop events' keys. */
+    std::vector<uint64_t> _keyCnt;
     /** numTiles x 4 directed links. */
     std::vector<Link> _links;
     /** Per-router traversed-flit counters (heatmap). */
@@ -291,16 +273,8 @@ class Mesh : public SimObject
      */
     sim::RecordPool<Hop> _hopPool;
     prof::Profiler *_prof = nullptr;
-    /**
-     * Traffic accounts indexed by the tile that mutates them (injector
-     * for injection-side counters, the hopping router otherwise);
-     * folded in tile order by traffic().
-     */
-    std::vector<TrafficStats> _traffic;
-    /** Per-injecting-tile hop histograms; folded by packetHops(). */
-    std::vector<stats::Histogram> _packetHops;
-    /** Fold cache rebuilt by packetHops() (read at dump time only). */
-    mutable stats::Histogram _packetHopsMerged{1, 16};
+    TrafficStats _traffic;
+    stats::Histogram _packetHops{1, 16};
     Tick _startTick;
     SendInterceptor _interceptor;
     bool _trackInFlight = false;

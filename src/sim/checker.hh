@@ -94,7 +94,7 @@ class Checker
             return;
         _running = true;
         _tick.start(_interval, [this] { periodic(); },
-                    EventPriority::Stat);
+                    EventPriority::Watch);
     }
 
     void

@@ -26,11 +26,11 @@
  *    upper bound in the undrained range.
  *
  * The optional per-event `key` (scheduleKeyed) exists for the mesh's
- * events under the window loop (sim/shard.hh): they carry a canonical
- * key derived from (scheduling tile, per-tile counter), so their
- * same-tick order is a pure function of simulated history and never
- * of insertion sequence. Unkeyed events (key 0) order before
- * all keyed events at the same (when, priority) and retain exact
+ * hop events: they carry a canonical key derived from (scheduling
+ * router, per-router counter), so their same-tick order is a pure
+ * function of simulated history and never of insertion sequence
+ * (DESIGN.md §4i). Unkeyed events (key 0) order before all keyed
+ * events at the same (when, priority) and retain exact
  * insertion-sequence order among themselves.
  *
  * Event nodes come from a slab arena with an intrusive free list, so
@@ -68,12 +68,19 @@ enum class EventPriority : int32_t
     ClockTick = 20,
     /** End-of-cycle bookkeeping / statistics. */
     Stat = 30,
+    /**
+     * System services, the last events of their tick (DESIGN.md §4i):
+     * the interval sampler and the barrier release ...
+     */
+    Service = 40,
+    /** ... then the watchdog and the invariant checker. */
+    Watch = 50,
 };
 
 class RecurringEvent;
 
 /**
- * The global event queue. One instance drives an entire simulated system.
+ * The event queue. One instance drives an entire simulated system.
  */
 class EventQueue
 {
@@ -152,12 +159,14 @@ class EventQueue
     uint64_t numPending() const { return _numPending; }
 
     /**
-     * Execute events until the queue is empty or @p limit is reached.
+     * Execute events until the queue is empty, @p limit is reached,
+     * or an event calls endAfterCurTick().
      * @return the tick after the last executed event.
      */
     Tick
     run(Tick limit = maxTick)
     {
+        _limit = limit;
         for (;;) {
             Event *e = next();
             if (!e)
@@ -167,7 +176,7 @@ class EventQueue
                 freeEvent(e);
                 continue;
             }
-            if (e->when > limit)
+            if (e->when > _limit)
                 break;
             popNow();
             sf_assert(e->when >= _curTick,
@@ -186,48 +195,11 @@ class EventQueue
     }
 
     /**
-     * Tick of the earliest live pending event, or maxTick when the
-     * queue is empty. Lazily discards dead nodes it encounters, so the
-     * answer is exact (never a stopped event's tick).
+     * Make the running run() return once every event of the current
+     * tick has executed, including those the tick still schedules for
+     * itself. It lowers the run's limit, so it costs nothing per event.
      */
-    Tick
-    nextTick()
-    {
-        for (;;) {
-            Event *e = next();
-            if (!e)
-                return maxTick;
-            if (e->cancelled) {
-                popNow();
-                freeEvent(e);
-                continue;
-            }
-            return e->when;
-        }
-    }
-
-    /**
-     * Advance the clock to @p t without executing anything. Only legal
-     * when no live event is pending before @p t; events at exactly
-     * @p t stay runnable. The parallel engine uses this to park every
-     * queue on the same (partition-independent) window boundary so
-     * end-of-run clock reads are deterministic.
-     */
-    void
-    advanceTo(Tick t)
-    {
-        if (t <= _curTick)
-            return;
-        sf_assert(nextTick() >= t,
-                  "advanceTo(%llu) would skip a pending event at %llu",
-                  (unsigned long long)t,
-                  (unsigned long long)nextTick());
-        // Pull events at exactly t into the run first: the wheel
-        // front scan starts at curTick + 1 and would miss them after
-        // the jump.
-        collectTick(t);
-        _curTick = t;
-    }
+    void endAfterCurTick() { _limit = _curTick; }
 
     /** Execute exactly one event; @return false if the queue is empty. */
     bool
@@ -589,6 +561,8 @@ class EventQueue
     uint64_t _arenaCapacity = 0;
 
     Tick _curTick = 0;
+    /** The running run()'s limit; endAfterCurTick() lowers it. */
+    Tick _limit = maxTick;
     EventId _nextSeq = 0;
     uint64_t _numPending = 0;
     /** Queued nodes including stopped ones (arena accounting). */

@@ -103,7 +103,8 @@ class IntervalSampler : public SimObject
         }
         for (auto &m : _matrices)
             m.fn(m.prev);
-        _tick.start(_interval, [this]() { sampleOnce(); });
+        _tick.start(_interval, [this]() { sampleOnce(); },
+                    EventPriority::Service);
     }
 
     /**

@@ -91,25 +91,13 @@ TopDownAccount::verify(const std::string &name) const
     return "";
 }
 
-void
-Profiler::configureTiles(int numTiles)
-{
-    if (numTiles > int(maxTiles))
-        numTiles = int(maxTiles);
-    if (size_t(numTiles) > _tiles.size())
-        _tiles.resize(size_t(numTiles));
-}
-
 uint32_t
 Profiler::open(TileId tile, StreamId sid, Tick now)
 {
     if (tile < 0 || uint32_t(tile) >= maxTiles)
         return 0;
-    if (size_t(tile) >= _tiles.size()) {
-        // Standalone use grows lazily; TiledSystem pre-sizes via
-        // configureTiles().
+    if (size_t(tile) >= _tiles.size())
         _tiles.resize(size_t(tile) + 1);
-    }
     TileState &t = _tiles[size_t(tile)];
     uint32_t slot;
     if (!t.freeSlots.empty()) {
@@ -132,7 +120,7 @@ Profiler::open(TileId tile, StreamId sid, Tick now)
 }
 
 void
-Profiler::markNow(uint32_t id, Phase p, Tick now)
+Profiler::mark(uint32_t id, Phase p, Tick now)
 {
     Rec *r = resolve(id);
     if (!r)
@@ -142,7 +130,7 @@ Profiler::markNow(uint32_t id, Phase p, Tick now)
 }
 
 void
-Profiler::addNow(uint32_t id, Phase p, uint64_t cycles)
+Profiler::add(uint32_t id, Phase p, uint64_t cycles)
 {
     Rec *r = resolve(id);
     if (!r)
@@ -151,7 +139,7 @@ Profiler::addNow(uint32_t id, Phase p, uint64_t cycles)
 }
 
 void
-Profiler::closeNow(uint32_t id, Tick now, Phase residual)
+Profiler::close(uint32_t id, Tick now, Phase residual)
 {
     Rec *r = resolve(id);
     if (!r)
@@ -164,27 +152,6 @@ Profiler::closeNow(uint32_t id, Tick now, Phase residual)
     TileState &t = _tiles[size_t(tileOf(id))];
     --t.open;
     t.freeSlots.push_back(static_cast<uint32_t>(r - t.recs.data()));
-}
-
-void
-Profiler::flushDeferred()
-{
-    for (TileState &t : _tiles) {
-        for (const DeferredOp &op : t.deferred) {
-            switch (op.kind) {
-              case OpKind::Mark:
-                markNow(op.id, op.phase, Tick(op.value));
-                break;
-              case OpKind::Add:
-                addNow(op.id, op.phase, op.value);
-                break;
-              case OpKind::Close:
-                closeNow(op.id, Tick(op.value), op.residual);
-                break;
-            }
-        }
-        t.deferred.clear();
-    }
 }
 
 std::map<std::pair<TileId, StreamId>, Profiler::PhaseHists>

@@ -251,89 +251,29 @@ class TopDownAccount
  * and counted instead of corrupting another record. Handle 0 is "no
  * record" and is ignored by every entry point.
  *
- * Cross-tile ops (DESIGN.md §4i): every mutable structure is owned by
- * the tile encoded in the handle. mark/add/close take the calling
- * tile; with setDeferCrossTile(true) (the window loop) an op touching
- * another tile's record is queued on the calling tile and applied
- * after the window in (tile, FIFO) order. Two tiles never touch one
- * record in the same window — consecutive touches are separated by at
- * least the NoC lookahead — so deferral never reorders the ops on one
- * record.
+ * Every record, aggregate and counter is owned by the tile encoded in
+ * the handle; any tile's component may mark, add to or close it.
  */
 class Profiler
 {
   public:
     Profiler() = default;
 
-    /**
-     * Pre-size the per-tile arenas (at most 256 tiles). Required
-     * before deferred (engine) operation so no structure reallocates
-     * mid-run; optional for serial standalone use, where tiles grow on
-     * first open().
-     */
-    void configureTiles(int numTiles);
-
-    /**
-     * Defer cross-tile mark/add/close ops to flushDeferred() instead
-     * of applying them inline. TiledSystem turns this on; standalone
-     * users leave it off.
-     */
-    void setDeferCrossTile(bool on) { _deferCrossTile = on; }
-
-    /** Apply queued cross-tile ops in (tile, FIFO) order. Call
-     *  between windows. */
-    void flushDeferred();
-
     /** Begin tracking one request/element on @p tile (the calling
      *  tile). sid == invalidStream means a plain demand access.
      *  Returns 0 when the tile's arena is full. */
     uint32_t open(TileId tile, StreamId sid, Tick now);
 
-    /** Fold [lastMark, now) into @p p and advance the mark. @p exec
-     *  is the calling tile. */
-    void
-    mark(TileId exec, uint32_t id, Phase p, Tick now)
-    {
-        if (!id)
-            return;
-        if (_deferCrossTile && tileOf(id) != exec) {
-            _tiles[size_t(exec)].deferred.push_back(
-                {id, OpKind::Mark, p, Phase::Fill, now});
-            return;
-        }
-        markNow(id, p, now);
-    }
+    /** Fold [lastMark, now) into @p p and advance the mark. */
+    void mark(uint32_t id, Phase p, Tick now);
 
     /** Attribute @p cycles to @p p without moving the phase mark
      *  (overlapping sub-interval, e.g. one NoC hop). */
-    void
-    add(TileId exec, uint32_t id, Phase p, uint64_t cycles)
-    {
-        if (!id)
-            return;
-        if (_deferCrossTile && tileOf(id) != exec) {
-            _tiles[size_t(exec)].deferred.push_back(
-                {id, OpKind::Add, p, Phase::Fill, cycles});
-            return;
-        }
-        addNow(id, p, cycles);
-    }
+    void add(uint32_t id, Phase p, uint64_t cycles);
 
     /** Finish a record: residual time becomes @p residual, the
      *  end-to-end latency lands in Phase::Total, the slot recycles. */
-    void
-    close(TileId exec, uint32_t id, Tick now,
-          Phase residual = Phase::Fill)
-    {
-        if (!id)
-            return;
-        if (_deferCrossTile && tileOf(id) != exec) {
-            _tiles[size_t(exec)].deferred.push_back(
-                {id, OpKind::Close, Phase::Total, residual, now});
-            return;
-        }
-        closeNow(id, now, residual);
-    }
+    void close(uint32_t id, Tick now, Phase residual = Phase::Fill);
 
     /** Live records over all tiles (folded in tile order). */
     size_t
@@ -396,18 +336,6 @@ class Profiler
         bool live = false;
     };
 
-    enum class OpKind : uint8_t { Mark, Add, Close };
-
-    /** A cross-tile op captured at issue, applied at the barrier. */
-    struct DeferredOp
-    {
-        uint32_t id;
-        OpKind kind;
-        Phase phase;    //!< mark/add target (unused for close)
-        Phase residual; //!< close residual phase
-        uint64_t value; //!< mark/close: now; add: cycles
-    };
-
     /** All state owned by one tile. */
     struct TileState
     {
@@ -416,8 +344,6 @@ class Profiler
         size_t open = 0;
         uint64_t stale = 0;
         std::map<StreamId, PhaseHists> agg;
-        /** Ops this tile issued against other tiles' records. */
-        std::vector<DeferredOp> deferred;
     };
 
     // Handle layout: [31:24] owner tile, [23:8] slot+1, [7:0] gen.
@@ -448,12 +374,7 @@ class Profiler
         return &t.recs[slot];
     }
 
-    void markNow(uint32_t id, Phase p, Tick now);
-    void addNow(uint32_t id, Phase p, uint64_t cycles);
-    void closeNow(uint32_t id, Tick now, Phase residual);
-
     std::vector<TileState> _tiles;
-    bool _deferCrossTile = false;
     std::map<std::string, TopDownAccount> _topDown;
 };
 

@@ -60,9 +60,9 @@ class Watchdog
         _lastProgress = _eq.curTick();
         for (auto &p : _probes)
             p.last = p.fn();
-        // Low priority (Stat) so a check at tick T observes everything
-        // that happened at T first.
-        _tick.start(_interval, [this] { check(); }, EventPriority::Stat);
+        // Last in its tick (DESIGN.md §4i), so a check at tick T
+        // observes everything that happened at T first.
+        _tick.start(_interval, [this] { check(); }, EventPriority::Watch);
     }
 
     /** Cancel the pending check; safe to call repeatedly. */

@@ -323,7 +323,7 @@ SECore::fetchDone(FetchCtx *ctx)
 {
     FetchCtx f = _fetchPool.take(ctx);
     if (f.pid)
-        _prof->close(_tile, f.pid, curTick());
+        _prof->close(f.pid, curTick());
     // A completion from an ended or reconfigured stream must not mark
     // elements of the new epoch ready.
     auto it = _streams.find(f.sid);

@@ -31,39 +31,24 @@ TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
                   "one execution context",
                   _cfg.threads);
 
-    // The window lookahead: a router pass, at least one flit of link
-    // serialization, and the link latency separate any event from the
-    // earliest cross-tile event it can create (noc/mesh.cc::hop).
-    Cycles lookahead = _cfg.noc.routerLatency + _cfg.noc.linkLatency + 1;
-    _domains = std::make_unique<sim::TileDomains>(_eq, _cfg.numTiles(),
-                                                  lookahead);
-
     _as = std::make_unique<mem::AddressSpace>(0, _physMem);
     if (_cfg.verify) {
         _verify = std::make_unique<verify::DataPlane>(*_as,
                                                       _cfg.numTiles());
     }
-    if (_cfg.profile) {
+    if (_cfg.profile)
         _prof = std::make_unique<prof::Profiler>();
-        _prof->configureTiles(_cfg.numTiles());
-        // Cross-tile record touches are deferred and applied after
-        // each window in canonical order (DESIGN.md §4i).
-        _prof->setDeferCrossTile(true);
-        _domains->setBarrierHook([this]() { _prof->flushDeferred(); });
-    }
 
     noc::MeshConfig ncfg = _cfg.noc;
     ncfg.nx = _cfg.nx;
     ncfg.ny = _cfg.ny;
     _mesh = std::make_unique<noc::Mesh>(_eq, ncfg);
-    _mesh->setDomains(_domains.get());
     if (_prof)
         _mesh->setProfiler(_prof.get());
     _nuca = std::make_unique<mem::NucaMap>(_cfg.nx, _cfg.ny,
                                            _cfg.nucaInterleave);
     _barrier = std::make_unique<cpu::BarrierController>(
         _eq, _cfg.numTiles());
-    _barrier->setDomains(_domains.get());
     buildTiles();
     setupRobustness();
 }
@@ -103,10 +88,9 @@ TiledSystem::buildTiles()
         // L1 TLB 64/8w; L2 TLB 2k/16w, 8-cycle; ~80-cycle walk.
         _tlbs[t] = std::make_unique<mem::TlbHierarchy>(64, 8, 2048, 16,
                                                        8, 80);
-        EventQueue &teq = _domains->queue();
         _priv[t] = std::make_unique<mem::PrivCache>(
-            tn + ".priv", teq, t, _cfg.priv, *_mesh, *_nuca);
-        _l3[t] = std::make_unique<mem::L3Bank>(tn + ".l3", teq, t,
+            tn + ".priv", _eq, t, _cfg.priv, *_mesh, *_nuca);
+        _l3[t] = std::make_unique<mem::L3Bank>(tn + ".l3", _eq, t,
                                                _cfg.l3, *_mesh, *_nuca);
         if (_prof) {
             _priv[t]->setProfiler(_prof.get());
@@ -135,7 +119,7 @@ TiledSystem::buildTiles()
         if (streams) {
             stream::SECoreConfig sc = _cfg.seCore;
             _seCores[t] = std::make_unique<stream::SECore>(
-                tn + ".se", teq, t, sc, *_priv[t], *_tlbs[t], *_as);
+                tn + ".se", _eq, t, sc, *_priv[t], *_tlbs[t], *_as);
             _priv[t]->setStreamReuseHook(
                 [se = _seCores[t].get()](StreamId sid) {
                     se->notifyStreamReuse(sid);
@@ -149,7 +133,7 @@ TiledSystem::buildTiles()
         }
         if (floats) {
             _seL2[t] = std::make_unique<flt::SEL2>(
-                tn + ".sel2", teq, t, _cfg.sel2, *_mesh, *_nuca,
+                tn + ".sel2", _eq, t, _cfg.sel2, *_mesh, *_nuca,
                 *_priv[t], *_tlbs[t], *_as, *_seCores[t]);
             _seCores[t]->setFloatController(_seL2[t].get());
             if (_verify)
@@ -157,7 +141,7 @@ TiledSystem::buildTiles()
             if (_prof)
                 _seL2[t]->setProfiler(_prof.get());
             _seL3[t] = std::make_unique<flt::SEL3>(
-                tn + ".sel3", teq, t, _cfg.sel3, *_mesh, *_nuca,
+                tn + ".sel3", _eq, t, _cfg.sel3, *_mesh, *_nuca,
                 *_l3[t], as_resolver);
             if (_cfg.traceStreams)
                 _seL3[t]->setStreamLog(&_streamLogs[2 * t + 1]);
@@ -203,7 +187,7 @@ TiledSystem::buildTiles()
         const auto &ctrls = _nuca->memCtrls();
         if (std::find(ctrls.begin(), ctrls.end(), t) != ctrls.end()) {
             _memCtrls[t] = std::make_unique<mem::MemCtrl>(
-                tn + ".mc", teq, t, _cfg.dram, *_mesh);
+                tn + ".mc", _eq, t, _cfg.dram, *_mesh);
             if (_verify)
                 _memCtrls[t]->setVerify(_verify.get());
         }
@@ -284,7 +268,7 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
     for (TileId t = 0; t < _cfg.numTiles(); ++t) {
         std::string cn = "tile" + std::to_string(t) + ".core";
         _cores[t] = std::make_unique<cpu::Core>(
-            cn, _domains->queue(), t, _cfg.core, *_priv[t],
+            cn, _eq, t, _cfg.core, *_priv[t],
             *_tlbs[t], *_as, _barrier.get(), _threads[t].get());
         if (_seCores[t]) {
             _cores[t]->setStreamEngine(_seCores[t].get());
@@ -295,7 +279,11 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
             _cores[t]->setVerify(_verify.get());
         if (_prof)
             _cores[t]->setProfiler(_prof.get());
-        _cores[t]->onDone = [this]() { ++_coresDone; };
+        // The run ends with the tick in which the last core finishes.
+        _cores[t]->onDone = [this]() {
+            if (++_coresDone == _cfg.numTiles())
+                _eq.endAfterCurTick();
+        };
     }
     for (auto &c : _cores)
         c->start();
@@ -310,22 +298,15 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
     bool hit_limit = false;
     // sflint: allow(D2, host-seconds stat only; excluded from det.json)
     auto host_start = std::chrono::steady_clock::now();
-    auto exit = _domains->runWindows(
-        [this]() {
-            return _coresDone >= _cfg.numTiles();
-        },
-        _cfg.maxCycles);
-    switch (exit) {
-      case sim::TileDomains::Exit::Stopped:
-        break;
-      case sim::TileDomains::Exit::Empty:
-        panic("deadlock: %d/%d cores done, no pending events",
-              _coresDone, _cfg.numTiles());
-      case sim::TileDomains::Exit::Limit:
+    _eq.run(_cfg.maxCycles);
+    if (_coresDone < _cfg.numTiles()) {
+        if (_eq.empty()) {
+            panic("deadlock: %d/%d cores done, no pending events",
+                  _coresDone, _cfg.numTiles());
+        }
         hit_limit = true;
         warn("cycle limit reached (%llu)",
              (unsigned long long)_cfg.maxCycles);
-        break;
     }
     _hostSeconds = std::chrono::duration<double>(
                        // sflint: allow(D2, host-seconds stat only)
@@ -617,22 +598,13 @@ TiledSystem::registerDiagnostics()
 {
     _diagHooks.push_back(addDiagnosticHook(
         "event-queue", [this](std::FILE *f) {
-            const EventQueue &q = _domains->queue();
             std::fprintf(f,
                          "tick=%llu pending=%llu executed=%llu "
                          "coresDone=%d/%d\n",
                          (unsigned long long)_eq.curTick(),
-                         (unsigned long long)(_eq.numPending() +
-                                              q.numPending()),
-                         (unsigned long long)(_eq.numExecuted() +
-                                              q.numExecuted()),
+                         (unsigned long long)_eq.numPending(),
+                         (unsigned long long)_eq.numExecuted(),
                          _coresDone, _cfg.numTiles());
-            std::fprintf(f,
-                         "  tiles: tick=%llu pending=%llu "
-                         "executed=%llu\n",
-                         (unsigned long long)q.curTick(),
-                         (unsigned long long)q.numPending(),
-                         (unsigned long long)q.numExecuted());
         }));
     if (_watchdog) {
         _diagHooks.push_back(addDiagnosticHook(
@@ -679,10 +651,10 @@ TiledSystem::drainAndCheck()
     // streams re-arm their own scans, so bound the drain instead of
     // insisting on an empty queue.
     Tick limit = _eq.curTick() + 1'000'000 + _cfg.samplingInterval;
-    _domains->runWindows([]() { return false; }, limit);
+    _eq.run(limit);
 
     std::vector<std::string> residue;
-    uint64_t pending = _eq.numPending() + _domains->queue().numPending();
+    uint64_t pending = _eq.numPending();
     if (pending > 0) {
         residue.push_back("event queue not empty after drain (" +
                           std::to_string(pending) + " pending)");
@@ -873,21 +845,15 @@ TiledSystem::buildStatRegistry(stats::StatRegistry &reg) const
 
     stats::StatGroup &eg = reg.group("sim.eventq");
     const EventQueue *eq = &_eq;
-    eg.regFormula("executed", [this]() {
-        return double(_eq.numExecuted() +
-                      _domains->queue().numExecuted());
-    });
-    eg.regFormula("pending", [this]() {
-        return double(_eq.numPending() + _domains->queue().numPending());
-    });
+    eg.regFormula("executed",
+                  [eq]() { return double(eq->numExecuted()); });
+    eg.regFormula("pending", [eq]() { return double(eq->numPending()); });
     // Arena capacity is a host-side quantity (slab growth), so it lives
     // with the other host stats and stays out of the determinism
     // contract.
     if (_hostStatsInJson) {
-        eg.regFormula("arenaCapacity", [this]() {
-            return double(_eq.arenaCapacity() +
-                          _domains->queue().arenaCapacity());
-        });
+        eg.regFormula("arenaCapacity",
+                      [eq]() { return double(eq->arenaCapacity()); });
     }
 
     // Host throughput is wall-clock, hence nondeterministic; off by
@@ -1213,7 +1179,7 @@ TiledSystem::collect(bool hit_limit)
         r.streamTraceEvents += log.size();
 
     r.hostSeconds = _hostSeconds;
-    r.eventsExecuted = _eq.numExecuted() + _domains->queue().numExecuted();
+    r.eventsExecuted = _eq.numExecuted();
     return r;
 }
 

@@ -31,7 +31,6 @@
 #include "sim/fault.hh"
 #include "sim/interval_sampler.hh"
 #include "sim/profile.hh"
-#include "sim/shard.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stream_trace.hh"
 #include "sim/watchdog.hh"
@@ -51,7 +50,7 @@ class TiledSystem
 
     /** The shared address space all workload threads run in. */
     mem::AddressSpace &addressSpace() { return *_as; }
-    /** Global-service queue (also the simulation clock at barriers). */
+    /** The event queue every component and service runs on. */
     EventQueue &eventQueue() { return _eq; }
     const SystemConfig &config() const { return _cfg; }
     noc::Mesh &mesh() { return *_mesh; }
@@ -167,14 +166,11 @@ class TiledSystem
     void drainAndCheck();
 
     SystemConfig _cfg;
-    /** Global-service queue (watchdog / checker / sampler / barrier). */
-    EventQueue _eq;
     /**
-     * Tile queue and window loop; every per-tile component is wired
-     * to _domains->queue(). Destroyed after the components (declared
-     * before them), created first in the ctor.
+     * The one event queue. Destroyed after the components (declared
+     * before them).
      */
-    std::unique_ptr<sim::TileDomains> _domains;
+    EventQueue _eq;
     mem::PhysMem _physMem;
     std::unique_ptr<mem::AddressSpace> _as;
     std::unique_ptr<noc::Mesh> _mesh;
@@ -210,7 +206,7 @@ class TiledSystem
     /** Diagnostic-hook ids to unregister on destruction. */
     std::vector<int> _diagHooks;
 
-    /** Incremented as cores drain; read at window boundaries. */
+    /** Incremented as cores drain; the last one ends the run. */
     int _coresDone = 0;
     double _hostSeconds = 0.0;
     bool _hostStatsInJson = false;

@@ -383,8 +383,9 @@ class RefQueue
     Tick
     run(Tick limit = maxTick)
     {
+        _limit = limit;
         while (!_order.empty() && std::get<0>(_order.begin()->first) <=
-                                      limit) {
+                                      _limit) {
             auto it = _order.begin();
             _cur = std::get<0>(it->first);
             Handler fn = std::move(it->second);
@@ -394,20 +395,9 @@ class RefQueue
         return _cur;
     }
 
-    Tick
-    nextTick() const
-    {
-        return _order.empty() ? maxTick
-                              : std::get<0>(_order.begin()->first);
-    }
+    void endAfterCurTick() { _limit = _cur; }
 
-    void
-    advanceTo(Tick t)
-    {
-        if (t > _cur)
-            _cur = t;
-    }
-
+    bool empty() const { return _order.empty(); }
     uint64_t numPending() const { return _order.size(); }
 
   private:
@@ -424,6 +414,7 @@ class RefQueue
 
     std::map<Key, Handler> _order;
     Tick _cur = 0;
+    Tick _limit = maxTick;
     EventId _nextSeq = 0;
 };
 
@@ -455,6 +446,7 @@ struct Coverage
     uint64_t farWheelTies = 0;
     uint64_t keyedBursts = 0;
     uint64_t lowerPrioSameTick = 0;
+    uint64_t endedRuns = 0;
 };
 
 /**
@@ -478,28 +470,23 @@ class Scenario
         Mix top{_seed * 7919 + 1};
         for (int phase = 0; phase < 6; ++phase) {
             spawnSome(top, 4 + top.below(16));
-            probe(q.run(q.curTick() + top.below(40)));
-            // run(limit) left a later tick parked: insert before it,
-            // at the current tick and at an earlier future tick.
-            Tick nt = q.nextTick();
-            probe(nt);
+            // Events may end the run early (endAfterCurTick).
+            Tick limit = q.curTick() + top.below(40);
+            probe(q.run(limit));
+            // The run left later ticks parked: insert at the current
+            // tick and at a future tick up to one past the limit,
+            // which lands before or on the earliest parked tick.
             Tick now = q.curTick();
-            if (nt != maxTick && nt > now) {
+            probe(q.numPending());
+            if (!q.empty()) {
                 ++cov.parkedInserts;
                 spawn(top, now, 1 + top.below(3));
-                if (nt > now + 1)
-                    spawn(top, now + 1 + top.below(nt - now - 1),
-                          1 + top.below(3));
+                Tick span = std::max(limit, now) + 1 - now;
+                spawn(top, now + 1 + top.below(span), 1 + top.below(3));
             }
-            // advanceTo a tick no later than the next event, then
-            // insert at the new current tick.
-            nt = q.nextTick();
-            Tick cap = std::min<Tick>(nt, q.curTick() + 30);
-            q.advanceTo(q.curTick() + top.below(cap - q.curTick() + 1));
-            probe(q.curTick());
-            spawn(top, q.curTick(), top.below(3));
         }
-        probe(q.run());
+        while (!q.empty())
+            probe(q.run());
         probe(q.numPending());
         return std::move(_log);
     }
@@ -593,6 +580,11 @@ class Scenario
         if (kind == Leaf)
             return;
         Mix r{_seed ^ (id * 0x2545f4914f6cdd1dull)};
+        if (r.below(32) == 0) {
+            // End the run once this tick has drained.
+            ++cov.endedRuns;
+            q.endAfterCurTick();
+        }
         if (r.below(4) == 0) {
             // Same tick, lower priority than the running event when
             // the draw allows it (runs next, ahead of the rest).
@@ -621,7 +613,7 @@ class Scenario
  * bursts inserted in descending key order, same-tick inserts below
  * the running priority, far-heap and wheel events on one tick,
  * run(limit) parking a tick followed by inserts ahead of it, and
- * advanceTo.
+ * runs that an event ends with endAfterCurTick().
  */
 TEST(EventQueue, DifferentialOrderingAgainstReference)
 {
@@ -642,9 +634,11 @@ TEST(EventQueue, DifferentialOrderingAgainstReference)
         total.farWheelTies += real.cov.farWheelTies;
         total.keyedBursts += real.cov.keyedBursts;
         total.lowerPrioSameTick += real.cov.lowerPrioSameTick;
+        total.endedRuns += real.cov.endedRuns;
     }
     EXPECT_GT(total.parkedInserts, 0u);
     EXPECT_GT(total.farWheelTies, 0u);
     EXPECT_GT(total.keyedBursts, 0u);
     EXPECT_GT(total.lowerPrioSameTick, 0u);
+    EXPECT_GT(total.endedRuns, 0u);
 }

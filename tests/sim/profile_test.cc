@@ -137,10 +137,10 @@ TEST(Profiler, LifecyclePhasesPartitionAndTotalMatches)
     uint32_t id = p.open(2, invalidStream, 100);
     ASSERT_NE(id, 0u);
     EXPECT_EQ(p.openRecords(), 1u);
-    p.mark(2, id, Phase::PrivCache, 103); // 3 cycles in the caches
-    p.add(2, id, Phase::NocReqXfer, 9);   // overlapping sub-interval
-    p.mark(2, id, Phase::Remote, 150);    // 47 cycles remote
-    p.close(2, id, 152);                  // 2 residual cycles -> Fill
+    p.mark(id, Phase::PrivCache, 103); // 3 cycles in the caches
+    p.add(id, Phase::NocReqXfer, 9);   // overlapping sub-interval
+    p.mark(id, Phase::Remote, 150);    // 47 cycles remote
+    p.close(id, 152);                  // 2 residual cycles -> Fill
     EXPECT_EQ(p.openRecords(), 0u);
 
     const auto &agg = p.aggregates();
@@ -162,17 +162,17 @@ TEST(Profiler, StaleHandleIsCountedNotCorrupting)
 {
     Profiler p;
     uint32_t id = p.open(0, 3, 10);
-    p.close(0, id, 20);
+    p.close(id, 20);
     // The slot recycles with a bumped generation: the old handle must
     // resolve to nothing.
     uint32_t id2 = p.open(0, 4, 30);
     ASSERT_NE(id2, 0u);
-    p.mark(0, id, Phase::Remote, 40); // stale
+    p.mark(id, Phase::Remote, 40); // stale
     EXPECT_EQ(p.staleMarks(), 1u);
-    p.close(0, id, 50); // stale close: also ignored
+    p.close(id, 50); // stale close: also ignored
     EXPECT_EQ(p.staleMarks(), 2u);
     EXPECT_EQ(p.openRecords(), 1u);
-    p.close(0, id2, 60);
+    p.close(id2, 60);
     const auto &hists = p.aggregates().at({0, 4});
     EXPECT_EQ(hists[size_t(Phase::Total)].count(), 1u);
 }
@@ -180,9 +180,9 @@ TEST(Profiler, StaleHandleIsCountedNotCorrupting)
 TEST(Profiler, HandleZeroIsIgnoredEverywhere)
 {
     Profiler p;
-    p.mark(0, 0, Phase::Remote, 5);
-    p.add(0, 0, Phase::Mem, 5);
-    p.close(0, 0, 5);
+    p.mark(0, Phase::Remote, 5);
+    p.add(0, Phase::Mem, 5);
+    p.close(0, 5);
     EXPECT_EQ(p.staleMarks(), 0u);
     EXPECT_TRUE(p.aggregates().empty());
 }
@@ -213,8 +213,8 @@ TEST(Profiler, DumpJsonIsValidAndDeterministic)
     auto build = []() {
         Profiler p;
         uint32_t a = p.open(1, invalidStream, 0);
-        p.mark(1, a, Phase::PrivCache, 4);
-        p.close(1, a, 10);
+        p.mark(a, Phase::PrivCache, 4);
+        p.close(a, 10);
         p.topDown("tile1.core").tickAt(0, Bucket::Retired);
         p.finalizeTopDown(10);
         std::ostringstream os;

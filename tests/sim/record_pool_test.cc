@@ -2,7 +2,7 @@
  * @file
  * RecordPool: steady-state reuse without growth, reset on release
  * (captured state dropped, vector capacity kept), and the NoC hop
- * records built on it, standalone and under the window loop.
+ * records built on it, sent directly and from keyed events.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
 #include "sim/record_pool.hh"
-#include "sim/shard.hh"
 
 using namespace sf;
 using sim::RecordPool;
@@ -177,18 +176,14 @@ TEST(RecordPool, MeshHopRecordsDropTheMessage)
         EXPECT_EQ(arrivals[size_t(t)], t == 0 ? 100 : 50) << "tile " << t;
 }
 
-TEST(RecordPool, MeshHopsThroughWindowLoopDeliverOnceAndDropTheMessage)
+TEST(RecordPool, MeshHopsOnOneQueueDeliverOnceAndDropTheMessage)
 {
-    // Keyed hop events on the window loop's tile queue, run window by
-    // window.
-    EventQueue global;
+    // Keyed hop events and keyed senders interleaved on one queue.
+    EventQueue eq;
     noc::MeshConfig cfg;
     cfg.nx = 4;
     cfg.ny = 4;
-    sim::TileDomains domains(global, 16,
-                             cfg.routerLatency + cfg.linkLatency + 1);
-    noc::Mesh mesh(global, cfg);
-    mesh.setDomains(&domains);
+    noc::Mesh mesh(eq, cfg);
     std::vector<int> arrivals(16, 0);
     for (TileId t = 0; t < mesh.numTiles(); ++t)
         mesh.bindSink(t, [&arrivals, t](const noc::MsgPtr &) {
@@ -206,17 +201,17 @@ TEST(RecordPool, MeshHopsThroughWindowLoopDeliverOnceAndDropTheMessage)
         uni->src = src;
         uni->dests = {TileId(15 - src)};
         for (Tick when = 1; when <= 40; when += 13) {
-            domains.queue().scheduleKeyed(when, domains.nextKey(src),
-                                          [&mesh, multi, uni] {
-                                              mesh.send(multi);
-                                              mesh.send(uni);
-                                          });
+            eq.scheduleKeyed(when, uint64_t(src + 1) << 40 | when,
+                             [&mesh, multi, uni] {
+                                 mesh.send(multi);
+                                 mesh.send(uni);
+                             });
         }
         sent.push_back(multi);
         sent.push_back(uni);
     }
-    EXPECT_EQ(domains.runWindows([] { return false; }, maxTick),
-              sim::TileDomains::Exit::Empty);
+    eq.run();
+    EXPECT_TRUE(eq.empty());
     for (const auto &m : sent)
         EXPECT_EQ(m.use_count(), 1);
     // 4 multicasts to all tiles, 4 unicasts to 15 - src, 4 times each.

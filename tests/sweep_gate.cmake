@@ -1,5 +1,6 @@
 # Perf + determinism regression gate on the parallel sweep runner
-# (the nightly / `perf`-label CI job).
+# (the nightly / `perf`-label CI job; tier-1 runs it as the
+# `sweep_det_gate` ctest with -DSTRICT_WALL=OFF).
 #
 # Runs the canonical gate grid serially and with -j 4, then asserts:
 #   1. the -j 1 and -j 4 deterministic reports are byte-identical

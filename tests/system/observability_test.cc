@@ -123,8 +123,8 @@ TEST(StatsJson, EventQueueGroupAndHostStatsOptIn)
     const auto &eq = j.at("groups").at("sim.eventq");
     EXPECT_GE(eq.at("executed").number, double(r.eventsExecuted));
     EXPECT_GT(eq.at("executed").number, 0.0);
-    // The kernel's arena capacity varies with the worker count, so
-    // like wall-clock it only enters the dump on the host-stats opt-in.
+    // Arena capacity is a host-side quantity: it only enters the dump
+    // on the host-stats opt-in.
     EXPECT_EQ(off.str().find("arenaCapacity"), std::string::npos);
 
     // Host timing is measured on every run but, being wall-clock and
@@ -139,9 +139,26 @@ TEST(StatsJson, EventQueueGroupAndHostStatsOptIn)
     auto j2 = test_json::parse(on.str());
     EXPECT_NEAR(j2.at("groups").at("host").at("seconds").number,
                 r.hostSeconds, 1e-9);
-    EXPECT_GT(j2.at("groups").at("host").at("eventsPerSec").number, 0.0);
+    // The dump's throughput counts every event the run executed.
+    EXPECT_NEAR(j2.at("groups").at("host").at("eventsPerSec").number,
+                r.eventsPerHostSec(), r.eventsPerHostSec() * 1e-8);
     const auto &eq2 = j2.at("groups").at("sim.eventq");
     EXPECT_GE(eq2.at("arenaCapacity").number, 512.0);
+}
+
+TEST(StatsJson, EndClockIsCyclesSoNocUtilizationAgrees)
+{
+    // The run ends with the tick in which the last core finishes, so
+    // the clock that divides every utilization is the reported cycles.
+    SystemConfig cfg = smallConfig(Machine::SF);
+    TiledSystem sys(cfg);
+    SimResults r = runOn(sys, cfg, "pathfinder");
+    EXPECT_EQ(sys.eventQueue().curTick(), r.cycles);
+    double live = double(sys.mesh().liveLinkCount());
+    EXPECT_GT(r.traffic.linkBusyCycles, 0u);
+    EXPECT_DOUBLE_EQ(r.nocUtilization,
+                     double(r.traffic.linkBusyCycles) /
+                         (live * double(r.cycles)));
 }
 
 TEST(StatsJson, GroupTotalsMatchAggregates)

@@ -109,6 +109,13 @@ TEST(SflintRules, DetectsSeededViolations)
     EXPECT_NE(a1[0].message.find("unknown rule 'D9'"),
               std::string::npos);
     EXPECT_EQ(a1[1].context, "S2");
+
+    // a1_unused.cc keeps an allow(S1) whose static became const.
+    auto unused = newFindings(res, "A1", "fixtures/a1_unused.cc");
+    ASSERT_EQ(unused.size(), 1u);
+    EXPECT_EQ(unused[0].context, "S1");
+    EXPECT_NE(unused[0].message.find("matches no finding"),
+              std::string::npos);
 }
 
 TEST(SflintRules, D2TimedPathReachability)
@@ -247,6 +254,25 @@ TEST(SflintLexer, OneCommentCarriesSeveralSuppressions)
     ASSERT_EQ(after.findings.size(), before.findings.size());
     for (const Finding &fd : after.findings)
         EXPECT_TRUE(fd.suppressed) << fd.rule << " " << fd.message;
+}
+
+TEST(SflintLexer, BlockCommentsCarryNoDirectives)
+{
+    // Documentation may quote a directive in a block comment: it
+    // suppresses nothing, and is not an unused suppression either.
+    fs::path tmp = fs::path(::testing::TempDir()) / "sflint_block";
+    fs::create_directories(tmp / "seed");
+    spit(tmp / "seed" / "doc.cc",
+         "/** Suppress with `// sflint: allow(S1, <reason>)`. */\n"
+         "static int fxCount = 0;\n");
+
+    Config cfg;
+    cfg.root = tmp.string();
+    cfg.inputs = {"seed"};
+    AnalysisResult res = analyze(cfg);
+    ASSERT_EQ(res.findings.size(), 1u);
+    EXPECT_EQ(res.findings[0].rule, "S1");
+    EXPECT_FALSE(res.findings[0].suppressed);
 }
 
 TEST(SflintOutput, ByteStableAndMatchesGolden)

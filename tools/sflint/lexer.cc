@@ -161,17 +161,16 @@ lex(const std::string &text, SourceFile &out)
             i = end;
             continue;
         }
+        // Block comments are documentation: directives live in `//`
+        // comments only, so a doc block may quote one.
         if (c == '/' && i + 1 < n && text[i + 1] == '*') {
             size_t end = text.find("*/", i + 2);
             if (end == std::string::npos)
                 end = n;
-            int start_line = line;
-            std::string body = text.substr(i + 2, end - i - 2);
-            for (char bc : body) {
-                if (bc == '\n')
+            for (size_t k = i + 2; k < end; ++k) {
+                if (text[k] == '\n')
                     ++line;
             }
-            parseDirectives(body, start_line, out);
             i = end == n ? n : end + 2;
             continue;
         }

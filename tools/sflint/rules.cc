@@ -619,6 +619,32 @@ ruleA1(const SourceFile &f, const Config &cfg,
     }
 }
 
+/**
+ * A suppression of a known rule that matches no finding on its line
+ * or the next one suppresses nothing: it is stale, and it would
+ * silently hide a hazard that later lands on that line. Runs after
+ * every other rule, over @p raw.
+ */
+void
+ruleA1Unused(const SourceFile &f, const Config &cfg,
+             std::vector<Finding> &raw)
+{
+    std::set<std::pair<std::string, int>> hit;
+    for (const Finding &fd : raw)
+        hit.insert({fd.rule, fd.line});
+    for (const auto &[line, sups] : f.suppressions) {
+        for (const Suppression &s : sups) {
+            if (!cfg.knownRules.count(s.rule) || hit.count({s.rule, line}) ||
+                hit.count({s.rule, line + 1}))
+                continue;
+            emit(raw, f, "A1", line, s.rule,
+                 "suppression of " + s.rule +
+                     " matches no finding on this line or the next; "
+                     "delete it");
+        }
+    }
+}
+
 bool
 suppressed(const SourceFile &f, Finding &fd)
 {
@@ -654,6 +680,7 @@ runRules(const SourceFile &f, const Config &cfg, const Registry &reg,
     ruleT1(f, raw);
     ruleS1(f, raw);
     ruleA1(f, cfg, raw);
+    ruleA1Unused(f, cfg, raw);
     for (Finding &fd : raw) {
         fd.suppressed = suppressed(f, fd);
         out.push_back(std::move(fd));

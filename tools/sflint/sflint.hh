@@ -19,8 +19,8 @@
  *       (time(), gettimeofday, system_clock/steady_clock/
  *       high_resolution_clock) and no getenv() in functions on the
  *       timed simulation path: reachable, via the call graph, from a
- *       timed root (TiledSystem::run / TileDomains::runWindows /
- *       EventQueue::run) or from any callback
+ *       timed root (TiledSystem::run / EventQueue::run) or from
+ *       any callback
  *       scheduled onto an event queue. Host-side reporting
  *       code may read clocks and the environment freely.
  *   P1  every switch over a monitored message/coherence enum
@@ -40,12 +40,15 @@
  *   A1  annotation hygiene: a `// sflint: allow(<RULE>, …)` naming a
  *       rule id that does not exist in the registry is a hard
  *       finding — a typo like `allow(S3, …)` must not silently mask
- *       a hazard. Retired ids (S2, E1, C1, C2) are unknown too.
+ *       a hazard. Retired ids (S2, E1, C1, C2) are unknown too. So
+ *       is a suppression of a known rule that matches no finding on
+ *       its line or the next: it suppresses nothing.
  *
  * Generic suppression for any rule:
  *   `// sflint: allow(<RULE>, <reason>)` on the finding line or the
- * line directly above. A suppression without a justification is
- * invalid and the finding stands. A justified in-source suppression
+ * line directly above. Directives are read from `//` comments only;
+ * a block comment may quote one. A suppression without a
+ * justification is invalid and the finding stands. A justified in-source suppression
  * is the only way a finding is accepted: sflint has no baseline file
  * and never rewrites sources.
  *
@@ -246,16 +249,15 @@ struct Config
      * a scheduled callback; if the scanned tree defines *no* root at
      * all, every function is treated as reachable (fail-safe).
      */
-    std::set<std::string> timedRoots = {
-        "TiledSystem::run", "TileDomains::runWindows", "EventQueue::run"};
+    std::set<std::string> timedRoots = {"TiledSystem::run",
+                                        "EventQueue::run"};
     /**
      * Callback-registration calls whose lambda arguments execute on
      * the timed path (event handlers): any function called inside
      * their argument lists seeds timed reachability.
      */
-    std::set<std::string> schedulers = {"schedule",   "scheduleIn",
-                                        "scheduleKeyed", "postGlobal",
-                                        "setBarrierHook"};
+    std::set<std::string> schedulers = {"schedule", "scheduleIn",
+                                        "scheduleKeyed"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
     std::set<std::string> knownRules = {"D1", "D2", "P1", "T1", "S1",
                                         "A1"};
