@@ -121,12 +121,83 @@ Core::wake()
 }
 
 void
+Core::wakeAt(Tick when)
+{
+    sf_assert(when > curTick() && when - curTick() < dueSlots,
+              "wake at %llu out of the ring's reach",
+              (unsigned long long)when);
+    auto bit = static_cast<uint16_t>(1u << (when & (dueSlots - 1)));
+    if (_wakeMask & bit)
+        return;
+    _wakeMask |= bit;
+    scheduleIn(
+        when - curTick(),
+        [this, bit]() {
+            _wakeMask &= static_cast<uint16_t>(~bit);
+            if (_ticking)
+                return; // a wake() queued this cycle's tick already
+            _sleeping = false;
+            tick();
+        },
+        EventPriority::ClockTick);
+}
+
+Tick
+Core::nextDue() const
+{
+    // Rotate the mask so bit 0 is the slot of the next cycle.
+    Tick from = (curTick() + 1) & (dueSlots - 1);
+    unsigned m = _dueMask;
+    unsigned rot = ((m >> from) | (m << (dueSlots - from))) & 0xffffu;
+    return curTick() + 1 + static_cast<Tick>(std::countr_zero(rot));
+}
+
+void
+Core::chargeParkedPolls(uint64_t polls)
+{
+    if (_parkedRobFull)
+        _stats.robFullStalls += polls;
+    if (_parkedSbFull)
+        _stats.sbFullStalls += polls;
+}
+
+void
+Core::settle()
+{
+    if (!parkedOnStores())
+        return;
+    Tick now = curTick();
+    chargeParkedPolls(now - _parkedAt);
+    if (_td)
+        _td->tickAt(now, _td->gapReason());
+    _parkedAt = now;
+}
+
+void
 Core::tick()
 {
     _ticking = false;
-    _lastTickAt = curTick();
+    Tick now = curTick();
+    _lastTickAt = now;
     if (_done)
         return;
+
+    // The cycles a parked core slept through each stood for a poll
+    // that hit the limits its last tick hit: the state was frozen,
+    // since every change to it calls wake().
+    if (parkedOnStores()) {
+        chargeParkedPolls(now - _parkedAt - 1);
+        _parkedAt = maxTick;
+    }
+
+    // Fixed-latency completions due this cycle land before any stage.
+    Tick slot = now & (dueSlots - 1);
+    if (_dueMask & (1u << slot)) {
+        for (uint64_t seq : _due[slot])
+            markCompleted(seq);
+        _due[slot].clear();
+        _dueMask &= static_cast<uint16_t>(~(1u << slot));
+    }
 
     // Per-cycle FU counters reset; dividers keep their busy horizon.
     _fu.intAluUsed = 0;
@@ -136,6 +207,8 @@ Core::tick()
     _fu.memPortsUsed = 0;
 
     _dispatchCreditStall = false;
+    uint64_t rob_stalls = _stats.robFullStalls;
+    uint64_t sb_stalls = _stats.sbFullStalls;
     bool committed = commitStage();
     bool progress = committed;
     progress |= drainStoreBuffer();
@@ -145,27 +218,34 @@ Core::tick()
     finishIfDrained();
     if (_done) {
         if (_td) {
-            _td->tickAt(curTick(), committed ? prof::Bucket::Retired
-                                             : prof::Bucket::Idle);
+            _td->tickAt(now, committed ? prof::Bucket::Retired
+                                       : prof::Bucket::Idle);
             _td->setGapReason(prof::Bucket::Idle);
         }
         return;
     }
 
     if (_td)
-        _td->tickAt(curTick(), classifyCycle(committed));
+        _td->tickAt(now, classifyCycle(committed));
 
-    if (progress || _sbInUse > 0) {
+    if (progress) {
         wake();
-    } else {
-        // Quiesce: every later state change arrives via a completion
-        // callback (memory, SE FIFO, barrier, FU horizon), and each of
-        // those calls wake(). The slept-through cycles are charged to
-        // whatever we are waiting on right now.
-        if (_td)
-            _td->setGapReason(classifyCycle(false));
-        _sleeping = true;
+        return;
     }
+    // Quiesce: every later state change arrives via a completion
+    // callback (memory, SE FIFO, barrier), which calls wake(), or via
+    // the completion ring, whose earliest due tick is queued here. The
+    // slept-through cycles are charged to whatever we wait on now.
+    if (_td)
+        _td->setGapReason(classifyCycle(false));
+    _sleeping = true;
+    if (_sbInUse > 0) {
+        _parkedAt = now;
+        _parkedRobFull = _stats.robFullStalls != rob_stalls;
+        _parkedSbFull = _stats.sbFullStalls != sb_stalls;
+    }
+    if (_dueMask)
+        wakeAt(nextDue());
 }
 
 prof::Bucket
@@ -221,15 +301,16 @@ Core::markCompleted(uint64_t seq)
 void
 Core::complete(RobEntry &e, Cycles extra_latency)
 {
-    uint64_t seq = e.seq;
     if (extra_latency == 0) {
-        markCompleted(seq);
+        markCompleted(e.seq);
         return;
     }
-    scheduleIn(extra_latency, [this, seq]() {
-        markCompleted(seq);
-        wake();
-    });
+    sf_assert(extra_latency < dueSlots,
+              "latency %llu exceeds the completion ring",
+              (unsigned long long)extra_latency);
+    Tick slot = (curTick() + extra_latency) & (dueSlots - 1);
+    _due[slot].push_back(e.seq);
+    _dueMask |= static_cast<uint16_t>(1u << slot);
 }
 
 bool
@@ -317,9 +398,8 @@ Core::tryIssue(RobEntry &e)
     Tick now = curTick();
     Tick earliest = 0;
     if (!fuAvailable(e.op.kind, now, earliest)) {
-        if (earliest > now) {
-            scheduleIn(earliest - now, [this]() { wake(); });
-        }
+        if (earliest > now)
+            wakeAt(earliest);
         return false;
     }
 
@@ -738,12 +818,20 @@ Core::dispatchStage()
 void
 Core::debugDump(std::FILE *f) const
 {
+    size_t due = 0;
+    for (const auto &slot : _due)
+        due += slot.size();
     std::fprintf(f,
                  "  %s rob=%llu fetchBuf=%zu lq=%d sq=%d sb=%d "
-                 "pendStores=%zu sleeping=%d ticking=%d\n",
+                 "pendStores=%zu sleeping=%d ticking=%d ringDue=%zu",
                  name().c_str(), (unsigned long long)robCount(),
                  _fetchBuf.size(), _lqInUse, _sqInUse, _sbInUse,
-                 _pendingStores.size(), _sleeping, _ticking);
+                 _pendingStores.size(), _sleeping, _ticking, due);
+    if (_dueMask)
+        std::fprintf(f, " nextDue=%llu", (unsigned long long)nextDue());
+    if (parkedOnStores())
+        std::fprintf(f, " parkedAt=%llu", (unsigned long long)_parkedAt);
+    std::fprintf(f, "\n");
     for (uint64_t seq = _headSeq;
          seq < _nextSeq && seq < _headSeq + 4; ++seq) {
         const RobEntry &e = robAt(seq);

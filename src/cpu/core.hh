@@ -18,6 +18,7 @@
 #ifndef SF_CPU_CORE_HH
 #define SF_CPU_CORE_HH
 
+#include <array>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -124,6 +125,19 @@ class Core : public SimObject
      */
     void wake();
 
+    /**
+     * True while the core sleeps with stores in flight, standing in for
+     * a core that polls every cycle until they drain (DESIGN.md §4k).
+     */
+    bool parkedOnStores() const { return _parkedAt != maxTick; }
+
+    /**
+     * A run cut at the current tick: charge the per-cycle stall
+     * counters and top-down account for the polls a core parked on
+     * stores skipped, up to and including this cycle.
+     */
+    void settle();
+
   private:
     struct RobEntry
     {
@@ -185,9 +199,23 @@ class Core : public SimObject
 
     /** --verify: value of @p e under the shared value semantics. */
     uint64_t verifyValueFor(const RobEntry &e);
+    /**
+     * @p e finishes executing @p extra_latency cycles from now: at once
+     * for 0, else at the start of that cycle's tick (the completion
+     * ring, DESIGN.md §4k).
+     */
     void complete(RobEntry &e, Cycles extra_latency);
     /** @p seq finished executing: wake the consumers chained on it. */
     void markCompleted(uint64_t seq);
+    /**
+     * Tick a sleeping core at @p when (at most dueSlots - 1 ahead): one
+     * ClockTick event per tick, a no-op if a wake() got there first.
+     */
+    void wakeAt(Tick when);
+    /** Earliest tick with a ring completion queued (_dueMask != 0). */
+    Tick nextDue() const;
+    /** Add @p polls skipped cycles to the stall counters of the park. */
+    void chargeParkedPolls(uint64_t polls);
 
     void refillFetchBuffer();
     void finishIfDrained();
@@ -267,6 +295,29 @@ class Core : public SimObject
     int _sbInUse = 0;
 
     FuState _fu;
+
+    /**
+     * Completion ring: the seqs whose fixed latency ends at tick t wait
+     * in slot t % dueSlots until that tick's pipeline tick. Latencies
+     * are below dueSlots, so a slot never holds two ticks.
+     */
+    static constexpr unsigned dueSlots = 16;
+    std::array<std::vector<uint64_t>, dueSlots> _due;
+    /** Slots of _due that hold seqs. */
+    uint16_t _dueMask = 0;
+    /** Slots with a wakeAt() tick queued for their tick. */
+    uint16_t _wakeMask = 0;
+
+    /**
+     * Tick of the no-progress pipeline tick after which the core went
+     * to sleep with stores in flight (maxTick when not parked), and
+     * which per-cycle stall limits that tick hit. A core polling every
+     * cycle would hit the same limits in each cycle it sleeps through.
+     */
+    Tick _parkedAt = maxTick;
+    bool _parkedRobFull = false;
+    bool _parkedSbFull = false;
+
     /** Cycle of the most recent pipeline tick (one tick per cycle). */
     Tick _lastTickAt = maxTick;
     bool _ticking = false;

@@ -307,6 +307,21 @@ TiledSystem::run(const std::vector<std::shared_ptr<isa::OpSource>> &threads)
         hit_limit = true;
         warn("cycle limit reached (%llu)",
              (unsigned long long)_cfg.maxCycles);
+        // A core parked on stores stands for one that polls every
+        // cycle, so the run's last tick is the limit (DESIGN.md §4k).
+        bool parked = false;
+        for (auto &c : _cores)
+            parked |= c->parkedOnStores();
+        if (parked) {
+            _eq.schedule(
+                _cfg.maxCycles,
+                [this]() {
+                    for (auto &c : _cores)
+                        c->settle();
+                },
+                EventPriority::Watch);
+            _eq.run(_cfg.maxCycles);
+        }
     }
     _hostSeconds = std::chrono::duration<double>(
                        // sflint: allow(D2, host-seconds stat only)

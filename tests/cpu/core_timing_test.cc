@@ -2,13 +2,16 @@
  * @file
  * Additional core-model timing tests: issue-width ceilings, divider
  * structural hazards, SIMD memory splitting, SB pressure, the
- * IO4-vs-OOO latency-hiding relations Fig. 13/19 rest on, and the
- * issue-window semantics the wakeup-driven scheduler must keep.
+ * IO4-vs-OOO latency-hiding relations Fig. 13/19 rest on, the
+ * issue-window semantics the wakeup-driven scheduler must keep, and
+ * the sleeping core: per-cycle counters exact without per-cycle ticks.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <utility>
 
 #include "common/test_fabric.hh"
 #include "cpu/core.hh"
@@ -101,11 +104,47 @@ struct CoreHarness
         return core->stats().doneTick;
     }
 
+    /**
+     * Wake the core at the start of every cycle until it is done, so it
+     * ticks in each one: the per-cycle reference for the sleeping core.
+     */
+    void
+    pollEveryCycle()
+    {
+        poll = std::make_unique<RecurringEvent>(fabric.eq());
+        poll->start(
+            1,
+            [this]() {
+                if (core->done())
+                    poll->stop();
+                else
+                    core->wake();
+            },
+            EventPriority::Delivery);
+    }
+
     TestFabric fabric;
     mem::TlbHierarchy tlb;
     std::unique_ptr<FixedSource> source;
     std::unique_ptr<cpu::Core> core;
+    std::unique_ptr<RecurringEvent> poll;
 };
+
+/**
+ * 64 stores to distinct lines, four ALU ops behind each: on IO4 the
+ * stores fill the SB and the ALU ops the ROB behind a stalled commit.
+ */
+void
+emitStoreBurst(CoreHarness &h)
+{
+    Addr buf = h.fabric.as().alloc(1 << 20);
+    for (int i = 0; i < 64; ++i) {
+        h.source->emitStore(h.source->ops,
+                            buf + static_cast<Addr>(i) * 4096, 4, 3);
+        for (int k = 0; k < 4; ++k)
+            h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu);
+    }
+}
 
 } // namespace
 
@@ -290,11 +329,130 @@ TEST(CoreIssueWindow, BusyDividerSchedulesItsRetryWake)
     h.source->emitCompute(h.source->ops, isa::OpKind::IntDiv);
     h.core->start();
     // Tick 0 dispatches both, tick 1 issues the first, tick 2 finds
-    // the divider busy and sleeps. Two events remain: the first
-    // divide's completion and the retry wake at the divider's horizon.
+    // the divider busy and sleeps. One event remains: the wake at the
+    // divider's horizon, which is also the tick the first divide
+    // completes (its completion waits in the ring, not in the queue).
+    h.fabric.eq().run(8);
+    EXPECT_EQ(h.fabric.eq().numPending(), 1u);
+    h.fabric.drain();
+    EXPECT_TRUE(h.core->done());
+    EXPECT_GE(h.core->stats().doneTick, 2u * 12);
+}
+
+TEST(CoreIssueWindow, BusyDividerQueuesOneRetryWake)
+{
+    // Two divides on one divider, then independent ALU work that keeps
+    // the core ticking while the second divide waits for the divider.
+    cpu::CoreConfig cfg = cpu::CoreConfig::ooo4();
+    cfg.numIntMultDiv = 1;
+    CoreHarness h(cfg);
+    h.source->emitCompute(h.source->ops, isa::OpKind::IntDiv);
+    h.source->emitCompute(h.source->ops, isa::OpKind::IntDiv);
+    for (int i = 0; i < 40; ++i)
+        h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu);
+    h.core->start();
+    // Ticks 2..8 each fail to issue the second divide. The queue holds
+    // the next pipeline tick and one retry wake, not one per cycle.
     h.fabric.eq().run(8);
     EXPECT_EQ(h.fabric.eq().numPending(), 2u);
     h.fabric.drain();
     EXPECT_TRUE(h.core->done());
     EXPECT_GE(h.core->stats().doneTick, 2u * 12);
+}
+
+// --- The sleeping core ----------------------------------------------
+
+TEST(SleepingCore, StoreBurstSleepsWhileStoresDrain)
+{
+    auto run = [](bool polled) {
+        CoreHarness h(cpu::CoreConfig::io4()); // ROB 16, SB 10
+        emitStoreBurst(h);
+        if (polled)
+            h.pollEveryCycle();
+        Tick done = h.run();
+        const cpu::CoreStats &st = h.core->stats();
+        return std::make_tuple(done, st.robFullStalls.value(),
+                               st.sbFullStalls.value(),
+                               h.fabric.eq().numExecuted());
+    };
+    auto [done, rob, sb, events] = run(false);
+    auto [ref_done, ref_rob, ref_sb, ref_events] = run(true);
+    // Same timing, and the stall counters equal the per-cycle count
+    // of a core that ticks in every cycle.
+    EXPECT_EQ(done, ref_done);
+    EXPECT_GT(rob, 0u);
+    EXPECT_GT(sb, 0u);
+    EXPECT_EQ(rob, ref_rob);
+    EXPECT_EQ(sb, ref_sb);
+    // Both limits hold for most of the run, yet the whole run, memory
+    // events included, executes fewer events than it has cycles: the
+    // core does not tick while its stores are in flight.
+    EXPECT_GT(rob, done / 2);
+    EXPECT_LT(events, done);
+    EXPECT_GT(ref_events, done);
+}
+
+TEST(SleepingCore, CutRunSettlesTheSkippedPolls)
+{
+    static constexpr Tick cut = 700;
+    auto run = [](bool polled) {
+        CoreHarness h(cpu::CoreConfig::io4());
+        emitStoreBurst(h);
+        if (polled)
+            h.pollEveryCycle();
+        h.core->start();
+        h.fabric.eq().run(cut);
+        EXPECT_FALSE(h.core->done());
+        if (!polled) {
+            // What TiledSystem::run does for a run that reaches
+            // maxCycles with a core parked on stores.
+            EXPECT_TRUE(h.core->parkedOnStores());
+            h.fabric.eq().schedule(
+                cut, [&h]() { h.core->settle(); }, EventPriority::Watch);
+            h.fabric.eq().run(cut);
+        }
+        EXPECT_EQ(h.fabric.eq().curTick(), cut);
+        const cpu::CoreStats &st = h.core->stats();
+        return std::make_pair(st.robFullStalls.value(),
+                              st.sbFullStalls.value());
+    };
+    auto [rob, sb] = run(false);
+    auto [ref_rob, ref_sb] = run(true);
+    EXPECT_GT(rob, 0u);
+    EXPECT_EQ(rob, ref_rob);
+    EXPECT_EQ(sb, ref_sb);
+}
+
+TEST(SleepingCore, FixedLatencyCompletesAtTheStartOfItsCycle)
+{
+    // A chain of dependent multiplies (3 cycles each): every link adds
+    // exactly the latency, whether the core sleeps between links or
+    // ticks every cycle for independent ALU work beside the chain.
+    auto run = [](int links, bool busy) {
+        CoreHarness h(cpu::CoreConfig::ooo4());
+        uint64_t prev = 0;
+        for (int i = 0; i < links; ++i) {
+            prev = h.source->emitCompute(h.source->ops,
+                                         isa::OpKind::IntMult, prev);
+            for (int k = 0; busy && k < 6; ++k)
+                h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu);
+        }
+        return h.run();
+    };
+    EXPECT_EQ(run(20, false) - run(10, false), 10u * 3);
+    EXPECT_EQ(run(20, true) - run(10, true), 10u * 3);
+}
+
+TEST(SleepingCore, AluStreamNeedsNoEventPerOp)
+{
+    // N independent 1-cycle ops at width 4: about N / 4 pipeline ticks
+    // and no other event. One event per completion made it 5002 events
+    // for N = 4000.
+    constexpr int n = 4000;
+    CoreHarness h(cpu::CoreConfig::ooo4());
+    for (int i = 0; i < n; ++i)
+        h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu);
+    Tick done = h.run();
+    EXPECT_LE(done, Tick(n / 4 + 4));
+    EXPECT_LE(h.fabric.eq().numExecuted(), uint64_t(n / 4 + 16));
 }

@@ -3,8 +3,8 @@
  * Observability-layer integration tests: the JSON stat dump must
  * round-trip through a parser and agree with the SimResults aggregates,
  * interval sampling must produce aligned time series, and the
- * stream-lifecycle logs must export a well-formed Chrome trace that is
- * the same for any worker count.
+ * stream-lifecycle logs must export a well-formed Chrome trace that a
+ * rerun reproduces byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -69,11 +69,10 @@ runWithJson(Machine m, const std::string &wl_name, Cycles interval)
 
 /** An SF run with stream tracing on; @return its Chrome trace. */
 std::string
-tracedRun(const std::string &wl_name, int threads, SimResults *out)
+tracedRun(const std::string &wl_name, SimResults *out)
 {
     SystemConfig cfg = smallConfig(Machine::SF);
     cfg.traceStreams = true;
-    cfg.threads = threads;
     TiledSystem sys(cfg);
     *out = runOn(sys, cfg, wl_name);
     std::ostringstream os;
@@ -218,7 +217,7 @@ TEST(StatsJson, SamplingOffEmitsNoSeries)
 TEST(StreamTrace, ChromeTraceExportRoundTrips)
 {
     SimResults r;
-    test_json::Value j = test_json::parse(tracedRun("pathfinder", 1, &r));
+    test_json::Value j = test_json::parse(tracedRun("pathfinder", &r));
     EXPECT_GT(r.streamsFloated, 0u);
     EXPECT_GT(r.streamTraceEvents, 0u);
 
@@ -308,17 +307,14 @@ TEST(StreamTrace, IncarnationsGetSeparateTracks)
     EXPECT_EQ(endPh, "i");
 }
 
-/**
- * SystemConfig::threads is ignored (perfbench still sets it): a run
- * asking for four workers writes the same trace as a one-worker run.
- */
-TEST(StreamTrace, SameTraceAtAnyWorkerCount)
+/** Two runs of one configuration write the same trace. */
+TEST(StreamTrace, RerunWritesTheSameTrace)
 {
-    SimResults r1, r4;
-    std::string t1 = tracedRun("conv3d", 1, &r1);
-    std::string t4 = tracedRun("conv3d", 4, &r4);
+    SimResults r1, r2;
+    std::string t1 = tracedRun("conv3d", &r1);
+    std::string t2 = tracedRun("conv3d", &r2);
     EXPECT_GT(r1.migrations, 0u);
     EXPECT_GT(r1.streamTraceEvents, 0u);
-    EXPECT_EQ(r1.cycles, r4.cycles);
-    EXPECT_EQ(t1, t4);
+    EXPECT_EQ(r1.cycles, r2.cycles);
+    EXPECT_EQ(t1, t2);
 }

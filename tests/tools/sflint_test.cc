@@ -140,6 +140,15 @@ TEST(SflintRules, D2TimedPathReachability)
     // And reachability from a named timed root marks callees timed.
     EXPECT_EQ(newFindings(res, "D2", "fixtures/d2_banned.cc").size(),
               1u);
+
+    // A token outside any function body is still flagged, but the
+    // message says why: sflint cannot place it, not that it is timed.
+    auto scope = newFindings(res, "D2", "fixtures/d2_file_scope.cc");
+    ASSERT_EQ(scope.size(), 1u);
+    EXPECT_EQ(scope[0].context, "steady_clock");
+    EXPECT_NE(scope[0].message.find("cannot place it in a function"),
+              std::string::npos);
+    EXPECT_EQ(scope[0].message.find("is on the timed"), std::string::npos);
 }
 
 TEST(SflintRules, UnjustifiedSuppressionsDoNotSilence)

@@ -178,7 +178,8 @@ const BannedIdent kBanned[] = {
  * path — in a function reachable (via the call graph) from a timed
  * root or inside a scheduler call's argument list (a lambda event
  * handler). Host-side driver/reporting code reads clocks freely; a
- * primitive outside any known function is flagged conservatively.
+ * primitive outside any known function is flagged conservatively, with
+ * a message that says so.
  */
 void
 ruleD2(const SourceFile &f, const Config &cfg, const Program &prog,
@@ -218,17 +219,21 @@ ruleD2(const SourceFile &f, const Config &cfg, const Program &prog,
                           isPunct(toks[i - 1], ">")))
                 continue;
             size_t fnIdx = enclosingFunction(prog, f.path, i);
-            bool timed = true;
-            if (!inSchedArg(i) && fnIdx != static_cast<size_t>(-1))
-                timed = cg.timedReachable[fnIdx] != 0;
-            if (!timed)
+            bool handler = inSchedArg(i);
+            bool in_fn = fnIdx != static_cast<size_t>(-1);
+            if (!handler && in_fn && !cg.timedReachable[fnIdx])
                 break;
             emit(out, f, "D2", toks[i].line, b.name,
                  std::string(b.what) + " '" + b.name +
-                     "' is nondeterministic and this code is on the "
-                     "timed simulation path (reachable from a timed "
-                     "root or scheduled as an event handler); move "
-                     "it off the timed path or annotate "
+                     "' is nondeterministic and " +
+                     (handler || in_fn
+                          ? "this code is on the timed simulation "
+                            "path (reachable from a timed root or "
+                            "scheduled as an event handler)"
+                          : "sflint cannot place it in a function "
+                            "body, so it cannot show that the code "
+                            "is off the timed simulation path") +
+                     "; move it off the timed path or annotate "
                      "`// sflint: allow(D2, <reason>)`");
             break;
         }
