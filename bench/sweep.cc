@@ -11,28 +11,18 @@
  * no matter how many jobs ran or in what order they finished; host
  * wall-clock numbers only appear in the companion `BENCH_sweep.json`.
  *
- * Crash resilience: every child runs under a wall-clock deadline
- * (`--point-timeout`, SIGKILL on expiry) and gets one bounded retry
- * after a crash or timeout. Points that still fail are recorded as
- * `"status": "failed"` entries in the merged report instead of
- * aborting the whole sweep; when nothing fails the report bytes are
- * unchanged. `--resume` VALIDATES existing point results before
- * skipping them: each completed child drops a `<stem>.ok` sidecar
- * carrying CRC-32s of its stats.json and host report, and a point is
- * only reused when the recomputed CRCs match — a torn or corrupted
- * result re-runs from tick 0, as does every point a killed sweep had
- * not finished.
+ * Isolation: the parent forks one child per point and reaps it with a
+ * blocking waitpid(), so a fatal() or crash in one simulation cannot
+ * abort the grid and no simulator state leaks between points. Every
+ * child is deterministic, so a point that fails would fail the same
+ * way again: it is recorded once as a `"status": "failed"` entry
+ * (the report bytes are unchanged when nothing fails), and the sweep
+ * exits 1 after writing both reports. An interrupted sweep is re-run.
  *
  * On top of the common bench options, --help lists -j/--jobs, --out,
- * --cpus, --machines (names in any case), --point-timeout and --resume
- * with their defaults. An unknown name, a bad value or an unknown
- * option prints usage and exits 2 before any point is forked.
- *
- * Test hooks (used by tests/smoke_sweep.cmake): a child whose point
- * stem equals $SF_SWEEP_TEST_CRASH aborts, $SF_SWEEP_TEST_HANG spins
- * forever, $SF_SWEEP_TEST_FLAKY aborts on the first attempt only, and
- * $SF_SWEEP_TEST_PARENT_KILL_AFTER=<n> SIGKILLs the whole sweep after
- * n completed points (crash-recovery CI).
+ * --cpus and --machines (names in any case) with their defaults. An
+ * unknown name, a bad value or an unknown option prints usage and
+ * exits 2 before any point is forked.
  */
 
 #include <sys/types.h>
@@ -43,7 +33,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -60,11 +49,6 @@ struct SweepOptions
     BenchOptions bench;
     int jobs = 1;
     std::string outDir = "sweep_out";
-    /** Per-point wall-clock limit in seconds; expired children are
-     *  SIGKILLed and retried once. */
-    double pointTimeout = 300.0;
-    /** Skip points whose `.ok` sidecar CRCs still validate. */
-    bool resume = false;
     std::vector<std::string> cpus = {"io4", "ooo4", "ooo8"};
     std::vector<std::string> machines = {"Base", "Stride", "Bingo", "SS",
                                          "SF"};
@@ -95,10 +79,6 @@ parseSweep(int argc, char **argv)
               for (const std::string &m : o.machines)
                   sys::machineFromName(m, "--machines");
           });
-    t.bind("--point-timeout", "S", "seconds per point, then retry (300)",
-           o.pointTimeout, parsePositiveReal);
-    t.flag("--resume", "skip points whose .ok CRCs still validate",
-           o.resume);
     t.parse(argc, argv);
     return o;
 }
@@ -138,78 +118,13 @@ struct HostReport
 {
     double seconds = 0.0;
     uint64_t events = 0;
-    uint64_t cycles = 0;
 };
-
-/**
- * Lookup table for the reflected CRC-32 polynomial 0xedb88320. Changing
- * the polynomial would make --resume reject every existing sidecar.
- */
-struct CrcTable
-{
-    uint32_t t[256];
-
-    constexpr CrcTable() : t()
-    {
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-    }
-};
-
-constexpr CrcTable kCrc;
-
-/**
- * CRC-32 (IEEE 802.3, reflected) of a file's raw bytes as the eight
- * lower-case hex digits a `.ok` sidecar records; empty if unreadable.
- */
-std::string
-fileCrc(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "";
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    uint32_t crc = 0xffffffffu;
-    for (char ch : ss.str())
-        crc = kCrc.t[(crc ^ uint8_t(ch)) & 0xffu] ^ (crc >> 8);
-    char hex[9];
-    std::snprintf(hex, sizeof(hex), "%08x", crc ^ 0xffffffffu);
-    return hex;
-}
-
-/** The files a `.ok` sidecar guards: (field name, file suffix). */
-std::vector<std::pair<std::string, std::string>>
-guardedFiles(const SweepOptions &o)
-{
-    std::vector<std::pair<std::string, std::string>> files = {
-        {"stats_crc", ".stats.json"}, {"host_crc", ".host"}};
-    if (o.bench.profile)
-        files.push_back({"prof_crc", ".profsum.json"});
-    return files;
-}
 
 /** Run one point to completion; only ever called in a forked child. */
 int
 runPoint(const Point &p, const SweepOptions &o,
-         const std::string &points_dir, int attempt)
+         const std::string &points_dir)
 {
-    // Deterministic failure hooks so the sweep's own tests can force a
-    // crash, a hang, or a first-attempt-only crash on a chosen point.
-    if (const char *v = std::getenv("SF_SWEEP_TEST_CRASH"))
-        if (p.stem == v)
-            std::abort();
-    if (const char *v = std::getenv("SF_SWEEP_TEST_HANG"))
-        if (p.stem == v)
-            for (;;)
-                pause();
-    if (const char *v = std::getenv("SF_SWEEP_TEST_FLAKY"))
-        if (p.stem == v && attempt == 1)
-            std::abort();
     try {
         BenchOptions bo = o.bench;
         bo.statsJsonDir = points_dir;
@@ -223,23 +138,7 @@ runPoint(const Point &p, const SweepOptions &o,
                       static_cast<unsigned long long>(r.cycles));
         host << buf;
         host.flush();
-        if (!host.good())
-            return 1;
-        // Validation sidecar, written last: --resume only reuses this
-        // point when the CRCs recorded here still match the recomputed
-        // ones, so a SIGKILL at any earlier instant leaves a point
-        // that re-runs.
-        std::string ok;
-        for (const auto &[field, suffix] : guardedFiles(o)) {
-            std::string crc = fileCrc(points_dir + "/" + p.stem + suffix);
-            if (crc.empty())
-                return 1;
-            ok += (ok.empty() ? "" : " ") + field + "=" + crc;
-        }
-        std::ofstream okf(points_dir + "/" + p.stem + ".ok");
-        okf << ok << "\n";
-        okf.flush();
-        return okf.good() ? 0 : 1;
+        return host.good() ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sweep: point %s failed: %s\n",
                      p.stem.c_str(), e.what());
@@ -247,58 +146,18 @@ runPoint(const Point &p, const SweepOptions &o,
     }
 }
 
-/** The "key=value" fields on the first line of a sidecar file. */
-std::map<std::string, std::string>
-readFields(const std::string &path)
-{
-    std::map<std::string, std::string> fields;
-    std::ifstream in(path);
-    std::string line, field;
-    std::getline(in, line);
-    std::istringstream ss(line);
-    while (ss >> field) {
-        size_t eq = field.find('=');
-        if (eq != std::string::npos)
-            fields[field.substr(0, eq)] = field.substr(eq + 1);
-    }
-    return fields;
-}
-
 bool
 readHostReport(const std::string &path, HostReport &h)
 {
-    auto f = readFields(path);
-    try {
-        h.seconds = std::stod(f.at("seconds"));
-        h.events = std::stoull(f.at("events"));
-        h.cycles = std::stoull(f.at("cycles"));
-    } catch (const std::exception &) {
+    std::ifstream in(path);
+    std::string line;
+    unsigned long long events = 0;
+    if (!std::getline(in, line) ||
+        std::sscanf(line.c_str(), "seconds=%lf events=%llu", &h.seconds,
+                    &events) != 2)
         return false;
-    }
+    h.events = events;
     return true;
-}
-
-/**
- * A point's results are reusable under --resume only when its `.ok`
- * sidecar exists and the CRC32s it recorded still match the
- * recomputed checksums of stats.json, the host report, and (for
- * profile sweeps) profsum.json. The sidecar is the last file a child
- * writes, so a SIGKILL at any instant leaves a point that fails this
- * check and re-runs; a torn or bit-flipped result file fails the CRC
- * comparison the same way.
- */
-bool
-pointComplete(const SweepOptions &o, const std::string &points_dir,
-              const std::string &stem)
-{
-    auto recorded = readFields(points_dir + "/" + stem + ".ok");
-    for (const auto &[field, suffix] : guardedFiles(o)) {
-        std::string crc = fileCrc(points_dir + "/" + stem + suffix);
-        if (crc.empty() || recorded[field] != crc)
-            return false;
-    }
-    HostReport h;
-    return readHostReport(points_dir + "/" + stem + ".host", h);
 }
 
 std::string
@@ -423,19 +282,9 @@ writeHostSection(std::ostream &os, const SweepOptions &o,
     os << buf;
 }
 
-/** State of one forked worker, keyed by pid in the scheduler. */
-struct Child
-{
-    size_t idx;
-    int attempt;
-    // sflint: allow(D2, host-side child-timeout deadline of the sweep scheduler)
-    std::chrono::steady_clock::time_point deadline;
-    bool killed = false;
-};
-
 /** SIGKILL and reap every remaining child before the parent exits. */
 void
-killAll(std::map<pid_t, Child> &running)
+killAll(std::map<pid_t, size_t> &running)
 {
     for (const auto &kv : running)
         kill(kv.first, SIGKILL);
@@ -464,43 +313,15 @@ main(int argc, char **argv)
 
     auto wall_start = std::chrono::steady_clock::now();
 
-    // Work queue in fixed grid order; crashed/timed-out points requeue
-    // once at the tail. --resume drops points whose results still pass
-    // their recorded CRCs, so an interrupted sweep re-runs exactly the
-    // missing or damaged points.
-    std::deque<size_t> queue;
-    std::vector<int> attempts(points.size(), 0);
+    // Fork one child per point in fixed grid order; up to `jobs` run
+    // concurrently. Every point forks (even -j 1) so serial and
+    // parallel runs execute byte-identical code paths.
+    std::map<pid_t, size_t> running;
     std::vector<char> failed(points.size(), 0);
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (opt.resume && pointComplete(opt, points_dir, points[i].stem)) {
-            std::printf("sweep: resume skip %s\n",
-                        points[i].stem.c_str());
-            continue;
-        }
-        queue.push_back(i);
-    }
-
-    // Fork one child per point; up to `jobs` run concurrently. Every
-    // point forks (even -j 1) so serial and parallel runs execute
-    // byte-identical code paths. Reaping polls with WNOHANG so the
-    // parent can enforce each child's wall-clock deadline.
-    std::map<pid_t, Child> running;
     int failures = 0;
-    // Crash-recovery test hook (tests/smoke_sweep.cmake): SIGKILL
-    // the whole sweep after n completed points, as an OOM-killed or
-    // rebooted host would.
-    long parent_kill_after = 0;
-    if (const char *v = std::getenv("SF_SWEEP_TEST_PARENT_KILL_AFTER"))
-        parent_kill_after = std::atol(v);
-    long completed = 0;
-    const auto timeout = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(opt.pointTimeout));
-    while (!queue.empty() || !running.empty()) {
-        while (running.size() < size_t(opt.jobs) && !queue.empty()) {
-            size_t idx = queue.front();
-            queue.pop_front();
-            ++attempts[idx];
+    size_t next = 0;
+    while (next < points.size() || !running.empty()) {
+        while (running.size() < size_t(opt.jobs) && next < points.size()) {
             std::fflush(stdout);
             std::fflush(stderr);
             pid_t pid = fork();
@@ -512,16 +333,12 @@ main(int argc, char **argv)
             if (pid == 0) {
                 // In the child: run the point and leave immediately
                 // without flushing inherited stdio buffers twice.
-                std::_Exit(runPoint(points[idx], opt, points_dir,
-                                    attempts[idx]));
+                std::_Exit(runPoint(points[next], opt, points_dir));
             }
-            running[pid] = Child{idx, attempts[idx],
-                                 std::chrono::steady_clock::now() +
-                                     timeout,
-                                 false};
+            running[pid] = next++;
         }
         int status = 0;
-        pid_t done = waitpid(-1, &status, WNOHANG);
+        pid_t done = waitpid(-1, &status, 0);
         if (done < 0) {
             if (errno == EINTR)
                 continue;
@@ -529,61 +346,27 @@ main(int argc, char **argv)
             killAll(running);
             return 1;
         }
-        if (done == 0) {
-            // Nothing exited: enforce deadlines, then poll again.
-            auto now = std::chrono::steady_clock::now();
-            for (auto &kv : running) {
-                if (!kv.second.killed && now >= kv.second.deadline) {
-                    kv.second.killed = true;
-                    kill(kv.first, SIGKILL);
-                    std::printf("sweep: timeout %s after %.0fs, "
-                                "killing\n",
-                                points[kv.second.idx].stem.c_str(),
-                                opt.pointTimeout);
-                }
-            }
-            usleep(20'000);
-            continue;
-        }
         auto it = running.find(done);
         if (it == running.end())
             continue;
-        Child c = it->second;
-        running.erase(it);
-        const Point &p = points[c.idx];
-        bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        if (ok) {
+        const Point &p = points[it->second];
+        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
             std::printf("sweep: done %s\n", p.stem.c_str());
-            ++completed;
-            if (parent_kill_after > 0 && completed >= parent_kill_after) {
-                std::fflush(stdout);
-                killAll(running);
-                raise(SIGKILL);
-            }
-            continue;
-        }
-        const char *why = c.killed             ? "timed out"
-                          : WIFSIGNALED(status) ? "crashed"
-                                                : "failed";
-        if (c.attempt < 2) {
-            std::printf("sweep: %s %s (status %d), retrying\n", why,
-                        p.stem.c_str(), status);
-            queue.push_back(c.idx);
         } else {
             ++failures;
-            failed[c.idx] = 1;
-            std::printf("sweep: FAILED %s (%s, status %d, "
-                        "%d attempts)\n",
-                        p.stem.c_str(), why, status, c.attempt);
+            failed[it->second] = 1;
+            std::printf("sweep: FAILED %s (%s, status %d)\n", p.stem.c_str(),
+                        WIFSIGNALED(status) ? "crashed" : "failed", status);
         }
+        running.erase(it);
     }
     double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
     if (failures)
-        std::printf("sweep: %d point(s) failed after retry, recording "
-                    "in report\n", failures);
+        std::printf("sweep: %d point(s) failed, recording in report\n",
+                    failures);
 
     // Collect the host-side reports for the companion file; failed
     // points have none and get a status marker instead.
@@ -628,5 +411,5 @@ main(int argc, char **argv)
                 wall_seconds > 0
                     ? double(total_events) / wall_seconds / 1e6
                     : 0.0);
-    return 0;
+    return failures ? 1 : 0;
 }
