@@ -858,23 +858,22 @@ TiledSystem::buildStatRegistry(stats::StatRegistry &reg) const
     if (_prof)
         _prof->registerStats(reg);
 
-    stats::StatGroup &eg = reg.group("sim.eventq");
-    const EventQueue *eq = &_eq;
-    eg.regFormula("executed",
-                  [eq]() { return double(eq->numExecuted()); });
-    eg.regFormula("pending", [eq]() { return double(eq->numPending()); });
-    // Arena capacity is a host-side quantity (slab growth), so it lives
-    // with the other host stats and stays out of the determinism
-    // contract.
-    if (_hostStatsInJson) {
-        eg.regFormula("arenaCapacity",
-                      [eq]() { return double(eq->arenaCapacity()); });
-    }
-
-    // Host throughput is wall-clock, hence nondeterministic; off by
-    // default so stat dumps stay byte-comparable (opt in via
+    // The event kernel's counts measure how the host simulated, not
+    // what it simulated: they change whenever the engine does less work
+    // for the same result. Host throughput is wall-clock, hence
+    // nondeterministic. Both stay out of default dumps so those remain
+    // byte-comparable across engine changes (opt in via
     // includeHostStats).
     if (_hostStatsInJson) {
+        stats::StatGroup &eg = reg.group("sim.eventq");
+        const EventQueue *eq = &_eq;
+        eg.regFormula("executed",
+                      [eq]() { return double(eq->numExecuted()); });
+        eg.regFormula("pending",
+                      [eq]() { return double(eq->numPending()); });
+        eg.regFormula("arenaCapacity",
+                      [eq]() { return double(eq->arenaCapacity()); });
+
         stats::StatGroup &hg = reg.group("host");
         hg.regFormula("seconds", [this]() { return _hostSeconds; });
         hg.regFormula("eventsPerSec", [this, eq]() {
