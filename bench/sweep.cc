@@ -130,12 +130,10 @@ runPoint(const Point &p, const SweepOptions &o,
         bo.statsJsonDir = points_dir;
         sys::SimResults r = runSim(p.machine, p.core, p.workload, bo);
         std::ofstream host(points_dir + "/" + p.stem + ".host");
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "seconds=%.6f events=%llu cycles=%llu\n",
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "seconds=%.6f events=%llu\n",
                       r.hostSeconds,
-                      static_cast<unsigned long long>(r.eventsExecuted),
-                      static_cast<unsigned long long>(r.cycles));
+                      static_cast<unsigned long long>(r.eventsExecuted));
         host << buf;
         host.flush();
         return host.good() ? 0 : 1;
