@@ -282,7 +282,13 @@ printHeader(const std::string &name, const std::vector<std::string> &cols)
     std::printf("\n");
 }
 
+/** Run @p body; a FatalError becomes its exit status, a panic aborts. */
+int guardedRun(const char *prog, const std::function<int()> &body);
+
 } // namespace bench
 } // namespace sf
+
+/** A driver's body, run by the shared main() in driver_main.cc. */
+int driverMain(int argc, char **argv);
 
 #endif // SF_BENCH_BENCH_UTIL_HH

@@ -16,7 +16,7 @@ using namespace sf;
 using namespace sf::bench;
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     BenchOptions opt;
     opt.scale = 0.4; // per-core footprints must exceed the private L2

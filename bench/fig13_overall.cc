@@ -64,7 +64,7 @@ runCore(const cpu::CoreConfig &core, const BenchOptions &opt)
 } // namespace
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     BenchOptions opt;
     opt.parse(argc, argv);

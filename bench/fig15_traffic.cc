@@ -28,7 +28,7 @@ const std::vector<std::pair<sys::Machine, const char *>> configs = {
 } // namespace
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     BenchOptions opt;
     opt.parse(argc, argv);

@@ -11,7 +11,7 @@ using namespace sf;
 using namespace sf::bench;
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     BenchOptions opt;
     // Default to a representative subset; pass --workloads= for all.

@@ -22,8 +22,8 @@
  * CI can replay a fixed corpus and assert determinism.
  *
  * Usage: fuzz [--seeds=LO:HI] [--seed-file=FILE] [--log=FILE]; --help
- * explains them. An unknown option or a malformed value prints usage
- * and exits 2 before any kernel runs.
+ * explains them. A bad option, value (LO >= HI too) or seed-file line
+ * exits 2, an unopenable seed file or --log 1, before any kernel runs.
  *
  * SF_VERIFY_BUG injects a protocol bug (see L3Bank::setVerifyBug) so
  * the fuzzer's own detection path can be exercised negatively.
@@ -432,10 +432,9 @@ runPoint(const FuzzProgram &prog, const ConfigPoint &pt, uint64_t *ops)
     wl.init(system.addressSpace());
     sys::SimResults r = system.run(wl.makeAllThreads());
     if (r.hitCycleLimit) {
-        std::fprintf(stderr, "fuzz: seed=%llu %s/%s hit cycle limit\n",
-                     (unsigned long long)prog.seed, pt.cpuName,
-                     sys::machineName(pt.machine));
-        std::exit(1);
+        fatal("fuzz: seed=%llu %s/%s hit cycle limit",
+              (unsigned long long)prog.seed, pt.cpuName,
+              sys::machineName(pt.machine));
     }
 
     verify::RefResult golden = bench::checkAgainstReference(
@@ -450,18 +449,16 @@ std::vector<uint64_t>
 loadSeedFile(const std::string &path)
 {
     std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "fuzz: cannot open seed file %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
+    if (!is)
+        fatal("fuzz: cannot open seed file %s", path.c_str());
     std::vector<uint64_t> seeds;
     std::string line;
-    while (std::getline(is, line)) {
+    for (int n = 1; std::getline(is, line); ++n) {
         size_t start = line.find_first_not_of(" \t");
         if (start == std::string::npos || line[start] == '#')
             continue;
-        seeds.push_back(std::strtoull(line.c_str() + start, nullptr, 10));
+        seeds.push_back(parseCount(line.substr(start),
+                                   path + ":" + std::to_string(n)));
     }
     return seeds;
 }
@@ -469,19 +466,21 @@ loadSeedFile(const std::string &path)
 } // namespace
 
 int
-main(int argc, char **argv)
-try {
+driverMain(int argc, char **argv)
+{
     uint64_t lo = 0, hi = 50;
     std::string seed_file, log_file;
     OptionTable t(argv[0]);
     t.add("--seeds", "LO:HI", "fuzz seeds LO..HI-1 (default 0:50)",
           [&](const std::string &v) {
               size_t colon = v.find(':');
-              if (colon == std::string::npos)
-                  throw UsageError("--seeds must be LO:HI, got '" + v +
-                                   "'");
-              lo = parseCount(v.substr(0, colon), "--seeds");
-              hi = parseCount(v.substr(colon + 1), "--seeds");
+              if (colon != std::string::npos) {
+                  lo = parseCount(v.substr(0, colon), "--seeds");
+                  hi = parseCount(v.substr(colon + 1), "--seeds");
+              }
+              if (colon == std::string::npos || lo >= hi)
+                  throw UsageError("--seeds must be LO:HI with LO < HI, "
+                                   "got '" + v + "'");
           });
     t.text("--seed-file", "FILE",
            "newline-separated seed list ('#' comments)", seed_file);
@@ -495,6 +494,9 @@ try {
         for (uint64_t s = lo; s < hi; ++s)
             seeds.push_back(s);
     }
+    std::ofstream log_os;
+    if (!log_file.empty())
+        log_os = openOutputFile(log_file, "--log");
 
     // The differential matrix: {io4, ooo4} x these four machines.
     std::vector<ConfigPoint> points;
@@ -504,7 +506,6 @@ try {
             points.push_back({core, cpu::CoreConfig::fromName(core, "cpu"), m});
     }
 
-    std::string log;
     for (uint64_t seed : seeds) {
         FuzzProgram prog = FuzzProgram::generate(seed);
         for (const auto &pt : points) {
@@ -518,19 +519,13 @@ try {
                           sys::machineName(pt.machine),
                           (unsigned long long)ops,
                           (unsigned long long)h);
-            log += line;
+            log_os << line; // a no-op without --log
             std::fputs(line, stdout);
         }
     }
 
-    if (!log_file.empty()) {
-        std::ofstream os(log_file, std::ios::binary);
-        os << log;
-    }
     std::printf("fuzz: %zu seed(s) x %zu config(s), all agree with "
                 "reference\n",
                 seeds.size(), points.size());
     return 0;
-} catch (const FatalError &e) {
-    return e.exitStatus();
 }

@@ -15,9 +15,10 @@
  * blocking waitpid(), so a fatal() or crash in one simulation cannot
  * abort the grid and no simulator state leaks between points. Every
  * child is deterministic, so a point that fails would fail the same
- * way again: it is recorded once as a `"status": "failed"` entry
- * (the report bytes are unchanged when nothing fails), and the sweep
- * exits 1 after writing both reports. An interrupted sweep is re-run.
+ * way again: it is recorded once as a `"status": "failed"` entry with
+ * the child's `"exitCode"` or `"signal"` (the report bytes are
+ * unchanged when nothing fails), and the sweep exits 1 after writing
+ * both reports. An interrupted sweep is re-run.
  *
  * On top of the common bench options, --help lists -j/--jobs, --out,
  * --cpus and --machines (names in any case) with their defaults. An
@@ -125,23 +126,17 @@ int
 runPoint(const Point &p, const SweepOptions &o,
          const std::string &points_dir)
 {
-    try {
-        BenchOptions bo = o.bench;
-        bo.statsJsonDir = points_dir;
-        sys::SimResults r = runSim(p.machine, p.core, p.workload, bo);
-        std::ofstream host(points_dir + "/" + p.stem + ".host");
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "seconds=%.6f events=%llu\n",
-                      r.hostSeconds,
-                      static_cast<unsigned long long>(r.eventsExecuted));
-        host << buf;
-        host.flush();
-        return host.good() ? 0 : 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "sweep: point %s failed: %s\n",
-                     p.stem.c_str(), e.what());
-        return 1;
-    }
+    BenchOptions bo = o.bench;
+    bo.statsJsonDir = points_dir;
+    sys::SimResults r = runSim(p.machine, p.core, p.workload, bo);
+    std::ofstream host(points_dir + "/" + p.stem + ".host");
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "seconds=%.6f events=%llu\n",
+                  r.hostSeconds,
+                  static_cast<unsigned long long>(r.eventsExecuted));
+    host << buf;
+    host.flush();
+    return host.good() ? 0 : 1;
 }
 
 bool
@@ -192,7 +187,7 @@ void
 writeDetSections(std::ostream &os, const SweepOptions &o,
                  const std::vector<Point> &points,
                  const std::string &points_dir,
-                 const std::vector<char> &failed)
+                 const std::vector<std::string> &failed)
 {
     char buf[96];
     os << "{\n  \"schema\": \"sf-sweep-1\",\n";
@@ -214,8 +209,8 @@ writeDetSections(std::ostream &os, const SweepOptions &o,
            << p.workload << "\",\n     ";
         // Failed points carry a status marker instead of stats so the
         // report stays byte-identical whenever nothing failed.
-        if (failed[i]) {
-            os << "\"status\": \"failed\"}";
+        if (!failed[i].empty()) {
+            os << "\"status\": \"failed\", " << failed[i] << "}";
         } else {
             os << "\"stats\": "
                << slurp(points_dir + "/" + p.stem + ".stats.json");
@@ -236,6 +231,7 @@ writeDetSections(std::ostream &os, const SweepOptions &o,
 void
 writeHostSection(std::ostream &os, const SweepOptions &o,
                  const std::vector<Point> &points,
+                 const std::vector<std::string> &failed,
                  const std::map<std::string, HostReport> &hosts,
                  double wall_seconds)
 {
@@ -246,17 +242,16 @@ writeHostSection(std::ostream &os, const SweepOptions &o,
     std::snprintf(buf, sizeof(buf), "    \"jobs\": %d,\n", o.jobs);
     os << buf << "    \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
-        auto it = hosts.find(points[i].stem);
-        if (it == hosts.end()) {
+        if (!failed[i].empty()) {
             std::snprintf(buf, sizeof(buf),
                           "      {\"id\": \"%s\", \"status\": "
-                          "\"failed\"}%s\n",
-                          points[i].stem.c_str(),
+                          "\"failed\", %s}%s\n",
+                          points[i].stem.c_str(), failed[i].c_str(),
                           i + 1 < points.size() ? "," : "");
             os << buf;
             continue;
         }
-        const HostReport &h = it->second;
+        const HostReport &h = hosts.at(points[i].stem);
         total_sec += h.seconds;
         total_events += h.events;
         std::snprintf(buf, sizeof(buf),
@@ -297,12 +292,12 @@ killAll(std::map<pid_t, size_t> &running)
 } // namespace
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     SweepOptions opt = parseSweep(argc, argv);
     std::vector<Point> points = enumerateGrid(opt);
     std::string points_dir = opt.outDir + "/points";
-    std::filesystem::create_directories(points_dir);
+    ensureOutputDir(points_dir, "--out");
 
     std::printf("sweep: %zu points (%zu cpus x %zu machines x %zu "
                 "workloads), %d job(s)\n",
@@ -315,7 +310,8 @@ main(int argc, char **argv)
     // concurrently. Every point forks (even -j 1) so serial and
     // parallel runs execute byte-identical code paths.
     std::map<pid_t, size_t> running;
-    std::vector<char> failed(points.size(), 0);
+    // Per point: "" or the failed child's "exitCode"/"signal" field.
+    std::vector<std::string> failed(points.size());
     int failures = 0;
     size_t next = 0;
     while (next < points.size() || !running.empty()) {
@@ -331,7 +327,9 @@ main(int argc, char **argv)
             if (pid == 0) {
                 // In the child: run the point and leave immediately
                 // without flushing inherited stdio buffers twice.
-                std::_Exit(runPoint(points[next], opt, points_dir));
+                std::_Exit(guardedRun(argv[0], [&] {
+                    return runPoint(points[next], opt, points_dir);
+                }));
             }
             running[pid] = next++;
         }
@@ -352,9 +350,12 @@ main(int argc, char **argv)
             std::printf("sweep: done %s\n", p.stem.c_str());
         } else {
             ++failures;
-            failed[it->second] = 1;
-            std::printf("sweep: FAILED %s (%s, status %d)\n", p.stem.c_str(),
-                        WIFSIGNALED(status) ? "crashed" : "failed", status);
+            bool exited = WIFEXITED(status);
+            int code = exited ? WEXITSTATUS(status) : WTERMSIG(status);
+            failed[it->second] = (exited ? "\"exitCode\": " : "\"signal\": ") +
+                                 std::to_string(code);
+            std::printf("sweep: FAILED %s (%s %d)\n", p.stem.c_str(),
+                        exited ? "exit" : "signal", code);
         }
         running.erase(it);
     }
@@ -370,7 +371,7 @@ main(int argc, char **argv)
     // points have none and get a status marker instead.
     std::map<std::string, HostReport> hosts;
     for (size_t i = 0; i < points.size(); ++i) {
-        if (failed[i])
+        if (!failed[i].empty())
             continue;
         HostReport h;
         if (!readHostReport(points_dir + "/" + points[i].stem + ".host",
@@ -391,7 +392,7 @@ main(int argc, char **argv)
     {
         std::ofstream full(opt.outDir + "/BENCH_sweep.json");
         writeDetSections(full, opt, points, points_dir, failed);
-        writeHostSection(full, opt, points, hosts, wall_seconds);
+        writeHostSection(full, opt, points, failed, hosts, wall_seconds);
         full << "\n}\n";
     }
 

@@ -3,18 +3,20 @@
  * §VII-A area estimates: the analytic SRAM-dominated area model for
  * the stream-floating structures at 22 nm, matching the paper's
  * reported numbers (SE_L3 4.5% of an L3 bank, SE_L2 ~9% of the L2,
- * 1.4-1.6% whole-chip overhead).
+ * 1.4-1.6% whole-chip overhead). Takes no options.
  */
 
 #include <cstdio>
 
+#include "bench/bench_util.hh"
 #include "energy/energy_model.hh"
 
 using namespace sf::energy;
 
 int
-main()
+driverMain(int argc, char **argv)
 {
+    sf::OptionTable(argv[0]).parse(argc, argv);
     std::printf("=== Area model (22nm, CACTI/McPAT-style) ===\n\n");
     double se_l3 = AreaModel::seL3ConfigArea() + AreaModel::seL3TlbArea();
     std::printf("SE_L3 config SRAM (48kB, 768 streams): %.3f mm^2\n",

@@ -16,8 +16,8 @@
 using namespace sf;
 
 int
-main(int argc, char **argv)
-try {
+driverMain(int argc, char **argv)
+{
     bench::BenchOptions opt;
     opt.parse(argc, argv);
     opt.verify = true;
@@ -38,8 +38,4 @@ try {
     std::printf("verify suite passed: %d points matched the "
                 "reference executor\n", points);
     return 0;
-} catch (const FatalError &e) {
-    // The divergence diagnostic already went to stderr via fatal();
-    // surface the distinct exit code (verify divergence 67).
-    return e.exitStatus();
 }

@@ -100,7 +100,7 @@ runMachine(sys::Machine m, uint64_t bytes, bool confluence)
 } // namespace
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     uint64_t kb = 2048;
     OptionTable t(argv[0]);

@@ -24,7 +24,7 @@
 using namespace sf;
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     sys::Machine machine = sys::Machine::SF;
     cpu::CoreConfig core = cpu::CoreConfig::ooo8();

@@ -125,7 +125,7 @@ runMachine(sys::Machine m, uint64_t edges, uint64_t nodes)
 } // namespace
 
 int
-main(int argc, char **argv)
+driverMain(int argc, char **argv)
 {
     uint64_t edges = 100000;
     uint64_t nodes = 1000000;

@@ -35,8 +35,8 @@
 using namespace sf;
 
 int
-main(int argc, char **argv)
-try {
+driverMain(int argc, char **argv)
+{
     bench::BenchOptions opt;
     opt.scale = 0.05;
     opt.workloads = {"pathfinder"};
@@ -97,9 +97,4 @@ try {
                 (unsigned long long)base.migrations,
                 (unsigned long long)sf_run.migrations);
     return 0;
-} catch (const FatalError &e) {
-    // The message and diagnostic snapshot already went to stderr;
-    // surface the distinct exit code (watchdog 64, invariant 65,
-    // drain 66, verify 67, config 1) to scripts and ctest.
-    return e.exitStatus();
 }

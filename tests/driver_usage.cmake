@@ -7,6 +7,9 @@
 # lacks must be reported as unknown. A driver with positional sizes
 # gets valid ones in POSITIONALS (comma-separated): the stray argument
 # then follows them, and a malformed or zero first size must exit 2.
+# A driver whose --help lists --watchdog-cycles must leave a 1-cycle
+# watchdog through the shared main with exit 64 and a "fatal[64]" line
+# (the sweep, which writes into --out, is covered by smoke_sweep).
 #
 # Invoked by ctest as:
 #   cmake -DDRIVER=<exe> [-DPOSITIONALS=<v1,v2,...>] -P driver_usage.cmake
@@ -44,5 +47,23 @@ foreach(check
     endif()
     expect_usage(2 "${reason}" --${opt}=${bad})
 endforeach()
+
+if(help MATCHES "--watchdog-cycles=" AND NOT DRIVER_NAME STREQUAL "sweep")
+    set(args --watchdog-cycles=1)
+    foreach(opt cores=2x2 scale=0.01 workloads=mv)
+        string(REGEX MATCH "^[a-z]+=" name "${opt}")
+        if(help MATCHES "--${name}")
+            list(APPEND args "--${opt}")
+        endif()
+    endforeach()
+    execute_process(
+        COMMAND "${DRIVER}" ${args}
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err
+        TIMEOUT 20)
+    if(NOT rc EQUAL 64 OR NOT err MATCHES "fatal\\[64\\]")
+        message(FATAL_ERROR "${DRIVER_NAME} ${args}: exit ${rc}, expected "
+                            "64 with fatal[64]\nstderr: ${err}")
+    endif()
+endif()
 
 message(STATUS "${DRIVER_NAME} usage checks passed")

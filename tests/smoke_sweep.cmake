@@ -91,10 +91,11 @@ endforeach()
 
 # ---------------------------------------------------------------------
 # A failed point fails the sweep: a 100-cycle watchdog fires in
-# IO4_Base_mv before any progress, so its child exits 1. Children are
-# deterministic, so the point runs once, is recorded as a
-# "status": "failed" entry in both reports, and the sweep exits 1
-# after writing them.
+# IO4_Base_mv before any progress, so its child exits 64 through the
+# shared driver exit path. Children are deterministic, so the point
+# runs once (one "fatal[64]" line), is recorded as a
+# "status": "failed" entry with "exitCode": 64 in both reports, and
+# the sweep exits 1 after writing them.
 
 execute_process(
     COMMAND "${SWEEP}" ${grid} -j 4 --watchdog-cycles=100
@@ -106,13 +107,13 @@ if(NOT rc EQUAL 1)
     message(FATAL_ERROR "sweep with a failed point must exit 1 "
                         "(rc=${rc}): ${out}\n${err}")
 endif()
-string(REGEX MATCHALL "point IO4_Base_mv failed" attempts "${err}")
+string(REGEX MATCHALL "fatal\\[64\\]" attempts "${err}")
 list(LENGTH attempts n_attempts)
 if(NOT n_attempts EQUAL 1 OR out MATCHES "retry")
     message(FATAL_ERROR "IO4_Base_mv ran ${n_attempts} times, expected "
                         "once:\n${out}\n${err}")
 endif()
-if(NOT out MATCHES "FAILED IO4_Base_mv")
+if(NOT out MATCHES "FAILED IO4_Base_mv \\(exit 64\\)")
     message(FATAL_ERROR "sweep log does not name the failed point:\n"
                         "${out}")
 endif()
@@ -127,11 +128,18 @@ foreach(f "BENCH_sweep.det.json" "BENCH_sweep.json")
     file(READ "${OUT_DIR}/failed/${f}" report)
     string(JSON id GET "${report}" points 0 id)
     string(JSON status GET "${report}" points 0 status)
-    if(NOT id STREQUAL "IO4_Base_mv" OR NOT status STREQUAL "failed")
-        message(FATAL_ERROR "${f}: first point is ${id} (${status}), "
-                            "expected IO4_Base_mv failed")
+    string(JSON code GET "${report}" points 0 exitCode)
+    if(NOT id STREQUAL "IO4_Base_mv" OR NOT status STREQUAL "failed"
+       OR NOT code EQUAL 64)
+        message(FATAL_ERROR "${f}: first point is ${id} (${status}, "
+                            "exitCode ${code}), expected IO4_Base_mv "
+                            "failed with 64")
     endif()
 endforeach()
+string(JSON code GET "${report}" host points 0 exitCode)
+if(NOT code EQUAL 64)
+    message(FATAL_ERROR "host entry of IO4_Base_mv has exitCode ${code}")
+endif()
 
 message(STATUS "sweep failure handling passed: removed flags exit 2, "
                "a failed point is recorded once and fails the sweep")
