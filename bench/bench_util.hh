@@ -183,8 +183,10 @@ runSim(sys::Machine machine, const cpu::CoreConfig &core,
         cfg.watchdogCycles = opt.watchdogCycles;
     cfg.verify = opt.verify;
     cfg.profile = opt.profile;
+    // sflint: allow(D2, driver copies SF_VERIFY_BUG into SystemConfig)
     if (const char *bug = std::getenv("SF_VERIFY_BUG"))
         cfg.verifyBug = bug;
+    // sflint: allow(D2, driver copies SF_STREAM_TRACE into SystemConfig)
     const char *trace_env = std::getenv("SF_STREAM_TRACE");
     cfg.traceStreams = trace || (trace_env && *trace_env &&
                                  std::string(trace_env) != "0");

@@ -6,13 +6,19 @@
 
 #include "bench/bench_util.hh"
 
+#include <cstring>
+
 int
 sf::bench::guardedRun(const char *prog, const std::function<int()> &body)
 {
     try {
         return body();
     } catch (const UsageError &e) {
-        std::fprintf(stderr, "%s: %s\n", prog, e.what());
+        // Name the program by argv[0]'s last component, as OptionTable
+        // does.
+        const char *slash = std::strrchr(prog, '/');
+        std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : prog,
+                     e.what());
         return kUsageExit;
     } catch (const FatalError &e) {
         return e.exitStatus(); // fatal() already printed it

@@ -419,6 +419,7 @@ runPoint(const FuzzProgram &prog, const ConfigPoint &pt, uint64_t *ops)
         sys::SystemConfig::make(pt.machine, pt.core, 2, 2);
     cfg.maxCycles = 50'000'000;
     cfg.verify = true;
+    // sflint: allow(D2, driver copies SF_VERIFY_BUG into SystemConfig)
     if (const char *bug = std::getenv("SF_VERIFY_BUG"))
         cfg.verifyBug = bug;
     // Tiny floating budget: even the fuzzer's small footprints float.
@@ -460,6 +461,8 @@ loadSeedFile(const std::string &path)
         seeds.push_back(parseCount(line.substr(start),
                                    path + ":" + std::to_string(n)));
     }
+    if (seeds.empty())
+        throw UsageError("seed file " + path + " lists no seeds");
     return seeds;
 }
 

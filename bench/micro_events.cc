@@ -363,6 +363,7 @@ BENCHMARK(BM_ProfilerHooksOff)->Unit(benchmark::kMillisecond);
 static void
 BM_ProfilerHookOverheadPaired(benchmark::State &state)
 {
+    // sflint: allow(D2, host timer of the benchmark, not simulated time)
     using hclock = std::chrono::steady_clock;
     constexpr uint64_t burstEvents = 200'000;
     prof::Profiler *prof = nullProfiler;

@@ -115,17 +115,12 @@ SEL2::elemVaddr(const FloatedStream &s, uint64_t idx)
 {
     if (!s.cfg.hasIndirect)
         return s.cfg.affine.elemAddr(idx);
-    uint32_t w_len = std::max<uint32_t>(1, s.cfg.indirect.wLen);
-    uint64_t parent_idx = idx / w_len;
-    uint32_t w = static_cast<uint32_t>(idx % w_len);
     // The index array value is functionally stable within the stream's
     // synchronization-free region.
     auto bit = _floated.find(s.baseSid);
     const isa::AffinePattern &base_pat =
         bit != _floated.end() ? bit->second.cfg.affine : s.cfg.affine;
-    Addr idx_addr = base_pat.elemAddr(parent_idx);
-    int64_t idx_value = _as.readInt(idx_addr, s.cfg.indirect.idxSize);
-    return s.cfg.indirect.targetAddr(idx_value, w);
+    return s.cfg.indirect.elemAddr(idx, base_pat, _as);
 }
 
 TileId

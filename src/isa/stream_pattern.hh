@@ -106,6 +106,31 @@ struct IndirectPattern
             static_cast<int64_t>(w) * elemSize);
     }
 
+    /** The base-stream element whose index value element @p idx
+     *  chases: each index value covers wLen items (0 counts as 1). */
+    uint64_t
+    baseElem(uint64_t idx) const
+    {
+        return idx / (wLen ? wLen : 1);
+    }
+
+    /**
+     * Address of element @p idx: reads the index value of
+     * baseElem(@p idx), laid out by @p basePat, through
+     * @p mem.readInt(addr, idxSize) (an mem::AddressSpace), then
+     * applies targetAddr with the item's w offset. The caller decides
+     * whether the index data is available yet.
+     */
+    template <typename IndexReader>
+    Addr
+    elemAddr(uint64_t idx, const AffinePattern &basePat,
+             IndexReader &mem) const
+    {
+        uint32_t items = wLen ? wLen : 1;
+        int64_t value = mem.readInt(basePat.elemAddr(idx / items), idxSize);
+        return targetAddr(value, static_cast<uint32_t>(idx % items));
+    }
+
     bool
     operator==(const IndirectPattern &o) const = default;
 };

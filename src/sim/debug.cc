@@ -128,6 +128,7 @@ setFlagsFromString(const std::string &spec)
 void
 initFromEnv()
 {
+    // sflint: allow(D2, debug flags pick log output only, read at startup)
     const char *env = std::getenv("SF_DEBUG_FLAGS");
     if (env && *env)
         setFlagsFromString(env);

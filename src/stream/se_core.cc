@@ -173,18 +173,13 @@ SECore::elemAddr(StreamState &s, uint64_t idx, Addr &out)
         return true;
     }
     // Indirect: B[A[i] * scale + offset (+ w)]; needs A[i]'s value.
-    uint32_t w_len = std::max<uint32_t>(1, s.cfg.indirect.wLen);
-    uint64_t parent_idx = idx / w_len;
-    uint32_t w = static_cast<uint32_t>(idx % w_len);
     auto pit = _streams.find(s.parent);
     if (pit == _streams.end() || !pit->second.active)
         return false;
     StreamState &p = pit->second;
-    if (parent_idx >= p.readyUpTo)
+    if (s.cfg.indirect.baseElem(idx) >= p.readyUpTo)
         return false; // index data not yet available to the core
-    Addr idx_addr = p.cfg.affine.elemAddr(parent_idx);
-    int64_t idx_value = _as.readInt(idx_addr, s.cfg.indirect.idxSize);
-    out = s.cfg.indirect.targetAddr(idx_value, w);
+    out = s.cfg.indirect.elemAddr(idx, p.cfg.affine, _as);
     return true;
 }
 
@@ -546,23 +541,17 @@ SECore::verifyBindElem(StreamState &s, uint64_t idx)
         return it->second;
     // The element address is recomputed functionally: the affine map
     // directly, the indirect chase through the parent's config and the
-    // raw index array (mirrors elemAddr / SEL2::elemVaddr, but without
-    // the readyUpTo gate — by bind time the index data has arrived).
+    // raw index array (as elemAddr, but without the readyUpTo gate —
+    // by bind time the index data has arrived).
     Addr vaddr;
     if (!s.cfg.hasIndirect) {
         vaddr = s.cfg.affine.elemAddr(idx);
     } else {
-        uint32_t w_len = std::max<uint32_t>(1, s.cfg.indirect.wLen);
-        uint64_t parent_idx = idx / w_len;
-        uint32_t w = static_cast<uint32_t>(idx % w_len);
         auto pit = _streams.find(s.parent);
         sf_assert(pit != _streams.end(),
                   "verify: indirect sid=%d without base sid=%d",
                   s.cfg.sid, s.parent);
-        Addr idx_addr = pit->second.cfg.affine.elemAddr(parent_idx);
-        int64_t idx_value =
-            _as.readInt(idx_addr, s.cfg.indirect.idxSize);
-        vaddr = s.cfg.indirect.targetAddr(idx_value, w);
+        vaddr = s.cfg.indirect.elemAddr(idx, pit->second.cfg.affine, _as);
     }
     uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
                                      : s.cfg.affine.elemSize;

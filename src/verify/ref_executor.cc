@@ -166,8 +166,9 @@ RefExecutor::elemVaddr(Thread &t, const RefStream &s, uint64_t idx)
 {
     if (!s.cfg.hasIndirect)
         return s.cfg.affine.elemAddr(idx);
-    // Indirect chase mirrors SECore::elemAddr / SEL2::elemVaddr: the
-    // index array is read from the *raw* PhysMem, never from computed
+    // An independent copy of IndirectPattern::elemAddr: the oracle
+    // does not share the simulator's address arithmetic. The index
+    // array is read from the *raw* PhysMem, never from computed
     // state — the simulator itself chases indices functionally, so
     // index arrays are init-only by construction.
     uint32_t w_len = std::max<uint32_t>(1, s.cfg.indirect.wLen);

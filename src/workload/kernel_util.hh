@@ -195,13 +195,8 @@ class KernelThread : public isa::OpEmitter
     {
         if (!v.cfg.hasIndirect)
             return v.cfg.affine.elemAddr(idx);
-        const View &b = view(v.cfg.baseSid);
-        uint32_t w_len = std::max<uint32_t>(1, v.cfg.indirect.wLen);
-        uint64_t bidx = idx / w_len;
-        uint32_t w = static_cast<uint32_t>(idx % w_len);
-        Addr idx_addr = b.cfg.affine.elemAddr(bidx);
-        int64_t value = _as.readInt(idx_addr, v.cfg.indirect.idxSize);
-        return v.cfg.indirect.targetAddr(value, w);
+        return v.cfg.indirect.elemAddr(idx, view(v.cfg.baseSid).cfg.affine,
+                                       _as);
     }
 
     /**

@@ -3,8 +3,10 @@
 # float, float+confluence}), asserting (a) every config agrees with
 # the functional reference (exit 0), (b) the outcome log is
 # byte-identical across invocations (the fuzzer is deterministic),
-# and (c) an injected stale-GetU protocol bug is caught with the
-# distinct verify exit code 67.
+# (c) an injected stale-GetU protocol bug is caught with the
+# distinct verify exit code 67, and (d) a seed file that lists no
+# seeds, or a malformed one, is a usage error (exit 2) whose message
+# starts with the program's basename.
 #
 # Invoked by ctest as:
 #   cmake -DFUZZ=<exe> -DCORPUS=<seeds.txt> -DOUT_DIR=<dir>
@@ -71,6 +73,29 @@ if(NOT err MATCHES "golden:")
     message(FATAL_ERROR "divergence diagnostic missing the golden/"
                         "observed byte dump: ${err}")
 endif()
+
+# Negative: seed files the fuzzer must refuse before running anything.
+file(WRITE "${OUT_DIR}/empty_seeds.txt" "# only a comment\n\n   \n")
+file(WRITE "${OUT_DIR}/bad_seeds.txt" "# one good seed, then junk\n3\nabc\n")
+foreach(case empty bad)
+    execute_process(
+        COMMAND "${FUZZ}" "--seed-file=${OUT_DIR}/${case}_seeds.txt"
+        RESULT_VARIABLE rc
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR "expected usage exit 2 for the ${case} seed "
+                            "file, got rc=${rc}: ${out}\n${err}")
+    endif()
+    if(NOT err MATCHES "^fuzz: ")
+        message(FATAL_ERROR "usage error for the ${case} seed file does "
+                            "not start with 'fuzz: ': ${err}")
+    endif()
+    if(NOT err MATCHES "${case}_seeds.txt")
+        message(FATAL_ERROR "usage error for the ${case} seed file does "
+                            "not name the file: ${err}")
+    endif()
+endforeach()
 
 message(STATUS "fuzz regression corpus passed (${n_lines} points, "
                "deterministic, injection caught)")

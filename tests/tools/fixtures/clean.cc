@@ -1,4 +1,6 @@
 // sflint fixture: no findings — ordered container, no banned calls.
+// A member named like a banned primitive (`t.time()`) is not the libc
+// symbol.
 #include <map>
 
 struct FxClean
@@ -14,3 +16,10 @@ struct FxClean
         return acc;
     }
 };
+
+template <typename T>
+long
+fxStamp(const T &t, const T *p)
+{
+    return t.time() + p->time();
+}

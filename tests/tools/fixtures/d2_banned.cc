@@ -1,20 +1,9 @@
-// sflint fixture: D2 positive — libc PRNG on the timed path
-// (fxRoll is reachable from the timed root TiledSystem::run).
+// sflint fixture: D2 positive — libc PRNG in a plain function. D2
+// flags every use; nothing about the caller can clear it.
 #include <cstdlib>
 
 inline int
 fxRoll()
 {
     return rand();
-}
-
-struct TiledSystem
-{
-    void run();
-};
-
-void
-TiledSystem::run()
-{
-    fxRoll();
 }

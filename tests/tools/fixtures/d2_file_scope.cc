@@ -1,5 +1,5 @@
 // sflint fixture: D2 outside any function body — a host-clock member
-// that sflint cannot place in a function, so it cannot clear it.
+// type is flagged like any other use.
 #include <chrono>
 
 struct FxChild

@@ -1,6 +1,5 @@
-// sflint fixture: D2 suppressed — justified environment read on the
-// timed path (fxConfig is scheduled as an event handler, so the
-// handler-seed half of the reachability analysis marks it timed).
+// sflint fixture: D2 suppressed — a justified environment read in
+// startup code.
 #include <cstdlib>
 
 inline const char *
@@ -8,15 +7,4 @@ fxConfig()
 {
     // sflint: allow(D2, fixture: startup-only config read)
     return std::getenv("FX_CONFIG");
-}
-
-struct FxQueue
-{
-    template <typename F> void schedule(long when, F fn);
-};
-
-inline void
-fxArm(FxQueue &q)
-{
-    q.schedule(10, [] { fxConfig(); });
 }

@@ -1,8 +1,7 @@
 /**
  * @file
- * sflint engine: deterministic file walk and staged analysis
- * (declaration registry + declaration-scoped AST, cross-TU call
- * graph, then rules).
+ * sflint engine: deterministic file walk and two-stage analysis
+ * (declaration registry across every file, then rules per file).
  */
 
 #include "sflint.hh"
@@ -85,18 +84,13 @@ analyze(const Config &cfg)
     }
 
     Registry reg;
-    Program prog;
-    for (const SourceFile &sf : sources) {
+    for (const SourceFile &sf : sources)
         collectDecls(sf, cfg, reg);
-        buildAst(sf, prog);
-    }
-    indexProgram(prog);
-    CallGraph cg = buildCallGraph(sources, prog, cfg);
 
     AnalysisResult res;
     res.fileCount = static_cast<int>(sources.size());
     for (const SourceFile &sf : sources)
-        runRules(sf, cfg, reg, prog, cg, res.findings);
+        runRules(sf, cfg, reg, res.findings);
 
     std::sort(res.findings.begin(), res.findings.end(),
               [](const Finding &a, const Finding &b) {

@@ -174,36 +174,14 @@ const BannedIdent kBanned[] = {
 };
 
 /**
- * D2 v2: a banned primitive is only illegal on the timed simulation
- * path — in a function reachable (via the call graph) from a timed
- * root or inside a scheduler call's argument list (a lambda event
- * handler). Host-side driver/reporting code reads clocks freely; a
- * primitive outside any known function is flagged conservatively, with
- * a message that says so.
+ * D2: every use of a banned primitive is a finding. Whether a read can
+ * reach simulated behaviour is a data-flow question a token scan cannot
+ * settle, so host-side code says why in a justified suppression.
  */
 void
-ruleD2(const SourceFile &f, const Config &cfg, const Program &prog,
-       const CallGraph &cg, std::vector<Finding> &out)
+ruleD2(const SourceFile &f, std::vector<Finding> &out)
 {
     const std::vector<Token> &toks = f.toks;
-    // Token ranges of scheduler-call argument lists in this file.
-    std::vector<std::pair<size_t, size_t>> schedArgs;
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (toks[i].kind == TokKind::Ident &&
-            cfg.schedulers.count(toks[i].text) &&
-            isPunct(toks[i + 1], "(")) {
-            schedArgs.push_back(
-                {i + 2, matchDelim(toks, i + 1, "(", ")")});
-        }
-    }
-    auto inSchedArg = [&](size_t i) {
-        for (const auto &[b, e] : schedArgs) {
-            if (i >= b && i + 1 < e)
-                return true;
-        }
-        return false;
-    };
-
     for (size_t i = 0; i < toks.size(); ++i) {
         if (toks[i].kind != TokKind::Ident)
             continue;
@@ -218,22 +196,10 @@ ruleD2(const SourceFile &f, const Config &cfg, const Program &prog,
             if (i > 0 && (isPunct(toks[i - 1], ".") ||
                           isPunct(toks[i - 1], ">")))
                 continue;
-            size_t fnIdx = enclosingFunction(prog, f.path, i);
-            bool handler = inSchedArg(i);
-            bool in_fn = fnIdx != static_cast<size_t>(-1);
-            if (!handler && in_fn && !cg.timedReachable[fnIdx])
-                break;
             emit(out, f, "D2", toks[i].line, b.name,
                  std::string(b.what) + " '" + b.name +
-                     "' is nondeterministic and " +
-                     (handler || in_fn
-                          ? "this code is on the timed simulation "
-                            "path (reachable from a timed root or "
-                            "scheduled as an event handler)"
-                          : "sflint cannot place it in a function "
-                            "body, so it cannot show that the code "
-                            "is off the timed simulation path") +
-                     "; move it off the timed path or annotate "
+                     "' is nondeterministic; simulated behaviour must "
+                     "not depend on it, and host-side code annotates "
                      "`// sflint: allow(D2, <reason>)`");
             break;
         }
@@ -675,12 +641,11 @@ suppressed(const SourceFile &f, Finding &fd)
 
 void
 runRules(const SourceFile &f, const Config &cfg, const Registry &reg,
-         const Program &prog, const CallGraph &cg,
          std::vector<Finding> &out)
 {
     std::vector<Finding> raw;
     ruleD1(f, reg, raw);
-    ruleD2(f, cfg, prog, cg, raw);
+    ruleD2(f, raw);
     ruleP1(f, cfg, reg, raw);
     ruleT1(f, raw);
     ruleS1(f, raw);

@@ -15,14 +15,14 @@
  *       depend on hashing / allocation addresses and break the PR-3
  *       determinism contract). Suppress with
  *       `// sflint: ordered-ok(<reason>)`.
- *   D2  no rand()/srand()/std::random_device, no wall-clock reads
- *       (time(), gettimeofday, system_clock/steady_clock/
- *       high_resolution_clock) and no getenv() in functions on the
- *       timed simulation path: reachable, via the call graph, from a
- *       timed root (TiledSystem::run / EventQueue::run) or from
- *       any callback
- *       scheduled onto an event queue. Host-side reporting
- *       code may read clocks and the environment freely.
+ *   D2  every rand()/srand()/std::random_device, wall-clock read
+ *       (time(), gettimeofday, clock_gettime, system_clock/
+ *       steady_clock/high_resolution_clock) and getenv() is a
+ *       finding, wherever it appears: simulated behaviour must not
+ *       depend on one. Member calls (`x.time()`) are not the libc
+ *       symbol and are skipped. Host-side code (a driver reading its
+ *       environment, a wall-clock report field) says why in
+ *       `// sflint: allow(D2, <reason>)`.
  *   P1  every switch over a monitored message/coherence enum
  *       (MemMsgType, MsgType, StreamMsgType, LineState, plus any
  *       enum annotated `// sflint: exhaustive`) must be exhaustive
@@ -133,103 +133,6 @@ struct Registry
     std::map<std::string, EnumDecl> enums;
 };
 
-// ------------------------------------------------------------------ ast
-
-/**
- * One parsed function — a definition (with a body token range) or a
- * declaration. The declaration-scoped AST is deliberately lightweight:
- * enough structure to resolve member/qualified calls and walk bodies;
- * no expressions, no types beyond the identifier soup needed for
- * receiver resolution.
- */
-struct FunctionDecl
-{
-    std::string name;      //!< bare name
-    std::string className; //!< owning/qualifying class ("" = free)
-    std::string qualName;  //!< scope-joined, e.g. sf::sim::Foo::bar
-    std::string file;
-    int line = 0;
-    bool hasBody = false;
-    size_t bodyBegin = 0;  //!< token index of the body `{`
-    size_t bodyEnd = 0;    //!< one past the matching `}`
-    /** Identifiers appearing in the return type / declaration head. */
-    std::set<std::string> typeIdents;
-};
-
-/** A type-recorded data member. */
-struct MemberDecl
-{
-    std::string name;
-    std::string className;
-    /** Identifiers of the declared type (receiver resolution). */
-    std::set<std::string> typeIdents;
-    std::string file;
-    int line = 0;
-};
-
-/**
- * Cross-TU program index: every function and member declaration in
- * the scanned tree, plus lookup tables for call resolution.
- */
-struct Program
-{
-    std::vector<FunctionDecl> functions;
-    /** bare name -> indices into functions. */
-    std::map<std::string, std::vector<size_t>> byName;
-    /** class -> member declarations. */
-    std::map<std::string, std::vector<MemberDecl>> members;
-    /** class -> set of method bare names it declares. */
-    std::map<std::string, std::set<std::string>> methodsOf;
-
-    const MemberDecl *
-    findMember(const std::string &cls, const std::string &name) const
-    {
-        auto it = members.find(cls);
-        if (it == members.end())
-            return nullptr;
-        for (const MemberDecl &m : it->second) {
-            if (m.name == name)
-                return &m;
-        }
-        return nullptr;
-    }
-};
-
-/** Parse one file's declaration-scoped AST into @p prog. */
-void buildAst(const SourceFile &f, Program &prog);
-
-/** Build the name and class-method indices. */
-void indexProgram(Program &prog);
-
-// ------------------------------------------------------------ callgraph
-
-/**
- * Cross-TU call graph over Program::functions plus the timed-path
- * reachability set the D2v2 rule consumes.
- * Call edges are added only when confidently resolved (qualified
- * name, same-class bare call, receiver-typed member call, or a
- * program-unique bare name); ambiguous names get no edge — an
- * under-approximation, traded for near-zero false fan-out.
- */
-struct CallGraph
-{
-    /** function index -> resolved callee indices (sorted, unique). */
-    std::vector<std::vector<size_t>> callees;
-    /** Reachable from a timed root or a scheduled callback (D2v2). */
-    std::vector<char> timedReachable;
-};
-
-struct Config; // forward
-
-/** Build edges + reachability over the fully indexed @p prog. */
-CallGraph buildCallGraph(const std::vector<SourceFile> &files,
-                         const Program &prog, const Config &cfg);
-
-/** Index of the innermost function whose body contains token @p i
- *  of @p file ((size_t)-1 when none). */
-size_t enclosingFunction(const Program &prog, const std::string &file,
-                         size_t tokIndex);
-
 // -------------------------------------------------------------- engine
 
 struct Config
@@ -241,23 +144,6 @@ struct Config
     /** Enums whose switches must be exhaustive (P1). */
     std::set<std::string> monitoredEnums = {"MemMsgType", "MsgType",
                                             "StreamMsgType", "LineState"};
-    /**
-     * Timed-simulation-path roots for D2, matched as a suffix of
-     * the qualified function name (so `sf::sim::EventQueue::run`
-     * matches `EventQueue::run`). A banned D2 primitive is only
-     * illegal in functions reachable from one of these roots or from
-     * a scheduled callback; if the scanned tree defines *no* root at
-     * all, every function is treated as reachable (fail-safe).
-     */
-    std::set<std::string> timedRoots = {"TiledSystem::run",
-                                        "EventQueue::run"};
-    /**
-     * Callback-registration calls whose lambda arguments execute on
-     * the timed path (event handlers): any function called inside
-     * their argument lists seeds timed reachability.
-     */
-    std::set<std::string> schedulers = {"schedule", "scheduleIn",
-                                        "scheduleKeyed"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
     std::set<std::string> knownRules = {"D1", "D2", "P1", "T1", "S1",
                                         "A1"};
@@ -283,11 +169,10 @@ struct AnalysisResult
 /** Collect enum + container declarations from one file. */
 void collectDecls(const SourceFile &f, const Config &cfg, Registry &reg);
 
-/** Run every rule over one file (registry, program and call graph
- *  must be complete across every scanned file). */
+/** Run every rule over one file (the registry must be complete
+ *  across every scanned file). */
 void runRules(const SourceFile &f, const Config &cfg,
-              const Registry &reg, const Program &prog,
-              const CallGraph &cg, std::vector<Finding> &out);
+              const Registry &reg, std::vector<Finding> &out);
 
 /**
  * Walk cfg.inputs, lex, build the registry, run all rules and apply
