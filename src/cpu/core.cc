@@ -714,13 +714,13 @@ Core::dispatchStage()
             ++_stats.robFullStalls;
             break;
         }
-        if (_fetchBuf.empty()) {
+        if (_fetchHead == _fetchBuf.size()) {
             refillFetchBuffer();
-            if (_fetchBuf.empty())
+            if (_fetchHead == _fetchBuf.size())
                 break;
         }
 
-        isa::Op &head = _fetchBuf.front();
+        isa::Op &head = _fetchBuf[_fetchHead];
 
         // Stream use dispatch needs SE acceptance: FIFO space, and no
         // in-flight (dispatched, uncommitted) reconfiguration.
@@ -755,7 +755,7 @@ Core::dispatchStage()
         re_new = RobEntry();
         re_new.op = head;
         re_new.seq = seq;
-        _fetchBuf.pop_front();
+        ++_fetchHead;
 
         // Chain onto every producer still executing. Seqs are
         // contiguous, so a back-reference within the live ROB names
@@ -825,8 +825,9 @@ Core::debugDump(std::FILE *f) const
                  "  %s rob=%llu fetchBuf=%zu lq=%d sq=%d sb=%d "
                  "pendStores=%zu sleeping=%d ticking=%d ringDue=%zu",
                  name().c_str(), (unsigned long long)robCount(),
-                 _fetchBuf.size(), _lqInUse, _sqInUse, _sbInUse,
-                 _pendingStores.size(), _sleeping, _ticking, due);
+                 _fetchBuf.size() - _fetchHead, _lqInUse, _sqInUse,
+                 _sbInUse, _pendingStores.size(), _sleeping, _ticking,
+                 due);
     if (_dueMask)
         std::fprintf(f, " nextDue=%llu", (unsigned long long)nextDue());
     if (parkedOnStores())
@@ -853,22 +854,24 @@ Core::refillFetchBuffer()
 {
     if (_sourceExhausted)
         return;
-    std::vector<isa::Op> chunk;
-    while (_fetchBuf.size() + chunk.size() < fetchLowWater) {
-        size_t n = _source->refill(chunk);
+    // Drop the dispatched ops (dispatch refills only a drained buffer,
+    // so this empties it) and refill in place, keeping the capacity.
+    _fetchBuf.erase(_fetchBuf.begin(),
+                    _fetchBuf.begin() + static_cast<std::ptrdiff_t>(_fetchHead));
+    _fetchHead = 0;
+    while (_fetchBuf.size() < fetchLowWater) {
+        size_t n = _source->refill(_fetchBuf);
         if (n == 0) {
             _sourceExhausted = true;
             break;
         }
     }
-    for (auto &op : chunk)
-        _fetchBuf.push_back(op);
 }
 
 void
 Core::finishIfDrained()
 {
-    if (_done || !_sourceExhausted || !_fetchBuf.empty() ||
+    if (_done || !_sourceExhausted || _fetchHead != _fetchBuf.size() ||
         robCount() > 0 || _sbInUse > 0 || !_pendingStores.empty()) {
         return;
     }

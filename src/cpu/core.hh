@@ -270,7 +270,9 @@ class Core : public SimObject
     std::vector<uint64_t> _unissued;
     std::vector<uint64_t> _ready;
 
-    std::deque<isa::Op> _fetchBuf;
+    /** Fetched ops; those from _fetchHead on await dispatch. */
+    std::vector<isa::Op> _fetchBuf;
+    size_t _fetchHead = 0;
     bool _sourceExhausted = false;
 
     /** Committed stores waiting to drain from the store buffer. */

@@ -148,6 +148,7 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
 
     Entry e;
     e.base = msg->base;
+    e.cursor = isa::AffineCursor(e.base.affine);
     e.indirects = msg->indirects;
     e.asid = msg->asid;
     e.issuePos = msg->nextElem;
@@ -389,7 +390,7 @@ SEL3::issueOne(Entry &e)
     // the bank of its next element, because that is where the SE_L2
     // routes credit refreshes (§IV-A).
     mem::AddressSpace &as = spaceOf(e);
-    Addr va = e.base.affine.elemAddr(e.issuePos);
+    Addr va = e.cursor.at(e.issuePos);
     Cycles penalty = 0;
     Addr pa = translate(as, va, penalty);
 
@@ -422,13 +423,18 @@ SEL3::issueOne(Entry &e)
         return false;
     }
 
-    // Coalesce elements that fall on the same line.
+    // Coalesce elements that fall on the same line. Within va's page
+    // the frame is pa's, so only a page change needs the page table.
     Addr line = lineAlign(pa);
+    Addr vpage = mem::pageAlign(va);
+    Addr ppage = mem::pageAlign(pa);
     uint16_t count = 1;
     uint64_t max_elems = std::min(limit, horizon) - e.issuePos;
     while (count < max_elems && count < 64) {
-        Addr nva = e.base.affine.elemAddr(e.issuePos + count);
-        Addr npa = as.translateExisting(nva);
+        Addr nva = e.cursor.at(e.issuePos + count);
+        Addr npa = mem::pageAlign(nva) == vpage
+                       ? ppage + (nva - vpage)
+                       : as.translateExisting(nva);
         if (npa == invalidAddr || lineAlign(npa) != line)
             break;
         ++count;
@@ -510,8 +516,8 @@ SEL3::issueIndirects(const Entry &e, uint64_t first, uint16_t count)
         Addr idx_addr = e.base.affine.elemAddr(base_elem);
 
         for (const auto &ind : e.indirects) {
-            uint32_t w_len = std::max<uint32_t>(1, ind.cfg.indirect.wLen);
-            uint64_t child_elem = base_elem * w_len;
+            uint32_t w_len = ind.cfg.indirect.items();
+            uint64_t child_elem = ind.cfg.indirect.firstChild(base_elem);
             if (child_elem + w_len <= ind.start)
                 continue; // the core already fetched these
             int64_t idx_value =
@@ -618,8 +624,8 @@ SEL3::migrate(Entry &e, TileId next_bank)
         msg->asid = e.asid;
         msg->base = e.base;
         for (auto ind : e.indirects) {
-            uint32_t w_len = std::max<uint32_t>(1, ind.cfg.indirect.wLen);
-            ind.start = std::max(ind.start, e.issuePos * w_len);
+            ind.start = std::max(ind.start,
+                                 ind.cfg.indirect.firstChild(e.issuePos));
             msg->indirects.push_back(ind);
         }
         msg->nextElem = e.issuePos;

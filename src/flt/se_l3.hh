@@ -146,6 +146,8 @@ class SEL3 : public SimObject
         int asid = 0;
         /** Next base element to issue. */
         uint64_t issuePos = 0;
+        /** Walks base.affine for issueOne's coalescing loop. */
+        isa::AffineCursor cursor;
         /** Members: [0] is the owning stream; >1 means confluence. */
         std::vector<Member> members;
         /** Round-robin bookkeeping. */

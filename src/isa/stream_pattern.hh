@@ -83,6 +83,85 @@ struct AffinePattern
     operator==(const AffinePattern &o) const = default;
 };
 
+/**
+ * Walks an AffinePattern incrementally: it holds an element index,
+ * per-level counters and that element's address, and moves forward by
+ * adding strides instead of re-deriving the address with a divide and
+ * a modulo per level. One element at a time carries into the outer
+ * levels; a longer forward move is a single add while it stays inside
+ * the innermost row. Any other index reseeks from
+ * AffinePattern::elemAddr, which stays the reference. As in elemAddr,
+ * the outermost level never wraps. Address arithmetic is modulo 2^64,
+ * so negative strides need no signed operations.
+ */
+class AffineCursor
+{
+  public:
+    AffineCursor() = default;
+
+    /** A cursor on element 0 of @p pat (which it copies). */
+    explicit AffineCursor(const AffinePattern &pat) : _pat(pat)
+    {
+        _addr = pat.base;
+    }
+
+    /** Address of element @p idx; the cursor moves there. */
+    Addr
+    at(uint64_t idx)
+    {
+        if (idx == _idx)
+            return _addr;
+        uint64_t n = idx - _idx; // meaningful only when idx > _idx
+        if (idx == _idx + 1) {
+            next();
+        } else if (idx > _idx &&
+                   (_pat.nDims == 1 || _ctr[0] + n < _pat.len[0])) {
+            _ctr[0] += n;
+            _addr += n * static_cast<Addr>(_pat.stride[0]);
+            _idx = idx;
+        } else {
+            seek(idx);
+        }
+        return _addr;
+    }
+
+  private:
+    /** Step to the next element, carrying into outer levels. */
+    void
+    next()
+    {
+        ++_idx;
+        int last = _pat.nDims - 1;
+        for (int d = 0; d < _pat.nDims; ++d) {
+            _addr += static_cast<Addr>(_pat.stride[d]);
+            if (++_ctr[d] < _pat.len[d] || d == last)
+                return;
+            // Level d wrapped: rewind its whole row.
+            _addr -= _pat.len[d] * static_cast<Addr>(_pat.stride[d]);
+            _ctr[d] = 0;
+        }
+    }
+
+    /** Reseek to element @p idx from the reference address. */
+    void
+    seek(uint64_t idx)
+    {
+        _idx = idx;
+        _addr = _pat.elemAddr(idx);
+        uint64_t rem = idx;
+        for (int d = 0; d < _pat.nDims; ++d) {
+            bool outer = d == _pat.nDims - 1;
+            _ctr[d] = outer ? rem : rem % _pat.len[d];
+            rem = outer ? 0 : rem / _pat.len[d];
+        }
+    }
+
+    AffinePattern _pat;
+    uint64_t _idx = 0;
+    uint64_t _ctr[3] = {0, 0, 0};
+    Addr _addr = 0;
+};
+
 /** Indirect pattern chained on an index stream (60-bit config). */
 struct IndirectPattern
 {
@@ -106,13 +185,15 @@ struct IndirectPattern
             static_cast<int64_t>(w) * elemSize);
     }
 
+    /** Items each index value covers: wLen, where 0 counts as 1. */
+    uint32_t items() const { return wLen ? wLen : 1; }
+
     /** The base-stream element whose index value element @p idx
-     *  chases: each index value covers wLen items (0 counts as 1). */
-    uint64_t
-    baseElem(uint64_t idx) const
-    {
-        return idx / (wLen ? wLen : 1);
-    }
+     *  chases. */
+    uint64_t baseElem(uint64_t idx) const { return idx / items(); }
+
+    /** The first element chasing base-stream element @p baseIdx. */
+    uint64_t firstChild(uint64_t baseIdx) const { return baseIdx * items(); }
 
     /**
      * Address of element @p idx: reads the index value of
@@ -126,9 +207,8 @@ struct IndirectPattern
     elemAddr(uint64_t idx, const AffinePattern &basePat,
              IndexReader &mem) const
     {
-        uint32_t items = wLen ? wLen : 1;
-        int64_t value = mem.readInt(basePat.elemAddr(idx / items), idxSize);
-        return targetAddr(value, static_cast<uint32_t>(idx % items));
+        int64_t value = mem.readInt(basePat.elemAddr(baseElem(idx)), idxSize);
+        return targetAddr(value, static_cast<uint32_t>(idx % items()));
     }
 
     bool

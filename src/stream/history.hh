@@ -6,15 +6,17 @@
  * private-cache misses, reuses of stream-filled lines, and aliasing
  * stores - to decide when to float a stream whose length is unknown
  * (§IV-D). The table is indexed by static stream id, so history
- * persists across reconfigurations of the same loop.
+ * persists across reconfigurations of the same loop. Stream ids are
+ * small, so the rows are a dense array.
  */
 
 #ifndef SF_STREAM_HISTORY_HH
 #define SF_STREAM_HISTORY_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace sf {
@@ -33,19 +35,32 @@ struct StreamHistory
 class StreamHistoryTable
 {
   public:
-    StreamHistory &row(StreamId sid) { return _rows[sid]; }
+    /** The row of @p sid, created empty on first use. Growing the
+     *  table moves its rows: do not hold a row across a call that may
+     *  reach another sid's row. */
+    StreamHistory &
+    row(StreamId sid)
+    {
+        sf_assert(sid >= 0, "history row for invalid stream %d", sid);
+        auto i = static_cast<size_t>(sid);
+        if (i >= _rows.size())
+            _rows.resize(i + 1);
+        return _rows[i];
+    }
 
+    /** The row of @p sid; null above the highest sid used since the
+     *  last clear() (rows below it read empty until used). */
     const StreamHistory *
     find(StreamId sid) const
     {
-        auto it = _rows.find(sid);
-        return it == _rows.end() ? nullptr : &it->second;
+        auto i = static_cast<size_t>(sid);
+        return sid >= 0 && i < _rows.size() ? &_rows[i] : nullptr;
     }
 
     void clear() { _rows.clear(); }
 
   private:
-    std::unordered_map<StreamId, StreamHistory> _rows;
+    std::vector<StreamHistory> _rows;
 };
 
 } // namespace stream

@@ -10,6 +10,22 @@
 namespace sf {
 namespace stream {
 
+namespace {
+
+/** Entry @p sid of a sid-indexed table, grown to hold it. */
+template <typename T>
+T &
+growTo(std::vector<T> &table, StreamId sid)
+{
+    sf_assert(sid >= 0, "invalid stream id %d", sid);
+    auto i = static_cast<size_t>(sid);
+    if (i >= table.size())
+        table.resize(i + 1);
+    return table[i];
+}
+
+} // namespace
+
 SECore::SECore(const std::string &name, EventQueue &eq, TileId tile,
                const SECoreConfig &cfg, mem::PrivCache &cache,
                mem::TlbHierarchy &tlb, mem::AddressSpace &as)
@@ -21,19 +37,29 @@ SECore::SECore(const std::string &name, EventQueue &eq, TileId tile,
 SECore::StreamState &
 SECore::state(StreamId sid)
 {
-    auto it = _streams.find(sid);
-    sf_assert(it != _streams.end() && it->second.active,
-              "access to inactive stream %d", sid);
-    return it->second;
+    StreamState *s = find(sid);
+    sf_assert(s, "access to inactive stream %d", sid);
+    return *s;
+}
+
+SECore::StreamState *
+SECore::slot(StreamId sid)
+{
+    auto i = static_cast<size_t>(sid);
+    return sid >= 0 && i < _streams.size() ? &_streams[i] : nullptr;
+}
+
+SECore::StreamState *
+SECore::find(StreamId sid)
+{
+    StreamState *s = slot(sid);
+    return s && s->active ? s : nullptr;
 }
 
 const SECore::StreamState *
 SECore::find(StreamId sid) const
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active)
-        return nullptr;
-    return &it->second;
+    return const_cast<SECore *>(this)->find(sid);
 }
 
 bool
@@ -48,13 +74,13 @@ SECore::recomputeQuotas()
 {
     // The shared FIFO capacity is divided among active load streams.
     int load_streams = 0;
-    for (auto &[sid, s] : _streams) {
+    for (const StreamState &s : _streams) {
         if (s.active && !s.cfg.isStore)
             ++load_streams;
     }
     if (load_streams == 0)
         return;
-    for (auto &[sid, s] : _streams) {
+    for (StreamState &s : _streams) {
         if (!s.active || s.cfg.isStore)
             continue;
         uint32_t elem = std::max<uint32_t>(
@@ -72,7 +98,7 @@ void
 SECore::noteConfigDispatched(const std::vector<isa::StreamConfig> &group)
 {
     for (const auto &cfg : group)
-        ++_pendingCfgs[cfg.sid];
+        ++growTo(_pendingCfgs, cfg.sid);
 }
 
 void
@@ -80,21 +106,29 @@ SECore::configure(const std::vector<isa::StreamConfig> &group)
 {
     ++_stats.configures;
     for (const auto &cfg : group) {
-        auto it = _pendingCfgs.find(cfg.sid);
-        if (it != _pendingCfgs.end() && --it->second <= 0)
-            _pendingCfgs.erase(it);
+        auto i = static_cast<size_t>(cfg.sid);
+        if (i < _pendingCfgs.size() && _pendingCfgs[i] > 0)
+            --_pendingCfgs[i];
     }
-    sf_assert(static_cast<int>(_streams.size() + group.size()) <=
+    sf_assert(_configuredSids + static_cast<int>(group.size()) <=
                   _cfg.maxStreams * 2,
               "too many live streams");
 
     for (const auto &cfg : group) {
-        StreamState &s = _streams[cfg.sid];
+        StreamState &s = growTo(_streams, cfg.sid);
+        // Epochs start at 1, so 0 marks a sid's first configuration.
+        if (s.epoch == 0)
+            ++_configuredSids;
         uint32_t epoch = s.epoch + 1;
+        // A reconfiguration keeps the window's ring buffer.
+        sim::Ring<ElemRec> window = std::move(s.window);
+        window.clear();
         s = StreamState();
+        s.window = std::move(window);
         s.epoch = epoch;
         s.active = true;
         s.cfg = cfg;
+        s.cursor = isa::AffineCursor(cfg.affine);
         if (cfg.hasIndirect)
             s.parent = cfg.baseSid;
         SF_DPRINTF(StreamFloat,
@@ -113,11 +147,10 @@ SECore::configure(const std::vector<isa::StreamConfig> &group)
     // Wire children after all group members exist.
     for (const auto &cfg : group) {
         if (cfg.hasIndirect) {
-            auto it = _streams.find(cfg.baseSid);
-            sf_assert(it != _streams.end() && it->second.active,
-                      "indirect stream %d with unknown base %d",
+            StreamState *base = find(cfg.baseSid);
+            sf_assert(base, "indirect stream %d with unknown base %d",
                       cfg.sid, cfg.baseSid);
-            it->second.children.push_back(cfg.sid);
+            base->children.push_back(cfg.sid);
         }
     }
     recomputeQuotas();
@@ -137,10 +170,10 @@ void
 SECore::end(StreamId sid)
 {
     ++_stats.ends;
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active)
+    StreamState *sp = find(sid);
+    if (!sp)
         return;
-    StreamState &s = it->second;
+    StreamState &s = *sp;
     SF_DPRINTF(StreamFloat, "end sid=%d floating=%d consumed=%llu", sid,
                s.floating, (unsigned long long)s.commitBase);
     if (_streamLog) {
@@ -166,30 +199,25 @@ SECore::horizonOf(const StreamState &s) const
 }
 
 bool
-SECore::elemAddr(StreamState &s, uint64_t idx, Addr &out)
+SECore::indirectAddr(StreamState &s, uint64_t idx, Addr &out)
 {
-    if (!s.cfg.hasIndirect) {
-        out = s.cfg.affine.elemAddr(idx);
-        return true;
-    }
-    // Indirect: B[A[i] * scale + offset (+ w)]; needs A[i]'s value.
-    auto pit = _streams.find(s.parent);
-    if (pit == _streams.end() || !pit->second.active)
+    // B[A[i] * scale + offset (+ w)]; needs A[i]'s value.
+    const StreamState *p = find(s.parent);
+    if (!p)
         return false;
-    StreamState &p = pit->second;
-    if (s.cfg.indirect.baseElem(idx) >= p.readyUpTo)
+    if (s.cfg.indirect.baseElem(idx) >= p->readyUpTo)
         return false; // index data not yet available to the core
-    out = s.cfg.indirect.elemAddr(idx, p.cfg.affine, _as);
+    out = s.cfg.indirect.elemAddr(idx, p->cfg.affine, _as);
     return true;
 }
 
 void
 SECore::pump(StreamId sid, uint64_t min_end)
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active)
+    StreamState *sp = find(sid);
+    if (!sp)
         return;
-    StreamState &s = it->second;
+    StreamState &s = *sp;
     if (s.cfg.isStore)
         return;
 
@@ -198,19 +226,22 @@ SECore::pump(StreamId sid, uint64_t min_end)
         std::max(s.commitBase + s.quotaElems, min_end);
     cap_end = std::min(cap_end, horizon);
 
-    // Allocate window entries (addresses) up to the cap. Floated
-    // indirect elements are matched at the SE_L2 by (sid, index), so
-    // they need no core-side address (the core cannot compute one
-    // without the index data anyway).
+    // Allocate window entries (addresses) up to the cap. Affine
+    // addresses come from the stream's cursor. Floated indirect
+    // elements are matched at the SE_L2 by (sid, index), so they need
+    // no core-side address (the core cannot compute one without the
+    // index data anyway).
     uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
                                      : s.cfg.affine.elemSize;
     while (s.commitBase + s.window.size() < cap_end) {
         uint64_t idx = s.commitBase + s.window.size();
         ElemRec rec;
-        bool floated_ind = s.floating && s.cfg.hasIndirect &&
-                           idx >= s.floatFromElem;
-        if (!floated_ind && !elemAddr(s, idx, rec.vaddr))
+        if (!s.cfg.hasIndirect) {
+            rec.vaddr = s.cursor.at(idx);
+        } else if (!(s.floating && idx >= s.floatFromElem) &&
+                   !indirectAddr(s, idx, rec.vaddr)) {
             break;
+        }
         if (s.window.empty()) {
             s.windowLo = ~Addr(0);
             s.windowHi = 0;
@@ -321,8 +352,8 @@ SECore::fetchDone(FetchCtx *ctx)
         _prof->close(f.pid, curTick());
     // A completion from an ended or reconfigured stream must not mark
     // elements of the new epoch ready.
-    auto it = _streams.find(f.sid);
-    if (it == _streams.end() || it->second.epoch != f.epoch)
+    const StreamState *s = slot(f.sid);
+    if (!s || s->epoch != f.epoch)
         return;
     onFetchDone(f.sid, f.first, f.count, f.missed);
 }
@@ -331,10 +362,10 @@ void
 SECore::onFetchDone(StreamId sid, uint64_t first_idx, uint16_t count,
                     bool missed)
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active)
+    StreamState *sp = find(sid);
+    if (!sp)
         return;
-    StreamState &s = it->second;
+    StreamState &s = *sp;
 
     if (_td) {
         _td->tickAt(curTick(), prof::Bucket::Retired);
@@ -374,9 +405,10 @@ SECore::onFetchDone(StreamId sid, uint64_t first_idx, uint16_t count,
     for (StreamId child : s.children)
         pump(child);
 
-    // History-based mid-stream float decision (§IV-D).
+    // History-based mid-stream float decision (§IV-D). The row is
+    // looked up again: the calls above may have grown the table.
     if (!s.floating && !s.cfg.isStore && !s.cfg.hasIndirect &&
-        h.requests >= _cfg.floatDecisionRequests) {
+        _history.row(sid).requests >= _cfg.floatDecisionRequests) {
         maybeFloat(sid, s.nextFetch, /*at_config=*/false);
     }
 }
@@ -459,16 +491,15 @@ SECore::step(StreamId sid, uint16_t elems)
 void
 SECore::releaseAtCommit(StreamId sid, uint16_t elems)
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active)
+    StreamState *sp = find(sid);
+    if (!sp)
         return;
-    StreamState &s = it->second;
+    StreamState &s = *sp;
     // Trip count at stream_step commit; the reference counts at
     // StreamStep on a live stream, so gate on the same condition.
     if (_verify)
         _verify->addTrips(_tile, sid, elems);
-    for (uint16_t i = 0; i < elems && !s.window.empty(); ++i)
-        s.window.pop_front();
+    s.window.popFront(elems);
     s.commitBase += elems;
     if (_verify && !s.vElems.empty()) {
         for (auto ve = s.vElems.begin(); ve != s.vElems.end();) {
@@ -488,7 +519,7 @@ Addr
 SECore::storeAddr(StreamId sid)
 {
     StreamState &s = state(sid);
-    return s.cfg.affine.elemAddr(s.dispatchIter);
+    return s.cursor.at(s.dispatchIter);
 }
 
 void
@@ -496,15 +527,18 @@ SECore::storeCommitted(Addr vaddr, uint16_t size)
 {
     Addr lo = vaddr;
     Addr hi = vaddr + size;
-    for (auto &[sid, s] : _streams) {
+    for (size_t i = 0; i < _streams.size(); ++i) {
+        StreamState &s = _streams[i];
+        auto sid = static_cast<StreamId>(i);
         if (!s.active || s.cfg.isStore || s.windowHi <= lo ||
             s.windowLo >= hi)
             continue;
         bool aliased = false;
         uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
                                          : s.cfg.affine.elemSize;
-        for (const auto &rec : s.window) {
-            if (rec.vaddr < hi && rec.vaddr + esz > lo) {
+        for (size_t off = 0; off < s.window.size(); ++off) {
+            Addr va = s.window[off].vaddr;
+            if (va < hi && va + esz > lo) {
                 aliased = true;
                 break;
             }
@@ -541,17 +575,16 @@ SECore::verifyBindElem(StreamState &s, uint64_t idx)
         return it->second;
     // The element address is recomputed functionally: the affine map
     // directly, the indirect chase through the parent's config and the
-    // raw index array (as elemAddr, but without the readyUpTo gate —
+    // raw index array (as indirectAddr, but without the readyUpTo gate —
     // by bind time the index data has arrived).
     Addr vaddr;
     if (!s.cfg.hasIndirect) {
         vaddr = s.cfg.affine.elemAddr(idx);
     } else {
-        auto pit = _streams.find(s.parent);
-        sf_assert(pit != _streams.end(),
-                  "verify: indirect sid=%d without base sid=%d",
+        const StreamState *p = slot(s.parent);
+        sf_assert(p, "verify: indirect sid=%d without base sid=%d",
                   s.cfg.sid, s.parent);
-        vaddr = s.cfg.indirect.elemAddr(idx, pit->second.cfg.affine, _as);
+        vaddr = s.cfg.indirect.elemAddr(idx, p->cfg.affine, _as);
     }
     uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
                                      : s.cfg.affine.elemSize;
@@ -583,8 +616,8 @@ SECore::canAcceptUse(StreamId sid) const
 {
     // A dispatched-but-uncommitted reconfiguration means this use
     // belongs to the NEW configuration; wait for it to commit.
-    auto pit = _pendingCfgs.find(sid);
-    if (pit != _pendingCfgs.end() && pit->second > 0)
+    auto i = static_cast<size_t>(sid);
+    if (sid >= 0 && i < _pendingCfgs.size() && _pendingCfgs[i] > 0)
         return false;
     const StreamState *s = find(sid);
     if (!s)
@@ -604,13 +637,10 @@ SECore::notifyStreamReuse(StreamId sid)
 void
 SECore::notifyFloatedCacheHit(StreamId sid)
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active ||
-        !it->second.floating) {
+    StreamState *s = find(sid);
+    if (!s || !s->floating)
         return;
-    }
-    if (++it->second.consecutiveCacheHits >=
-        _cfg.sinkCacheHitThreshold) {
+    if (++s->consecutiveCacheHits >= _cfg.sinkCacheHitThreshold) {
         sink(sid, "cache-hits");
     }
 }
@@ -618,9 +648,8 @@ SECore::notifyFloatedCacheHit(StreamId sid)
 void
 SECore::notifyFloatedBufferServe(StreamId sid)
 {
-    auto it = _streams.find(sid);
-    if (it != _streams.end())
-        it->second.consecutiveCacheHits = 0;
+    if (StreamState *s = slot(sid))
+        s->consecutiveCacheHits = 0;
 }
 
 void
@@ -633,26 +662,24 @@ void
 SECore::contextSwitchFlush()
 {
     std::vector<StreamId> floating;
-    for (auto &[sid, s] : _streams) {
+    for (size_t i = 0; i < _streams.size(); ++i) {
+        const StreamState &s = _streams[i];
         if (s.active && s.floating && !s.cfg.hasIndirect)
-            floating.push_back(sid);
+            floating.push_back(static_cast<StreamId>(i));
     }
     for (StreamId sid : floating) {
-        auto it = _streams.find(sid);
-        if (it == _streams.end() || !it->second.active ||
-            !it->second.floating) {
+        StreamState *sp = find(sid);
+        if (!sp || !sp->floating)
             continue;
-        }
-        StreamState &s = it->second;
+        StreamState &s = *sp;
         if (_floatCtrl)
             _floatCtrl->unfloatStream(sid);
         s.floating = false;
         s.floatFromElem = ~0ULL;
         for (StreamId child : s.children) {
-            auto cit = _streams.find(child);
-            if (cit != _streams.end() && cit->second.active) {
-                cit->second.floating = false;
-                cit->second.floatFromElem = ~0ULL;
+            if (StreamState *c = find(child)) {
+                c->floating = false;
+                c->floatFromElem = ~0ULL;
             }
         }
         // Unlike a sink, a context switch carries no negative signal:
@@ -682,9 +709,8 @@ SECore::maybeFloat(StreamId sid, uint64_t start_elem, bool at_config)
     if (s.cfg.lengthKnown) {
         uint64_t footprint = s.cfg.footprintBytes();
         for (StreamId child : s.children) {
-            auto cit = _streams.find(child);
-            if (cit != _streams.end() && cit->second.active)
-                footprint += cit->second.cfg.footprintBytes();
+            if (const StreamState *c = find(child))
+                footprint += c->cfg.footprintBytes();
         }
         if (footprint > _cfg.l2CapacityBytes) {
             decided = true;
@@ -723,16 +749,14 @@ SECore::maybeFloat(StreamId sid, uint64_t start_elem, bool at_config)
     std::vector<StreamId> float_children =
         _cfg.floatIndirects ? s.children : std::vector<StreamId>();
     for (StreamId child : float_children) {
-        auto cit = _streams.find(child);
-        if (cit == _streams.end() || !cit->second.active)
+        const StreamState *c = find(child);
+        if (!c)
             continue;
         FloatRequest::Indirect ind;
-        ind.cfg = cit->second.cfg;
+        ind.cfg = c->cfg;
         // The remote engine produces indirect elements for base
         // elements >= start_elem; anything earlier stays at the core.
-        uint32_t w_len =
-            std::max<uint32_t>(1, ind.cfg.indirect.wLen);
-        ind.start = start_elem * w_len;
+        ind.start = ind.cfg.indirect.firstChild(start_elem);
         req.indirects.push_back(ind);
     }
 
@@ -766,14 +790,15 @@ SECore::maybeFloat(StreamId sid, uint64_t start_elem, bool at_config)
 void
 SECore::debugDump(std::FILE *f) const
 {
-    for (const auto &[sid, s] : _streams) {
+    for (size_t sid = 0; sid < _streams.size(); ++sid) {
+        const StreamState &s = _streams[sid];
         if (!s.active)
             continue;
         std::fprintf(f,
                      "  %s sid=%d float=%d dispatch=%llu commit=%llu "
                      "ready=%llu nextFetch=%llu window=%zu waiters=%zu "
                      "quota=%llu aliasDis=%d\n",
-                     name().c_str(), sid, s.floating,
+                     name().c_str(), static_cast<int>(sid), s.floating,
                      (unsigned long long)s.dispatchIter,
                      (unsigned long long)s.commitBase,
                      (unsigned long long)s.readyUpTo,
@@ -786,12 +811,10 @@ SECore::debugDump(std::FILE *f) const
 void
 SECore::sink(StreamId sid, const char *reason)
 {
-    auto it = _streams.find(sid);
-    if (it == _streams.end() || !it->second.active)
+    StreamState *sp = find(sid);
+    if (!sp || !sp->floating)
         return;
-    StreamState &s = it->second;
-    if (!s.floating)
-        return;
+    StreamState &s = *sp;
     SF_DPRINTF(StreamFloat, "sink sid=%d (%s)", sid, reason);
     if (_streamLog) {
         _streamLog->push_back({curTick(), {_tile, sid}, s.traceGen,
@@ -799,12 +822,12 @@ SECore::sink(StreamId sid, const char *reason)
     }
     // Sink the whole group: the base and its indirect children.
     StreamId base = s.cfg.hasIndirect ? s.parent : sid;
-    auto bit = _streams.find(base);
-    if (bit == _streams.end() || !bit->second.active || base == sid) {
-        bit = it;
+    StreamState *bp = find(base);
+    if (!bp || base == sid) {
+        bp = &s;
         base = sid;
     }
-    StreamState &bs = bit->second;
+    StreamState &bs = *bp;
 
     ++_stats.streamsSunk;
     if (_floatCtrl)
@@ -813,11 +836,10 @@ SECore::sink(StreamId sid, const char *reason)
     bs.noRefloat = true;
     bs.floatFromElem = ~0ULL;
     for (StreamId child : bs.children) {
-        auto cit = _streams.find(child);
-        if (cit != _streams.end() && cit->second.active) {
-            cit->second.floating = false;
-            cit->second.noRefloat = true;
-            cit->second.floatFromElem = ~0ULL;
+        if (StreamState *c = find(child)) {
+            c->floating = false;
+            c->noRefloat = true;
+            c->floatFromElem = ~0ULL;
         }
     }
 }

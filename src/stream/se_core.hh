@@ -15,7 +15,6 @@
 #define SF_STREAM_SE_CORE_HH
 
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "mem/tlb.hh"
 #include "sim/profile.hh"
 #include "sim/record_pool.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/stream_trace.hh"
@@ -202,13 +202,18 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     {
         bool active = false;
         isa::StreamConfig cfg;
+        /** Walks cfg.affine: run-ahead and store addresses. */
+        isa::AffineCursor cursor;
         /** Dependent indirect streams configured with this one. */
         std::vector<StreamId> children;
         StreamId parent = invalidStream;
 
         uint64_t dispatchIter = 0; //!< iteration map position
         uint64_t commitBase = 0;   //!< first live FIFO element
-        std::deque<ElemRec> window;
+        /** Records of elements [commitBase, commitBase + size()). It
+         *  grows past the quota when run-ahead covers a requested use,
+         *  and keeps its buffer across reconfigurations. */
+        sim::Ring<ElemRec> window;
         /** Conservative cover [windowLo, windowHi) of the bytes of
          *  every window element; stores outside it cannot alias. */
         Addr windowLo = ~Addr(0);
@@ -237,8 +242,13 @@ class SECore : public SimObject, public cpu::StreamEngineIf
         std::map<uint64_t, std::vector<uint8_t>> vElems;
     };
 
+    /** The live entry of @p sid (asserted). */
     StreamState &state(StreamId sid);
+    /** The live entry of @p sid, or null. */
+    StreamState *find(StreamId sid);
     const StreamState *find(StreamId sid) const;
+    /** The entry of @p sid, live or ended; null past the table. */
+    StreamState *slot(StreamId sid);
 
     /** Run-ahead: allocate + fetch elements for @p sid. */
     void pump(StreamId sid, uint64_t min_end = 0);
@@ -251,8 +261,9 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     void advanceReady(StreamState &s);
     void fireWaiters(StreamState &s);
 
-    /** Element virtual address (affine direct; indirect chases). */
-    bool elemAddr(StreamState &s, uint64_t idx, Addr &out);
+    /** Indirect element @p idx's address, once its index value has
+     *  reached the core; false before. */
+    bool indirectAddr(StreamState &s, uint64_t idx, Addr &out);
 
     /** --verify: capture element @p idx's bytes from the data plane. */
     const std::vector<uint8_t> &verifyBindElem(StreamState &s,
@@ -280,12 +291,15 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     prof::TopDownAccount *_td = nullptr;
     trace::StreamLog *_streamLog = nullptr;
 
-    // Ordered by StreamId: quota recomputation, context-switch
-    // flushes and debug dumps iterate this table, and their order
-    // feeds message emission (sflint D1).
-    std::map<StreamId, StreamState> _streams;
-    /** Dispatched-but-uncommitted stream_cfg count per stream. */
-    std::map<StreamId, int> _pendingCfgs;
+    // Indexed by StreamId (sids are small), so iteration is in sid
+    // order: quota recomputation, context-switch flushes and debug
+    // dumps iterate this table, and their order feeds message emission
+    // (sflint D1). An ended stream keeps its entry (and its epoch).
+    std::vector<StreamState> _streams;
+    /** Sids ever configured (the live-stream limit counts these). */
+    int _configuredSids = 0;
+    /** Dispatched-but-uncommitted stream_cfg count, indexed by sid. */
+    std::vector<int> _pendingCfgs;
     StreamHistoryTable _history;
     SECoreStats _stats;
     sim::RecordPool<FetchCtx> _fetchPool;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/stream_pattern.hh"
+#include "sim/rng.hh"
 
 using namespace sf;
 using namespace sf::isa;
@@ -91,6 +92,56 @@ TEST(AffinePattern, FootprintSpansAllLevels)
     p.stride[1] = 1024;
     p.len[1] = 8;
     EXPECT_EQ(p.footprintBytes(), 15u * 4 + 7u * 1024 + 4);
+}
+
+TEST(AffineCursor, WalksLevelsWithNegativeStrides)
+{
+    AffinePattern p;
+    p.base = 0x8000;
+    p.nDims = 3;
+    p.stride[0] = -4;
+    p.len[0] = 3;
+    p.stride[1] = 100;
+    p.len[1] = 1;
+    p.stride[2] = -1000;
+    p.len[2] = 4;
+    AffineCursor c(p);
+    // Past totalElems() too: the outermost level never wraps.
+    for (uint64_t i = 0; i < 40; ++i)
+        EXPECT_EQ(c.at(i), p.elemAddr(i)) << "element " << i;
+}
+
+TEST(AffineCursor, MatchesElemAddrOnRandomPatterns)
+{
+    Rng rng(28);
+    for (int trial = 0; trial < 64; ++trial) {
+        AffinePattern p;
+        p.base = 0x10000000 + rng.range(1 << 20);
+        p.nDims = 1 + static_cast<int>(rng.range(3));
+        for (int d = 0; d < p.nDims; ++d) {
+            p.len[d] = rng.range(4) == 0 ? 1 : 1 + rng.range(40);
+            p.stride[d] = rng.rangeInclusive(-4096, 4096);
+        }
+        AffineCursor c(p);
+        uint64_t idx = 0;
+        for (int n = 0; n < 12000; ++n) {
+            ASSERT_EQ(c.at(idx), p.elemAddr(idx))
+                << "pattern " << trial << " element " << idx;
+            switch (rng.range(16)) {
+              case 0: // reseek anywhere, backwards included
+                idx = rng.range(1 << 16);
+                break;
+              case 1: // a forward move of several elements
+                idx += 2 + rng.range(64);
+                break;
+              case 2: // ask for the same element again
+                break;
+              default:
+                ++idx;
+                break;
+            }
+        }
+    }
 }
 
 TEST(IndirectPattern, TargetAddress)

@@ -368,3 +368,67 @@ TEST(SECore, StaleFloatedIndirectCompletionIsDropped)
     h.fabric.drain();
     EXPECT_EQ(ready, 1);
 }
+
+namespace {
+
+/**
+ * Consume elements [from, to) of load stream 0 over @p buf, @p batch
+ * single-element uses per commit: each use must be handed its own
+ * element index, fire in order, and find its element's line already in
+ * the private cache. @p fired collects the indices (it outlives any
+ * unfired use).
+ */
+void
+consumeInOrder(SsHarness &h, Addr buf, uint64_t from, uint64_t to,
+               uint16_t batch, std::vector<uint64_t> &fired)
+{
+    for (uint64_t i = from; i < to; i += batch) {
+        fired.clear();
+        for (uint64_t e = i; e < i + batch; ++e) {
+            Addr pa = h.fabric.as().translate(buf + 4 * e);
+            auto on_ready = [&h, &fired, e, pa]() {
+                EXPECT_NE(h.fabric.priv(0).l2Array().probe(pa), nullptr)
+                    << "element " << e << " ready before its line";
+                fired.push_back(e);
+            };
+            EXPECT_EQ(h.se().requestElems(0, 1, on_ready), e);
+            h.se().step(0, 1);
+        }
+        h.fabric.drain();
+        ASSERT_EQ(fired.size(), batch) << "batch at element " << i;
+        for (uint64_t k = 0; k < batch; ++k)
+            EXPECT_EQ(fired[k], i + k);
+        h.se().releaseAtCommit(0, batch);
+    }
+}
+
+} // namespace
+
+TEST(SECore, WindowRingWrapsGrowsAndKeepsOrder)
+{
+    SsHarness h;
+    std::vector<uint64_t> fired;
+    // One 4 B stream owns the whole 1 kB FIFO: a 256-element quota,
+    // four times the ring's initial capacity, so run-ahead grows it.
+    Addr buf = h.fabric.as().alloc(2048 * 4);
+    h.se().configure({affine(0, buf, 2048)});
+    h.fabric.drain();
+    // Committing 8 at a time moves the ring's head through its end
+    // (every 256 elements) while run-ahead refills behind it.
+    consumeInOrder(h, buf, 0, 296, 8, fired);
+    // 320 uses before any commit run ahead past the quota, so the ring
+    // grows again while its head is mid-buffer.
+    consumeInOrder(h, buf, 296, 616, 320, fired);
+
+    // A store into the window: the flush clears elements on both sides
+    // of the ring's wrap point, and they are fetched again on demand.
+    h.se().storeCommitted(buf + 4 * 700, 4);
+    EXPECT_EQ(h.se().stats().aliasFlushes.value(), 1u);
+    consumeInOrder(h, buf, 616, 800, 8, fired);
+
+    // Reconfigure onto another array: the ring starts empty again.
+    Addr buf2 = h.fabric.as().alloc(1024 * 4);
+    h.se().end(0);
+    h.se().configure({affine(0, buf2, 1024)});
+    consumeInOrder(h, buf2, 0, 600, 8, fired);
+}

@@ -104,13 +104,15 @@ TEST(AllocBudget, CounterSeesOperatorNew)
 TEST(AllocBudget, StreamFloatingConv3d)
 {
     Budget b = measure(Machine::SF, cpu::CoreConfig::ooo8(), "conv3d", 0.02);
-    // Measured 3.27 per cycle (20.2 before the pools).
-    EXPECT_LE(double(b.news), 4.1 * double(b.cycles));
+    // Measured 2.68 per cycle (3.27 before the incremental stream
+    // element path, 20.2 before the pools).
+    EXPECT_LE(double(b.news), 3.4 * double(b.cycles));
 }
 
 TEST(AllocBudget, StridePrefetchBfs)
 {
     Budget b = measure(Machine::StridePf, cpu::CoreConfig::io4(), "bfs", 0.02);
-    // Measured 0.50 per cycle (2.45 before the pools).
-    EXPECT_LE(double(b.news), 0.63 * double(b.cycles));
+    // Measured 0.471 per cycle (0.50 before the in-place fetch
+    // buffer, 2.45 before the pools).
+    EXPECT_LE(double(b.news), 0.59 * double(b.cycles));
 }
