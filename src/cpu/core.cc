@@ -854,10 +854,7 @@ Core::refillFetchBuffer()
 {
     if (_sourceExhausted)
         return;
-    // Drop the dispatched ops (dispatch refills only a drained buffer,
-    // so this empties it) and refill in place, keeping the capacity.
-    _fetchBuf.erase(_fetchBuf.begin(),
-                    _fetchBuf.begin() + static_cast<std::ptrdiff_t>(_fetchHead));
+    _fetchBuf.clear();
     _fetchHead = 0;
     while (_fetchBuf.size() < fetchLowWater) {
         size_t n = _source->refill(_fetchBuf);

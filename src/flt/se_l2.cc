@@ -710,22 +710,10 @@ SEL2::onDirtyEviction(Addr line_paddr)
         uint64_t end = std::min(s.grantedUpTo, horizon);
         end = std::min(end, s.consumedUpTo + s.capacityElems +
                                 s.aliasOffset);
-        // Affine elements come from a cursor; a translation is reused
-        // while the elements stay in its page (one page, one frame).
-        isa::AffineCursor cursor(s.cfg.affine);
-        Addr vpage = invalidAddr;
-        Addr ppage = invalidAddr;
         for (uint64_t idx = s.consumedUpTo; idx < end; ++idx) {
-            Addr va = s.cfg.hasIndirect ? elemVaddr(s, idx) : cursor.at(idx);
-            if (mem::pageAlign(va) != vpage) {
-                Addr pa = _as.translateExisting(va);
-                if (pa == invalidAddr)
-                    continue;
-                vpage = mem::pageAlign(va);
-                ppage = mem::pageAlign(pa);
-            }
-            Addr pa = ppage + (va - vpage);
-            if (lineAlign(pa) == line_paddr) {
+            Addr va = elemVaddr(s, idx);
+            Addr pa = _as.translateExisting(va);
+            if (pa != invalidAddr && lineAlign(pa) == line_paddr) {
                 aliased.push_back(sid);
                 break;
             }

@@ -87,12 +87,11 @@ struct AffinePattern
  * Walks an AffinePattern incrementally: it holds an element index,
  * per-level counters and that element's address, and moves forward by
  * adding strides instead of re-deriving the address with a divide and
- * a modulo per level. One element at a time carries into the outer
- * levels; a longer forward move is a single add while it stays inside
- * the innermost row. Any other index reseeks from
- * AffinePattern::elemAddr, which stays the reference. As in elemAddr,
- * the outermost level never wraps. Address arithmetic is modulo 2^64,
- * so negative strides need no signed operations.
+ * a modulo per level. Any index other than the current one or the
+ * next reseeks from AffinePattern::elemAddr, which stays the
+ * reference. As in elemAddr, the outermost level never wraps. Address
+ * arithmetic is modulo 2^64, so negative strides need no signed
+ * operations.
  */
 class AffineCursor
 {
@@ -109,19 +108,10 @@ class AffineCursor
     Addr
     at(uint64_t idx)
     {
-        if (idx == _idx)
-            return _addr;
-        uint64_t n = idx - _idx; // meaningful only when idx > _idx
-        if (idx == _idx + 1) {
+        if (idx == _idx + 1)
             next();
-        } else if (idx > _idx &&
-                   (_pat.nDims == 1 || _ctr[0] + n < _pat.len[0])) {
-            _ctr[0] += n;
-            _addr += n * static_cast<Addr>(_pat.stride[0]);
-            _idx = idx;
-        } else {
+        else if (idx != _idx)
             seek(idx);
-        }
         return _addr;
     }
 

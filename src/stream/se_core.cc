@@ -519,7 +519,7 @@ Addr
 SECore::storeAddr(StreamId sid)
 {
     StreamState &s = state(sid);
-    return s.cursor.at(s.dispatchIter);
+    return s.cfg.affine.elemAddr(s.dispatchIter);
 }
 
 void

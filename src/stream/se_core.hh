@@ -202,7 +202,7 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     {
         bool active = false;
         isa::StreamConfig cfg;
-        /** Walks cfg.affine: run-ahead and store addresses. */
+        /** Walks cfg.affine for the run-ahead addresses. */
         isa::AffineCursor cursor;
         /** Dependent indirect streams configured with this one. */
         std::vector<StreamId> children;
