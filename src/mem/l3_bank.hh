@@ -131,13 +131,6 @@ class L3Bank : public SimObject
     L3BankStats &stats() { return _stats; }
     const L3BankStats &stats() const { return _stats; }
 
-    double
-    hitRate() const
-    {
-        uint64_t t = _stats.hits + _stats.misses;
-        return t ? double(_stats.hits.value()) / t : 0.0;
-    }
-
     TileId tile() const { return _tile; }
 
     /** Dump blocked-line transactions (debugging aid). */

@@ -94,29 +94,22 @@ TopDownAccount::verify(const std::string &name) const
 uint32_t
 Profiler::open(TileId tile, StreamId sid, Tick now)
 {
-    if (tile < 0 || uint32_t(tile) >= maxTiles)
-        return 0;
-    if (size_t(tile) >= _tiles.size())
-        _tiles.resize(size_t(tile) + 1);
-    TileState &t = _tiles[size_t(tile)];
     uint32_t slot;
-    if (!t.freeSlots.empty()) {
-        slot = t.freeSlots.back();
-        t.freeSlots.pop_back();
+    if (!_freeSlots.empty()) {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
     } else {
-        if (t.recs.size() >= slotMask - 1)
+        if (_recs.size() >= maxSlots)
             return 0;
-        t.recs.push_back(Rec{});
-        slot = static_cast<uint32_t>(t.recs.size() - 1);
+        _recs.push_back(Rec{});
+        slot = static_cast<uint32_t>(_recs.size() - 1);
     }
-    Rec &r = t.recs[slot];
+    Rec &r = _recs[slot];
     r.openTick = now;
     r.lastMark = now;
-    r.agg = &t.agg[sid];
+    r.agg = &_agg[{tile, sid}];
     r.live = true;
-    ++t.open;
-    return (uint32_t(tile) << tileShift) | ((slot + 1) << slotShift) |
-           r.gen;
+    return ((slot + 1) << slotShift) | r.gen;
 }
 
 void
@@ -149,20 +142,7 @@ Profiler::close(uint32_t id, Tick now, Phase residual)
     r->live = false;
     r->gen = (r->gen + 1) & genMask;
     r->agg = nullptr;
-    TileState &t = _tiles[size_t(tileOf(id))];
-    --t.open;
-    t.freeSlots.push_back(static_cast<uint32_t>(r - t.recs.data()));
-}
-
-std::map<std::pair<TileId, StreamId>, Profiler::PhaseHists>
-Profiler::aggregates() const
-{
-    std::map<std::pair<TileId, StreamId>, PhaseHists> out;
-    for (size_t t = 0; t < _tiles.size(); ++t) {
-        for (const auto &kv : _tiles[t].agg)
-            out.emplace(std::make_pair(TileId(t), kv.first), kv.second);
-    }
-    return out;
+    _freeSlots.push_back(static_cast<uint32_t>(r - _recs.data()));
 }
 
 TopDownAccount &
@@ -194,26 +174,21 @@ Profiler::verifyTopDown() const
 void
 Profiler::registerStats(stats::StatRegistry &reg) const
 {
-    for (size_t tile = 0; tile < _tiles.size(); ++tile) {
-        for (const auto &kv : _tiles[tile].agg) {
-            StreamId sid = kv.first;
-            const PhaseHists &hists = kv.second;
-            stats::StatGroup &g =
-                reg.group("profile.tile" + std::to_string(tile));
-            std::string stem = streamLabel(sid) + ".";
-            for (size_t p = 0; p < numPhases; ++p) {
-                const LatHist &h = hists[p];
-                if (!h.count())
-                    continue;
-                std::string pn = stem + phaseName(Phase(p));
-                g.regFormula(pn + ".count",
-                             [&h]() { return double(h.count()); });
-                g.regFormula(pn + ".mean", [&h]() { return h.mean(); });
-                g.regFormula(pn + ".p50", [&h]() { return h.p50(); });
-                g.regFormula(pn + ".p95", [&h]() { return h.p95(); });
-                g.regFormula(pn + ".max",
-                             [&h]() { return double(h.max()); });
-            }
+    for (const auto &[key, hists] : _agg) {
+        stats::StatGroup &g =
+            reg.group("profile.tile" + std::to_string(key.first));
+        std::string stem = streamLabel(key.second) + ".";
+        for (size_t p = 0; p < numPhases; ++p) {
+            const LatHist &h = hists[p];
+            if (!h.count())
+                continue;
+            std::string pn = stem + phaseName(Phase(p));
+            g.regFormula(pn + ".count",
+                         [&h]() { return double(h.count()); });
+            g.regFormula(pn + ".mean", [&h]() { return h.mean(); });
+            g.regFormula(pn + ".p50", [&h]() { return h.p50(); });
+            g.regFormula(pn + ".p95", [&h]() { return h.p95(); });
+            g.regFormula(pn + ".max", [&h]() { return double(h.max()); });
         }
     }
     stats::StatGroup &g = reg.group("profile.topdown");
@@ -237,14 +212,13 @@ Profiler::dumpJson(json::Writer &w) const
     w.endArray();
 
     w.beginObject("latency");
-    for (size_t tile = 0; tile < _tiles.size(); ++tile) {
-        if (_tiles[tile].agg.empty())
-            continue;
+    for (auto it = _agg.begin(); it != _agg.end();) {
+        TileId tile = it->first.first;
         w.beginObject("tile" + std::to_string(tile));
-        for (const auto &kv : _tiles[tile].agg) {
-            w.beginObject(streamLabel(kv.first));
+        for (; it != _agg.end() && it->first.first == tile; ++it) {
+            w.beginObject(streamLabel(it->first.second));
             for (size_t p = 0; p < numPhases; ++p) {
-                const LatHist &h = kv.second[p];
+                const LatHist &h = it->second[p];
                 if (!h.count())
                     continue;
                 w.beginObject(phaseName(Phase(p)));
@@ -303,10 +277,9 @@ Profiler::dumpSummaryJson(json::Writer &w) const
     w.endObject();
     // Per-phase p95 over the merge of all (tile, stream) aggregates.
     PhaseHists merged{};
-    for (const TileState &t : _tiles)
-        for (const auto &kv : t.agg)
-            for (size_t p = 0; p < numPhases; ++p)
-                merged[p].merge(kv.second[p]);
+    for (const auto &kv : _agg)
+        for (size_t p = 0; p < numPhases; ++p)
+            merged[p].merge(kv.second[p]);
     w.beginObject("p95");
     for (size_t p = 0; p < numPhases; ++p) {
         if (merged[p].count())

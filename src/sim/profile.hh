@@ -241,18 +241,16 @@ class TopDownAccount
 };
 
 /**
- * The profiler: per-tile record arenas for in-flight lifecycle
- * tracking plus the per-(tile, stream, phase) aggregates and top-down
- * accounts. Components receive a `Profiler *` (null when profiling is
- * off) and guard every hook with a single null check.
+ * The profiler: one record arena for in-flight lifecycle tracking plus
+ * the per-(tile, stream, phase) aggregates and top-down accounts.
+ * Components receive a `Profiler *` (null when profiling is off) and
+ * guard every hook with a single null check.
  *
- * Record handles are 32-bit: 8-bit owner tile, 16-bit arena slot, and
- * an 8-bit generation, so a stale mark on a recycled slot is detected
- * and counted instead of corrupting another record. Handle 0 is "no
- * record" and is ignored by every entry point.
- *
- * Every record, aggregate and counter is owned by the tile encoded in
- * the handle; any tile's component may mark, add to or close it.
+ * Record handles are 32-bit: a 24-bit arena slot and an 8-bit
+ * generation, so a stale mark on a recycled slot is detected and
+ * counted instead of corrupting another record. Handle 0 is "no
+ * record" and is ignored by every entry point. Any tile's component
+ * may mark, add to or close any record.
  */
 class Profiler
 {
@@ -261,7 +259,7 @@ class Profiler
 
     /** Begin tracking one request/element on @p tile (the calling
      *  tile). sid == invalidStream means a plain demand access.
-     *  Returns 0 when the tile's arena is full. */
+     *  Returns 0 when the arena is full. */
     uint32_t open(TileId tile, StreamId sid, Tick now);
 
     /** Fold [lastMark, now) into @p p and advance the mark. */
@@ -275,25 +273,11 @@ class Profiler
      *  end-to-end latency lands in Phase::Total, the slot recycles. */
     void close(uint32_t id, Tick now, Phase residual = Phase::Fill);
 
-    /** Live records over all tiles (folded in tile order). */
-    size_t
-    openRecords() const
-    {
-        size_t n = 0;
-        for (const TileState &t : _tiles)
-            n += t.open;
-        return n;
-    }
+    /** Live records. */
+    size_t openRecords() const { return _recs.size() - _freeSlots.size(); }
 
-    /** Stale-handle touches over all tiles (folded in tile order). */
-    uint64_t
-    staleMarks() const
-    {
-        uint64_t n = 0;
-        for (const TileState &t : _tiles)
-            n += t.stale;
-        return n;
-    }
+    /** Touches through stale or unknown handles. */
+    uint64_t staleMarks() const { return _stale; }
 
     /** Get-or-create the named top-down account (ordered by name). */
     TopDownAccount &topDown(const std::string &name);
@@ -310,9 +294,10 @@ class Profiler
     }
 
     using PhaseHists = std::array<LatHist, numPhases>;
-    /** Aggregates keyed (tile, sid), assembled from the per-tile maps
-     *  in tile order; ordered for deterministic dumps. */
-    std::map<std::pair<TileId, StreamId>, PhaseHists> aggregates() const;
+    using Aggregates = std::map<std::pair<TileId, StreamId>, PhaseHists>;
+    /** Aggregates keyed (tile, sid); tile-major order keeps dumps
+     *  deterministic. */
+    const Aggregates &aggregates() const { return _agg; }
 
     /** Register `profile.tile{N}` stat groups with p50/p95/max/mean
      *  formulas per (stream, phase); the profiler must outlive @p reg. */
@@ -336,45 +321,29 @@ class Profiler
         bool live = false;
     };
 
-    /** All state owned by one tile. */
-    struct TileState
-    {
-        std::vector<Rec> recs;
-        std::vector<uint32_t> freeSlots;
-        size_t open = 0;
-        uint64_t stale = 0;
-        std::map<StreamId, PhaseHists> agg;
-    };
-
-    // Handle layout: [31:24] owner tile, [23:8] slot+1, [7:0] gen.
-    static constexpr uint32_t tileShift = 24;
+    // Handle layout: [31:8] slot+1, [7:0] gen.
     static constexpr uint32_t slotShift = 8;
-    static constexpr uint32_t slotMask = 0xffff;
+    static constexpr uint32_t maxSlots = 0xffffff;
     static constexpr uint32_t genMask = 0xff;
-    static constexpr uint32_t maxTiles = 256;
-
-    static TileId
-    tileOf(uint32_t id)
-    {
-        return TileId(id >> tileShift);
-    }
 
     Rec *
     resolve(uint32_t id)
     {
         if (!id)
             return nullptr;
-        TileState &t = _tiles[size_t(tileOf(id))];
-        uint32_t slot = ((id >> slotShift) & slotMask) - 1;
-        if (slot >= t.recs.size() || !t.recs[slot].live ||
-            t.recs[slot].gen != (id & genMask)) {
-            ++t.stale;
+        uint32_t slot = (id >> slotShift) - 1;
+        if (slot >= _recs.size() || !_recs[slot].live ||
+            _recs[slot].gen != (id & genMask)) {
+            ++_stale;
             return nullptr;
         }
-        return &t.recs[slot];
+        return &_recs[slot];
     }
 
-    std::vector<TileState> _tiles;
+    std::vector<Rec> _recs;
+    std::vector<uint32_t> _freeSlots;
+    uint64_t _stale = 0;
+    Aggregates _agg;
     std::map<std::string, TopDownAccount> _topDown;
 };
 

@@ -83,12 +83,6 @@ class StatRegistry
             w.beginObject(g->name());
             for (const auto &[n, s] : g->scalars())
                 w.kv(n, s->value());
-            for (const auto &[n, a] : g->averages()) {
-                w.beginObject(n);
-                w.kv("mean", a->mean());
-                w.kv("count", a->count());
-                w.endObject();
-            }
             for (const auto &[n, h] : g->histograms()) {
                 w.beginObject(n);
                 w.kv("count", h->count());

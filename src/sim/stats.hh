@@ -5,7 +5,7 @@
  * Components own Scalar / Formula-style statistics registered with a
  * StatGroup; a SimResults-style consumer can walk the registry or read
  * individual counters directly. This is a deliberately small subset of
- * gem5's stats package: scalars, averages, and histograms.
+ * gem5's stats package: scalars, histograms and formulas.
  */
 
 #ifndef SF_SIM_STATS_HH
@@ -38,28 +38,6 @@ class Scalar
     uint64_t _value = 0;
 };
 
-/** Running average of submitted samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-    }
-
-    void reset() { _sum = 0; _count = 0; }
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-
-  private:
-    double _sum = 0;
-    uint64_t _count = 0;
-};
-
 /** Fixed-bucket histogram over [0, max) plus an overflow bucket. */
 class Histogram
 {
@@ -78,18 +56,6 @@ class Histogram
         ++_buckets[idx];
         ++_count;
         _sum += v;
-    }
-
-    /** Fold another histogram of identical geometry into this one. */
-    void
-    merge(const Histogram &o)
-    {
-        if (_buckets.size() != o._buckets.size() || _width != o._width)
-            return; // incompatible geometry: drop rather than corrupt
-        for (size_t i = 0; i < _buckets.size(); ++i)
-            _buckets[i] += o._buckets[i];
-        _count += o._count;
-        _sum += o._sum;
     }
 
     uint64_t count() const { return _count; }
@@ -124,12 +90,6 @@ class StatGroup
     }
 
     void
-    regAverage(const std::string &stat_name, const Average *stat)
-    {
-        _averages.emplace(stat_name, stat);
-    }
-
-    void
     regHistogram(const std::string &stat_name, const Histogram *stat)
     {
         _histograms.emplace(stat_name, stat);
@@ -151,14 +111,6 @@ class StatGroup
         return it == _scalars.end() ? nullptr : it->second;
     }
 
-    /** Look up an average by name; nullptr when missing. */
-    const Average *
-    findAverage(const std::string &stat_name) const
-    {
-        auto it = _averages.find(stat_name);
-        return it == _averages.end() ? nullptr : it->second;
-    }
-
     /** Look up a histogram by name; nullptr when missing. */
     const Histogram *
     findHistogram(const std::string &stat_name) const
@@ -172,9 +124,6 @@ class StatGroup
     {
         for (const auto &[n, s] : _scalars)
             os << _name << "." << n << " " << s->value() << "\n";
-        for (const auto &[n, a] : _averages)
-            os << _name << "." << n << " " << a->mean()
-               << " (n=" << a->count() << ")\n";
         for (const auto &[n, h] : _histograms) {
             os << _name << "." << n << ".count " << h->count() << "\n";
             os << _name << "." << n << ".mean " << h->mean() << "\n";
@@ -190,8 +139,6 @@ class StatGroup
     // --- iteration for registry walkers (JSON export etc.) ---
     const std::map<std::string, const Scalar *> &
     scalars() const { return _scalars; }
-    const std::map<std::string, const Average *> &
-    averages() const { return _averages; }
     const std::map<std::string, const Histogram *> &
     histograms() const { return _histograms; }
     const std::map<std::string, Formula> &
@@ -200,7 +147,6 @@ class StatGroup
   private:
     std::string _name;
     std::map<std::string, const Scalar *> _scalars;
-    std::map<std::string, const Average *> _averages;
     std::map<std::string, const Histogram *> _histograms;
     std::map<std::string, Formula> _formulas;
 };

@@ -74,7 +74,6 @@ class Watchdog
     }
 
     bool running() const { return _running; }
-    Tick lastProgressTick() const { return _lastProgress; }
     Cycles interval() const { return _interval; }
 
     void

@@ -241,10 +241,12 @@ TiledSystem::dispatch(TileId tile, const noc::MsgPtr &msg)
         return;
     }
     if (auto cr = std::dynamic_pointer_cast<flt::StreamCreditMsg>(msg)) {
+        sf_assert(_seL3[tile], "stream credit at non-SF tile");
         _seL3[tile]->recvCredit(cr);
         return;
     }
     if (auto end = std::dynamic_pointer_cast<flt::StreamEndMsg>(msg)) {
+        sf_assert(_seL3[tile], "stream end at non-SF tile");
         _seL3[tile]->recvEnd(end);
         return;
     }

@@ -110,6 +110,8 @@ class TiledSystem
     void writeStreamTrace(std::ostream &os) const;
 
     /** Component access for tests. */
+    mem::TlbHierarchy &tlb(TileId t) { return *_tlbs[t]; }
+    mem::NucaMap &nuca() { return *_nuca; }
     mem::PrivCache &privCache(TileId t) { return *_priv[t]; }
     mem::L3Bank &l3Bank(TileId t) { return *_l3[t]; }
     cpu::Core &core(TileId t) { return *_cores[t]; }
@@ -120,8 +122,6 @@ class TiledSystem
     CheckLevel checkLevel() const { return _cfg.checkLevel; }
     Checker *checker() { return _checker.get(); }
     Watchdog *watchdog() { return _watchdog.get(); }
-    /** Null unless message-level fault injection is configured. */
-    FaultInjector *faultInjector() { return _faults.get(); }
 
     /** The --verify data plane; null unless cfg.verify is set. */
     verify::DataPlane *verifyPlane() { return _verify.get(); }

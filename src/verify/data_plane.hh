@@ -355,15 +355,6 @@ class DataPlane
         return it == _lastWriter.end() ? nullptr : &it->second;
     }
 
-    size_t
-    pendingStores() const
-    {
-        size_t n = 0;
-        for (const auto &dq : _pending)
-            n += dq.size();
-        return n;
-    }
-
   private:
     /**
      * Current system-wide bytes of physical line @p line_paddr:

@@ -2,7 +2,7 @@
  * @file
  * Core model tests: in-order vs out-of-order scheduling, dependences,
  * LSQ reservation, store buffer, and barriers, using synthetic op
- * sources over the bare memory fabric.
+ * sources over a core-less TiledSystem.
  */
 
 #include <gtest/gtest.h>
@@ -43,28 +43,24 @@ class FixedSource : public isa::OpEmitter
 
 struct CoreHarness
 {
-    explicit CoreHarness(const cpu::CoreConfig &cfg,
-                         TestFabric::Options fopt = TestFabric::Options{})
-        : fabric(fopt),
-          tlb(64, 8, 2048, 16, 8, 80),
-          source(std::make_unique<FixedSource>())
+    explicit CoreHarness(const cpu::CoreConfig &cfg)
+        : fabric(fabricConfig()), source(std::make_unique<FixedSource>())
     {
         core = std::make_unique<cpu::Core>(
-            "core0", fabric.eq(), 0, cfg, fabric.priv(0), tlb,
-            fabric.as(), nullptr, source.get());
+            "core0", fabric.eventQueue(), 0, cfg, fabric.privCache(0),
+            fabric.tlb(0), fabric.addressSpace(), nullptr, source.get());
     }
 
     Tick
     run()
     {
         core->start();
-        fabric.drain();
+        drain(fabric);
         EXPECT_TRUE(core->done());
         return core->stats().doneTick;
     }
 
-    TestFabric fabric;
-    mem::TlbHierarchy tlb;
+    sys::TiledSystem fabric;
     std::unique_ptr<FixedSource> source;
     std::unique_ptr<cpu::Core> core;
 };
@@ -113,7 +109,7 @@ TEST(Core, OooOverlapsIndependentLoadMisses)
 {
     cpu::CoreConfig ooo = cpu::CoreConfig::ooo4();
     CoreHarness h(ooo);
-    Addr buf = h.fabric.as().alloc(1 << 20);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 20);
     std::vector<isa::Op> &ops = h.source->ops;
     // 16 independent loads to distinct lines.
     for (int i = 0; i < 16; ++i)
@@ -123,7 +119,7 @@ TEST(Core, OooOverlapsIndependentLoadMisses)
 
     // Serial version: each load depends on the previous one.
     CoreHarness hs(ooo);
-    Addr buf2 = hs.fabric.as().alloc(1 << 20);
+    Addr buf2 = hs.fabric.addressSpace().alloc(1 << 20);
     std::vector<isa::Op> &ops2 = hs.source->ops;
     uint64_t prev = 0;
     for (int i = 0; i < 16; ++i) {
@@ -141,7 +137,7 @@ TEST(Core, InOrderStallsOnUseNotOnLoad)
     // Load then many independent ALU ops then the use: the in-order
     // core should overlap the ALU work with the miss.
     CoreHarness h(io);
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     std::vector<isa::Op> &ops = h.source->ops;
     uint64_t ld = h.source->emitLoad(ops, buf, 4, 1);
     for (int i = 0; i < 60; ++i)
@@ -151,7 +147,7 @@ TEST(Core, InOrderStallsOnUseNotOnLoad)
 
     // Use immediately after the load: the stall is exposed.
     CoreHarness h2(io);
-    Addr buf2 = h2.fabric.as().alloc(4096);
+    Addr buf2 = h2.fabric.addressSpace().alloc(4096);
     std::vector<isa::Op> &ops2 = h2.source->ops;
     uint64_t ld2 = h2.source->emitLoad(ops2, buf2, 4, 1);
     h2.source->emitCompute(ops2, isa::OpKind::IntAlu, ld2);
@@ -167,8 +163,8 @@ TEST(Core, InOrderStallsOnUseNotOnLoad)
 
 TEST(Core, InOrderSlowerThanOooOnMixedCode)
 {
-    auto build = [](FixedSource &src, TestFabric &f) {
-        Addr buf = f.as().alloc(1 << 20);
+    auto build = [](FixedSource &src, sys::TiledSystem &f) {
+        Addr buf = f.addressSpace().alloc(1 << 20);
         std::vector<isa::Op> &ops = src.ops;
         uint64_t prev = 0;
         for (int i = 0; i < 64; ++i) {
@@ -191,14 +187,14 @@ TEST(Core, InOrderSlowerThanOooOnMixedCode)
 TEST(Core, StoresDrainThroughStoreBuffer)
 {
     CoreHarness h(cpu::CoreConfig::ooo4());
-    Addr buf = h.fabric.as().alloc(64 * 1024);
+    Addr buf = h.fabric.addressSpace().alloc(64 * 1024);
     std::vector<isa::Op> &ops = h.source->ops;
     for (int i = 0; i < 100; ++i)
         h.source->emitStore(ops, buf + static_cast<Addr>(i) * 64, 4, 9);
     h.run();
     EXPECT_EQ(h.core->stats().committedStores.value(), 100u);
     // All stores actually reached the cache.
-    EXPECT_GT(h.fabric.priv(0).stats().l2Misses.value(), 0u);
+    EXPECT_GT(h.fabric.privCache(0).stats().l2Misses.value(), 0u);
 }
 
 TEST(Core, OlderLoadCannotBeStarvedByYoungerOnes)
@@ -207,7 +203,7 @@ TEST(Core, OlderLoadCannotBeStarvedByYoungerOnes)
     // dependent head load must not be starved by a flood of younger
     // independent loads (the b+tree deadlock).
     CoreHarness h(cpu::CoreConfig::ooo8());
-    Addr buf = h.fabric.as().alloc(1 << 22);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 22);
     std::vector<isa::Op> &ops = h.source->ops;
     uint64_t prev = 0;
     for (int q = 0; q < 40; ++q) {
@@ -230,10 +226,8 @@ TEST(Core, OlderLoadCannotBeStarvedByYoungerOnes)
 
 TEST(Core, BarrierSynchronizesTwoCores)
 {
-    TestFabric f;
-    mem::TlbHierarchy tlb0(64, 8, 2048, 16, 8, 80);
-    mem::TlbHierarchy tlb1(64, 8, 2048, 16, 8, 80);
-    cpu::BarrierController barrier(f.eq(), 2);
+    sys::TiledSystem f(fabricConfig());
+    cpu::BarrierController barrier(f.eventQueue(), 2);
 
     auto s0 = std::make_unique<FixedSource>();
     auto s1 = std::make_unique<FixedSource>();
@@ -245,13 +239,15 @@ TEST(Core, BarrierSynchronizesTwoCores)
         prev = s1->emitCompute(s1->ops, isa::OpKind::IntAlu, prev);
     s1->emitBarrier(s1->ops);
 
-    cpu::Core c0("c0", f.eq(), 0, cpu::CoreConfig::ooo4(), f.priv(0),
-                 tlb0, f.as(), &barrier, s0.get());
-    cpu::Core c1("c1", f.eq(), 1, cpu::CoreConfig::ooo4(), f.priv(1),
-                 tlb1, f.as(), &barrier, s1.get());
+    cpu::Core c0("c0", f.eventQueue(), 0, cpu::CoreConfig::ooo4(),
+                 f.privCache(0), f.tlb(0), f.addressSpace(), &barrier,
+                 s0.get());
+    cpu::Core c1("c1", f.eventQueue(), 1, cpu::CoreConfig::ooo4(),
+                 f.privCache(1), f.tlb(1), f.addressSpace(), &barrier,
+                 s1.get());
     c0.start();
     c1.start();
-    f.drain();
+    drain(f);
     ASSERT_TRUE(c0.done());
     ASSERT_TRUE(c1.done());
     // The fast core waits for the slow one: done ticks nearly equal.
@@ -264,7 +260,7 @@ TEST(Core, BarrierSynchronizesTwoCores)
 TEST(Core, WideVectorAccesssSplitAcrossLines)
 {
     CoreHarness h(cpu::CoreConfig::ooo4());
-    Addr buf = h.fabric.as().alloc(1 << 16);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 16);
     std::vector<isa::Op> &ops = h.source->ops;
     // 64B loads at +32 offsets straddle line boundaries.
     for (int i = 0; i < 32; ++i) {

@@ -87,19 +87,18 @@ emitDivChain(FixedSource &src, int n)
 struct CoreHarness
 {
     explicit CoreHarness(const cpu::CoreConfig &cfg)
-        : tlb(64, 8, 2048, 16, 8, 80),
-          source(std::make_unique<FixedSource>())
+        : fabric(fabricConfig()), source(std::make_unique<FixedSource>())
     {
         core = std::make_unique<cpu::Core>(
-            "core0", fabric.eq(), 0, cfg, fabric.priv(0), tlb,
-            fabric.as(), nullptr, source.get());
+            "core0", fabric.eventQueue(), 0, cfg, fabric.privCache(0),
+            fabric.tlb(0), fabric.addressSpace(), nullptr, source.get());
     }
 
     Tick
     run()
     {
         core->start();
-        fabric.drain();
+        drain(fabric);
         EXPECT_TRUE(core->done());
         return core->stats().doneTick;
     }
@@ -111,7 +110,7 @@ struct CoreHarness
     void
     pollEveryCycle()
     {
-        poll = std::make_unique<RecurringEvent>(fabric.eq());
+        poll = std::make_unique<RecurringEvent>(fabric.eventQueue());
         poll->start(
             1,
             [this]() {
@@ -123,8 +122,7 @@ struct CoreHarness
             EventPriority::Delivery);
     }
 
-    TestFabric fabric;
-    mem::TlbHierarchy tlb;
+    sys::TiledSystem fabric;
     std::unique_ptr<FixedSource> source;
     std::unique_ptr<cpu::Core> core;
     std::unique_ptr<RecurringEvent> poll;
@@ -137,7 +135,7 @@ struct CoreHarness
 void
 emitStoreBurst(CoreHarness &h)
 {
-    Addr buf = h.fabric.as().alloc(1 << 20);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 20);
     for (int i = 0; i < 64; ++i) {
         h.source->emitStore(h.source->ops,
                             buf + static_cast<Addr>(i) * 4096, 4, 3);
@@ -194,7 +192,7 @@ TEST(CoreTiming, StoreBurstThrottledByStoreBuffer)
 {
     cpu::CoreConfig cfg = cpu::CoreConfig::io4(); // SB = 10
     CoreHarness h(cfg);
-    Addr buf = h.fabric.as().alloc(1 << 20);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 20);
     // 64 stores to distinct lines: each L2 miss takes ~100+ cycles and
     // the SB drains one at a time.
     for (int i = 0; i < 64; ++i) {
@@ -209,7 +207,7 @@ TEST(CoreTiming, StoreBurstThrottledByStoreBuffer)
 TEST(CoreTiming, L1HitLoadsRetireAtFullWidth)
 {
     CoreHarness h(cpu::CoreConfig::ooo8());
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     // One cold miss, then thousands of hits: the steady state must
     // approach the 4 memory ports per cycle.
     for (int i = 0; i < 4000; ++i)
@@ -222,8 +220,8 @@ TEST(CoreTiming, L1HitLoadsRetireAtFullWidth)
 
 TEST(CoreTiming, IoCoreExposesSerialMissLatency)
 {
-    auto build = [](FixedSource &src, TestFabric &f, int n) {
-        Addr buf = f.as().alloc(1 << 22);
+    auto build = [](FixedSource &src, sys::TiledSystem &f, int n) {
+        Addr buf = f.addressSpace().alloc(1 << 22);
         uint64_t prev = 0;
         for (int i = 0; i < n; ++i) {
             prev = src.emitLoad(src.ops,
@@ -244,7 +242,7 @@ TEST(CoreTiming, MemPortsLimitParallelHits)
     cpu::CoreConfig cfg = cpu::CoreConfig::ooo4();
     cfg.memPorts = 1;
     CoreHarness h(cfg);
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     for (int i = 0; i < 200; ++i)
         h.source->emitLoad(h.source->ops, buf, 4, 9);
     Tick t1 = h.run();
@@ -252,7 +250,7 @@ TEST(CoreTiming, MemPortsLimitParallelHits)
     cpu::CoreConfig cfg2 = cpu::CoreConfig::ooo4();
     cfg2.memPorts = 4;
     CoreHarness h2(cfg2);
-    Addr buf2 = h2.fabric.as().alloc(4096);
+    Addr buf2 = h2.fabric.addressSpace().alloc(4096);
     for (int i = 0; i < 200; ++i)
         h2.source->emitLoad(h2.source->ops, buf2, 4, 9);
     Tick t4 = h2.run();
@@ -273,7 +271,7 @@ TEST(CoreIssueWindow, WaitingOpsFillTheIssueQueue)
         cpu::CoreConfig cfg = cpu::CoreConfig::ooo4();
         cfg.iqSize = iq_size;
         CoreHarness h(cfg);
-        Addr buf = h.fabric.as().alloc(4096);
+        Addr buf = h.fabric.addressSpace().alloc(4096);
         uint64_t ld = h.source->emitLoad(h.source->ops, buf, 4, 1);
         for (int i = 0; i < waiters; ++i)
             h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu, ld);
@@ -289,7 +287,7 @@ TEST(CoreIssueWindow, InOrderStopsAtTheFirstWaitingOp)
 {
     auto run = [](bool consumer_waits) {
         CoreHarness h(cpu::CoreConfig::io4());
-        Addr buf = h.fabric.as().alloc(4096);
+        Addr buf = h.fabric.addressSpace().alloc(4096);
         uint64_t ld = h.source->emitLoad(h.source->ops, buf, 4, 1);
         h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu,
                               consumer_waits ? ld : 0);
@@ -307,7 +305,7 @@ TEST(CoreIssueWindow, StreamLoadWithoutDataDoesNotBlockOoo)
     constexpr Tick dataAt = 300;
     auto run = [](const cpu::CoreConfig &cfg) {
         CoreHarness h(cfg);
-        DelayedFifo se(h.fabric.eq(), dataAt);
+        DelayedFifo se(h.fabric.eventQueue(), dataAt);
         h.core->setStreamEngine(&se);
         h.source->emitStreamLoad(h.source->ops, 0);
         emitDivChain(*h.source, 8);
@@ -332,9 +330,9 @@ TEST(CoreIssueWindow, BusyDividerSchedulesItsRetryWake)
     // the divider busy and sleeps. One event remains: the wake at the
     // divider's horizon, which is also the tick the first divide
     // completes (its completion waits in the ring, not in the queue).
-    h.fabric.eq().run(8);
-    EXPECT_EQ(h.fabric.eq().numPending(), 1u);
-    h.fabric.drain();
+    h.fabric.eventQueue().run(8);
+    EXPECT_EQ(h.fabric.eventQueue().numPending(), 1u);
+    drain(h.fabric);
     EXPECT_TRUE(h.core->done());
     EXPECT_GE(h.core->stats().doneTick, 2u * 12);
 }
@@ -353,9 +351,9 @@ TEST(CoreIssueWindow, BusyDividerQueuesOneRetryWake)
     h.core->start();
     // Ticks 2..8 each fail to issue the second divide. The queue holds
     // the next pipeline tick and one retry wake, not one per cycle.
-    h.fabric.eq().run(8);
-    EXPECT_EQ(h.fabric.eq().numPending(), 2u);
-    h.fabric.drain();
+    h.fabric.eventQueue().run(8);
+    EXPECT_EQ(h.fabric.eventQueue().numPending(), 2u);
+    drain(h.fabric);
     EXPECT_TRUE(h.core->done());
     EXPECT_GE(h.core->stats().doneTick, 2u * 12);
 }
@@ -373,7 +371,7 @@ TEST(SleepingCore, StoreBurstSleepsWhileStoresDrain)
         const cpu::CoreStats &st = h.core->stats();
         return std::make_tuple(done, st.robFullStalls.value(),
                                st.sbFullStalls.value(),
-                               h.fabric.eq().numExecuted());
+                               h.fabric.eventQueue().numExecuted());
     };
     auto [done, rob, sb, events] = run(false);
     auto [ref_done, ref_rob, ref_sb, ref_events] = run(true);
@@ -401,17 +399,17 @@ TEST(SleepingCore, CutRunSettlesTheSkippedPolls)
         if (polled)
             h.pollEveryCycle();
         h.core->start();
-        h.fabric.eq().run(cut);
+        h.fabric.eventQueue().run(cut);
         EXPECT_FALSE(h.core->done());
         if (!polled) {
             // What TiledSystem::run does for a run that reaches
             // maxCycles with a core parked on stores.
             EXPECT_TRUE(h.core->parkedOnStores());
-            h.fabric.eq().schedule(
+            h.fabric.eventQueue().schedule(
                 cut, [&h]() { h.core->settle(); }, EventPriority::Watch);
-            h.fabric.eq().run(cut);
+            h.fabric.eventQueue().run(cut);
         }
-        EXPECT_EQ(h.fabric.eq().curTick(), cut);
+        EXPECT_EQ(h.fabric.eventQueue().curTick(), cut);
         const cpu::CoreStats &st = h.core->stats();
         return std::make_pair(st.robFullStalls.value(),
                               st.sbFullStalls.value());
@@ -454,5 +452,5 @@ TEST(SleepingCore, AluStreamNeedsNoEventPerOp)
         h.source->emitCompute(h.source->ops, isa::OpKind::IntAlu);
     Tick done = h.run();
     EXPECT_LE(done, Tick(n / 4 + 4));
-    EXPECT_LE(h.fabric.eq().numExecuted(), uint64_t(n / 4 + 16));
+    EXPECT_LE(h.fabric.eventQueue().numExecuted(), uint64_t(n / 4 + 16));
 }

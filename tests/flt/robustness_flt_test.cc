@@ -1,6 +1,6 @@
 /**
  * @file
- * Float/sink protocol hardening tests on the bare fabric: explicit
+ * Float/sink protocol hardening tests on a core-less TiledSystem:
  * NACK on SE_L3 table overflow with core-fetch fallback, credit
  * stall -> migrate -> resume, ack-timeout retry after a lost config,
  * duplicate control messages, and the no-retry wedge that the
@@ -33,29 +33,27 @@ affine(StreamId sid, Addr base, uint64_t len, int64_t stride = 4,
     return c;
 }
 
-TestFabric::Options
+sys::SystemConfig
 sfOpts(uint32_t interleave = 1024)
 {
-    TestFabric::Options o;
-    o.withStreamEngines = true;
-    o.interleave = interleave;
-    o.seCore.enableFloating = true;
+    sys::SystemConfig o = fabricConfig(sys::Machine::SF);
+    o.nucaInterleave = interleave;
     return o;
 }
 
 /** Consume elements of one stream through the SE like a core would. */
 void
-consumeAll(TestFabric &f, TileId tile, StreamId sid, uint64_t total,
+consumeAll(sys::TiledSystem &f, TileId tile, StreamId sid, uint64_t total,
            int vec = 16)
 {
-    auto &se = f.seCore(tile);
+    auto &se = *f.seCore(tile);
     uint64_t consumed = 0;
     int guard = 0;
     while (consumed < total && guard < 100000) {
         uint16_t n = static_cast<uint16_t>(
             std::min<uint64_t>(vec, total - consumed));
         if (!se.canAcceptUse(sid)) {
-            f.eq().run(f.eq().curTick() + 50);
+            f.eventQueue().run(f.eventQueue().curTick() + 50);
             ++guard;
             continue;
         }
@@ -63,8 +61,8 @@ consumeAll(TestFabric &f, TileId tile, StreamId sid, uint64_t total,
         se.requestElems(sid, n, [&]() { ready = true; });
         se.step(sid, n);
         int spin = 0;
-        while (!ready && spin++ < 500000 && f.eq().numPending() > 0)
-            f.eq().step();
+        while (!ready && spin++ < 500000 && f.eventQueue().numPending() > 0)
+            f.eventQueue().step();
         ASSERT_TRUE(ready) << "element wait timed out";
         se.releaseAtCommit(sid, n);
         consumed += n;
@@ -81,38 +79,38 @@ TEST(Overflow, FullTableNacksAndStreamFallsBackToCoreFetch)
     // Every SE_L3 table holds a single stream: the second large
     // stream's config (or a migration) must be refused.
     opts.sel3.maxStreams = 1;
-    TestFabric f(opts);
+    sys::TiledSystem f(opts);
     uint64_t total = (1 << 20) / 4;
-    Addr a = f.as().alloc(1 << 20);
-    Addr b = f.as().alloc(1 << 20);
-    Addr c = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, a, total), affine(1, b, total),
+    Addr a = f.addressSpace().alloc(1 << 20);
+    Addr b = f.addressSpace().alloc(1 << 20);
+    Addr c = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, a, total), affine(1, b, total),
                            affine(2, c, total)});
 
     consumeAll(f, 0, 0, 1024);
     consumeAll(f, 0, 1, 1024);
     consumeAll(f, 0, 2, 1024);
-    f.drain();
+    drain(f);
 
     uint64_t nacks_sent = 0;
     for (TileId t = 0; t < 4; ++t)
-        nacks_sent += f.seL3(t).stats().floatNacksSent.value();
+        nacks_sent += f.seL3(t)->stats().floatNacksSent.value();
     EXPECT_GT(nacks_sent, 0u);
-    EXPECT_GT(f.seL2(0).stats().floatNacks.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().floatNacks.value(), 0u);
     // NACKed streams were sunk and completed through the cache path.
-    EXPECT_GT(f.seCore(0).stats().streamsSunk.value(), 0u);
+    EXPECT_GT(f.seCore(0)->stats().streamsSunk.value(), 0u);
 }
 
 TEST(Overflow, NackedStreamNeverWedges)
 {
     auto opts = sfOpts();
     opts.sel3.maxStreams = 1;
-    TestFabric f(opts);
+    sys::TiledSystem f(opts);
     uint64_t total = (1 << 19) / 4;
-    Addr a = f.as().alloc(1 << 19);
-    Addr b = f.as().alloc(1 << 19);
-    f.seCore(0).configure({affine(0, a, total)});
-    f.seCore(1).configure({affine(0, b, total)});
+    Addr a = f.addressSpace().alloc(1 << 19);
+    Addr b = f.addressSpace().alloc(1 << 19);
+    f.seCore(0)->configure({affine(0, a, total)});
+    f.seCore(1)->configure({affine(0, b, total)});
     // Both tiles make full progress regardless of who won the table.
     consumeAll(f, 0, 0, 4096);
     consumeAll(f, 1, 0, 4096);
@@ -125,31 +123,31 @@ TEST(Credits, StallMigrateResume)
     // consumption point, so the remote engine repeatedly stalls on
     // credit, and the 1kB interleave forces migrations while stalled.
     opts.sel2.bufferBytes = 2048;
-    TestFabric f(opts);
+    sys::TiledSystem f(opts);
     uint64_t total = (1 << 20) / 4;
-    Addr buf = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, buf, total)});
-    ASSERT_TRUE(f.seCore(0).isFloating(0));
+    Addr buf = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, buf, total)});
+    ASSERT_TRUE(f.seCore(0)->isFloating(0));
 
     consumeAll(f, 0, 0, 16384);
 
     uint64_t stalls = 0, migrations = 0;
     for (TileId t = 0; t < 4; ++t) {
-        stalls += f.seL3(t).stats().creditStalls.value();
-        migrations += f.seL3(t).stats().migrationsOut.value();
+        stalls += f.seL3(t)->stats().creditStalls.value();
+        migrations += f.seL3(t)->stats().migrationsOut.value();
     }
     // The stream stalled, migrated across banks, and still delivered
     // every element: stall -> migrate -> resume works end to end.
     EXPECT_GT(stalls, 0u);
     EXPECT_GT(migrations, 4u);
-    EXPECT_GT(f.seL2(0).stats().dataArrived.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().dataArrived.value(), 0u);
 }
 
 TEST(Retry, LostConfigIsResentAfterAckTimeout)
 {
     auto opts = sfOpts();
     opts.sel2.floatAckTimeout = 2000;
-    TestFabric f(opts);
+    sys::TiledSystem f(opts);
 
     // Drop only the first float request; later ones (the retry)
     // deliver normally.
@@ -165,16 +163,16 @@ TEST(Retry, LostConfigIsResentAfterAckTimeout)
         });
 
     uint64_t total = (1 << 20) / 4;
-    Addr buf = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, buf, total)});
-    ASSERT_TRUE(f.seCore(0).isFloating(0));
+    Addr buf = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, buf, total)});
+    ASSERT_TRUE(f.seCore(0)->isFloating(0));
 
     consumeAll(f, 0, 0, 2048);
 
     EXPECT_EQ(dropped, 1);
-    EXPECT_GT(f.seL2(0).stats().floatRetries.value(), 0u);
-    EXPECT_GT(f.seL2(0).stats().acksReceived.value(), 0u);
-    EXPECT_GT(f.seL2(0).stats().dataArrived.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().floatRetries.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().acksReceived.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().dataArrived.value(), 0u);
 }
 
 TEST(Retry, AllConfigsLostFallsBackToCoreFetch)
@@ -182,7 +180,7 @@ TEST(Retry, AllConfigsLostFallsBackToCoreFetch)
     auto opts = sfOpts();
     opts.sel2.floatAckTimeout = 1000;
     opts.sel2.maxFloatRetries = 2;
-    TestFabric f(opts);
+    sys::TiledSystem f(opts);
 
     // Every float request vanishes: after maxFloatRetries resends the
     // SE_L2 must permanently sink the stream to the core-fetch path.
@@ -193,20 +191,20 @@ TEST(Retry, AllConfigsLostFallsBackToCoreFetch)
     });
 
     uint64_t total = (1 << 20) / 4;
-    Addr buf = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, buf, total)});
+    Addr buf = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, buf, total)});
 
     consumeAll(f, 0, 0, 1024);
 
-    EXPECT_GT(f.seL2(0).stats().floatFallbacks.value(), 0u);
-    EXPECT_FALSE(f.seCore(0).isFloating(0));
+    EXPECT_GT(f.seL2(0)->stats().floatFallbacks.value(), 0u);
+    EXPECT_FALSE(f.seCore(0)->isFloating(0));
     // No remote data ever arrived; everything came through the cache.
-    EXPECT_EQ(f.seL2(0).stats().dataArrived.value(), 0u);
+    EXPECT_EQ(f.seL2(0)->stats().dataArrived.value(), 0u);
 }
 
 TEST(Duplicates, ControlMessagesAreIdempotent)
 {
-    TestFabric f(sfOpts());
+    sys::TiledSystem f(sfOpts());
     // Duplicate every stream control message (config, credit, end,
     // ack): the protocol must treat replays as no-ops.
     f.mesh().setSendInterceptor([](const noc::MsgPtr &m, Cycles &) {
@@ -220,23 +218,23 @@ TEST(Duplicates, ControlMessagesAreIdempotent)
     });
 
     uint64_t total = (1 << 20) / 4;
-    Addr buf = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, buf, total)});
-    ASSERT_TRUE(f.seCore(0).isFloating(0));
+    Addr buf = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, buf, total)});
+    ASSERT_TRUE(f.seCore(0)->isFloating(0));
 
     consumeAll(f, 0, 0, 4096);
-    f.seCore(0).end(0);
-    f.drain();
+    f.seCore(0)->end(0);
+    drain(f);
 
-    EXPECT_GT(f.seL2(0).stats().dataArrived.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().dataArrived.value(), 0u);
     // No engine should still hold the ended stream.
     for (TileId t = 0; t < 4; ++t)
-        EXPECT_EQ(f.seL3(t).numStreams(), 0u);
+        EXPECT_EQ(f.seL3(t)->numStreams(), 0u);
 }
 
 TEST(Duplicates, DelayedControlMessagesStillComplete)
 {
-    TestFabric f(sfOpts());
+    sys::TiledSystem f(sfOpts());
     // Add 500 cycles to every credit grant: slower, never wrong.
     f.mesh().setSendInterceptor([](const noc::MsgPtr &m, Cycles &d) {
         if (std::dynamic_pointer_cast<flt::StreamCreditMsg>(m)) {
@@ -246,10 +244,10 @@ TEST(Duplicates, DelayedControlMessagesStillComplete)
         return noc::Mesh::SendAction::Deliver;
     });
     uint64_t total = (1 << 20) / 4;
-    Addr buf = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, buf, total)});
+    Addr buf = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, buf, total)});
     consumeAll(f, 0, 0, 2048);
-    EXPECT_GT(f.seL2(0).stats().dataArrived.value(), 0u);
+    EXPECT_GT(f.seL2(0)->stats().dataArrived.value(), 0u);
 }
 
 TEST(Watchdog, CatchesNoRetryWedge)
@@ -258,7 +256,7 @@ TEST(Watchdog, CatchesNoRetryWedge)
     // The graceful-degradation machinery is off: a lost config wedges
     // the floated stream for good...
     opts.sel2.retryEnabled = false;
-    TestFabric f(opts);
+    sys::TiledSystem f(opts);
     f.mesh().setSendInterceptor([](const noc::MsgPtr &m, Cycles &) {
         if (std::dynamic_pointer_cast<flt::StreamFloatMsg>(m))
             return noc::Mesh::SendAction::Drop;
@@ -266,25 +264,25 @@ TEST(Watchdog, CatchesNoRetryWedge)
     });
 
     uint64_t total = (1 << 20) / 4;
-    Addr buf = f.as().alloc(1 << 20);
-    f.seCore(0).configure({affine(0, buf, total)});
-    ASSERT_TRUE(f.seCore(0).isFloating(0));
+    Addr buf = f.addressSpace().alloc(1 << 20);
+    f.seCore(0)->configure({affine(0, buf, total)});
+    ASSERT_TRUE(f.seCore(0)->isFloating(0));
 
     // ... so the watchdog must convert the silent hang into a
     // diagnosable WatchdogTimeout.
-    Watchdog wd(f.eq(), 20'000);
+    Watchdog wd(f.eventQueue(), 20'000);
     wd.addProbe("dataArrived", [&f] {
-        return f.seL2(0).stats().dataArrived.value();
+        return f.seL2(0)->stats().dataArrived.value();
     });
     wd.start();
 
-    auto &se = f.seCore(0);
+    auto &se = *f.seCore(0);
     bool ready = false;
     se.requestElems(0, 16, [&ready]() { ready = true; });
     se.step(0, 16);
 
     try {
-        f.eq().run(1'000'000);
+        f.eventQueue().run(1'000'000);
         FAIL() << "wedged stream was not caught";
     } catch (const FatalError &e) {
         EXPECT_EQ(e.code(), ExitCode::WatchdogTimeout);

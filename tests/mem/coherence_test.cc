@@ -1,6 +1,6 @@
 /**
  * @file
- * Directed MESI + GetU protocol tests on the bare test fabric.
+ * Directed MESI + GetU protocol tests on a core-less TiledSystem.
  *
  * These drive demand accesses into private caches and assert on the
  * observable protocol behaviour: hit/miss counters, directory
@@ -18,184 +18,184 @@ using namespace sf::test;
 namespace {
 
 Addr
-someLine(TestFabric &f)
+someLine(sys::TiledSystem &f)
 {
-    return f.as().alloc(4096);
+    return f.addressSpace().alloc(4096);
 }
 
 } // namespace
 
 TEST(Coherence, ColdReadMissesToMemory)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, false, &done);
-    f.drain();
+    demand(f, 0, v, false, &done);
+    drain(f);
     EXPECT_EQ(done, 1);
-    EXPECT_EQ(f.priv(0).stats().l1Misses.value(), 1u);
-    EXPECT_EQ(f.priv(0).stats().l2Misses.value(), 1u);
+    EXPECT_EQ(f.privCache(0).stats().l1Misses.value(), 1u);
+    EXPECT_EQ(f.privCache(0).stats().l2Misses.value(), 1u);
     uint64_t l3_misses = 0;
     for (int t = 0; t < 4; ++t)
-        l3_misses += f.l3(t).stats().misses.value();
+        l3_misses += f.l3Bank(t).stats().misses.value();
     EXPECT_EQ(l3_misses, 1u);
 }
 
 TEST(Coherence, SecondReadHitsInL1)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, false, &done);
-    f.drain();
-    f.demand(0, v, false, &done);
-    f.drain();
+    demand(f, 0, v, false, &done);
+    drain(f);
+    demand(f, 0, v, false, &done);
+    drain(f);
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(f.priv(0).stats().l1Hits.value(), 1u);
+    EXPECT_EQ(f.privCache(0).stats().l1Hits.value(), 1u);
 }
 
 TEST(Coherence, ReadAfterRemoteReadForwardsOrServesShared)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, false, &done);
-    f.drain();
-    f.demand(1, v, false, &done);
-    f.drain();
+    demand(f, 0, v, false, &done);
+    drain(f);
+    demand(f, 1, v, false, &done);
+    drain(f);
     EXPECT_EQ(done, 2);
     // Core 0 got E; core 1's GetS must have been forwarded to core 0.
     uint64_t fwds = 0;
     for (int t = 0; t < 4; ++t)
-        fwds += f.l3(t).stats().fwdRequests.value();
+        fwds += f.l3Bank(t).stats().fwdRequests.value();
     EXPECT_EQ(fwds, 1u);
 }
 
 TEST(Coherence, WriteAfterReadersInvalidates)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
     // Three sharers.
-    f.demand(0, v, false, &done);
-    f.drain();
-    f.demand(1, v, false, &done);
-    f.drain();
-    f.demand(2, v, false, &done);
-    f.drain();
+    demand(f, 0, v, false, &done);
+    drain(f);
+    demand(f, 1, v, false, &done);
+    drain(f);
+    demand(f, 2, v, false, &done);
+    drain(f);
     // Core 3 writes: everyone else must drop the line.
-    f.demand(3, v, true, &done);
-    f.drain();
+    demand(f, 3, v, true, &done);
+    drain(f);
     EXPECT_EQ(done, 4);
 
     // Re-reads from the old sharers miss again (they were invalidated)
     // and get forwarded to the new owner.
-    uint64_t misses_before = f.priv(0).stats().l2Misses.value();
-    f.demand(0, v, false, &done);
-    f.drain();
-    EXPECT_EQ(f.priv(0).stats().l2Misses.value(), misses_before + 1);
+    uint64_t misses_before = f.privCache(0).stats().l2Misses.value();
+    demand(f, 0, v, false, &done);
+    drain(f);
+    EXPECT_EQ(f.privCache(0).stats().l2Misses.value(), misses_before + 1);
 }
 
 TEST(Coherence, SilentEtoMUpgradeNeedsNoSecondTransaction)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, false, &done); // E grant
-    f.drain();
+    demand(f, 0, v, false, &done); // E grant
+    drain(f);
     uint64_t l3_reqs_before = 0;
     for (int t = 0; t < 4; ++t)
-        l3_reqs_before += f.l3(t).stats().requestsByClass[0].value();
-    f.demand(0, v, true, &done); // silent E->M
-    f.drain();
+        l3_reqs_before += f.l3Bank(t).stats().requestsByClass[0].value();
+    demand(f, 0, v, true, &done); // silent E->M
+    drain(f);
     uint64_t l3_reqs_after = 0;
     for (int t = 0; t < 4; ++t)
-        l3_reqs_after += f.l3(t).stats().requestsByClass[0].value();
+        l3_reqs_after += f.l3Bank(t).stats().requestsByClass[0].value();
     EXPECT_EQ(done, 2);
     EXPECT_EQ(l3_reqs_after, l3_reqs_before);
 }
 
 TEST(Coherence, UpgradeFromSharedGoesThroughDirectory)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, false, &done);
-    f.drain();
-    f.demand(1, v, false, &done); // both now share
-    f.drain();
-    f.demand(0, v, true, &done); // upgrade
-    f.drain();
+    demand(f, 0, v, false, &done);
+    drain(f);
+    demand(f, 1, v, false, &done); // both now share
+    drain(f);
+    demand(f, 0, v, true, &done); // upgrade
+    drain(f);
     EXPECT_EQ(done, 3);
 }
 
 TEST(Coherence, DirtyEvictionWritesBack)
 {
-    TestFabric::Options opt;
+    sys::SystemConfig opt = fabricConfig();
     // Tiny L2 so writes overflow quickly: 2kB, 2-way.
     opt.priv.l1Size = 1024;
     opt.priv.l1Ways = 2;
     opt.priv.l2Size = 2048;
     opt.priv.l2Ways = 2;
-    TestFabric f(opt);
-    Addr v = f.as().alloc(64 * 1024);
+    sys::TiledSystem f(opt);
+    Addr v = f.addressSpace().alloc(64 * 1024);
     int done = 0;
     for (int i = 0; i < 256; ++i)
-        f.demand(0, v + static_cast<Addr>(i) * 64, true, &done);
-    f.drain();
+        demand(f, 0, v + static_cast<Addr>(i) * 64, true, &done);
+    drain(f);
     EXPECT_EQ(done, 256);
-    EXPECT_GT(f.priv(0).stats().writebacks.value(), 0u);
+    EXPECT_GT(f.privCache(0).stats().writebacks.value(), 0u);
 }
 
 TEST(Coherence, CleanEvictionSendsPutSControlTraffic)
 {
-    TestFabric::Options opt;
+    sys::SystemConfig opt = fabricConfig();
     opt.priv.l1Size = 1024;
     opt.priv.l1Ways = 2;
     opt.priv.l2Size = 2048;
     opt.priv.l2Ways = 2;
-    TestFabric f(opt);
-    Addr v = f.as().alloc(64 * 1024);
+    sys::TiledSystem f(opt);
+    Addr v = f.addressSpace().alloc(64 * 1024);
     int done = 0;
     for (int i = 0; i < 256; ++i)
-        f.demand(0, v + static_cast<Addr>(i) * 64, false, &done);
-    f.drain();
+        demand(f, 0, v + static_cast<Addr>(i) * 64, false, &done);
+    drain(f);
     EXPECT_EQ(done, 256);
-    EXPECT_GT(f.priv(0).stats().l2Evictions.value(), 0u);
+    EXPECT_GT(f.privCache(0).stats().l2Evictions.value(), 0u);
     // Streaming reads with no reuse: evictions are clean and unreused
     // (the Fig. 2a telemetry).
-    EXPECT_EQ(f.priv(0).stats().l2EvictionsUnreused.value(),
-              f.priv(0).stats().l2Evictions.value());
+    EXPECT_EQ(f.privCache(0).stats().l2EvictionsUnreused.value(),
+              f.privCache(0).stats().l2Evictions.value());
 }
 
 TEST(Coherence, ReuseClearsUnreusedTelemetry)
 {
-    TestFabric::Options opt;
+    sys::SystemConfig opt = fabricConfig();
     opt.priv.l1Size = 512;
     opt.priv.l1Ways = 2;
     opt.priv.l2Size = 2048;
     opt.priv.l2Ways = 2;
-    TestFabric f(opt);
-    Addr v = f.as().alloc(64 * 1024);
+    sys::TiledSystem f(opt);
+    Addr v = f.addressSpace().alloc(64 * 1024);
     int done = 0;
     // Touch lines twice with an L1-evicting gap so the second touch
     // hits in the L2 (that is what "reuse" means at the L2).
     for (int round = 0; round < 2; ++round) {
         for (int i = 0; i < 16; ++i)
-            f.demand(0, v + static_cast<Addr>(i) * 64, false, &done);
-        f.drain();
+            demand(f, 0, v + static_cast<Addr>(i) * 64, false, &done);
+        drain(f);
     }
     // Now thrash them out.
     for (int i = 100; i < 160; ++i)
-        f.demand(0, v + static_cast<Addr>(i) * 64, false, &done);
-    f.drain();
-    const auto &st = f.priv(0).stats();
+        demand(f, 0, v + static_cast<Addr>(i) * 64, false, &done);
+    drain(f);
+    const auto &st = f.privCache(0).stats();
     EXPECT_LT(st.l2EvictionsUnreused.value(), st.l2Evictions.value());
 }
 
 TEST(Coherence, RecallFreesOwnedSaturatedSet)
 {
-    TestFabric::Options opt;
+    sys::SystemConfig opt = fabricConfig();
     // L3 banks with a single set so owner saturation is immediate.
     opt.l3.sizeBytes = 2 * 64; // 1 set x 2 ways... per bank
     opt.l3.ways = 2;
@@ -203,32 +203,32 @@ TEST(Coherence, RecallFreesOwnedSaturatedSet)
     opt.priv.l1Ways = 2;
     opt.priv.l2Size = 4096;
     opt.priv.l2Ways = 4;
-    TestFabric f(opt);
-    Addr v = f.as().alloc(256 * 1024);
+    sys::TiledSystem f(opt);
+    Addr v = f.addressSpace().alloc(256 * 1024);
     int done = 0;
     int issued = 0;
     for (int i = 0; i < 64; ++i) {
-        f.demand(static_cast<TileId>(i % 4), v + static_cast<Addr>(i) * 64,
+        demand(f, static_cast<TileId>(i % 4), v + static_cast<Addr>(i) * 64,
                  false, &done);
         ++issued;
-        f.drain();
+        drain(f);
     }
     EXPECT_EQ(done, issued);
     uint64_t recalls = 0;
     for (int t = 0; t < 4; ++t)
-        recalls += f.l3(t).stats().recalls.value();
+        recalls += f.l3Bank(t).stats().recalls.value();
     EXPECT_GT(recalls, 0u);
 }
 
 TEST(Coherence, GetUDoesNotDisturbDirectory)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, false, &done); // warm the L3 via a normal read
-    f.drain();
+    demand(f, 0, v, false, &done); // warm the L3 via a normal read
+    drain(f);
     // Evict nothing; issue a GetU directly at the home bank.
-    Addr pa = f.as().translate(v);
+    Addr pa = f.addressSpace().translate(v);
     TileId home = f.nuca().bankOf(pa);
     mem::StreamReadReq req;
     req.lineAddr = lineAlign(pa);
@@ -236,61 +236,61 @@ TEST(Coherence, GetUDoesNotDisturbDirectory)
     req.dests = {1};
     bool got = false;
     req.onLocalData = [&]() { got = true; };
-    f.l3(home).streamRead(std::move(req));
-    f.drain();
+    f.l3Bank(home).streamRead(std::move(req));
+    drain(f);
     EXPECT_TRUE(got);
     // The uncached read must not have registered tile 1 as a sharer:
     // when tile 0 writes, no invalidation for tile 1 is needed, so the
     // write is a silent upgrade (E owner) with no new fwd requests.
     uint64_t fwd_before = 0;
     for (int t = 0; t < 4; ++t)
-        fwd_before += f.l3(t).stats().fwdRequests.value();
-    f.demand(0, v, true, &done);
-    f.drain();
+        fwd_before += f.l3Bank(t).stats().fwdRequests.value();
+    demand(f, 0, v, true, &done);
+    drain(f);
     uint64_t fwd_after = 0;
     for (int t = 0; t < 4; ++t)
-        fwd_after += f.l3(t).stats().fwdRequests.value();
+        fwd_after += f.l3Bank(t).stats().fwdRequests.value();
     EXPECT_EQ(fwd_after, fwd_before);
 }
 
 TEST(Coherence, GetUForwardedByOwnerWithoutStateChange)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
     int done = 0;
-    f.demand(0, v, true, &done); // tile 0 owns the line M
-    f.drain();
-    Addr pa = f.as().translate(v);
+    demand(f, 0, v, true, &done); // tile 0 owns the line M
+    drain(f);
+    Addr pa = f.addressSpace().translate(v);
     TileId home = f.nuca().bankOf(pa);
     mem::StreamReadReq req;
     req.lineAddr = lineAlign(pa);
     req.stream = {1, 0};
     req.dests = {1};
-    f.l3(home).streamRead(std::move(req));
-    f.drain();
+    f.l3Bank(home).streamRead(std::move(req));
+    drain(f);
     // Fig. 12(c): the owner forwarded; a subsequent write by the owner
     // still needs no directory transaction (state unchanged).
-    f.demand(0, v, true, &done);
-    f.drain();
+    demand(f, 0, v, true, &done);
+    drain(f);
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(f.priv(0).stats().l1Hits.value() +
-                  f.priv(0).stats().l2Hits.value(),
+    EXPECT_EQ(f.privCache(0).stats().l1Hits.value() +
+                  f.privCache(0).stats().l2Hits.value(),
               1u);
 }
 
 TEST(Coherence, SublineGetUTransfersFewerBytes)
 {
-    TestFabric f;
+    sys::TiledSystem f(fabricConfig());
     Addr v = someLine(f);
-    Addr pa = f.as().translate(v);
+    Addr pa = f.addressSpace().translate(v);
     TileId home = f.nuca().bankOf(pa);
 
     auto data_flits_now = [&]() {
         return f.mesh().traffic().flitsInjected[1];
     };
     int done = 0;
-    f.demand(0, v, false, &done);
-    f.drain();
+    demand(f, 0, v, false, &done);
+    drain(f);
 
     uint64_t before = data_flits_now();
     mem::StreamReadReq req;
@@ -298,8 +298,8 @@ TEST(Coherence, SublineGetUTransfersFewerBytes)
     req.dataBytes = 8; // indirect subline transfer
     req.stream = {2, 0};
     req.dests = {2};
-    f.l3(home).streamRead(std::move(req));
-    f.drain();
+    f.l3Bank(home).streamRead(std::move(req));
+    drain(f);
     uint64_t subline_flits = data_flits_now() - before;
 
     before = data_flits_now();
@@ -308,8 +308,8 @@ TEST(Coherence, SublineGetUTransfersFewerBytes)
     full.dataBytes = 64;
     full.stream = {2, 1};
     full.dests = {2};
-    f.l3(home).streamRead(std::move(full));
-    f.drain();
+    f.l3Bank(home).streamRead(std::move(full));
+    drain(f);
     uint64_t full_flits = data_flits_now() - before;
 
     EXPECT_LT(subline_flits, full_flits);
@@ -317,18 +317,18 @@ TEST(Coherence, SublineGetUTransfersFewerBytes)
 
 TEST(Coherence, ConcurrentMixedTrafficCompletes)
 {
-    TestFabric f;
-    Addr v = f.as().alloc(512 * 1024);
+    sys::TiledSystem f(fabricConfig());
+    Addr v = f.addressSpace().alloc(512 * 1024);
     int done = 0;
     int issued = 0;
     // A burst of reads and writes from all four tiles with overlap.
     for (int i = 0; i < 400; ++i) {
         TileId t = static_cast<TileId>(i % 4);
         Addr a = v + static_cast<Addr>((i * 7) % 128) * 64;
-        f.demand(t, a, (i % 3) == 0, &done);
+        demand(f, t, a, (i % 3) == 0, &done);
         ++issued;
     }
-    f.drain();
+    drain(f);
     EXPECT_EQ(done, issued);
 }
 
@@ -337,19 +337,19 @@ TEST(Coherence, L1MshrGateNeverStrandsWaiters)
     // Regression for the waiter-pump bug: flood one tile with far more
     // demand misses than L1 MSHRs, interleaved with accesses that hit
     // after their line arrives; every access must complete.
-    TestFabric f;
-    Addr v = f.as().alloc(1 << 22);
+    sys::TiledSystem f(fabricConfig());
+    Addr v = f.addressSpace().alloc(1 << 22);
     int done = 0;
     int issued = 0;
     for (int round = 0; round < 20; ++round) {
         for (int i = 0; i < 40; ++i) {
             // A mix: new lines (miss) and recent lines (hit-after-fill)
             Addr a = v + static_cast<Addr>((round * 20 + i % 30)) * 64;
-            f.demand(0, a, (i % 5) == 0, &done);
+            demand(f, 0, a, (i % 5) == 0, &done);
             ++issued;
         }
     }
-    f.drain();
+    drain(f);
     EXPECT_EQ(done, issued);
 }
 
@@ -359,18 +359,18 @@ TEST(Coherence, L3BankUsesItsWholeCapacity)
     // distinct lines than one bank's worth through a single tile; the
     // recall machinery should stay quiet because L3 sets absorb the
     // slice.
-    TestFabric f;
-    Addr v = f.as().alloc(1 << 22);
+    sys::TiledSystem f(fabricConfig());
+    Addr v = f.addressSpace().alloc(1 << 22);
     int done = 0;
     for (int i = 0; i < 20000; ++i) {
-        f.demand(0, v + static_cast<Addr>(i) * 64, false, &done);
+        demand(f, 0, v + static_cast<Addr>(i) * 64, false, &done);
         if (i % 24 == 0)
-            f.drain();
+            drain(f);
     }
-    f.drain();
+    drain(f);
     EXPECT_EQ(done, 20000);
     uint64_t recalls = 0;
     for (int t = 0; t < 4; ++t)
-        recalls += f.l3(t).stats().recalls.value();
+        recalls += f.l3Bank(t).stats().recalls.value();
     EXPECT_LT(recalls, 50u);
 }

@@ -26,17 +26,6 @@ TEST(Scalar, Reset)
     EXPECT_EQ(s.value(), 0u);
 }
 
-TEST(Average, MeanAndCount)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.sum(), 6.0);
-}
-
 TEST(Histogram, BucketsAndOverflow)
 {
     Histogram h(10, 4); // buckets [0,10) [10,20) [20,30) [30,40) + ovf
@@ -75,19 +64,6 @@ TEST(StatGroup, RegisterDumpAndFind)
     g.dump(os);
     EXPECT_NE(os.str().find("cache.hits 7"), std::string::npos);
     EXPECT_NE(os.str().find("cache.misses 3"), std::string::npos);
-}
-
-TEST(StatGroup, FindAverage)
-{
-    StatGroup g("g");
-    Average lat;
-    lat.sample(10.0);
-    lat.sample(20.0);
-    g.regAverage("latency", &lat);
-
-    ASSERT_NE(g.findAverage("latency"), nullptr);
-    EXPECT_DOUBLE_EQ(g.findAverage("latency")->mean(), 15.0);
-    EXPECT_EQ(g.findAverage("nothing"), nullptr);
 }
 
 TEST(StatGroup, HistogramRegistrationAndDump)

@@ -31,19 +31,10 @@ affine(StreamId sid, Addr base, uint64_t len, int64_t stride = 4,
 
 struct SeHarness
 {
-    SeHarness() : fabric(makeOpts()) {}
+    SeHarness() : fabric(fabricConfig(sys::Machine::SF)) {}
 
-    static TestFabric::Options
-    makeOpts()
-    {
-        TestFabric::Options o;
-        o.withStreamEngines = true;
-        o.seCore.enableFloating = false;
-        return o;
-    }
-
-    stream::SECore &se() { return fabric.seCore(0); }
-    TestFabric fabric;
+    stream::SECore &se() { return *fabric.seCore(0); }
+    sys::TiledSystem fabric;
 };
 
 /** SS-mode harness with floating force-disabled via no controller. */
@@ -60,7 +51,7 @@ struct SsHarness : SeHarness
 TEST(SECore, ConfigureAndConsumeInOrder)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     h.se().configure({affine(0, buf, 64)});
 
     int ready = 0;
@@ -68,7 +59,7 @@ TEST(SECore, ConfigureAndConsumeInOrder)
         h.se().requestElems(0, 1, [&]() { ++ready; });
         h.se().step(0, 1);
     }
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 8);
     for (int i = 0; i < 8; ++i)
         h.se().releaseAtCommit(0, 1);
@@ -78,12 +69,12 @@ TEST(SECore, ConfigureAndConsumeInOrder)
 TEST(SECore, VectorConsumption)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     h.se().configure({affine(0, buf, 64)});
     int ready = 0;
     h.se().requestElems(0, 16, [&]() { ++ready; });
     h.se().step(0, 16);
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 1);
     h.se().releaseAtCommit(0, 16);
 }
@@ -91,9 +82,9 @@ TEST(SECore, VectorConsumption)
 TEST(SECore, RunAheadFetchesLineGranular)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(64 * 1024);
+    Addr buf = h.fabric.addressSpace().alloc(64 * 1024);
     h.se().configure({affine(0, buf, 256)});
-    h.fabric.drain();
+    drain(h.fabric);
     // 1kB FIFO quota => up to 256 x 4B elements => 16 line fetches,
     // issued without any core request.
     EXPECT_GT(h.se().stats().fetchesIssued.value(), 4u);
@@ -103,11 +94,11 @@ TEST(SECore, RunAheadFetchesLineGranular)
 TEST(SECore, QuotaBoundsRunAhead)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(1 << 20);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 20);
     // Two load streams share the FIFO: each gets half the quota.
     h.se().configure({affine(0, buf, 100000),
                       affine(1, buf + 500000, 100000)});
-    h.fabric.drain();
+    drain(h.fabric);
     uint64_t fetched = h.se().stats().fetchesIssued.value();
     // 1kB FIFO / 2 streams / 4B = 128 elems each = 8 lines each.
     EXPECT_LE(fetched, 24u);
@@ -116,9 +107,9 @@ TEST(SECore, QuotaBoundsRunAhead)
 TEST(SECore, CanAcceptUseBacksPressure)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(1 << 20);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 20);
     h.se().configure({affine(0, buf, 100000)});
-    h.fabric.drain();
+    drain(h.fabric);
     // Walk the dispatch iterator to the quota without committing.
     int accepted = 0;
     while (h.se().canAcceptUse(0) && accepted < 10000) {
@@ -141,7 +132,7 @@ TEST(SECore, UnknownStreamRejectsUse)
 TEST(SECore, PendingReconfigurationStallsUses)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     h.se().configure({affine(0, buf, 16)});
     EXPECT_TRUE(h.se().canAcceptUse(0));
     // A new stream_cfg for sid 0 is dispatched but not yet committed:
@@ -155,9 +146,9 @@ TEST(SECore, PendingReconfigurationStallsUses)
 TEST(SECore, HistoryCountsRequestsAndMisses)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(64 * 1024);
+    Addr buf = h.fabric.addressSpace().alloc(64 * 1024);
     h.se().configure({affine(0, buf, 256)});
-    h.fabric.drain();
+    drain(h.fabric);
     const stream::StreamHistory *row = h.se().history().find(0);
     ASSERT_NE(row, nullptr);
     EXPECT_GT(row->requests, 0u);
@@ -177,9 +168,9 @@ TEST(SECore, ReuseNotificationFeedsHistory)
 TEST(SECore, StoreAliasFlushesAndDisablesPrefetch)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(64 * 1024);
+    Addr buf = h.fabric.addressSpace().alloc(64 * 1024);
     h.se().configure({affine(0, buf, 256)});
-    h.fabric.drain();
+    drain(h.fabric);
     uint64_t fetched_before = h.se().stats().fetchesIssued.value();
     EXPECT_GT(fetched_before, 0u);
 
@@ -194,10 +185,10 @@ TEST(SECore, StoreAliasFlushesAndDisablesPrefetch)
 TEST(SECore, NonAliasingStoreIsIgnored)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(64 * 1024);
-    Addr other = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(64 * 1024);
+    Addr other = h.fabric.addressSpace().alloc(4096);
     h.se().configure({affine(0, buf, 64)});
-    h.fabric.drain();
+    drain(h.fabric);
     h.se().storeCommitted(other, 4);
     EXPECT_EQ(h.se().stats().aliasFlushes.value(), 0u);
 }
@@ -205,7 +196,7 @@ TEST(SECore, NonAliasingStoreIsIgnored)
 TEST(SECore, StoreStreamGeneratesAddresses)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     StreamConfig st = affine(2, buf, 64);
     st.isStore = true;
     h.se().configure({st});
@@ -218,10 +209,10 @@ TEST(SECore, IndirectWaitsForParentData)
 {
     SsHarness h;
     // A[i] holds indices into B.
-    Addr a = h.fabric.as().alloc(4096);
-    Addr b = h.fabric.as().alloc(1 << 16);
+    Addr a = h.fabric.addressSpace().alloc(4096);
+    Addr b = h.fabric.addressSpace().alloc(1 << 16);
     for (int i = 0; i < 64; ++i)
-        h.fabric.as().writeT<int32_t>(a + i * 4, (i * 7) % 1000);
+        h.fabric.addressSpace().writeT<int32_t>(a + i * 4, (i * 7) % 1000);
 
     StreamConfig base = affine(0, a, 64);
     StreamConfig ind;
@@ -238,30 +229,30 @@ TEST(SECore, IndirectWaitsForParentData)
 
     int ready = 0;
     h.se().requestElems(1, 1, [&]() { ++ready; });
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 1);
 }
 
 TEST(SECore, EndDeactivatesAndReconfigureRestarts)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(4096);
+    Addr buf = h.fabric.addressSpace().alloc(4096);
     h.se().configure({affine(0, buf, 16)});
-    h.fabric.drain();
+    drain(h.fabric);
     h.se().end(0);
     EXPECT_FALSE(h.se().canAcceptUse(0));
     h.se().configure({affine(0, buf, 16)});
     EXPECT_TRUE(h.se().canAcceptUse(0));
     int ready = 0;
     h.se().requestElems(0, 1, [&]() { ++ready; });
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 1);
 }
 
 TEST(SECore, ManyStreamsWithinLimit)
 {
     SsHarness h;
-    Addr buf = h.fabric.as().alloc(1 << 20);
+    Addr buf = h.fabric.addressSpace().alloc(1 << 20);
     std::vector<StreamConfig> group;
     for (int s = 0; s < 6; ++s)
         group.push_back(affine(s, buf + s * 65536, 64));
@@ -269,7 +260,7 @@ TEST(SECore, ManyStreamsWithinLimit)
     int ready = 0;
     for (int s = 0; s < 6; ++s)
         h.se().requestElems(s, 1, [&]() { ++ready; });
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 6);
 }
 
@@ -325,8 +316,8 @@ TEST(SECore, StaleFloatedIndirectCompletionIsDropped)
     // A 400 kB base footprint exceeds the 256 kB L2, so the group
     // floats at configuration and the indirect child's fetches go to
     // the controller by (sid, index).
-    Addr a = h.fabric.as().alloc(400 * 1024);
-    Addr b = h.fabric.as().alloc(1 << 16);
+    Addr a = h.fabric.addressSpace().alloc(400 * 1024);
+    Addr b = h.fabric.addressSpace().alloc(1 << 16);
     StreamConfig base = affine(0, a, 100000);
     StreamConfig ind;
     ind.sid = 1;
@@ -360,12 +351,12 @@ TEST(SECore, StaleFloatedIndirectCompletionIsDropped)
     // The ended epoch's fetch of element 0 lands now. It must not mark
     // the new epoch's element 0 ready.
     ctrl.complete(0);
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 0);
 
     // The new epoch's own fetch of element 0 does.
     ctrl.complete(old_fetches - 1);
-    h.fabric.drain();
+    drain(h.fabric);
     EXPECT_EQ(ready, 1);
 }
 
@@ -385,16 +376,16 @@ consumeInOrder(SsHarness &h, Addr buf, uint64_t from, uint64_t to,
     for (uint64_t i = from; i < to; i += batch) {
         fired.clear();
         for (uint64_t e = i; e < i + batch; ++e) {
-            Addr pa = h.fabric.as().translate(buf + 4 * e);
+            Addr pa = h.fabric.addressSpace().translate(buf + 4 * e);
             auto on_ready = [&h, &fired, e, pa]() {
-                EXPECT_NE(h.fabric.priv(0).l2Array().probe(pa), nullptr)
+                EXPECT_NE(h.fabric.privCache(0).l2Array().probe(pa), nullptr)
                     << "element " << e << " ready before its line";
                 fired.push_back(e);
             };
             EXPECT_EQ(h.se().requestElems(0, 1, on_ready), e);
             h.se().step(0, 1);
         }
-        h.fabric.drain();
+        drain(h.fabric);
         ASSERT_EQ(fired.size(), batch) << "batch at element " << i;
         for (uint64_t k = 0; k < batch; ++k)
             EXPECT_EQ(fired[k], i + k);
@@ -410,9 +401,9 @@ TEST(SECore, WindowRingWrapsGrowsAndKeepsOrder)
     std::vector<uint64_t> fired;
     // One 4 B stream owns the whole 1 kB FIFO: a 256-element quota,
     // four times the ring's initial capacity, so run-ahead grows it.
-    Addr buf = h.fabric.as().alloc(2048 * 4);
+    Addr buf = h.fabric.addressSpace().alloc(2048 * 4);
     h.se().configure({affine(0, buf, 2048)});
-    h.fabric.drain();
+    drain(h.fabric);
     // Committing 8 at a time moves the ring's head through its end
     // (every 256 elements) while run-ahead refills behind it.
     consumeInOrder(h, buf, 0, 296, 8, fired);
@@ -427,7 +418,7 @@ TEST(SECore, WindowRingWrapsGrowsAndKeepsOrder)
     consumeInOrder(h, buf, 616, 800, 8, fired);
 
     // Reconfigure onto another array: the ring starts empty again.
-    Addr buf2 = h.fabric.as().alloc(1024 * 4);
+    Addr buf2 = h.fabric.addressSpace().alloc(1024 * 4);
     h.se().end(0);
     h.se().configure({affine(0, buf2, 1024)});
     consumeInOrder(h, buf2, 0, 600, 8, fired);
