@@ -194,7 +194,6 @@ SEL2::floatStream(const stream::FloatRequest &req)
     auto msg = StreamFloatMsg::make(_tile, bank);
     msg->gsid = {_tile, req.base.sid};
     msg->gen = base.gen;
-    msg->asid = _as.asid();
     msg->base = req.base;
     for (const auto &ind : req.indirects)
         msg->indirects.push_back({ind.cfg, ind.start});
@@ -240,7 +239,6 @@ SEL2::resendConfig(StreamId sid, FloatedStream &base)
     auto msg = StreamFloatMsg::make(_tile, bank);
     msg->gsid = {_tile, sid};
     msg->gen = base.gen;
-    msg->asid = _as.asid();
     msg->base = base.cfg;
     for (StreamId child_sid : base.children) {
         if (FloatedStream *child = find(child_sid)) {

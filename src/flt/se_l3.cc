@@ -10,22 +10,47 @@
 namespace sf {
 namespace flt {
 
+namespace {
+
+/**
+ * An uncached read of @p line for @p stream's elements from @p elem,
+ * addressed to @p bank. Its destination list has room for the
+ * @p reply_tiles its DataU goes to, so answering it in place
+ * (mem::answerGetU) reuses the list.
+ */
+mem::MemMsgPtr
+makeGetU(TileId src, TileId bank, Addr line, const GlobalStreamId &stream,
+         uint32_t gen, uint64_t elem, uint16_t count, uint16_t bytes,
+         mem::ReqClass cls, size_t reply_tiles = 1)
+{
+    auto msg = std::make_shared<mem::MemMsg>();
+    msg->type = mem::MemMsgType::GetU;
+    msg->lineAddr = line;
+    msg->src = src;
+    msg->dests.reserve(reply_tiles);
+    msg->dests.push_back(bank);
+    msg->cls = noc::FlitClass::Control;
+    msg->vnet = noc::VNet::Request;
+    msg->requester = stream.core;
+    msg->stream = stream;
+    msg->streamGen = gen;
+    msg->elemIdx = elem;
+    msg->elemCount = count;
+    msg->dataBytes = bytes;
+    msg->reqClass = cls;
+    return msg;
+}
+
+} // namespace
+
 SEL3::SEL3(const std::string &name, EventQueue &eq, TileId tile,
            const SEL3Config &cfg, noc::Mesh &mesh,
            const mem::NucaMap &nuca, mem::L3Bank &bank,
-           AsResolver resolve_as)
+           mem::AddressSpace &as)
     : SimObject(name, eq), _cfg(cfg), _tile(tile), _mesh(mesh),
-      _nuca(nuca), _bank(bank), _resolveAs(std::move(resolve_as)),
+      _nuca(nuca), _bank(bank), _as(as),
       _tlb(cfg.tlbEntries, cfg.tlbWays), _pump(eq)
 {
-}
-
-mem::AddressSpace &
-SEL3::spaceOf(const Entry &e)
-{
-    mem::AddressSpace *as = _resolveAs(e.asid);
-    sf_assert(as, "unknown address space %d", e.asid);
-    return *as;
 }
 
 int
@@ -39,7 +64,7 @@ SEL3::blockOf(TileId t) const
 }
 
 Addr
-SEL3::translate(mem::AddressSpace &as, Addr vaddr, Cycles &penalty)
+SEL3::translate(Addr vaddr, Cycles &penalty)
 {
     if (_tlb.lookup(vaddr)) {
         ++_stats.tlbHits;
@@ -49,7 +74,7 @@ SEL3::translate(mem::AddressSpace &as, Addr vaddr, Cycles &penalty)
         _tlb.insert(vaddr);
         penalty = _cfg.tlbLatency + _cfg.tlbWalkLatency;
     }
-    return as.translate(vaddr);
+    return _as.translate(vaddr);
 }
 
 SEL3::EntryList::iterator
@@ -150,7 +175,6 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
     e.base = msg->base;
     e.cursor = isa::AffineCursor(e.base.affine);
     e.indirects = msg->indirects;
-    e.asid = msg->asid;
     e.issuePos = msg->nextElem;
     Member m;
     m.gsid = msg->gsid;
@@ -222,8 +246,6 @@ SEL3::tryMerge(const Entry &incoming)
 
     for (auto &e : _entries) {
         if (!e.indirects.empty() || e.base.hasIndirect)
-            continue;
-        if (e.asid != incoming.asid)
             continue;
         if (!(e.base.affine == incoming.base.affine))
             continue;
@@ -389,10 +411,9 @@ SEL3::issueOne(Entry &e)
     // Migrate BEFORE the credit check: a stalled stream must wait at
     // the bank of its next element, because that is where the SE_L2
     // routes credit refreshes (§IV-A).
-    mem::AddressSpace &as = spaceOf(e);
     Addr va = e.cursor.at(e.issuePos);
     Cycles penalty = 0;
-    Addr pa = translate(as, va, penalty);
+    Addr pa = translate(va, penalty);
 
     TileId home = _nuca.bankOf(pa);
     if (home != _tile) {
@@ -434,133 +455,83 @@ SEL3::issueOne(Entry &e)
         Addr nva = e.cursor.at(e.issuePos + count);
         Addr npa = mem::pageAlign(nva) == vpage
                        ? ppage + (nva - vpage)
-                       : as.translateExisting(nva);
+                       : _as.translateExisting(nva);
         if (npa == invalidAddr || lineAlign(npa) != line)
             break;
         ++count;
     }
 
-    mem::StreamReadReq req;
-    req.lineAddr = line;
-    req.dataBytes = lineBytes;
-    req.stream = e.members.front().gsid;
-    req.gen = e.members.front().gen;
-    req.elemIdx = e.issuePos;
-    req.elemCount = count;
-    // These lists become the DataU's own (L3Bank::serveUncached moves
-    // them): size them once.
-    req.dests.reserve(e.members.size());
-    for (const auto &m : e.members)
-        req.dests.push_back(m.gsid.core);
+    const Member &lead = e.members.front();
+    auto msg = makeGetU(_tile, _tile, line, lead.gsid, lead.gen,
+                        e.issuePos, count, lineBytes,
+                        mem::ReqClass::FloatAffine, e.members.size());
     if (e.members.size() > 1) {
-        req.merged.reserve(e.members.size());
+        msg->mergedStreams.reserve(e.members.size());
         for (const auto &m : e.members)
-            req.merged.push_back(m.gsid);
-        req.reqClass = mem::ReqClass::FloatConfluence;
+            msg->mergedStreams.push_back(m.gsid);
+        msg->reqClass = mem::ReqClass::FloatConfluence;
         ++_stats.confluenceRequests;
-    } else {
-        req.reqClass = mem::ReqClass::FloatAffine;
     }
 
     if (!e.indirects.empty()) {
-        // Capture what indirect issue needs; the entry may migrate or
-        // retire before the bank produces the index data.
-        struct Ctx
-        {
-            isa::AffinePattern basePattern;
-            std::vector<FloatedIndirect> indirects;
-            int asid;
-            GlobalStreamId gsid;
-            uint32_t gen;
-        };
-        auto ctx = std::make_shared<Ctx>();
-        ctx->basePattern = e.base.affine;
-        ctx->indirects = e.indirects;
-        ctx->asid = e.asid;
-        ctx->gsid = e.members.front().gsid;
-        ctx->gen = e.members.front().gen;
-        uint64_t first = e.issuePos;
-        req.onLocalData = [this, ctx, first, count]() {
-            Entry tmp;
-            tmp.base.affine = ctx->basePattern;
-            tmp.indirects = ctx->indirects;
-            tmp.asid = ctx->asid;
-            Member m;
-            m.gsid = ctx->gsid;
-            m.gen = ctx->gen;
-            tmp.members.push_back(m);
-            issueIndirects(tmp, first, count);
+        // Capture what indirect issue needs by value; the entry may
+        // migrate or retire before the bank produces the index data.
+        msg->onServed = [this, base = e.base.affine,
+                         indirects = e.indirects, owner = lead,
+                         first = e.issuePos, count]() {
+            issueIndirects(base, indirects, owner, first, count);
         };
     }
 
     ++_stats.lineRequestsIssued;
-    if (penalty == 0) {
-        _bank.streamRead(std::move(req));
-    } else {
-        scheduleIn(penalty, [this, req = std::move(req)]() mutable {
-            _bank.streamRead(std::move(req));
-        });
-    }
+    sendLocal(msg, penalty);
     e.issuePos += count;
     return true;
 }
 
 void
-SEL3::issueIndirects(const Entry &e, uint64_t first, uint16_t count)
+SEL3::sendLocal(const mem::MemMsgPtr &msg, Cycles penalty)
 {
-    mem::AddressSpace &as = spaceOf(e);
-    const Member &owner = e.members.front();
+    if (penalty == 0)
+        _bank.recvMsg(msg);
+    else
+        scheduleIn(penalty, [this, msg]() { _bank.recvMsg(msg); });
+}
 
+void
+SEL3::issueIndirects(const isa::AffinePattern &base,
+                     const std::vector<FloatedIndirect> &indirects,
+                     const Member &owner, uint64_t first, uint16_t count)
+{
     for (uint16_t i = 0; i < count; ++i) {
         uint64_t base_elem = first + i;
-        Addr idx_addr = e.base.affine.elemAddr(base_elem);
+        Addr idx_addr = base.elemAddr(base_elem);
 
-        for (const auto &ind : e.indirects) {
+        for (const auto &ind : indirects) {
             uint32_t w_len = ind.cfg.indirect.items();
             uint64_t child_elem = ind.cfg.indirect.firstChild(base_elem);
             if (child_elem + w_len <= ind.start)
                 continue; // the core already fetched these
             int64_t idx_value =
-                as.readInt(idx_addr, ind.cfg.indirect.idxSize);
+                _as.readInt(idx_addr, ind.cfg.indirect.idxSize);
             Addr target_va = ind.cfg.indirect.targetAddr(idx_value, 0);
             Cycles penalty = 0;
-            Addr target_pa = translate(as, target_va, penalty);
+            Addr target_pa = translate(target_va, penalty);
             uint16_t bytes = static_cast<uint16_t>(std::min<uint32_t>(
                 ind.cfg.indirect.elemSize * w_len, lineBytes));
             TileId target_bank = _nuca.bankOf(target_pa);
             ++_stats.indirectRequestsIssued;
 
+            auto msg = makeGetU(_tile, target_bank, lineAlign(target_pa),
+                                {owner.gsid.core, ind.cfg.sid}, owner.gen,
+                                child_elem, static_cast<uint16_t>(w_len),
+                                bytes, mem::ReqClass::FloatIndirect);
             if (target_bank == _tile) {
-                mem::StreamReadReq req;
-                req.lineAddr = lineAlign(target_pa);
-                req.dataBytes = bytes;
-                req.stream = {owner.gsid.core, ind.cfg.sid};
-                req.gen = owner.gen;
-                req.elemIdx = child_elem;
-                req.elemCount = static_cast<uint16_t>(w_len);
-                req.dests = {owner.gsid.core};
-                req.reqClass = mem::ReqClass::FloatIndirect;
-                if (penalty == 0) {
-                    _bank.streamRead(std::move(req));
-                } else {
-                    scheduleIn(penalty,
-                               [this, req = std::move(req)]() mutable {
-                                   _bank.streamRead(std::move(req));
-                               });
-                }
+                sendLocal(msg, penalty);
             } else {
                 // Remote target bank: a small uncached read request
                 // travels bank-to-bank; the data goes straight to the
                 // requesting core (subline transfer, §IV-B).
-                auto msg = mem::makeMemMsg(mem::MemMsgType::GetU,
-                                           lineAlign(target_pa), _tile,
-                                           target_bank, owner.gsid.core);
-                msg->stream = {owner.gsid.core, ind.cfg.sid};
-                msg->streamGen = owner.gen;
-                msg->elemIdx = child_elem;
-                msg->elemCount = static_cast<uint16_t>(w_len);
-                msg->dataBytes = bytes;
-                msg->reqClass = mem::ReqClass::FloatIndirect;
                 _mesh.send(msg);
             }
         }
@@ -621,7 +592,6 @@ SEL3::migrate(Entry &e, TileId next_bank)
         msg->isMigration = true;
         msg->gsid = m.gsid;
         msg->gen = m.gen;
-        msg->asid = e.asid;
         msg->base = e.base;
         for (auto ind : e.indirects) {
             ind.start = std::max(ind.start,

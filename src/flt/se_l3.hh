@@ -93,13 +93,10 @@ struct SEL3Stats
 class SEL3 : public SimObject
 {
   public:
-    /** Resolves an address-space id to the process address space. */
-    using AsResolver = std::function<mem::AddressSpace *(int)>;
-
     SEL3(const std::string &name, EventQueue &eq, TileId tile,
          const SEL3Config &cfg, noc::Mesh &mesh,
          const mem::NucaMap &nuca, mem::L3Bank &bank,
-         AsResolver resolve_as);
+         mem::AddressSpace &as);
 
     /** Stream-management messages from the mesh. */
     void recvConfig(const std::shared_ptr<StreamFloatMsg> &msg);
@@ -143,7 +140,6 @@ class SEL3 : public SimObject
     {
         isa::StreamConfig base;
         std::vector<FloatedIndirect> indirects;
-        int asid = 0;
         /** Next base element to issue. */
         uint64_t issuePos = 0;
         /** Walks base.affine for issueOne's coalescing loop. */
@@ -177,13 +173,20 @@ class SEL3 : public SimObject
     /** Hand the stream group over to @p next_bank (§IV-A migrate). */
     void migrate(Entry &e, TileId next_bank);
 
-    /** Dispatch indirect requests for base elements [first, first+n). */
-    void issueIndirects(const Entry &e, uint64_t first, uint16_t count);
+    /**
+     * Dispatch @p owner's indirect requests for base elements
+     * [first, first+count) of @p base.
+     */
+    void issueIndirects(const isa::AffinePattern &base,
+                        const std::vector<FloatedIndirect> &indirects,
+                        const Member &owner, uint64_t first,
+                        uint16_t count);
+
+    /** Hand a GetU to the colocated bank after @p penalty (no NoC hop). */
+    void sendLocal(const mem::MemMsgPtr &msg, Cycles penalty);
 
     /** Translate with SE_L3 TLB accounting; returns extra latency. */
-    Addr translate(mem::AddressSpace &as, Addr vaddr, Cycles &penalty);
-
-    mem::AddressSpace &spaceOf(const Entry &e);
+    Addr translate(Addr vaddr, Cycles &penalty);
 
     /** 2x2 block id of a tile (confluence locality constraint). */
     int blockOf(TileId t) const;
@@ -193,7 +196,7 @@ class SEL3 : public SimObject
     noc::Mesh &_mesh;
     const mem::NucaMap &_nuca;
     mem::L3Bank &_bank;
-    AsResolver _resolveAs;
+    mem::AddressSpace &_as;
     mem::Tlb _tlb;
 
     /** Round-robin via rotation: the front entry is serviced next. */

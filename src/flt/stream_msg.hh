@@ -37,7 +37,6 @@ struct StreamFloatMsg : noc::Message
     GlobalStreamId gsid;
     /** Generation: guards stale engines after sink + refloat. */
     uint32_t gen = 0;
-    int asid = 0;
 
     isa::StreamConfig base;
     std::vector<FloatedIndirect> indirects;

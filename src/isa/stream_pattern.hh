@@ -228,9 +228,6 @@ struct StreamConfig
      */
     bool lengthKnown = true;
 
-    /** Address space id (process); confluence requires equality. */
-    int asid = 0;
-
     /** Total elements when lengthKnown (including the w loop). */
     uint64_t
     totalElems() const

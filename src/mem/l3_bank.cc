@@ -62,6 +62,8 @@ L3Bank::recvMsg(const MemMsgPtr &msg)
       case MemMsgType::MemWrite:
         break;
     }
+    sf_assert(_nuca.bankOf(msg->lineAddr) == _tile,
+              "%s for a line homed elsewhere", memMsgName(msg->type));
 
     // Bulk prefetch: one request message carries several consecutive
     // line requests (§VI); expand locally at zero NoC cost.
@@ -148,130 +150,33 @@ L3Bank::process(const MemMsgPtr &msg)
 }
 
 void
-L3Bank::streamRead(StreamReadReq req)
+L3Bank::serveUncached(const MemMsgPtr &msg)
 {
-    sf_assert(_nuca.bankOf(req.lineAddr) == _tile,
-              "stream read for a line homed elsewhere");
-    StreamReadReq *p = _streamPool.acquire(std::move(req));
-    scheduleIn(_cfg.latency,
-               [this, p] { processStream(_streamPool.take(p)); });
-}
-
-void
-L3Bank::processStream(StreamReadReq req)
-{
-    if (lineBlocked(req.lineAddr)) {
-        _txns[req.lineAddr].queued.push_back(std::move(req));
-        return;
-    }
-
-    ++_stats.requestsByClass[static_cast<size_t>(req.reqClass)];
-
-    SF_DPRINTF(SEL3, "streamRead %llx c%d.s%d elem=%llu",
-               (unsigned long long)req.lineAddr, (int)req.stream.core,
-               (int)req.stream.sid, (unsigned long long)req.elemIdx);
-
-    CacheLine *line = _array.access(req.lineAddr);
-    if (line && line->owner == invalidTile) {
-        ++_stats.hits;
-        serveUncached(nullptr, nullptr, &req);
-        return;
-    }
-
-    if (line && _verifyBug == "stale-getu") {
-        // Injected bug: skip the owner forward and serve the L3's own
-        // (stale) copy. The oracle must catch this with exit 67.
-        ++_stats.hits;
-        serveUncached(nullptr, nullptr, &req);
-        return;
-    }
-
-    if (line) {
-        // Owned by a private cache: forward an uncached read.
-        ++_stats.hits;
-        ++_stats.fwdRequests;
-        Txn txn;
-        txn.state = Txn::State::WaitFwdAck;
-        txn.isStream = true;
-        txn.sreq = std::move(req);
-        auto fwd = makeMemMsg(MemMsgType::FwdGetU, txn.sreq.lineAddr,
-                              _tile, line->owner, txn.sreq.dests.front());
-        fwd->stream = txn.sreq.stream;
-        fwd->streamGen = txn.sreq.gen;
-        fwd->elemIdx = txn.sreq.elemIdx;
-        fwd->elemCount = txn.sreq.elemCount;
-        fwd->dataBytes = txn.sreq.dataBytes;
-        fwd->mergedStreams = txn.sreq.merged;
-        _mesh.send(fwd);
-        _txns.emplace(txn.sreq.lineAddr, std::move(txn));
-        return;
-    }
-
-    ++_stats.misses;
-    Txn txn;
-    txn.state = Txn::State::WaitMem;
-    txn.isStream = true;
-    txn.memIssueTick = curTick();
-    Addr line_addr = req.lineAddr;
-    txn.sreq = std::move(req);
-    _txns.emplace(line_addr, std::move(txn));
-    startMemFetch(line_addr);
-}
-
-void
-L3Bank::serveUncached(const Txn *txn, const MemMsgPtr &msg,
-                      StreamReadReq *sreq)
-{
+    answerGetU(*msg, _tile);
     // --verify: DataU carries the serve-time image. Normally that is
     // the system-wide view; under the stale-getu injection only this
     // bank's (possibly stale) copy is consulted.
-    verify::LinePtr vp;
     if (_verify) {
-        Addr addr = sreq ? sreq->lineAddr : msg->lineAddr;
         if (_verifyBug == "stale-getu") {
-            CacheLine *l = _array.probe(addr);
-            vp = (l && l->vdata) ? l->vdata : _verify->dramSnapshot(addr);
+            CacheLine *l = _array.probe(msg->lineAddr);
+            msg->vdata = (l && l->vdata) ? l->vdata
+                                         : _verify->dramSnapshot(msg->lineAddr);
         } else {
-            vp = _verify->snapshot(addr);
+            msg->vdata = _verify->snapshot(msg->lineAddr);
         }
     }
+    _mesh.send(msg);
+    runServed(*msg);
+}
 
-    if (sreq) {
-        auto data = std::make_shared<MemMsg>();
-        data->type = MemMsgType::DataU;
-        data->lineAddr = sreq->lineAddr;
-        data->src = _tile;
-        data->requester =
-            sreq->dests.empty() ? invalidTile : sreq->dests.front();
-        data->dests = std::move(sreq->dests);
-        data->payloadBytes = sreq->dataBytes;
-        data->dataBytes = sreq->dataBytes;
-        data->cls = noc::FlitClass::Data;
-        data->vnet = noc::VNet::Response;
-        data->stream = sreq->stream;
-        data->streamGen = sreq->gen;
-        data->elemIdx = sreq->elemIdx;
-        data->elemCount = sreq->elemCount;
-        data->mergedStreams = std::move(sreq->merged);
-        data->vdata = vp;
-        _mesh.send(data);
-        if (sreq->onLocalData)
-            sreq->onLocalData();
+void
+L3Bank::runServed(MemMsg &msg)
+{
+    if (!msg.onServed)
         return;
-    }
-
-    // Core-originated GetU (rare: SE_core requests racing a float).
-    auto data = makeMemMsg(MemMsgType::DataU, msg->lineAddr, _tile,
-                           msg->requester, msg->requester,
-                           msg->dataBytes);
-    data->profId = msg->profId;
-    data->stream = msg->stream;
-    data->streamGen = msg->streamGen;
-    data->elemIdx = msg->elemIdx;
-    data->elemCount = msg->elemCount;
-    data->vdata = vp;
-    _mesh.send(data);
-    (void)txn;
+    auto fn = std::move(msg.onServed);
+    msg.onServed = nullptr;
+    fn();
 }
 
 void
@@ -411,7 +316,7 @@ L3Bank::handleGetU(const MemMsgPtr &msg)
 
     if (line && line->owner == invalidTile) {
         ++_stats.hits;
-        serveUncached(nullptr, msg, nullptr);
+        serveUncached(msg);
         return;
     }
 
@@ -419,7 +324,7 @@ L3Bank::handleGetU(const MemMsgPtr &msg)
         // Injected bug: serve the stale local copy instead of
         // forwarding to the owner (caught by the oracle, exit 67).
         ++_stats.hits;
-        serveUncached(nullptr, msg, nullptr);
+        serveUncached(msg);
         return;
     }
 
@@ -437,6 +342,7 @@ L3Bank::handleGetU(const MemMsgPtr &msg)
         fwd->elemIdx = msg->elemIdx;
         fwd->elemCount = msg->elemCount;
         fwd->dataBytes = msg->dataBytes;
+        fwd->mergedStreams = msg->mergedStreams;
         _mesh.send(fwd);
         _txns.emplace(msg->lineAddr, std::move(txn));
         return;
@@ -562,10 +468,9 @@ L3Bank::handleFwdAck(const MemMsgPtr &msg)
     CacheLine *line = _array.probe(msg->lineAddr);
     sf_assert(line, "owned line vanished during forward");
 
-    if (txn.isStream || (txn.req && txn.req->type == MemMsgType::GetU)) {
+    if (txn.req->type == MemMsgType::GetU) {
         // Uncached forward: owner state unchanged (Fig. 12c).
-        if (txn.isStream && txn.sreq.onLocalData)
-            txn.sreq.onLocalData();
+        runServed(*txn.req);
     } else if (txn.req->type == MemMsgType::GetS) {
         TileId old_owner = line->owner;
         line->owner = invalidTile;
@@ -595,10 +500,8 @@ L3Bank::handleFwdMiss(const MemMsgPtr &msg)
     sf_assert(line, "FwdMiss with no resident line");
     line->owner = invalidTile;
 
-    if (txn.isStream) {
-        serveUncached(nullptr, nullptr, &txn.sreq);
-    } else if (txn.req->type == MemMsgType::GetU) {
-        serveUncached(nullptr, txn.req, nullptr);
+    if (txn.req->type == MemMsgType::GetU) {
+        serveUncached(txn.req);
     } else if (txn.req->type == MemMsgType::GetS) {
         serveShared(txn.req, *line);
     } else {
@@ -698,51 +601,47 @@ L3Bank::handleMemData(const MemMsgPtr &msg)
 
     // Attribute the DRAM round trip (including any fill-retry wait) to
     // the request that opened the transaction.
-    if (_prof && !txn.isStream && txn.req->profId) {
+    if (_prof && txn.req->profId) {
         _prof->add(txn.req->profId, prof::Phase::Mem,
                    curTick() - txn.memIssueTick);
     }
 
-    if (txn.isStream) {
-        serveUncached(nullptr, nullptr, &txn.sreq);
-    } else {
-        switch (txn.req->type) {
-          case MemMsgType::GetS:
-            serveShared(txn.req, *line);
-            break;
-          case MemMsgType::GetM: {
-            line->sharers = 0;
-            line->owner = txn.req->requester;
-            auto data = makeMemMsg(MemMsgType::DataM, msg->lineAddr,
-                                   _tile, txn.req->requester,
-                                   txn.req->requester);
-            data->profId = txn.req->profId;
-            data->vdata = line->vdata;
-            sendToTile(data);
-            break;
-          }
-          case MemMsgType::GetU:
-            serveUncached(nullptr, txn.req, nullptr);
-            break;
-          case MemMsgType::PutS:
-          case MemMsgType::PutM:
-          case MemMsgType::FwdGetS:
-          case MemMsgType::FwdGetM:
-          case MemMsgType::FwdGetU:
-          case MemMsgType::Inv:
-          case MemMsgType::InvAck:
-          case MemMsgType::FwdAck:
-          case MemMsgType::FwdMiss:
-          case MemMsgType::PutAck:
-          case MemMsgType::DataS:
-          case MemMsgType::DataE:
-          case MemMsgType::DataM:
-          case MemMsgType::DataU:
-          case MemMsgType::MemRead:
-          case MemMsgType::MemWrite:
-          case MemMsgType::MemData:
-            panic("bad txn request type");
-        }
+    switch (txn.req->type) {
+      case MemMsgType::GetS:
+        serveShared(txn.req, *line);
+        break;
+      case MemMsgType::GetM: {
+        line->sharers = 0;
+        line->owner = txn.req->requester;
+        auto data = makeMemMsg(MemMsgType::DataM, msg->lineAddr,
+                               _tile, txn.req->requester,
+                               txn.req->requester);
+        data->profId = txn.req->profId;
+        data->vdata = line->vdata;
+        sendToTile(data);
+        break;
+      }
+      case MemMsgType::GetU:
+        serveUncached(txn.req);
+        break;
+      case MemMsgType::PutS:
+      case MemMsgType::PutM:
+      case MemMsgType::FwdGetS:
+      case MemMsgType::FwdGetM:
+      case MemMsgType::FwdGetU:
+      case MemMsgType::Inv:
+      case MemMsgType::InvAck:
+      case MemMsgType::FwdAck:
+      case MemMsgType::FwdMiss:
+      case MemMsgType::PutAck:
+      case MemMsgType::DataS:
+      case MemMsgType::DataE:
+      case MemMsgType::DataM:
+      case MemMsgType::DataU:
+      case MemMsgType::MemRead:
+      case MemMsgType::MemWrite:
+      case MemMsgType::MemData:
+        panic("bad txn request type");
     }
     finalize(msg->lineAddr);
 }
@@ -761,10 +660,10 @@ L3Bank::debugDump(std::FILE *f) const
     for (Addr addr : addrs) {
         const Txn &txn = _txns.at(addr);
         std::fprintf(f,
-                     "  %s txn line=%llx state=%d isStream=%d "
+                     "  %s txn line=%llx state=%d "
                      "pendingAcks=%d queued=%zu req=%s\n",
                      name().c_str(), (unsigned long long)addr,
-                     (int)txn.state, txn.isStream, txn.pendingAcks,
+                     (int)txn.state, txn.pendingAcks,
                      txn.queued.size(),
                      txn.req ? memMsgName(txn.req->type) : "-");
     }
@@ -777,12 +676,8 @@ L3Bank::finalize(Addr line_addr)
     sf_assert(it != _txns.end(), "finalize without txn");
     auto queued = std::move(it->second.queued);
     _txns.erase(it);
-    for (auto &item : queued) {
-        if (std::holds_alternative<MemMsgPtr>(item))
-            process(std::get<MemMsgPtr>(item));
-        else
-            processStream(std::move(std::get<StreamReadReq>(item)));
-    }
+    for (const MemMsgPtr &msg : queued)
+        process(msg);
 }
 
 } // namespace mem

@@ -4,10 +4,10 @@
  * and the GetU uncached-read extension of Fig. 12.
  *
  * One bank lives on every tile; static NUCA interleaving (NucaMap)
- * decides the home bank of each line. The bank also exposes a local
- * issue path for the colocated SE_L3: floated streams generate
+ * decides the home bank of each line. The colocated SE_L3 generates
  * requests *at this tile* on behalf of remote cores, which is exactly
- * the request-message elimination stream floating is about.
+ * the request-message elimination stream floating is about: its local
+ * reads are GetU messages handed to recvMsg() without a NoC hop.
  */
 
 #ifndef SF_MEM_L3_BANK_HH
@@ -15,10 +15,8 @@
 
 #include <array>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -76,31 +74,6 @@ struct L3BankStats
     }
 };
 
-/**
- * A request issued locally by the colocated SE_L3 on behalf of a
- * remote core (or a confluence group of cores).
- */
-struct StreamReadReq
-{
-    Addr lineAddr = 0;
-    /** Bytes to return (subline transfer for indirect streams). */
-    uint16_t dataBytes = lineBytes;
-    GlobalStreamId stream;
-    uint32_t gen = 0;
-    uint64_t elemIdx = 0;
-    uint16_t elemCount = 1;
-    /** Requesting tiles (more than one under confluence). */
-    std::vector<TileId> dests;
-    /** All merged streams covered by this request. */
-    std::vector<GlobalStreamId> merged;
-    ReqClass reqClass = ReqClass::FloatAffine;
-    /**
-     * Fired when the data is available at this bank; used by the
-     * SE_L3 to pick up indirect index values.
-     */
-    std::function<void()> onLocalData;
-};
-
 /** The banked, directory-holding shared L3. */
 class L3Bank : public SimObject
 {
@@ -108,11 +81,8 @@ class L3Bank : public SimObject
     L3Bank(const std::string &name, EventQueue &eq, TileId tile,
            const L3BankConfig &cfg, noc::Mesh &mesh, const NucaMap &nuca);
 
-    /** Protocol messages from the mesh. */
+    /** Protocol messages from the mesh or the colocated SE_L3. */
     void recvMsg(const MemMsgPtr &msg);
-
-    /** Local uncached read from the colocated SE_L3. */
-    void streamRead(StreamReadReq req);
 
     /** Attach the --verify data plane (null = verify off). */
     void setVerify(verify::DataPlane *v) { _verify = v; }
@@ -158,18 +128,15 @@ class L3Bank : public SimObject
             WaitFwdAck,
         };
         State state = State::WaitMem;
-        /** Original request (null for local stream reads). */
+        /** Original request (null for recalls). */
         MemMsgPtr req;
-        /** Local stream read being serviced (valid if isStream). */
-        bool isStream = false;
         /** Recall of an owned line to free a saturated set. */
         bool isRecall = false;
-        StreamReadReq sreq;
         /** Tick the MemRead left for the controller (Mem attribution). */
         Tick memIssueTick = 0;
         int pendingAcks = 0;
         /** Requests that arrived while the line was blocked. */
-        std::vector<std::variant<MemMsgPtr, StreamReadReq>> queued;
+        std::vector<MemMsgPtr> queued;
     };
 
     /**
@@ -182,7 +149,6 @@ class L3Bank : public SimObject
 
     /** Entry point after the bank access latency. */
     void process(const MemMsgPtr &msg);
-    void processStream(StreamReadReq req);
 
     void handleGetS(const MemMsgPtr &msg);
     void handleGetM(const MemMsgPtr &msg);
@@ -194,12 +160,13 @@ class L3Bank : public SimObject
     void handleMemData(const MemMsgPtr &msg);
 
     /**
-     * Serve a GetU/stream read that hits a directory-clean line. A
-     * stream read is consumed: its destination and merged-stream
-     * lists move into the DataU.
+     * Serve a GetU from this bank's copy: the request becomes its DataU
+     * (answerGetU), then its onServed hook runs.
      */
-    void serveUncached(const Txn *txn, const MemMsgPtr &msg,
-                       StreamReadReq *sreq);
+    void serveUncached(const MemMsgPtr &msg);
+
+    /** Run and clear a GetU's onServed hook (SE_L3 index pickup). */
+    static void runServed(MemMsg &msg);
 
     /** Respond with DataS/DataE and update the directory. */
     void serveShared(const MemMsgPtr &msg, CacheLine &line);
@@ -230,9 +197,8 @@ class L3Bank : public SimObject
     const NucaMap &_nuca;
     CacheArray _array;
     std::unordered_map<Addr, Txn> _txns;
-    /** Messages and stream reads waiting out a bank latency. */
+    /** Messages waiting out a bank latency. */
     sim::RecordPool<MemMsgPtr> _msgPool;
-    sim::RecordPool<StreamReadReq> _streamPool;
     verify::DataPlane *_verify = nullptr;
     prof::Profiler *_prof = nullptr;
     std::string _verifyBug;

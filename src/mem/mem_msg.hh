@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "noc/message.hh"
@@ -162,6 +163,13 @@ struct MemMsg : noc::Message
     uint16_t bulkLines = 1;
     /** Request origin class for L3 accounting (Fig. 14). */
     ReqClass reqClass = ReqClass::CoreNormal;
+
+    /**
+     * GetU only: run once by the home bank when the line's data is
+     * available there, then cleared. The colocated SE_L3 uses it to
+     * read indirect index values (§IV-B).
+     */
+    std::function<void()> onServed;
 };
 
 using MemMsgPtr = std::shared_ptr<MemMsg>;
@@ -196,6 +204,30 @@ makeMemMsg(MemMsgType type, Addr line_addr, TileId src, TileId dest,
                         : noc::VNet::Control;
     }
     return msg;
+}
+
+/**
+ * Answer the uncached read @p msg (a GetU or FwdGetU) in place: it
+ * becomes its DataU from @p src, multicast to the tile of every merged
+ * stream (confluence, §IV-C), else sent to the requester. A request is
+ * never read again once answered, so no second message is built.
+ */
+inline void
+answerGetU(MemMsg &msg, TileId src)
+{
+    msg.type = MemMsgType::DataU;
+    msg.src = src;
+    msg.dests.clear();
+    if (msg.mergedStreams.empty()) {
+        msg.dests.push_back(msg.requester);
+    } else {
+        msg.dests.reserve(msg.mergedStreams.size());
+        for (const auto &gs : msg.mergedStreams)
+            msg.dests.push_back(gs.core);
+    }
+    msg.payloadBytes = msg.dataBytes;
+    msg.cls = noc::FlitClass::Data;
+    msg.vnet = noc::VNet::Response;
 }
 
 } // namespace mem

@@ -783,25 +783,12 @@ PrivCache::handleFwd(const MemMsgPtr &msg)
 
     if (msg->type == MemMsgType::FwdGetU) {
         // Uncached read: forward data, state unchanged (Fig. 12c).
-        auto data = makeMemMsg(MemMsgType::DataU, msg->lineAddr, _tile,
-                               msg->requester, msg->requester,
-                               msg->dataBytes);
-        data->stream = msg->stream;
-        data->streamGen = msg->streamGen;
-        data->elemIdx = msg->elemIdx;
-        data->elemCount = msg->elemCount;
-        data->mergedStreams = msg->mergedStreams;
-        data->profId = msg->profId;
-        if (!msg->mergedStreams.empty()) {
-            data->dests.clear();
-            for (const auto &gs : msg->mergedStreams)
-                data->dests.push_back(gs.core);
-        }
+        answerGetU(*msg, _tile);
         // --verify: DataU captures the serve-time image (uncached reads
         // are not kept coherent afterwards).
         if (_verify)
-            data->vdata = _verify->snapshot(msg->lineAddr);
-        _mesh.send(data);
+            msg->vdata = _verify->snapshot(msg->lineAddr);
+        _mesh.send(msg);
         auto ack = makeMemMsg(MemMsgType::FwdAck, msg->lineAddr, _tile,
                               bank, msg->requester);
         _mesh.send(ack);

@@ -14,8 +14,7 @@ namespace {
 std::FILE *outStream = nullptr;
 
 const char *const flagNames[numFlags] = {
-    "Cache", "NoC", "StreamFloat", "SEL3", "DRAM", "Core", "Prefetch",
-    "Sampler",
+    "Cache", "NoC", "StreamFloat", "SEL3", "DRAM", "Core",
 };
 
 /** Applies SF_DEBUG_FLAGS before main() runs. */

@@ -32,8 +32,6 @@ enum class Flag : uint32_t
     SEL3,        //!< L3-bank stream engines (issue, migrate, confluence)
     DRAM,        //!< memory controllers
     Core,        //!< core pipeline milestones (start, done, barriers)
-    Prefetch,    //!< hardware prefetchers
-    Sampler,     //!< interval sampler activity
     NumFlags,
 };
 

@@ -79,10 +79,6 @@ TiledSystem::buildTiles()
     if (_cfg.traceStreams)
         _streamLogs.resize(2 * n);
 
-    auto as_resolver = [this](int asid) -> mem::AddressSpace * {
-        return asid == 0 ? _as.get() : nullptr;
-    };
-
     for (TileId t = 0; t < n; ++t) {
         std::string tn = "tile" + std::to_string(t);
         // L1 TLB 64/8w; L2 TLB 2k/16w, 8-cycle; ~80-cycle walk.
@@ -142,7 +138,7 @@ TiledSystem::buildTiles()
                 _seL2[t]->setProfiler(_prof.get());
             _seL3[t] = std::make_unique<flt::SEL3>(
                 tn + ".sel3", _eq, t, _cfg.sel3, *_mesh, *_nuca,
-                *_l3[t], as_resolver);
+                *_l3[t], *_as);
             if (_cfg.traceStreams)
                 _seL3[t]->setStreamLog(&_streamLogs[2 * t + 1]);
         }

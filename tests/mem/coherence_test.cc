@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/test_fabric.hh"
 
 using namespace sf;
@@ -21,6 +24,21 @@ Addr
 someLine(sys::TiledSystem &f)
 {
     return f.addressSpace().alloc(4096);
+}
+
+/**
+ * An SE_L3-style GetU for @p line_addr on behalf of stream
+ * (@p requester, @p sid), to be handed to its home bank's recvMsg.
+ */
+mem::MemMsgPtr
+getU(sys::TiledSystem &f, Addr line_addr, TileId requester, StreamId sid)
+{
+    TileId home = f.nuca().bankOf(line_addr);
+    auto msg = mem::makeMemMsg(mem::MemMsgType::GetU, line_addr, home,
+                               home, requester);
+    msg->stream = {requester, sid};
+    msg->reqClass = mem::ReqClass::FloatAffine;
+    return msg;
 }
 
 } // namespace
@@ -230,13 +248,10 @@ TEST(Coherence, GetUDoesNotDisturbDirectory)
     // Evict nothing; issue a GetU directly at the home bank.
     Addr pa = f.addressSpace().translate(v);
     TileId home = f.nuca().bankOf(pa);
-    mem::StreamReadReq req;
-    req.lineAddr = lineAlign(pa);
-    req.stream = {1, 0};
-    req.dests = {1};
+    auto req = getU(f, lineAlign(pa), 1, 0);
     bool got = false;
-    req.onLocalData = [&]() { got = true; };
-    f.l3Bank(home).streamRead(std::move(req));
+    req->onServed = [&]() { got = true; };
+    f.l3Bank(home).recvMsg(req);
     drain(f);
     EXPECT_TRUE(got);
     // The uncached read must not have registered tile 1 as a sharer:
@@ -262,11 +277,7 @@ TEST(Coherence, GetUForwardedByOwnerWithoutStateChange)
     drain(f);
     Addr pa = f.addressSpace().translate(v);
     TileId home = f.nuca().bankOf(pa);
-    mem::StreamReadReq req;
-    req.lineAddr = lineAlign(pa);
-    req.stream = {1, 0};
-    req.dests = {1};
-    f.l3Bank(home).streamRead(std::move(req));
+    f.l3Bank(home).recvMsg(getU(f, lineAlign(pa), 1, 0));
     drain(f);
     // Fig. 12(c): the owner forwarded; a subsequent write by the owner
     // still needs no directory transaction (state unchanged).
@@ -293,26 +304,70 @@ TEST(Coherence, SublineGetUTransfersFewerBytes)
     drain(f);
 
     uint64_t before = data_flits_now();
-    mem::StreamReadReq req;
-    req.lineAddr = lineAlign(pa);
-    req.dataBytes = 8; // indirect subline transfer
-    req.stream = {2, 0};
-    req.dests = {2};
-    f.l3Bank(home).streamRead(std::move(req));
+    auto req = getU(f, lineAlign(pa), 2, 0);
+    req->dataBytes = 8; // indirect subline transfer
+    f.l3Bank(home).recvMsg(req);
     drain(f);
     uint64_t subline_flits = data_flits_now() - before;
 
     before = data_flits_now();
-    mem::StreamReadReq full;
-    full.lineAddr = lineAlign(pa);
-    full.dataBytes = 64;
-    full.stream = {2, 1};
-    full.dests = {2};
-    f.l3Bank(home).streamRead(std::move(full));
+    auto full = getU(f, lineAlign(pa), 2, 1);
+    full->dataBytes = 64;
+    f.l3Bank(home).recvMsg(full);
     drain(f);
     uint64_t full_flits = data_flits_now() - before;
 
     EXPECT_LT(subline_flits, full_flits);
+}
+
+TEST(Coherence, ConfluenceGetUMulticastsOnceFromEveryServePath)
+{
+    // Every tile has an SE_L2, which counts a DataU for a stream it
+    // does not hold as dropped: that counter sees each DataU a tile
+    // receives.
+    sys::TiledSystem f(fabricConfig(sys::Machine::SF));
+    Addr v = someLine(f);
+    Addr line = lineAlign(f.addressSpace().translate(v));
+    TileId home = f.nuca().bankOf(line);
+    const std::vector<TileId> group = {0, 1, 2};
+    const TileId outsider = 3;
+    auto dropped = [&](TileId t) {
+        return f.seL2(t)->stats().dataDropped.value();
+    };
+    auto serve = [&]() {
+        std::array<uint64_t, 4> before{};
+        for (TileId t = 0; t < 4; ++t)
+            before[t] = dropped(t);
+        auto req = getU(f, line, group.front(), 0);
+        for (TileId t : group)
+            req->mergedStreams.push_back({t, 0});
+        req->reqClass = mem::ReqClass::FloatConfluence;
+        int served = 0;
+        req->onServed = [&served]() { ++served; };
+        f.l3Bank(home).recvMsg(req);
+        drain(f);
+        EXPECT_EQ(served, 1);
+        for (TileId t : group)
+            EXPECT_EQ(dropped(t) - before[t], 1u) << "tile " << t;
+        EXPECT_EQ(dropped(outsider), before[outsider]);
+    };
+    const mem::L3BankStats &st = f.l3Bank(home).stats();
+
+    // DRAM miss: the line is not at the L3 yet.
+    serve();
+    EXPECT_EQ(st.misses.value(), 1u);
+    // Clean hit: the uncached fill left the line without an owner.
+    serve();
+    EXPECT_EQ(st.hits.value(), 1u);
+    EXPECT_EQ(st.fwdRequests.value(), 0u);
+    // Owner forward: the outsider owns the line M and multicasts the
+    // DataU itself; the bank runs onServed at its FwdAck.
+    int done = 0;
+    demand(f, outsider, v, true, &done);
+    drain(f);
+    ASSERT_EQ(done, 1);
+    serve();
+    EXPECT_EQ(st.fwdRequests.value(), 1u);
 }
 
 TEST(Coherence, ConcurrentMixedTrafficCompletes)
