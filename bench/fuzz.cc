@@ -160,8 +160,6 @@ class FuzzWorkload : public workload::Workload
         : Workload(p), prog(prog)
     {}
 
-    std::string name() const override { return "fuzz"; }
-
     void
     init(mem::AddressSpace &as) override
     {

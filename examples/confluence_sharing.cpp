@@ -30,8 +30,6 @@ class SharedScanWorkload : public workload::Workload
         : Workload(p), _bytes(bytes)
     {}
 
-    std::string name() const override { return "shared-scan"; }
-
     void
     init(mem::AddressSpace &as) override
     {

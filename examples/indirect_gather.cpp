@@ -32,8 +32,6 @@ class GatherWorkload : public workload::Workload
         : Workload(p), _edges(edges), _nodes(nodes)
     {}
 
-    std::string name() const override { return "gather"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -36,12 +36,6 @@ SEL2::findConst(StreamId sid) const
     return it == _floated.end() ? nullptr : &it->second;
 }
 
-bool
-SEL2::isFloating(StreamId sid) const
-{
-    return findConst(sid) != nullptr;
-}
-
 uint64_t
 SEL2::tryStencilAlias(FloatedStream &s, uint64_t start)
 {
@@ -73,8 +67,7 @@ SEL2::tryStencilAlias(FloatedStream &s, uint64_t start)
         if (k == 0 || k > other.capacityElems)
             continue;
 
-        uint64_t horizon =
-            s.cfg.lengthKnown ? s.cfg.totalElems() : ~0ULL;
+        uint64_t horizon = s.cfg.horizon();
         // The leader must actually cover a useful part of our range:
         // our element i equals its element i+K, which only exists for
         // i < horizon - K. Demand a majority overlap.
@@ -153,13 +146,10 @@ SEL2::floatStream(const stream::FloatRequest &req)
         s.startElem = start;
         s.arrival.reset(start);
         s.consumedUpTo = start;
-        uint32_t esz = cfg.hasIndirect ? cfg.indirect.elemSize
-                                       : cfg.affine.elemSize;
+        uint32_t esz = cfg.elemSize();
         s.capacityElems =
             std::max<uint64_t>(8, bytes_per_stream / std::max(1u, esz));
-        s.grantedUpTo = start + s.capacityElems;
-        if (s.cfg.lengthKnown)
-            s.grantedUpTo = std::min(s.grantedUpTo, s.cfg.totalElems());
+        s.grantedUpTo = std::min(start + s.capacityElems, cfg.horizon());
         return s;
     };
 
@@ -182,42 +172,56 @@ SEL2::floatStream(const stream::FloatRequest &req)
     _grants.push_back(
         {++_headSeq, req.base.sid, base.gen, base.grantedUpTo});
 
-    // Send the configuration packet to the home bank of the first
-    // element the engine must produce (translated through the core's
-    // L2 TLB, §IV-E).
-    uint64_t horizon =
-        base.cfg.lengthKnown ? base.cfg.totalElems() : ~0ULL;
-    uint64_t bank_elem = remote_start;
-    if (horizon != ~0ULL && bank_elem >= horizon)
-        bank_elem = horizon ? horizon - 1 : 0;
-    TileId bank = bankOfElem(base, bank_elem);
-    auto msg = StreamFloatMsg::make(_tile, bank);
-    msg->gsid = {_tile, req.base.sid};
-    msg->gen = base.gen;
-    msg->base = req.base;
-    for (const auto &ind : req.indirects)
-        msg->indirects.push_back({ind.cfg, ind.start});
-    msg->nextElem = remote_start;
-    uint64_t tail_credit = remote_start + base.capacityElems;
-    if (horizon != ~0ULL)
-        tail_credit = std::min(tail_credit, horizon);
-    msg->creditLimit = std::max(base.grantedUpTo, tail_credit);
-    base.grantedUpTo = msg->creditLimit;
-    msg->finalizeSize();
-    _mesh.send(msg);
-
+    // The engine starts at remote_start, past any aliased head, and
+    // gets a full window from there.
+    base.grantedUpTo = std::max(
+        base.grantedUpTo,
+        std::min(remote_start + base.capacityElems, base.cfg.horizon()));
+    TileId bank =
+        sendConfig(req.base.sid, base, remote_start, base.grantedUpTo);
     ++_stats.floats;
-    ++_stats.configsSent;
     SF_DPRINTF(StreamFloat,
                "float config sid=%d -> bank %d nextElem=%llu "
                "credit=%llu",
                req.base.sid, bank, (unsigned long long)remote_start,
-               (unsigned long long)msg->creditLimit);
+               (unsigned long long)base.grantedUpTo);
     if (_cfg.retryEnabled) {
         armAckCheck(req.base.sid, base.gen);
         scheduleProgressScan();
     }
     return true;
+}
+
+TileId
+SEL2::sendConfig(StreamId sid, const FloatedStream &base,
+                 uint64_t next_elem, uint64_t credit)
+{
+    // The home bank of the first element the engine must produce
+    // (translated through the core's L2 TLB, §IV-E), clamped to the
+    // last element of a known-length stream.
+    uint64_t horizon = base.cfg.horizon();
+    uint64_t bank_elem = next_elem;
+    if (horizon != ~0ULL && bank_elem >= horizon)
+        bank_elem = horizon ? horizon - 1 : 0;
+    TileId bank = bankOfElem(base, bank_elem);
+    auto msg = makeStreamMsg<StreamFloatMsg>(_tile, bank);
+    msg->gsid = {_tile, sid};
+    msg->gen = base.gen;
+    msg->base = base.cfg;
+    for (StreamId child_sid : base.children) {
+        if (const FloatedStream *child = findConst(child_sid)) {
+            msg->indirects.push_back(
+                {child->cfg,
+                 std::max(child->startElem,
+                          child->cfg.indirect.firstChild(next_elem))});
+        }
+    }
+    msg->nextElem = next_elem;
+    msg->creditLimit = credit;
+    msg->finalizeSize();
+    _mesh.send(msg);
+    ++_stats.configsSent;
+    return bank;
 }
 
 void
@@ -230,30 +234,8 @@ SEL2::resendConfig(StreamId sid, FloatedStream &base)
     // here), so it recovers from a lost config, migration, or credit
     // without needing to know which one was lost.
     uint64_t next_elem = std::max(base.arrival.next(), base.startElem);
-    uint64_t horizon =
-        base.cfg.lengthKnown ? base.cfg.totalElems() : ~0ULL;
-    uint64_t bank_elem = next_elem;
-    if (horizon != ~0ULL && bank_elem >= horizon)
-        bank_elem = horizon ? horizon - 1 : 0;
-    TileId bank = bankOfElem(base, bank_elem);
-    auto msg = StreamFloatMsg::make(_tile, bank);
-    msg->gsid = {_tile, sid};
-    msg->gen = base.gen;
-    msg->base = base.cfg;
-    for (StreamId child_sid : base.children) {
-        if (FloatedStream *child = find(child_sid)) {
-            FloatedIndirect ind;
-            ind.cfg = child->cfg;
-            ind.start = std::max(child->startElem,
-                                 child->cfg.indirect.firstChild(next_elem));
-            msg->indirects.push_back(ind);
-        }
-    }
-    msg->nextElem = next_elem;
-    msg->creditLimit = std::max(base.grantedUpTo, next_elem);
-    msg->finalizeSize();
-    _mesh.send(msg);
-    ++_stats.configsSent;
+    TileId bank = sendConfig(sid, base, next_elem,
+                             std::max(base.grantedUpTo, next_elem));
     ++_stats.floatRetries;
     SF_DPRINTF(StreamFloat,
                "retry %d/%d: resend config sid=%d -> bank %d "
@@ -403,16 +385,16 @@ SEL2::unfloatStream(StreamId sid)
         // packet (known-length streams that completed end silently).
         // The engine keeps issuing and migrating until it reaches its
         // credit horizon, so the horizon's home bank is guaranteed to
-        // see the stream: send the end there (it waits as a pending
-        // end if the stream has not arrived yet).
-        uint64_t horizon =
-            base.cfg.lengthKnown ? base.cfg.totalElems() : ~0ULL;
+        // see the stream: send the end there (an end that arrives
+        // first records the departure, and the stream is dropped when
+        // it comes).
+        uint64_t horizon = base.cfg.horizon();
         uint64_t target = base.grantedUpTo;
         if (horizon != ~0ULL)
             target = std::min(target, horizon - 1);
         target = std::max(target, base.startElem);
         TileId bank = bankOfElem(base, target);
-        auto msg = StreamEndMsg::make(_tile, bank);
+        auto msg = makeStreamMsg<StreamEndMsg>(_tile, bank);
         msg->gsid = {_tile, sid};
         msg->gen = base.gen;
         _mesh.send(msg);
@@ -469,8 +451,7 @@ SEL2::reissueThroughCache(StreamId sid, const FloatedStream &s,
     a.kind = mem::AccessKind::StreamFetch;
     a.vaddr = vaddr;
     a.paddr = paddr;
-    uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                     : s.cfg.affine.elemSize;
+    uint32_t esz = s.cfg.elemSize();
     a.size = static_cast<uint16_t>(
         std::min<uint32_t>(esz * count, lineBytes));
     a.stream = {_tile, sid};
@@ -515,8 +496,7 @@ SEL2::handleFloatedFetch(mem::Access &access)
     FloatedStream *s = find(sid);
     if (!s)
         return false;
-    uint32_t esz = s->cfg.hasIndirect ? s->cfg.indirect.elemSize
-                                      : s->cfg.affine.elemSize;
+    uint32_t esz = s->cfg.elemSize();
     uint16_t count = static_cast<uint16_t>(
         std::max<uint32_t>(1, access.size / std::max(1u, esz)));
     fetchFloatedElems(sid, access.elemIdx, count, std::move(access.onDone),
@@ -634,7 +614,7 @@ SEL2::maybeGrantCredits(StreamId sid, FloatedStream &s)
     // Indirect children share the base stream's credits (§IV-B).
     if (s.baseSid != invalidStream)
         return;
-    uint64_t horizon = s.cfg.lengthKnown ? s.cfg.totalElems() : ~0ULL;
+    uint64_t horizon = s.cfg.horizon();
     if (s.grantedUpTo >= horizon)
         return;
     // A leader's elements stay buffered until every lagging constant-
@@ -668,7 +648,7 @@ SEL2::maybeGrantCredits(StreamId sid, FloatedStream &s)
     _grants.push_back({++_headSeq, sid, s.gen, s.grantedUpTo});
 
     TileId bank = bankOfElem(s, std::min(stall_elem, horizon - 1));
-    auto msg = StreamCreditMsg::make(_tile, bank);
+    auto msg = makeStreamMsg<StreamCreditMsg>(_tile, bank);
     msg->gsid = {_tile, sid};
     msg->gen = s.gen;
     msg->creditLimit = s.grantedUpTo;

@@ -125,7 +125,6 @@ class SEL2 : public SimObject,
     // --- stream::FloatControllerIf (calls from SE_core) ---
     bool floatStream(const stream::FloatRequest &req) override;
     void unfloatStream(StreamId sid) override;
-    bool isFloating(StreamId sid) const override;
     void fetchFloatedElems(StreamId sid, uint64_t first_idx,
                            uint16_t count,
                            std::function<void()> on_ready,
@@ -267,6 +266,14 @@ class SEL2 : public SimObject,
                              std::function<void()> cb);
 
     TileId bankOfElem(const FloatedStream &s, uint64_t idx);
+
+    /**
+     * Send @p base's config packet, with its indirect children, to the
+     * home bank of @p next_elem, granting credit up to @p credit.
+     * @return the bank it went to.
+     */
+    TileId sendConfig(StreamId sid, const FloatedStream &base,
+                      uint64_t next_elem, uint64_t credit);
 
     // --- robustness: ack timeout, stall recovery, fallback ---
     /** Resend the config for @p sid from its arrival frontier. */

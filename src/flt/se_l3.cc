@@ -110,12 +110,13 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
     // Stale replay? A duplicated or long-delayed config/migration
     // that arrives at or behind the point where this stream already
     // left this bank would install a ghost copy chasing the live one;
-    // drop it silently (see _departed).
-    auto dep = _departed.find(msg->gsid);
-    if (dep != _departed.end() &&
-        (msg->gen < dep->second.first ||
-         (msg->gen == dep->second.first &&
-          msg->nextElem < dep->second.second))) {
+    // drop it silently (see Record). An end that raced ahead of its
+    // stream recorded a departure at ~0, so this drops the stream too.
+    auto rec = _records.find(msg->gsid);
+    if (rec != _records.end() &&
+        (msg->gen < rec->second.departed.gen ||
+         (msg->gen == rec->second.departed.gen &&
+          msg->nextElem < rec->second.departed.pos))) {
         ++_stats.staleConfigsDropped;
         SF_DPRINTF(SEL3,
                    "drop stale %s c%d.s%d gen=%u elem=%llu "
@@ -123,19 +124,8 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
                    msg->isMigration ? "migration" : "config",
                    msg->gsid.core, msg->gsid.sid, msg->gen,
                    (unsigned long long)msg->nextElem,
-                   dep->second.first,
-                   (unsigned long long)dep->second.second);
-        return;
-    }
-
-    // An end packet may have raced ahead of this (re)configuration.
-    // Still ack: the config was received, the stream just no longer
-    // exists — the SE_L2 side ignores acks for unknown streams.
-    auto pend = _pendingEnds.find(msg->gsid);
-    if (pend != _pendingEnds.end() && pend->second >= msg->gen) {
-        recordDeparture(msg->gsid, pend->second, ~0ULL);
-        _pendingEnds.erase(pend);
-        sendAck(msg->gsid, msg->gen, false);
+                   rec->second.departed.gen,
+                   (unsigned long long)rec->second.departed.pos);
         return;
     }
 
@@ -182,13 +172,12 @@ SEL3::recvConfig(const std::shared_ptr<StreamFloatMsg> &msg)
     m.creditLimit = msg->creditLimit;
     m.joinedAt = msg->nextElem;
 
-    auto pcred = _pendingCredits.find(msg->gsid);
-    if (pcred != _pendingCredits.end()) {
-        if (pcred->second.first == msg->gen) {
-            m.creditLimit =
-                std::max(m.creditLimit, pcred->second.second);
-        }
-        _pendingCredits.erase(pcred);
+    // An early credit is spent by the next config of any gen.
+    if (rec != _records.end() && rec->second.credit.gen != 0) {
+        GenMark &credit = rec->second.credit;
+        if (credit.gen == msg->gen)
+            m.creditLimit = std::max(m.creditLimit, credit.pos);
+        credit = GenMark();
     }
     e.members.push_back(m);
 
@@ -216,7 +205,7 @@ SEL3::addStream(Entry &&e)
 void
 SEL3::sendAck(const GlobalStreamId &gsid, uint32_t gen, bool nack)
 {
-    auto msg = StreamAckMsg::make(_tile, gsid.core);
+    auto msg = makeStreamMsg<StreamAckMsg>(_tile, gsid.core);
     msg->gsid = gsid;
     msg->gen = gen;
     msg->nack = nack;
@@ -281,11 +270,7 @@ SEL3::recvCredit(const std::shared_ptr<StreamCreditMsg> &msg)
     ++_stats.creditsReceived;
     auto it = findEntry(msg->gsid);
     if (it == _entries.end()) {
-        auto &slot = _pendingCredits[msg->gsid];
-        if (msg->gen > slot.first)
-            slot = {msg->gen, msg->creditLimit};
-        else if (msg->gen == slot.first)
-            slot.second = std::max(slot.second, msg->creditLimit);
+        _records[msg->gsid].credit.raise(msg->gen, msg->creditLimit);
         return;
     }
     for (auto &m : it->members) {
@@ -312,14 +297,12 @@ SEL3::recvEnd(const std::shared_ptr<StreamEndMsg> &msg)
     ++_stats.endsReceived;
     // Ended for good at this gen: no config/migration at gen or older
     // may re-install the stream here (a duplicated migration could
-    // otherwise arrive after this end and leave a ghost behind).
-    recordDeparture(msg->gsid, msg->gen, ~0ULL);
+    // otherwise arrive after this end and leave a ghost behind, and a
+    // config that the end overtook is dropped when it comes).
+    _records[msg->gsid].departed.raise(msg->gen, ~0ULL);
     auto it = findEntry(msg->gsid);
-    if (it == _entries.end()) {
-        uint32_t &g = _pendingEnds[msg->gsid];
-        g = std::max(g, msg->gen);
+    if (it == _entries.end())
         return;
-    }
     auto &members = it->members;
     members.erase(std::remove_if(members.begin(), members.end(),
                                  [&](const Member &m) {
@@ -329,23 +312,6 @@ SEL3::recvEnd(const std::shared_ptr<StreamEndMsg> &msg)
                   members.end());
     if (members.empty())
         _entries.erase(it);
-}
-
-void
-SEL3::recordDeparture(const GlobalStreamId &gsid, uint32_t gen,
-                      uint64_t frontier)
-{
-    auto [it, fresh] =
-        _departed.try_emplace(gsid, std::make_pair(gen, frontier));
-    if (fresh)
-        return;
-    auto &[dgen, dpos] = it->second;
-    if (gen > dgen) {
-        dgen = gen;
-        dpos = frontier;
-    } else if (gen == dgen) {
-        dpos = std::max(dpos, frontier);
-    }
 }
 
 void
@@ -392,8 +358,7 @@ SEL3::issueOne(Entry &e)
     }
 
     // Completed known-length streams terminate silently (§IV-A).
-    uint64_t horizon =
-        e.base.lengthKnown ? e.base.totalElems() : ~0ULL;
+    uint64_t horizon = e.base.horizon();
     if (e.issuePos >= horizon) {
         ++_stats.streamsCompleted;
         const GlobalStreamId &gsid = e.members.front().gsid;
@@ -402,7 +367,7 @@ SEL3::issueOne(Entry &e)
         // A trailing duplicated migration must not re-install the
         // finished stream: mark every member as departed for good.
         for (const auto &m : e.members)
-            recordDeparture(m.gsid, m.gen, ~0ULL);
+            _records[m.gsid].departed.raise(m.gen, ~0ULL);
         _entries.remove_if(
             [&](const Entry &x) { return &x == &e; });
         return true;
@@ -552,23 +517,24 @@ SEL3::debugDump(std::FILE *f) const
         }
         std::fprintf(f, "] pump=%d\n", _pump.running());
     }
-    // Sorted snapshot: _pendingCredits is hash-ordered and the dump
-    // must be reproducible (sflint D1).
+    // Sorted snapshot: _records is hash-ordered and the dump must be
+    // reproducible (sflint D1).
     std::vector<GlobalStreamId> pend;
-    pend.reserve(_pendingCredits.size());
     // sflint: ordered-ok(key collection only; sorted before printing)
-    for (const auto &kv : _pendingCredits)
-        pend.push_back(kv.first);
+    for (const auto &kv : _records) {
+        if (kv.second.credit.gen != 0)
+            pend.push_back(kv.first);
+    }
     std::sort(pend.begin(), pend.end(),
               [](const GlobalStreamId &a, const GlobalStreamId &b) {
                   return std::tie(a.core, a.sid) <
                          std::tie(b.core, b.sid);
               });
     for (const GlobalStreamId &gsid : pend) {
-        const auto &pc = _pendingCredits.at(gsid);
+        const GenMark &credit = _records.at(gsid).credit;
         std::fprintf(f, "  %s pendingCredit c%d s%d gen=%u lim=%llu\n",
-                     name().c_str(), gsid.core, gsid.sid, pc.first,
-                     (unsigned long long)pc.second);
+                     name().c_str(), gsid.core, gsid.sid, credit.gen,
+                     (unsigned long long)credit.pos);
     }
 }
 
@@ -588,7 +554,7 @@ void
 SEL3::migrate(Entry &e, TileId next_bank)
 {
     for (const auto &m : e.members) {
-        auto msg = StreamFloatMsg::make(_tile, next_bank);
+        auto msg = makeStreamMsg<StreamFloatMsg>(_tile, next_bank);
         msg->isMigration = true;
         msg->gsid = m.gsid;
         msg->gen = m.gen;
@@ -601,7 +567,7 @@ SEL3::migrate(Entry &e, TileId next_bank)
         msg->nextElem = e.issuePos;
         msg->creditLimit = m.creditLimit;
         msg->finalizeSize();
-        recordDeparture(m.gsid, m.gen, e.issuePos);
+        _records[m.gsid].departed.raise(m.gen, e.issuePos);
         _mesh.send(msg);
         ++_stats.migrationsOut;
         SF_DPRINTF(SEL3, "migrate c%d.s%d -> bank %d at elem %llu",

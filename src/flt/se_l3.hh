@@ -14,6 +14,7 @@
 #ifndef SF_FLT_SE_L3_HH
 #define SF_FLT_SE_L3_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <list>
@@ -204,26 +205,46 @@ class SEL3 : public SimObject
     /** Issue pump: recurring while busy, stopped when idle. */
     RecurringEvent _pump;
 
-    /** Credits/ends that arrived before their stream (migration race). */
-    std::unordered_map<GlobalStreamId, std::pair<uint32_t, uint64_t>>
-        _pendingCredits;
-    std::unordered_map<GlobalStreamId, uint32_t> _pendingEnds;
+    /** A (gen, position) mark. Gens start at 1, so gen 0 is "none". */
+    struct GenMark
+    {
+        uint32_t gen = 0;
+        uint64_t pos = 0;
+
+        /** A newer gen replaces the mark; the same gen keeps the max. */
+        void
+        raise(uint32_t g, uint64_t p)
+        {
+            if (g > gen) {
+                gen = g;
+                pos = p;
+            } else if (g == gen) {
+                pos = std::max(pos, p);
+            }
+        }
+    };
 
     /**
-     * Replay filter: the (gen, frontier) at which each stream last
-     * left this bank, recorded on migration-out and on end. A config
-     * or migration that arrives at or behind this point is a stale
-     * replay (duplicated/delayed in the network) and must be dropped,
-     * or it would resurrect a ghost copy of the stream that the end
-     * packet can never catch. Dropped replays are NOT acked: a
-     * genuinely lost config that lands here retries later with an
-     * advanced frontier and reaches the right bank. Bounded by
-     * cores x stream ids.
+     * What this bank keeps of a stream beyond its resident entry.
+     * Bounded by cores x stream ids.
      */
-    std::unordered_map<GlobalStreamId, std::pair<uint32_t, uint64_t>>
-        _departed;
-    void recordDeparture(const GlobalStreamId &gsid, uint32_t gen,
-                         uint64_t frontier);
+    struct Record
+    {
+        /**
+         * Replay filter: the (gen, frontier) at which the stream last
+         * left this bank, on migration-out, completion and end. A
+         * config or migration that arrives at or behind this point is
+         * a stale replay (duplicated/delayed in the network) and must
+         * be dropped, or it would resurrect a ghost copy of the stream
+         * that the end packet can never catch. Dropped replays are NOT
+         * acked: a genuinely lost config that lands here retries later
+         * with an advanced frontier and reaches the right bank.
+         */
+        GenMark departed;
+        /** A credit (gen, limit) that arrived before its stream. */
+        GenMark credit;
+    };
+    std::unordered_map<GlobalStreamId, Record> _records;
 
     SEL3Stats _stats;
     trace::StreamLog *_streamLog = nullptr;

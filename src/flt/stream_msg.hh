@@ -26,18 +26,57 @@ struct FloatedIndirect
     uint64_t start = 0;
 };
 
+/** The four stream-management packet kinds (Table I, plus the ack). */
+enum class StreamMsgKind : uint8_t
+{
+    Float,  //!< StreamFloatMsg: configuration or migration
+    Credit, //!< StreamCreditMsg
+    End,    //!< StreamEndMsg
+    Ack,    //!< StreamAckMsg
+};
+
+/**
+ * The header every stream-management packet shares: its kind, the
+ * stream it manages and that stream's generation. It travels in the
+ * stream-management flit class on the control vnet.
+ */
+struct StreamMsg : noc::Message
+{
+    StreamMsgKind kind;
+    GlobalStreamId gsid;
+    /** Generation: guards stale engines after sink + refloat. */
+    uint32_t gen = 0;
+
+  protected:
+    StreamMsg(StreamMsgKind k, uint32_t payload_bytes) : kind(k)
+    {
+        payloadBytes = payload_bytes;
+        cls = noc::FlitClass::StreamMgmt;
+        vnet = noc::VNet::Control;
+    }
+};
+
+/** A stream packet of type @p M from @p src to the single @p dest. */
+template <class M>
+std::shared_ptr<M>
+makeStreamMsg(TileId src, TileId dest)
+{
+    auto m = std::make_shared<M>();
+    m->src = src;
+    m->dests = {dest};
+    return m;
+}
+
 /**
  * Stream configuration / migration packet (Table I). The payload size
  * is the paper's 450 bits (+60 per indirect stream), under one cache
  * line.
  */
-struct StreamFloatMsg : noc::Message
+struct StreamFloatMsg : StreamMsg
 {
-    bool isMigration = false;
-    GlobalStreamId gsid;
-    /** Generation: guards stale engines after sink + refloat. */
-    uint32_t gen = 0;
+    StreamFloatMsg() : StreamMsg(StreamMsgKind::Float, 0) {}
 
+    bool isMigration = false;
     isa::StreamConfig base;
     std::vector<FloatedIndirect> indirects;
 
@@ -45,17 +84,6 @@ struct StreamFloatMsg : noc::Message
     uint64_t nextElem = 0;
     /** Absolute credit horizon: elements < this may be issued. */
     uint64_t creditLimit = 0;
-
-    static std::shared_ptr<StreamFloatMsg>
-    make(TileId src, TileId dest)
-    {
-        auto m = std::make_shared<StreamFloatMsg>();
-        m->src = src;
-        m->dests = {dest};
-        m->cls = noc::FlitClass::StreamMgmt;
-        m->vnet = noc::VNet::Control;
-        return m;
-    }
 
     /** Size the packet per Table I once fields are filled in. */
     void
@@ -69,45 +97,20 @@ struct StreamFloatMsg : noc::Message
 };
 
 /** Coarse-grained flow-control credit (§IV-A). */
-struct StreamCreditMsg : noc::Message
+struct StreamCreditMsg : StreamMsg
 {
-    GlobalStreamId gsid;
-    uint32_t gen = 0;
+    StreamCreditMsg() : StreamMsg(StreamMsgKind::Credit, 8) {}
+
     /** New absolute credit horizon (idempotent). */
     uint64_t creditLimit = 0;
     /** Sequence number for the §IV-E eviction-delay window. */
     uint16_t seq = 0;
-
-    static std::shared_ptr<StreamCreditMsg>
-    make(TileId src, TileId dest)
-    {
-        auto m = std::make_shared<StreamCreditMsg>();
-        m->src = src;
-        m->dests = {dest};
-        m->payloadBytes = 8;
-        m->cls = noc::FlitClass::StreamMgmt;
-        m->vnet = noc::VNet::Control;
-        return m;
-    }
 };
 
 /** Terminate a floated stream (stream_end / early sink). */
-struct StreamEndMsg : noc::Message
+struct StreamEndMsg : StreamMsg
 {
-    GlobalStreamId gsid;
-    uint32_t gen = 0;
-
-    static std::shared_ptr<StreamEndMsg>
-    make(TileId src, TileId dest)
-    {
-        auto m = std::make_shared<StreamEndMsg>();
-        m->src = src;
-        m->dests = {dest};
-        m->payloadBytes = 4;
-        m->cls = noc::FlitClass::StreamMgmt;
-        m->vnet = noc::VNet::Control;
-        return m;
-    }
+    StreamEndMsg() : StreamMsg(StreamMsgKind::End, 4) {}
 };
 
 /**
@@ -116,23 +119,11 @@ struct StreamEndMsg : noc::Message
  * core's SE_L2. `nack` means the bank rejected the stream (table
  * overflow) and the core side must fall back to core-fetch.
  */
-struct StreamAckMsg : noc::Message
+struct StreamAckMsg : StreamMsg
 {
-    GlobalStreamId gsid;
-    uint32_t gen = 0;
-    bool nack = false;
+    StreamAckMsg() : StreamMsg(StreamMsgKind::Ack, 4) {}
 
-    static std::shared_ptr<StreamAckMsg>
-    make(TileId src, TileId dest)
-    {
-        auto m = std::make_shared<StreamAckMsg>();
-        m->src = src;
-        m->dests = {dest};
-        m->payloadBytes = 4;
-        m->cls = noc::FlitClass::StreamMgmt;
-        m->vnet = noc::VNet::Control;
-        return m;
-    }
+    bool nack = false;
 };
 
 } // namespace flt

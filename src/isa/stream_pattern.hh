@@ -238,6 +238,20 @@ struct StreamConfig
         return n;
     }
 
+    /** Bytes of one element: the indirect target's or the affine one's. */
+    uint32_t
+    elemSize() const
+    {
+        return hasIndirect ? indirect.elemSize : affine.elemSize;
+    }
+
+    /** One past the last element; ~0 when the length is unknown. */
+    uint64_t
+    horizon() const
+    {
+        return lengthKnown ? totalElems() : ~0ULL;
+    }
+
     /** Estimated footprint used by the floating policy (§IV-D). */
     uint64_t
     footprintBytes() const

@@ -277,8 +277,7 @@ class PrivCache : public SimObject
     bool mshrAvailable() const { return _mshrs.size() < _cfg.numMshrs; }
 
     // --- introspection for the invariant checker / drain checks ---
-    /** Tag arrays (read-only MESI walks; do not mutate lines). */
-    CacheArray &l1Array() { return _l1; }
+    /** L2 tag array (read-only MESI walks; do not mutate lines). */
     CacheArray &l2Array() { return _l2; }
     /** Residual work that must be empty once the system drains. */
     size_t delayedEvictions() const { return _delayedEvictions.size(); }

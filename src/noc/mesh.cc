@@ -86,14 +86,6 @@ Mesh::oldestInFlightTick() const
 }
 
 void
-Mesh::forEachInFlight(
-    const std::function<void(const MsgPtr &, Tick)> &fn) const
-{
-    for (const auto &[seq, info] : _inFlight)
-        fn(info.msg, info.injectTick);
-}
-
-void
 Mesh::debugDumpInFlight(std::FILE *out) const
 {
     std::fprintf(out, "mesh: %zu packet(s) in flight\n", _inFlight.size());

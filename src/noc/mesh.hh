@@ -126,10 +126,6 @@ class Mesh : public SimObject
     /** Injection tick of the oldest tracked packet; maxTick if none. */
     Tick oldestInFlightTick() const;
 
-    /** Visit every tracked packet with its injection tick. */
-    void forEachInFlight(
-        const std::function<void(const MsgPtr &, Tick)> &fn) const;
-
     void debugDumpInFlight(std::FILE *out) const;
 
     int numTiles() const { return _cfg.nx * _cfg.ny; }

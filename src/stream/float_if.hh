@@ -53,9 +53,6 @@ class FloatControllerIf
      */
     virtual void unfloatStream(StreamId sid) = 0;
 
-    /** True while @p sid is floating from this tile. */
-    virtual bool isFloating(StreamId sid) const = 0;
-
     /**
      * Latest float generation issued for @p sid (0 = never floated);
      * each accepted float of @p sid issues the next one.

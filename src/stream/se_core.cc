@@ -83,9 +83,7 @@ SECore::recomputeQuotas()
     for (StreamState &s : _streams) {
         if (!s.active || s.cfg.isStore)
             continue;
-        uint32_t elem = std::max<uint32_t>(
-            1, s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                 : s.cfg.affine.elemSize);
+        uint32_t elem = std::max<uint32_t>(1, s.cfg.elemSize());
         // Floor of two vector registers' worth so SIMD consumption can
         // double-buffer even on the small IO4 FIFO.
         s.quotaElems = std::max<uint64_t>(
@@ -135,9 +133,7 @@ SECore::configure(const std::vector<isa::StreamConfig> &group)
                    "config sid=%d %s%s elemSize=%u lengthKnown=%d",
                    cfg.sid, cfg.isStore ? "store" : "load",
                    cfg.hasIndirect ? " indirect" : "",
-                   cfg.hasIndirect ? cfg.indirect.elemSize
-                                   : cfg.affine.elemSize,
-                   cfg.lengthKnown);
+                   cfg.elemSize(), cfg.lengthKnown);
         if (_streamLog) {
             s.traceGen = (_floatCtrl ? _floatCtrl->latestGen(cfg.sid) : 0) + 1;
             _streamLog->push_back({curTick(), {_tile, cfg.sid}, s.traceGen,
@@ -190,14 +186,6 @@ SECore::end(StreamId sid)
     recomputeQuotas();
 }
 
-uint64_t
-SECore::horizonOf(const StreamState &s) const
-{
-    if (!s.cfg.lengthKnown)
-        return ~0ULL;
-    return s.cfg.totalElems();
-}
-
 bool
 SECore::indirectAddr(StreamState &s, uint64_t idx, Addr &out)
 {
@@ -221,7 +209,7 @@ SECore::pump(StreamId sid, uint64_t min_end)
     if (s.cfg.isStore)
         return;
 
-    uint64_t horizon = horizonOf(s);
+    uint64_t horizon = s.cfg.horizon();
     uint64_t cap_end =
         std::max(s.commitBase + s.quotaElems, min_end);
     cap_end = std::min(cap_end, horizon);
@@ -231,8 +219,7 @@ SECore::pump(StreamId sid, uint64_t min_end)
     // elements are matched at the SE_L2 by (sid, index), so they need
     // no core-side address (the core cannot compute one without the
     // index data anyway).
-    uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                     : s.cfg.affine.elemSize;
+    uint32_t esz = s.cfg.elemSize();
     while (s.commitBase + s.window.size() < cap_end) {
         uint64_t idx = s.commitBase + s.window.size();
         ElemRec rec;
@@ -322,8 +309,7 @@ SECore::issueFetch(StreamId sid, uint64_t first_idx, uint16_t count)
     mem::Access a;
     a.vaddr = vaddr;
     a.paddr = paddr;
-    uint32_t elem_size = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                           : s.cfg.affine.elemSize;
+    uint32_t elem_size = s.cfg.elemSize();
     a.size = static_cast<uint16_t>(
         std::min<uint32_t>(elem_size * count, lineBytes));
     a.pc = static_cast<uint32_t>(1000000 + sid);
@@ -534,8 +520,7 @@ SECore::storeCommitted(Addr vaddr, uint16_t size)
             s.windowLo >= hi)
             continue;
         bool aliased = false;
-        uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                         : s.cfg.affine.elemSize;
+        uint32_t esz = s.cfg.elemSize();
         for (size_t off = 0; off < s.window.size(); ++off) {
             Addr va = s.window[off].vaddr;
             if (va < hi && va + esz > lo) {
@@ -586,8 +571,7 @@ SECore::verifyBindElem(StreamState &s, uint64_t idx)
                   s.cfg.sid, s.parent);
         vaddr = s.cfg.indirect.elemAddr(idx, p->cfg.affine, _as);
     }
-    uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                     : s.cfg.affine.elemSize;
+    uint32_t esz = s.cfg.elemSize();
     std::vector<uint8_t> bytes(esz);
     _verify->readBytes(_tile, vaddr, esz, bytes.data(),
                        /*stream_elem=*/true);
@@ -600,8 +584,7 @@ SECore::verifyFoldElems(StreamId sid, uint64_t first, uint16_t elems)
     if (!_verify)
         return 0;
     StreamState &s = state(sid);
-    uint32_t esz = s.cfg.hasIndirect ? s.cfg.indirect.elemSize
-                                     : s.cfg.affine.elemSize;
+    uint32_t esz = s.cfg.elemSize();
     std::vector<uint8_t> bytes(static_cast<size_t>(elems) * esz);
     for (uint16_t e = 0; e < elems; ++e) {
         const std::vector<uint8_t> &eb = verifyBindElem(s, first + e);

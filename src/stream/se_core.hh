@@ -269,9 +269,6 @@ class SECore : public SimObject, public cpu::StreamEngineIf
     const std::vector<uint8_t> &verifyBindElem(StreamState &s,
                                                uint64_t idx);
 
-    /** Total elements, or a large horizon for unknown lengths. */
-    uint64_t horizonOf(const StreamState &s) const;
-
     void recomputeQuotas();
 
     /** §IV-D float decision; @return true if the stream floated. */

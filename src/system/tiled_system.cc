@@ -13,6 +13,27 @@
 namespace sf {
 namespace sys {
 
+namespace {
+
+/** The fault-injection class of a stream packet. */
+FaultClass
+faultClassOf(flt::StreamMsgKind kind)
+{
+    switch (kind) {
+      case flt::StreamMsgKind::Float:
+        return FaultClass::FloatRequest;
+      case flt::StreamMsgKind::Credit:
+        return FaultClass::CreditGrant;
+      case flt::StreamMsgKind::End:
+        return FaultClass::StreamEnd;
+      case flt::StreamMsgKind::Ack:
+        return FaultClass::StreamAck;
+    }
+    panic("unknown stream packet kind %d", (int)kind);
+}
+
+} // namespace
+
 TiledSystem::TiledSystem(const SystemConfig &cfg) : _cfg(cfg)
 {
     // Structural faults reshape the machine itself, so they apply
@@ -231,25 +252,30 @@ TiledSystem::dispatch(TileId tile, const noc::MsgPtr &msg)
         panic("unroutable MemMsgType %d on tile %d", (int)mm->type,
               tile);
     }
-    if (auto cfg = std::dynamic_pointer_cast<flt::StreamFloatMsg>(msg)) {
-        sf_assert(_seL3[tile], "stream config at non-SF tile");
-        _seL3[tile]->recvConfig(cfg);
-        return;
-    }
-    if (auto cr = std::dynamic_pointer_cast<flt::StreamCreditMsg>(msg)) {
-        sf_assert(_seL3[tile], "stream credit at non-SF tile");
-        _seL3[tile]->recvCredit(cr);
-        return;
-    }
-    if (auto end = std::dynamic_pointer_cast<flt::StreamEndMsg>(msg)) {
-        sf_assert(_seL3[tile], "stream end at non-SF tile");
-        _seL3[tile]->recvEnd(end);
-        return;
-    }
-    if (auto ack = std::dynamic_pointer_cast<flt::StreamAckMsg>(msg)) {
-        sf_assert(_seL2[tile], "stream ack at non-SF tile");
-        _seL2[tile]->recvFloatAck(ack);
-        return;
+    if (auto sm = std::dynamic_pointer_cast<flt::StreamMsg>(msg)) {
+        using flt::StreamMsgKind;
+        switch (sm->kind) {
+          case StreamMsgKind::Float:
+            sf_assert(_seL3[tile], "stream config at non-SF tile");
+            _seL3[tile]->recvConfig(
+                std::static_pointer_cast<flt::StreamFloatMsg>(sm));
+            return;
+          case StreamMsgKind::Credit:
+            sf_assert(_seL3[tile], "stream credit at non-SF tile");
+            _seL3[tile]->recvCredit(
+                std::static_pointer_cast<flt::StreamCreditMsg>(sm));
+            return;
+          case StreamMsgKind::End:
+            sf_assert(_seL3[tile], "stream end at non-SF tile");
+            _seL3[tile]->recvEnd(
+                std::static_pointer_cast<flt::StreamEndMsg>(sm));
+            return;
+          case StreamMsgKind::Ack:
+            sf_assert(_seL2[tile], "stream ack at non-SF tile");
+            _seL2[tile]->recvFloatAck(
+                std::static_pointer_cast<flt::StreamAckMsg>(sm));
+            return;
+        }
     }
     panic("unroutable message on tile %d", tile);
 }
@@ -365,21 +391,10 @@ TiledSystem::setupRobustness()
         _mesh->setSendInterceptor(
             [this](const noc::MsgPtr &msg, Cycles &delay) {
                 using noc::Mesh;
-                FaultClass cls;
-                if (std::dynamic_pointer_cast<flt::StreamFloatMsg>(msg))
-                    cls = FaultClass::FloatRequest;
-                else if (std::dynamic_pointer_cast<flt::StreamCreditMsg>(
-                             msg))
-                    cls = FaultClass::CreditGrant;
-                else if (std::dynamic_pointer_cast<flt::StreamEndMsg>(
-                             msg))
-                    cls = FaultClass::StreamEnd;
-                else if (std::dynamic_pointer_cast<flt::StreamAckMsg>(
-                             msg))
-                    cls = FaultClass::StreamAck;
-                else
+                auto sm = std::dynamic_pointer_cast<flt::StreamMsg>(msg);
+                if (!sm)
                     return Mesh::SendAction::Deliver;
-                switch (_faults->decide(cls)) {
+                switch (_faults->decide(faultClassOf(sm->kind))) {
                   case FaultAction::Drop:
                     return Mesh::SendAction::Drop;
                   case FaultAction::Delay:
@@ -449,10 +464,10 @@ TiledSystem::registerInvariantChecks()
     // A floated stream generation lives at exactly one L3 bank (it is
     // either resident or in a migration message, never in two tables).
     // This holds even under message-level fault injection: the SE_L3
-    // replay filter (_departed) refuses configs/migrations at or
-    // behind the stream's departure frontier, so a duplicated or
-    // retried config can be absorbed or dropped but never plant a
-    // second residence.
+    // replay filter (the departure in each stream's SEL3::Record)
+    // refuses configs/migrations at or behind the stream's departure
+    // frontier, so a duplicated or retried config can be absorbed or
+    // dropped but never plant a second residence.
     if (floats) {
         _checker->addCheck(
             "stream-residence", CheckLevel::Basic,

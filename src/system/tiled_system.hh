@@ -114,6 +114,8 @@ class TiledSystem
     mem::NucaMap &nuca() { return *_nuca; }
     mem::PrivCache &privCache(TileId t) { return *_priv[t]; }
     mem::L3Bank &l3Bank(TileId t) { return *_l3[t]; }
+    /** Tile @p t's memory controller; null off the mesh corners. */
+    mem::MemCtrl *memCtrl(TileId t) { return _memCtrls[t].get(); }
     cpu::Core &core(TileId t) { return *_cores[t]; }
     stream::SECore *seCore(TileId t) { return _seCores[t].get(); }
     flt::SEL2 *seL2(TileId t) { return _seL2[t].get(); }

@@ -27,8 +27,6 @@ class BfsWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "bfs"; }
-
     void
     init(mem::AddressSpace &as) override
     {

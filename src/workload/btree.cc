@@ -29,8 +29,6 @@ class BtreeWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "b+tree"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -27,8 +27,6 @@ class CfdWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "cfd"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -28,8 +28,6 @@ class Conv3dWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "conv3d"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -23,8 +23,6 @@ class HotspotWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "hotspot"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -21,8 +21,6 @@ class Hotspot3DWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "hotspot3D"; }
-
     void
     init(mem::AddressSpace &as) override
     {

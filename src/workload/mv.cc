@@ -23,8 +23,6 @@ class MvWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "mv"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -22,8 +22,6 @@ class NnWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "nn"; }
-
     void
     init(mem::AddressSpace &as) override
     {

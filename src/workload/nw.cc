@@ -27,8 +27,6 @@ class NwWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "nw"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -26,8 +26,6 @@ class ParticlefilterWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "particlefilter"; }
-
     void
     init(mem::AddressSpace &as) override
     {

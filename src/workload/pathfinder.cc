@@ -23,8 +23,6 @@ class PathfinderWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "pathfinder"; }
-
     void
     init(mem::AddressSpace &as) override
     {

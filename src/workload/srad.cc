@@ -21,8 +21,6 @@ class SradWorkload : public Workload
   public:
     using Workload::Workload;
 
-    std::string name() const override { return "srad"; }
-
     void
     init(mem::AddressSpace &as) override
     {

@@ -45,8 +45,6 @@ class Workload
     explicit Workload(const WorkloadParams &p) : params(p) {}
     virtual ~Workload() = default;
 
-    virtual std::string name() const = 0;
-
     /** Allocate and initialize the dataset. Called exactly once. */
     virtual void init(mem::AddressSpace &as) = 0;
 

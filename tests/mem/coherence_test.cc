@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <vector>
 
 #include "common/test_fabric.hh"
@@ -39,6 +40,70 @@ getU(sys::TiledSystem &f, Addr line_addr, TileId requester, StreamId sid)
     msg->stream = {requester, sid};
     msg->reqClass = mem::ReqClass::FloatAffine;
     return msg;
+}
+
+/** Log every MemMsg that @p f's mesh is asked to carry into @p log. */
+void
+recordSends(sys::TiledSystem &f, std::vector<mem::MemMsgPtr> &log)
+{
+    f.mesh().setSendInterceptor([&log](const noc::MsgPtr &m, Cycles &) {
+        if (auto mm = std::dynamic_pointer_cast<mem::MemMsg>(m))
+            log.push_back(mm);
+        return noc::Mesh::SendAction::Deliver;
+    });
+}
+
+/** Messages of @p type for @p line_addr in @p log. */
+int
+countSent(const std::vector<mem::MemMsgPtr> &log, mem::MemMsgType type,
+          Addr line_addr)
+{
+    int n = 0;
+    for (const auto &m : log)
+        n += m->type == type && m->lineAddr == line_addr;
+    return n;
+}
+
+/**
+ * A stand-in SE_L2 for the §IV-E third window: it holds back every
+ * dirty eviction while `delay` is set and counts what the cache tells
+ * it.
+ */
+struct ParkingStreamBuffer : mem::StreamBufferIf
+{
+    bool delay = true;
+    int dirtyEvictions = 0;
+    int pressure = 0;
+
+    bool handleFloatedFetch(mem::Access &) override { return false; }
+    void onFloatedHitInCache(const GlobalStreamId &, uint64_t) override {}
+    void recvDataU(const mem::MemMsgPtr &) override {}
+    void onDirtyEviction(Addr) override { ++dirtyEvictions; }
+    uint16_t currentCreditHead() override { return 0; }
+    bool mustDelayEviction(uint16_t) override { return delay; }
+    void onEvictionPressure() override { ++pressure; }
+};
+
+/**
+ * 2x2 Base fabric whose private L2 is 2 kB, 2-way (16 sets), so lines
+ * 1 kB apart share a set.
+ */
+sys::SystemConfig
+parkingConfig()
+{
+    sys::SystemConfig opt = fabricConfig();
+    opt.priv.l1Size = 1024;
+    opt.priv.l1Ways = 2;
+    opt.priv.l2Size = 2048;
+    opt.priv.l2Ways = 2;
+    return opt;
+}
+
+/** Physical line of the @p i-th 1 kB-strided line from @p v. */
+Addr
+setLine(sys::TiledSystem &f, Addr v, int i)
+{
+    return lineAlign(f.addressSpace().translate(v + Addr(i) * 1024));
 }
 
 } // namespace
@@ -428,4 +493,220 @@ TEST(Coherence, L3BankUsesItsWholeCapacity)
     for (int t = 0; t < 4; ++t)
         recalls += f.l3Bank(t).stats().recalls.value();
     EXPECT_LT(recalls, 50u);
+}
+
+TEST(Coherence, ParkedDirtyEvictionIsResurrectedByAMiss)
+{
+    // Declared before the fabric, which holds pointers to both.
+    ParkingStreamBuffer sb;
+    std::vector<mem::MemMsgPtr> sent;
+    sys::TiledSystem f(parkingConfig());
+    mem::PrivCache &pc = f.privCache(0);
+    pc.setStreamBuffer(&sb);
+    recordSends(f, sent);
+    Addr v = f.addressSpace().alloc(64 * 1024);
+    Addr a = setLine(f, v, 0);
+    for (int i = 1; i < 3; ++i)
+        ASSERT_EQ(setLine(f, v, i) / 64 % 16, a / 64 % 16);
+
+    // Dirty line A, then two clean lines of its set evict it.
+    int done = 0;
+    for (int i = 0; i < 3; ++i) {
+        demand(f, 0, v + Addr(i) * 1024, i == 0, &done);
+        drain(f);
+    }
+    EXPECT_EQ(done, 3);
+    EXPECT_EQ(pc.stats().writebacks.value(), 1u);
+    EXPECT_EQ(sb.dirtyEvictions, 1);
+    EXPECT_EQ(pc.delayedEvictions(), 1u);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::PutM, a), 0);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::GetM, a), 1);
+
+    // A miss to A re-installs the parked copy: no new request for it.
+    demand(f, 0, v, false, &done);
+    drain(f);
+    EXPECT_EQ(done, 4);
+    EXPECT_EQ(pc.stats().writebacksResurrected.value(), 1u);
+    EXPECT_EQ(pc.delayedEvictions(), 0u);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::GetM, a), 1);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::GetS, a), 0);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::PutM, a), 0);
+    const mem::CacheLine *line = pc.l2Array().probe(a);
+    ASSERT_NE(line, nullptr);
+    EXPECT_TRUE(line->dirty);
+    EXPECT_EQ(line->state, mem::LineState::Modified);
+}
+
+TEST(Coherence, ParkedDirtyEvictionsPastTheLimitSignalPressureThenDrain)
+{
+    ParkingStreamBuffer sb;
+    std::vector<mem::MemMsgPtr> sent;
+    sys::SystemConfig opt = parkingConfig();
+    sys::TiledSystem f(opt);
+    mem::PrivCache &pc = f.privCache(0);
+    pc.setStreamBuffer(&sb);
+    recordSends(f, sent);
+    Addr v = f.addressSpace().alloc(64 * 1024);
+
+    // Writes to one set: each past the two ways parks a dirty victim,
+    // and every park beyond the limit asks the engine for a sink.
+    const int limit = static_cast<int>(opt.priv.maxDelayedEvictions);
+    const int writes = limit + 3;
+    const int parked = writes - 2;
+    int done = 0;
+    for (int i = 0; i < writes; ++i) {
+        ASSERT_EQ(setLine(f, v, i) / 64 % 16, setLine(f, v, 0) / 64 % 16);
+        demand(f, 0, v + Addr(i) * 1024, true, &done);
+        drain(f);
+    }
+    EXPECT_EQ(done, writes);
+    EXPECT_EQ(pc.delayedEvictions(), static_cast<size_t>(parked));
+    EXPECT_EQ(sb.pressure, parked - limit);
+    EXPECT_EQ(sb.dirtyEvictions, parked);
+    for (int i = 0; i < writes; ++i)
+        EXPECT_EQ(countSent(sent, mem::MemMsgType::PutM, setLine(f, v, i)), 0);
+
+    // The window closes: the drain sends exactly the parked PutMs,
+    // once each, oldest first, and does not search the buffer again.
+    sb.delay = false;
+    size_t before = sent.size();
+    pc.drainDelayedEvictions();
+    EXPECT_EQ(pc.delayedEvictions(), 0u);
+    ASSERT_EQ(sent.size() - before, static_cast<size_t>(parked));
+    for (int i = 0; i < parked; ++i) {
+        EXPECT_EQ(sent[before + i]->type, mem::MemMsgType::PutM);
+        EXPECT_EQ(sent[before + i]->lineAddr, setLine(f, v, i));
+    }
+    EXPECT_EQ(sb.dirtyEvictions, parked);
+    EXPECT_EQ(pc.stats().writebacks.value(), static_cast<uint64_t>(parked));
+
+    // No residue: every put is acknowledged, and a later miss to a
+    // released line is an ordinary request, not a resurrection.
+    drain(f);
+    EXPECT_EQ(pc.mshrsInUse(), 0u);
+    EXPECT_EQ(pc.mshrWaiters(), 0u);
+    demand(f, 0, v, false, &done);
+    drain(f);
+    EXPECT_EQ(done, writes + 1);
+    EXPECT_EQ(pc.stats().writebacksResurrected.value(), 0u);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::GetS, setLine(f, v, 0)), 1);
+}
+
+TEST(Coherence, L3EvictionBackInvalidatesEverySharer)
+{
+    sys::SystemConfig opt = fabricConfig();
+    // One set of two ways per bank: the third line homed at a bank
+    // evicts one of the first two.
+    opt.l3.sizeBytes = 2 * 64;
+    opt.l3.ways = 2;
+    std::vector<mem::MemMsgPtr> sent;
+    sys::TiledSystem f(opt);
+    recordSends(f, sent);
+    Addr v = f.addressSpace().alloc(4096);
+    auto pa = [&](Addr va) { return f.addressSpace().translate(va); };
+    TileId home = f.nuca().bankOf(pa(v));
+    std::vector<Addr> lines; // vaddrs of three lines homed at `home`
+    for (Addr va = v; lines.size() < 3; va += 64) {
+        if (f.nuca().bankOf(pa(va)) == home)
+            lines.push_back(va);
+    }
+    Addr a = lineAlign(pa(lines[0]));
+
+    // Tiles 0 and 1 share A; tile 2 owns B, so filling C must evict A.
+    int done = 0;
+    demand(f, 0, lines[0], false, &done);
+    drain(f);
+    demand(f, 1, lines[0], false, &done);
+    drain(f);
+    demand(f, 2, lines[1], false, &done);
+    drain(f);
+    ASSERT_NE(f.privCache(0).l2Array().probe(a), nullptr);
+    ASSERT_NE(f.privCache(1).l2Array().probe(a), nullptr);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::Inv, a), 0);
+    demand(f, 2, lines[2], false, &done);
+    drain(f);
+    EXPECT_EQ(done, 4);
+
+    EXPECT_EQ(f.l3Bank(home).stats().backInvalidations.value(), 1u);
+    EXPECT_EQ(f.l3Bank(home).stats().memWrites.value(), 0u);
+    std::array<int, 4> invs{};
+    for (const auto &m : sent) {
+        if (m->type == mem::MemMsgType::Inv && m->lineAddr == a) {
+            for (TileId t : m->dests)
+                ++invs[t];
+        }
+    }
+    EXPECT_EQ(invs, (std::array<int, 4>{1, 1, 0, 0}));
+    EXPECT_EQ(f.privCache(0).l2Array().probe(a), nullptr);
+    EXPECT_EQ(f.privCache(1).l2Array().probe(a), nullptr);
+}
+
+TEST(Coherence, L3EvictionWritesBackADirtyLine)
+{
+    sys::SystemConfig opt = fabricConfig();
+    opt.l3.sizeBytes = 2 * 64;
+    opt.l3.ways = 2;
+    // One-set private caches: any two other lines evict a written one.
+    opt.priv.l1Size = 64;
+    opt.priv.l1Ways = 1;
+    opt.priv.l2Size = 2 * 64;
+    opt.priv.l2Ways = 2;
+    opt.verify = true; // the writeback's image reaches the DRAM shadow
+    std::vector<mem::MemMsgPtr> sent;
+    sys::TiledSystem f(opt);
+    recordSends(f, sent);
+    Addr v = f.addressSpace().alloc(4096);
+    auto pa = [&](Addr va) { return f.addressSpace().translate(va); };
+    TileId home = f.nuca().bankOf(pa(v));
+    std::vector<Addr> here, elsewhere; // vaddrs homed at / off `home`
+    for (Addr va = v; va < v + 4096; va += 64)
+        (f.nuca().bankOf(pa(va)) == home ? here : elsewhere).push_back(va);
+    Addr a = lineAlign(pa(here[0]));
+    verify::DataPlane &plane = *f.verifyPlane();
+    const uint64_t value = 0x1122334455667788ULL;
+    auto dram_value = [&] {
+        uint64_t x = 0;
+        std::memcpy(&x, plane.dramSnapshot(a)->data(), sizeof(x));
+        return x;
+    };
+
+    // Tile 0 stores to A, then two lines homed elsewhere push it out
+    // with a PutM: the bank now holds A dirty and unowned.
+    int done = 0;
+    mem::Access w;
+    w.kind = mem::AccessKind::Demand;
+    w.vaddr = here[0];
+    w.paddr = pa(here[0]);
+    w.size = sizeof(value);
+    w.isWrite = true;
+    w.vstore = plane.storeCommitted(0, here[0], sizeof(value), value, 0,
+                                    invalidStream, false);
+    w.onDone = [&done] { ++done; };
+    f.privCache(0).access(std::move(w));
+    drain(f);
+    for (int i = 0; i < 2; ++i) {
+        demand(f, 0, elsewhere[i], false, &done);
+        drain(f);
+    }
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::PutM, a), 1);
+    EXPECT_NE(dram_value(), value);
+
+    // B stays owned by tile 0, so filling C evicts A to memory.
+    demand(f, 0, here[1], false, &done);
+    drain(f);
+    demand(f, 0, here[2], false, &done);
+    drain(f);
+    EXPECT_EQ(done, 5);
+
+    uint64_t mem_writes = 0;
+    for (int t = 0; t < 4; ++t)
+        mem_writes += f.l3Bank(t).stats().memWrites.value();
+    EXPECT_EQ(mem_writes, 1u);
+    EXPECT_EQ(f.l3Bank(home).stats().memWrites.value(), 1u);
+    EXPECT_EQ(f.l3Bank(home).stats().backInvalidations.value(), 0u);
+    EXPECT_EQ(countSent(sent, mem::MemMsgType::MemWrite, a), 1);
+    mem::MemCtrl *ctrl = f.memCtrl(f.nuca().memCtrlOf(a));
+    ASSERT_NE(ctrl, nullptr);
+    EXPECT_EQ(ctrl->channel().writes.value(), 1u);
+    EXPECT_EQ(dram_value(), value);
 }

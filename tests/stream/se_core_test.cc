@@ -283,7 +283,6 @@ class ParkingFloatCtrl : public stream::FloatControllerIf
 
     bool floatStream(const stream::FloatRequest &) override { return true; }
     void unfloatStream(StreamId) override {}
-    bool isFloating(StreamId) const override { return true; }
     uint32_t latestGen(StreamId) const override { return 0; }
 
     void

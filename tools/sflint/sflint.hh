@@ -24,7 +24,7 @@
  *       environment, a wall-clock report field) says why in
  *       `// sflint: allow(D2, <reason>)`.
  *   P1  every switch over a monitored message/coherence enum
- *       (MemMsgType, LineState, plus any enum annotated
+ *       (MemMsgType, LineState, StreamMsgKind, plus any enum annotated
  *       `// sflint: exhaustive`) must be exhaustive and must not
  *       carry a `default:` arm.
  *   T1  tick/cycle arithmetic must stay in the 64-bit Tick/Cycles
@@ -142,7 +142,8 @@ struct Config
     /** Directories (or files) under root to scan. */
     std::vector<std::string> inputs;
     /** Enums whose switches must be exhaustive (P1). */
-    std::set<std::string> monitoredEnums = {"MemMsgType", "LineState"};
+    std::set<std::string> monitoredEnums = {"MemMsgType", "LineState",
+                                           "StreamMsgKind"};
     /** Rule ids that exist (A1 flags suppressions naming others). */
     std::set<std::string> knownRules = {"D1", "D2", "P1", "T1", "S1",
                                         "A1"};
