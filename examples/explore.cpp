@@ -52,14 +52,13 @@ driverMain(int argc, char **argv)
            parseCount);
     t.bind("--interleave", "BYTES", "NUCA interleaving (0 = Table III)",
            interleave, parseCount);
-    t.bind("--seed", "N", "replacement/dataset seed (default 1)", seed,
+    t.bind("--seed", "N", "dataset seed (default 1)", seed,
            parseCount);
     t.flag("--stats", "also print every component's statistics",
            dump_stats);
     t.parse(argc, argv);
 
     sys::SystemConfig cfg = sys::SystemConfig::make(machine, core, nx, ny);
-    cfg.seed = seed;
     if (link)
         cfg.noc.linkBits = static_cast<uint32_t>(link);
     if (interleave)

@@ -743,20 +743,19 @@ SEL2::debugDump(std::FILE *f) const
 }
 
 void
-SEL2::forEachFloated(
-    const std::function<void(const FloatedView &)> &fn) const
+SEL2::checkCreditWindow(std::vector<std::string> &out) const
 {
     for (const auto &[sid, s] : _floated) {
-        FloatedView v;
-        v.sid = sid;
-        v.gen = s.gen;
-        v.isChild = s.baseSid != invalidStream;
-        v.aliased = s.aliasRoot != invalidStream;
-        v.grantedUpTo = s.grantedUpTo;
-        v.consumedUpTo = s.consumedUpTo;
-        v.capacityElems = s.capacityElems;
-        v.waiters = s.waiters.size();
-        fn(v);
+        if (s.baseSid != invalidStream || s.aliasRoot != invalidStream)
+            continue;
+        if (s.grantedUpTo > s.consumedUpTo + s.capacityElems) {
+            out.push_back("sid " + std::to_string(sid) + " gen " +
+                          std::to_string(s.gen) + ": grantedUpTo " +
+                          std::to_string(s.grantedUpTo) +
+                          " > consumedUpTo " +
+                          std::to_string(s.consumedUpTo) + " + capacity " +
+                          std::to_string(s.capacityElems));
+        }
     }
 }
 

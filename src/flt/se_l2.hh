@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "flt/arrival_window.hh"
@@ -155,22 +156,15 @@ class SEL2 : public SimObject,
     void debugDump(std::FILE *f) const;
 
     // --- introspection for the invariant checker / drain checks ---
-    /** A read-only view of one floated stream's protocol state. */
-    struct FloatedView
-    {
-        StreamId sid;
-        uint32_t gen;
-        bool isChild;  //!< indirect child (shares the base's credits)
-        bool aliased;  //!< served from a leading stream (§IV-B)
-        uint64_t grantedUpTo;
-        uint64_t consumedUpTo;
-        uint64_t capacityElems;
-        size_t waiters;
-    };
-
     size_t numFloated() const { return _floated.size(); }
-    void forEachFloated(
-        const std::function<void(const FloatedView &)> &fn) const;
+    /**
+     * The §IV-A credit window: an independent base stream's granted
+     * horizon never runs more than one buffer capacity ahead of
+     * consumption. Children share the base's credits and aliased
+     * streams ride a leader's window, so only independent base
+     * streams are bounded this way. Appends one message per violation.
+     */
+    void checkCreditWindow(std::vector<std::string> &out) const;
     /** Latest generation ever issued for @p sid (0 = never floated). */
     uint32_t
     latestGen(StreamId sid) const override

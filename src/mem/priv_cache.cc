@@ -290,7 +290,6 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
 
     Mshr m;
     m.lineAddr = line_addr;
-    bool upgrade = l2_line != nullptr; // present but needs ownership
     m.pendingM = a.isWrite;
     m.demandSeen = is_demand;
     m.streamFetchSeen = a.kind == AccessKind::StreamFetch;
@@ -300,7 +299,6 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
         m.fillStream = a.stream.sid;
     m.streamEligible = a.streamEligible ||
                        a.kind == AccessKind::StreamFetch;
-    uint16_t bulk = 1;
     if (a.kind == AccessKind::Prefetch) {
         ++_stats.prefetchesIssued;
     }
@@ -312,7 +310,6 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
     MemMsgType req_type = _mshrs[line_addr].pendingM
                               ? MemMsgType::GetM
                               : MemMsgType::GetS;
-    (void)upgrade;
 
     // Bulk prefetch grouping (only meaningful with >64B interleaving).
     if (_bulkPrefetch && req_type == MemMsgType::GetS &&
@@ -344,7 +341,7 @@ PrivCache::accessL2(Access a, bool l1_was_miss)
         return;
     }
 
-    sendRequest(req_type, line_addr, bulk);
+    sendRequest(req_type, line_addr, 1);
 }
 
 void

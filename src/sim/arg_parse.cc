@@ -188,8 +188,7 @@ OptionTable::parse(int argc, char **argv) const
         std::fputs(usage().c_str(), stdout);
         std::exit(0);
     } catch (const FatalError &e) {
-        // A UsageError, or a fatal() from a library parser (check
-        // levels, fault specs) that already named itself on stderr.
+        // A UsageError, or the FatalError of a library parser.
         std::fprintf(stderr, "%s: %s\n", _prog.c_str(), e.what());
         std::fputs(usage().c_str(), stderr);
         std::exit(kUsageExit);

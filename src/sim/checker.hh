@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/arg_parse.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -60,7 +61,7 @@ checkLevelFromString(const std::string &s)
         return CheckLevel::Basic;
     if (s == "full" || s == "2" || s == "strict")
         return CheckLevel::Full;
-    fatal("unknown check level '%s' (off|basic|full)", s.c_str());
+    throw UsageError("unknown check level '" + s + "' (off|basic|full)");
 }
 
 class Checker

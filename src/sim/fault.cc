@@ -28,8 +28,9 @@ parseProb(const std::string &token, const std::string &value)
     char *end = nullptr;
     double p = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-        fatal("faults: '%s' needs a probability in [0,1], got '%s'",
-              token.c_str(), value.c_str());
+        throw UsageError("faults: '" + token +
+                         "' needs a probability in [0,1], got '" + value +
+                         "'");
     }
     return p;
 }
@@ -95,11 +96,12 @@ FaultConfig::parse(const std::string &spec)
                     ? 1
                     : static_cast<int>(parseCount(value, "faults: " + key));
             if (cfg.overflowEntries < 1)
-                fatal("faults: overflow needs at least 1 entry");
+                throw UsageError("faults: overflow needs at least 1 entry");
         } else if (key == "noretry") {
             cfg.noRetry = true;
         } else {
-            fatal("faults: unknown token '%s' (see --help)", key.c_str());
+            throw UsageError("faults: unknown token '" + key +
+                             "' (see --help)");
         }
     }
     return cfg;

@@ -64,8 +64,8 @@ enum class FaultAction
  *   noretry         disable SE_L2 ack-timeout retry and fallback
  *   none            explicit no-op spec
  *
- * Probabilities are in [0,1]. Unknown tokens are a fatal() config
- * error.
+ * Probabilities are in [0,1]. An unknown token or a malformed value
+ * throws a UsageError.
  */
 struct FaultConfig
 {

@@ -39,13 +39,6 @@ lineAlign(Addr a)
     return a & ~static_cast<Addr>(lineBytes - 1);
 }
 
-/** Offset of an address within its cache line. */
-constexpr uint32_t
-lineOffset(Addr a)
-{
-    return static_cast<uint32_t>(a & (lineBytes - 1));
-}
-
 /** Identifier of a tile (core + private caches + L3 bank + router). */
 using TileId = int32_t;
 

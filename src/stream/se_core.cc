@@ -677,7 +677,7 @@ SECore::contextSwitchFlush()
 bool
 SECore::maybeFloat(StreamId sid, uint64_t start_elem, bool at_config)
 {
-    if (!_cfg.enableFloating || !_floatCtrl)
+    if (!_floatCtrl)
         return false;
     StreamState &s = state(sid);
     if (s.cfg.isStore || s.cfg.hasIndirect || s.floating)

@@ -46,8 +46,7 @@ struct SECoreConfig
     uint32_t fifoBytes = 1024;
     int maxStreams = 12;
 
-    // --- floating policy (§IV-D) ---
-    bool enableFloating = false;
+    // --- floating policy (§IV-D); SE_core floats only with an SE_L2 ---
     /** Float indirect streams along with their base (SF vs SF-Aff). */
     bool floatIndirects = true;
     /** Private L2 capacity; known footprints above this float at once. */

@@ -10,8 +10,9 @@
 
 #include <strings.h>
 
+#include <cstddef>
+#include <iterator>
 #include <string>
-#include <utility>
 
 #include "cpu/core_config.hh"
 #include "sim/arg_parse.hh"
@@ -28,7 +29,11 @@
 namespace sf {
 namespace sys {
 
-/** The machine variants compared throughout the evaluation. */
+/**
+ * The machine variants compared throughout the evaluation, each
+ * described by its machineSpecs row below. SF stays last: the rows'
+ * static_assert counts up to it.
+ */
 enum class Machine
 {
     Base,        //!< no prefetching
@@ -42,59 +47,114 @@ enum class Machine
     SF,          //!< full stream floating
 };
 
+/** The L1 prefetcher of a machine variant; each adds an L2 stride. */
+enum class L1Prefetcher
+{
+    None,
+    Stride,
+    Bingo,
+};
+
+/** Everything that tells one machine variant apart from the others. */
+struct MachineSpec
+{
+    Machine machine;
+    /** Name in reports, stats.json and file stems. */
+    const char *name;
+    /** Driver flag spellings, any case; the second may be null. */
+    const char *cliNames[2];
+    bool streams;        //!< SE_core on every tile
+    bool floats;         //!< SE_L2 + SE_L3 (stream floating)
+    bool floatIndirects; //!< indirect streams float with their base
+    bool confluence;     //!< SE_L3 merges confluent streams
+    /** Static-NUCA interleaving granularity in bytes. */
+    uint32_t nucaInterleave;
+    L1Prefetcher l1Prefetcher;
+    bool bulk;           //!< bulk prefetch request grouping
+};
+
+/**
+ * One row per Machine, in enumerator order. SF and its ablations use
+ * 1 kB NUCA interleaving; bulk grouping needs more than 64 B.
+ */
+inline constexpr MachineSpec machineSpecs[] = {
+    // machine, name, CLI names, streams, floats, floatIndirects,
+    // confluence, interleave, L1 prefetcher, bulk
+    {Machine::Base, "Base", {"base"}, false, false, false, false, 64,
+     L1Prefetcher::None, false},
+    {Machine::StridePf, "L1Stride-L2Stride", {"stride", "stridepf"},
+     false, false, false, false, 64, L1Prefetcher::Stride, false},
+    {Machine::BingoPf, "L1Bingo-L2Stride", {"bingo", "bingopf"}, false,
+     false, false, false, 64, L1Prefetcher::Bingo, false},
+    {Machine::StrideBulk, "Stride+Bulk", {"stride-bulk"}, false, false,
+     false, false, 1024, L1Prefetcher::Stride, true},
+    {Machine::BingoBulk, "Bingo+Bulk", {"bingo-bulk"}, false, false,
+     false, false, 1024, L1Prefetcher::Bingo, true},
+    {Machine::SS, "SS", {"ss"}, true, false, false, false, 64,
+     L1Prefetcher::None, false},
+    {Machine::SFAff, "SF-Aff", {"sf-aff"}, true, true, false, false,
+     1024, L1Prefetcher::None, false},
+    {Machine::SFInd, "SF-Ind", {"sf-ind"}, true, true, true, false, 1024,
+     L1Prefetcher::None, false},
+    {Machine::SF, "SF", {"sf"}, true, true, true, true, 1024,
+     L1Prefetcher::None, false},
+};
+
+constexpr bool
+machineSpecsInOrder()
+{
+    size_t n = std::size(machineSpecs);
+    for (size_t i = 0; i < n; ++i) {
+        if (static_cast<size_t>(machineSpecs[i].machine) != i)
+            return false;
+    }
+    return n == static_cast<size_t>(Machine::SF) + 1;
+}
+static_assert(machineSpecsInOrder(),
+              "machineSpecs needs one row per Machine, in order");
+
+inline const MachineSpec &
+machineSpec(Machine m)
+{
+    return machineSpecs[static_cast<size_t>(m)];
+}
+
 inline const char *
 machineName(Machine m)
 {
-    switch (m) {
-      case Machine::Base: return "Base";
-      case Machine::StridePf: return "L1Stride-L2Stride";
-      case Machine::BingoPf: return "L1Bingo-L2Stride";
-      case Machine::StrideBulk: return "Stride+Bulk";
-      case Machine::BingoBulk: return "Bingo+Bulk";
-      case Machine::SS: return "SS";
-      case Machine::SFAff: return "SF-Aff";
-      case Machine::SFInd: return "SF-Ind";
-      case Machine::SF: return "SF";
-    }
-    return "?";
+    return machineSpec(m).name;
 }
 
 /**
- * The machine a driver flag names, in any case: base, stride(pf),
- * bingo(pf), stride-bulk, bingo-bulk, ss, sf-aff, sf-ind or sf.
- * Throws a UsageError naming @p flag otherwise.
+ * The machine a driver flag names, in any case: one of the rows'
+ * cliNames (base, stride(pf), bingo(pf), stride-bulk, bingo-bulk, ss,
+ * sf-aff, sf-ind or sf). Throws a UsageError naming @p flag otherwise.
  */
 inline Machine
 machineFromName(const std::string &name, const std::string &flag)
 {
-    static const std::pair<const char *, Machine> names[] = {
-        {"base", Machine::Base}, {"stride", Machine::StridePf},
-        {"stridepf", Machine::StridePf}, {"bingo", Machine::BingoPf},
-        {"bingopf", Machine::BingoPf}, {"stride-bulk", Machine::StrideBulk},
-        {"bingo-bulk", Machine::BingoBulk}, {"ss", Machine::SS},
-        {"sf-aff", Machine::SFAff}, {"sf-ind", Machine::SFInd},
-        {"sf", Machine::SF}};
-    for (const auto &[n, m] : names) {
-        if (strcasecmp(name.c_str(), n) == 0)
-            return m;
+    std::string choices;
+    for (const MachineSpec &s : machineSpecs) {
+        for (const char *n : s.cliNames) {
+            if (n && strcasecmp(name.c_str(), n) == 0)
+                return s.machine;
+        }
+        choices += std::string(s.cliNames[0]) + ", ";
     }
-    throw UsageError(flag + " must be one of base, stride, bingo, " +
-                     "stride-bulk, bingo-bulk, ss, sf-aff, sf-ind, sf, " +
-                     "got '" + name + "'");
+    throw UsageError(flag + " must be one of " + choices + "got '" +
+                     name + "'");
 }
 
 inline bool
 machineUsesStreams(Machine m)
 {
-    return m == Machine::SS || m == Machine::SFAff ||
-           m == Machine::SFInd || m == Machine::SF;
+    return machineSpec(m).streams;
 }
 
 inline bool
 machineFloats(Machine m)
 {
-    return m == Machine::SFAff || m == Machine::SFInd ||
-           m == Machine::SF;
+    return machineSpec(m).floats;
 }
 
 /** Full system configuration. */
@@ -115,8 +175,6 @@ struct SystemConfig
     flt::SEL3Config sel3;
     stream::SECoreConfig seCore;
 
-    /** Deterministic seed for replacement policies / datasets. */
-    uint64_t seed = 1;
     /** Safety bound on simulated cycles. */
     Tick maxCycles = 500'000'000;
     /**
@@ -179,12 +237,12 @@ struct SystemConfig
 
     /**
      * Build the default configuration for one machine variant: wires
-     * Table III parameters and the variant-specific settings (SF uses
-     * 1 kB NUCA interleaving, bulk variants need >64 B interleaving).
+     * Table III parameters and the variant's machineSpecs row.
      */
     static SystemConfig
     make(Machine m, const cpu::CoreConfig &core, int nx = 4, int ny = 4)
     {
+        const MachineSpec &spec = machineSpec(m);
         SystemConfig c;
         c.nx = nx;
         c.ny = ny;
@@ -192,28 +250,13 @@ struct SystemConfig
         c.noc.ny = ny;
         c.core = core;
         c.machine = m;
+        c.nucaInterleave = spec.nucaInterleave;
 
         c.seCore.fifoBytes = core.seFifoBytes;
         c.seCore.maxStreams = core.seMaxStreams;
         c.seCore.l2CapacityBytes = c.priv.l2Size;
-        c.seCore.enableFloating = machineFloats(m);
-
-        switch (m) {
-          case Machine::SF:
-          case Machine::SFInd:
-          case Machine::SFAff:
-            c.nucaInterleave = 1024;
-            c.sel3.enableConfluence = m == Machine::SF;
-            c.seCore.floatIndirects = m != Machine::SFAff;
-            break;
-          case Machine::StrideBulk:
-          case Machine::BingoBulk:
-            c.nucaInterleave = 1024;
-            break;
-          default:
-            c.nucaInterleave = 64;
-            break;
-        }
+        c.seCore.floatIndirects = spec.floatIndirects;
+        c.sel3.enableConfluence = spec.confluence;
         return c;
     }
 };

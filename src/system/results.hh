@@ -46,6 +46,7 @@ struct SimResults
 
     // Stream machinery.
     uint64_t streamsFloated = 0, streamsSunk = 0;
+    uint64_t fetchesIssued = 0, floatedFetchesIssued = 0;
     uint64_t migrations = 0;
     uint64_t confluenceMerges = 0, confluenceRequests = 0;
     uint64_t creditMessages = 0;
@@ -56,7 +57,8 @@ struct SimResults
     // Prefetchers.
     uint64_t prefetchesIssued = 0, prefetchesUseful = 0;
 
-    // Energy (Fig. 13 / 19).
+    // Energy (Fig. 13 / 19): the model's event counts and its output.
+    energy::EnergyEvents energyEvents;
     energy::EnergyBreakdown energy;
     double energyNj = 0.0;
 

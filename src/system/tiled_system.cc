@@ -84,8 +84,7 @@ void
 TiledSystem::buildTiles()
 {
     int n = _cfg.numTiles();
-    bool streams = machineUsesStreams(_cfg.machine);
-    bool floats = machineFloats(_cfg.machine);
+    const MachineSpec &spec = machineSpec(_cfg.machine);
 
     _tlbs.resize(n);
     _priv.resize(n);
@@ -133,10 +132,10 @@ TiledSystem::buildTiles()
             });
         }
 
-        if (streams) {
-            stream::SECoreConfig sc = _cfg.seCore;
+        if (spec.streams) {
             _seCores[t] = std::make_unique<stream::SECore>(
-                tn + ".se", _eq, t, sc, *_priv[t], *_tlbs[t], *_as);
+                tn + ".se", _eq, t, _cfg.seCore, *_priv[t], *_tlbs[t],
+                *_as);
             _priv[t]->setStreamReuseHook(
                 [se = _seCores[t].get()](StreamId sid) {
                     se->notifyStreamReuse(sid);
@@ -148,7 +147,7 @@ TiledSystem::buildTiles()
             if (_cfg.traceStreams)
                 _seCores[t]->setStreamLog(&_streamLogs[2 * t]);
         }
-        if (floats) {
+        if (spec.floats) {
             _seL2[t] = std::make_unique<flt::SEL2>(
                 tn + ".sel2", _eq, t, _cfg.sel2, *_mesh, *_nuca,
                 *_priv[t], *_tlbs[t], *_as, *_seCores[t]);
@@ -164,41 +163,26 @@ TiledSystem::buildTiles()
                 _seL3[t]->setStreamLog(&_streamLogs[2 * t + 1]);
         }
 
-        switch (_cfg.machine) {
-          case Machine::StridePf:
-          case Machine::StrideBulk: {
+        if (spec.l1Prefetcher == L1Prefetcher::Stride) {
             prefetch::StrideConfig l1c;
             l1c.degree = 8;
             l1c.fillLevel = 1;
-            prefetch::StrideConfig l2c;
-            l2c.degree = 16;
-            l2c.fillLevel = 2;
             _l1Pf[t] = std::make_unique<prefetch::StridePrefetcher>(
                 *_priv[t], l1c);
-            _l2Pf[t] = std::make_unique<prefetch::StridePrefetcher>(
-                *_priv[t], l2c);
-            break;
-          }
-          case Machine::BingoPf:
-          case Machine::BingoBulk: {
-            prefetch::BingoConfig bc;
+        } else if (spec.l1Prefetcher == L1Prefetcher::Bingo) {
             _l1Pf[t] = std::make_unique<prefetch::BingoPrefetcher>(
-                *_priv[t], bc);
+                *_priv[t], prefetch::BingoConfig());
+        }
+        if (_l1Pf[t]) {
             prefetch::StrideConfig l2c;
             l2c.degree = 16;
             l2c.fillLevel = 2;
             _l2Pf[t] = std::make_unique<prefetch::StridePrefetcher>(
                 *_priv[t], l2c);
-            break;
-          }
-          default:
-            break;
         }
         _priv[t]->setPrefetchers(_l1Pf[t].get(), _l2Pf[t].get());
-        if (_cfg.machine == Machine::StrideBulk ||
-            _cfg.machine == Machine::BingoBulk) {
+        if (spec.bulk)
             _priv[t]->setBulkPrefetch(true);
-        }
 
         // Memory controllers live at the mesh corners.
         const auto &ctrls = _nuca->memCtrls();
@@ -420,36 +404,17 @@ TiledSystem::setupRobustness()
 
     if (_cfg.watchdogCycles > 0) {
         _watchdog = std::make_unique<Watchdog>(_eq, _cfg.watchdogCycles);
-        _watchdog->addProbe("committedOps", [this] {
-            uint64_t s = 0;
-            for (auto &c : _cores) {
-                if (c)
-                    s += c->stats().committedOps.value();
-            }
-            return s;
-        });
+        _watchdog->addProbe("committedOps",
+                            [this] { return collect(false).committedOps; });
         _watchdog->addProbe("nocFlitsInjected", [this] {
             const auto &t = _mesh->traffic();
             return t.flitsInjected[0] + t.flitsInjected[1] +
                    t.flitsInjected[2];
         });
         _watchdog->addProbe("streamElements", [this] {
-            uint64_t s = 0;
-            for (auto &se : _seCores) {
-                if (se)
-                    s += se->stats().elementsConsumed.value();
-            }
-            for (auto &s2 : _seL2) {
-                if (s2)
-                    s += s2->stats().dataArrived.value();
-            }
-            for (auto &s3 : _seL3) {
-                if (s3) {
-                    s += s3->stats().lineRequestsIssued.value() +
-                         s3->stats().indirectRequestsIssued.value();
-                }
-            }
-            return s;
+            SimResults r = collect(false);
+            return r.energyEvents.seCoreEvents +
+                   r.energyEvents.seL2Events + r.energyEvents.seL3Events;
         });
     }
 
@@ -499,34 +464,14 @@ TiledSystem::registerInvariantChecks()
             });
     }
 
-    // SE_L2 credit window: the granted horizon never runs more than
-    // one buffer capacity ahead of consumption. Children share the
-    // base's credits and aliased streams ride a leader's window, so
-    // only independent base streams are bounded this way.
+    // Each SE_L2 checks the §IV-A credit window of its own streams.
     if (floats) {
         _checker->addCheck(
             "sel2-credit-window", CheckLevel::Basic,
             [this](std::vector<std::string> &out) {
                 for (auto &s2 : _seL2) {
-                    if (!s2)
-                        continue;
-                    s2->forEachFloated([&](const flt::SEL2::FloatedView
-                                               &v) {
-                        if (v.isChild || v.aliased)
-                            return;
-                        if (v.grantedUpTo >
-                            v.consumedUpTo + v.capacityElems) {
-                            out.push_back(
-                                "sid " + std::to_string(v.sid) +
-                                " gen " + std::to_string(v.gen) +
-                                ": grantedUpTo " +
-                                std::to_string(v.grantedUpTo) +
-                                " > consumedUpTo " +
-                                std::to_string(v.consumedUpTo) +
-                                " + capacity " +
-                                std::to_string(v.capacityElems));
-                        }
-                    });
+                    if (s2)
+                        s2->checkCreditWindow(out);
                 }
             });
 
@@ -660,6 +605,8 @@ TiledSystem::registerDiagnostics()
         "tiles", [this](std::FILE *f) {
             for (TileId t = 0; t < _cfg.numTiles(); ++t) {
                 std::fprintf(f, "[tile %d]\n", t);
+                if (_cores[t])
+                    _cores[t]->debugDump(f);
                 _priv[t]->debugDump(f);
                 _l3[t]->debugDump(f);
                 if (_seCores[t])
@@ -743,48 +690,21 @@ TiledSystem::startSampler()
     _sampler = std::make_unique<stats::IntervalSampler>(
         "sampler", _eq, _cfg.samplingInterval);
 
-    auto sum_ops = [this]() {
-        double s = 0;
-        for (auto &c : _cores)
-            s += double(c->stats().committedOps.value());
-        return s;
+    // The series read the run's totals from collect(), as SimResults
+    // does; only the mesh's own counters are read directly.
+    using Total = uint64_t (*)(const SimResults &);
+    auto total = [this](Total field) {
+        return [this, field]() { return double(field(collect(false))); };
     };
-    auto ticks = [this]() { return double(_eq.curTick()); };
-    _sampler->addRatio("ipc", sum_ops, ticks);
-
     _sampler->addRatio(
-        "l2HitRate",
-        [this]() {
-            double s = 0;
-            for (auto &p : _priv)
-                s += double(p->stats().l2Hits.value());
-            return s;
-        },
-        [this]() {
-            double s = 0;
-            for (auto &p : _priv) {
-                s += double(p->stats().l2Hits.value()) +
-                     double(p->stats().l2Misses.value());
-            }
-            return s;
-        });
-
+        "ipc", total([](const SimResults &r) { return r.committedOps; }),
+        [this]() { return double(_eq.curTick()); });
     _sampler->addRatio(
-        "l3HitRate",
-        [this]() {
-            double s = 0;
-            for (auto &b : _l3)
-                s += double(b->stats().hits.value());
-            return s;
-        },
-        [this]() {
-            double s = 0;
-            for (auto &b : _l3) {
-                s += double(b->stats().hits.value()) +
-                     double(b->stats().misses.value());
-            }
-            return s;
-        });
+        "l2HitRate", total([](const SimResults &r) { return r.l2Hits; }),
+        total([](const SimResults &r) { return r.l2Hits + r.l2Misses; }));
+    _sampler->addRatio(
+        "l3HitRate", total([](const SimResults &r) { return r.l3Hits; }),
+        total([](const SimResults &r) { return r.l3Hits + r.l3Misses; }));
 
     double live_links = double(_mesh->liveLinkCount());
     _sampler->addRatio(
@@ -797,24 +717,10 @@ TiledSystem::startSampler()
     if (machineFloats(_cfg.machine)) {
         _sampler->addRatio(
             "floatedFetchFraction",
-            [this]() {
-                double s = 0;
-                for (auto &se : _seCores) {
-                    if (se) {
-                        s += double(
-                            se->stats().floatedFetchesIssued.value());
-                    }
-                }
-                return s;
-            },
-            [this]() {
-                double s = 0;
-                for (auto &se : _seCores) {
-                    if (se)
-                        s += double(se->stats().fetchesIssued.value());
-                }
-                return s;
-            });
+            total([](const SimResults &r) {
+                return r.floatedFetchesIssued;
+            }),
+            total([](const SimResults &r) { return r.fetchesIssued; }));
     }
 
     // NoC heatmap matrices, profile runs only: the plain stats.json
@@ -1110,18 +1016,24 @@ TiledSystem::collect(bool hit_limit)
 {
     SimResults r;
     r.hitCycleLimit = hit_limit;
+    energy::EnergyEvents &ev = r.energyEvents;
+    // Probes may ask before run() has built the cores.
     for (auto &c : _cores) {
-        r.cycles = std::max(r.cycles, c->stats().doneTick);
-        r.committedOps += c->stats().committedOps;
+        if (!c)
+            continue;
+        const cpu::CoreStats &cs = c->stats();
+        r.cycles = std::max(r.cycles, cs.doneTick);
+        r.committedOps += cs.committedOps;
+        ev.intOps += cs.intOps;
+        ev.fpOps += cs.fpOps;
+        ev.memOps += cs.committedLoads + cs.committedStores +
+                     cs.committedStreamLoads + cs.committedStreamStores;
     }
     if (hit_limit)
         r.cycles = _eq.curTick();
 
     r.traffic = _mesh->traffic();
     r.nocUtilization = _mesh->linkUtilization();
-
-    uint64_t se_core_events = 0, se_l2_events = 0, se_l3_events = 0;
-    uint64_t tlb_accesses = 0;
 
     for (TileId t = 0; t < _cfg.numTiles(); ++t) {
         const auto &ps = _priv[t]->stats();
@@ -1151,12 +1063,14 @@ TiledSystem::collect(bool hit_limit)
             const auto &ss = _seCores[t]->stats();
             r.streamsFloated += ss.streamsFloated;
             r.streamsSunk += ss.streamsSunk;
-            se_core_events += ss.elementsConsumed;
+            r.fetchesIssued += ss.fetchesIssued;
+            r.floatedFetchesIssued += ss.floatedFetchesIssued;
+            ev.seCoreEvents += ss.elementsConsumed;
         }
         if (_seL2[t]) {
             const auto &s2 = _seL2[t]->stats();
             r.creditMessages += s2.creditsSent;
-            se_l2_events += s2.dataArrived;
+            ev.seL2Events += s2.dataArrived;
         }
         if (_seL3[t]) {
             const auto &s3 = _seL3[t]->stats();
@@ -1165,10 +1079,10 @@ TiledSystem::collect(bool hit_limit)
             r.confluenceRequests += s3.confluenceRequests;
             r.seL3LineRequests += s3.lineRequestsIssued;
             r.seL3IndirectRequests += s3.indirectRequestsIssued;
-            se_l3_events += s3.lineRequestsIssued +
-                            s3.indirectRequestsIssued;
+            ev.seL3Events += s3.lineRequestsIssued +
+                             s3.indirectRequestsIssued;
         }
-        tlb_accesses += _tlbs[t]->l1().hits + _tlbs[t]->l1().misses;
+        ev.tlbAccesses += _tlbs[t]->l1().hits + _tlbs[t]->l1().misses;
     }
 
     uint64_t total_l2 = r.l2Hits + r.l2Misses;
@@ -1177,24 +1091,11 @@ TiledSystem::collect(bool hit_limit)
     r.l3HitRate = total_l3 ? double(r.l3Hits) / total_l3 : 0.0;
 
     // Energy.
-    energy::EnergyEvents ev;
-    for (auto &c : _cores) {
-        ev.intOps += c->stats().intOps;
-        ev.fpOps += c->stats().fpOps;
-        ev.memOps += c->stats().committedLoads +
-                     c->stats().committedStores +
-                     c->stats().committedStreamLoads +
-                     c->stats().committedStreamStores;
-    }
     ev.l1Accesses = r.l1Hits + r.l1Misses;
-    ev.l2Accesses = r.l2Hits + r.l2Misses;
-    ev.l3Accesses = r.l3Hits + r.l3Misses;
-    ev.tlbAccesses = tlb_accesses;
+    ev.l2Accesses = total_l2;
+    ev.l3Accesses = total_l3;
     ev.dramLines = r.dramReads + r.dramWrites;
     ev.flitHops = r.traffic.totalFlitHops();
-    ev.seCoreEvents = se_core_events;
-    ev.seL2Events = se_l2_events;
-    ev.seL3Events = se_l3_events;
     ev.cycles = r.cycles;
     ev.numTiles = _cfg.numTiles();
     ev.coreLabel = _cfg.core.label;

@@ -179,9 +179,6 @@ class KernelThread : public isa::OpEmitter
         }
     }
 
-    /** Current iteration of a view (plain-mode address bookkeeping). */
-    uint64_t iterOf(StreamId sid) { return view(sid).iter; }
-
     /** Address of a view's current element (functional, any mode). */
     Addr viewAddr(StreamId sid)
     {

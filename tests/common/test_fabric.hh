@@ -31,7 +31,6 @@ fabricConfig(sys::Machine m = sys::Machine::Base)
     c.nx = 2;
     c.ny = 2;
     c.machine = m;
-    c.seCore.enableFloating = sys::machineFloats(m);
     return c;
 }
 

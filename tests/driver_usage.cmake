@@ -7,6 +7,8 @@
 # lacks must be reported as unknown. A driver with positional sizes
 # gets valid ones in POSITIONALS (comma-separated): the stray argument
 # then follows them, and a malformed or zero first size must exit 2.
+# A malformed --check or --faults, where --help lists it, must exit 2
+# and name its reason once, with no fatal() line before it.
 # A driver whose --help lists --watchdog-cycles must leave a 1-cycle
 # watchdog through the shared main with exit 64 and a "fatal[64]" line
 # (the sweep, which writes into --out, is covered by smoke_sweep).
@@ -47,6 +49,8 @@ foreach(check
     endif()
     expect_usage(2 "${reason}" --${opt}=${bad})
 endforeach()
+
+expect_run_option_errors("${help}")
 
 if(help MATCHES "--watchdog-cycles=" AND NOT DRIVER_NAME STREQUAL "sweep")
     set(args --watchdog-cycles=1)

@@ -16,7 +16,8 @@
 # MUST_MATCH appears on the stream the status implies (stdout for 0,
 # stderr otherwise) next to "usage: ${DRIVER_NAME}", and that nothing
 # was simulated: no diagnostic snapshot, nothing on stdout after a
-# usage error, and no ${DRIVER_BANNER} (a regex) when it is set.
+# usage error, no "fatal" line on stderr, and no ${DRIVER_BANNER} (a
+# regex) when it is set.
 function(expect_usage expect_rc must_match)
     execute_process(
         COMMAND "${DRIVER}" ${ARGN}
@@ -44,6 +45,10 @@ function(expect_usage expect_rc must_match)
                             "snapshot for a machine that never ran:\n"
                             "${err}")
     endif()
+    if(err MATCHES "(^|\n)fatal")
+        message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: a usage error went "
+                            "through fatal():\n${err}")
+    endif()
     if(NOT expect_rc EQUAL 0 AND NOT out STREQUAL "")
         message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: printed to stdout "
                             "after a usage error:\n${out}")
@@ -52,6 +57,23 @@ function(expect_usage expect_rc must_match)
         message(FATAL_ERROR "${DRIVER_NAME} ${ARGN}: started a "
                             "simulation:\n${out}")
     endif()
+endfunction()
+
+# A malformed --check or --faults value is a usage error that names
+# its reason once. Checked for each of the two that HELP (the driver's
+# --help text) lists.
+function(expect_run_option_errors help)
+    foreach(check
+            "check|bogus|unknown check level 'bogus'"
+            "faults|bogus:1|faults: unknown token 'bogus'")
+        string(REPLACE "|" ";" check "${check}")
+        list(GET check 0 opt)
+        list(GET check 1 bad)
+        list(GET check 2 reason)
+        if(help MATCHES "--${opt}=")
+            expect_usage(2 "${DRIVER_NAME}: ${reason}" --${opt}=${bad})
+        endif()
+    endforeach()
 endfunction()
 
 if(NOT QUICKSTART)
@@ -88,5 +110,11 @@ endforeach()
 expect_usage(2 "unknown option '-0.5'" pathfinder -0.5)
 # An unknown workload fails before anything is built.
 expect_usage(2 "workload must be one of .*, got 'nope'" nope)
+
+execute_process(COMMAND "${DRIVER}" --help OUTPUT_VARIABLE help)
+if(NOT help MATCHES "--check=" OR NOT help MATCHES "--faults=")
+    message(FATAL_ERROR "quickstart --help lists no --check or --faults")
+endif()
+expect_run_option_errors("${help}")
 
 message(STATUS "quickstart usage checks passed")

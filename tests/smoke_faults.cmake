@@ -5,7 +5,8 @@
 # the graceful-degradation machinery must fully absorb the faults.
 # Then disable the retry machinery with every float request dropped
 # and assert the forward-progress watchdog turns the hang into a
-# distinct nonzero exit (64) with a diagnostic snapshot, not a wedge.
+# distinct nonzero exit (64) with a diagnostic snapshot, not a wedge;
+# the snapshot shows each core's state.
 #
 # Invoked by ctest as:
 #   cmake -DQUICKSTART=<exe> -DOUT_DIR=<dir> -P smoke_faults.cmake
@@ -102,6 +103,10 @@ if(NOT err MATCHES "watchdog: interval=")
 endif()
 if(NOT err MATCHES "fault-injector|dropped")
     message(FATAL_ERROR "diagnostic dump missing fault injector state")
+endif()
+# Each tile's block starts with its core: what the wedged cores wait on.
+if(NOT err MATCHES "tile0\\.core rob=")
+    message(FATAL_ERROR "diagnostic dump missing the cores' state")
 endif()
 
 message(STATUS "fault-injection smoke suite passed "

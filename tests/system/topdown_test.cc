@@ -3,8 +3,9 @@
  * System-level tests for the --profile top-down cycle accounting:
  * across prefetching, near-stream, and stream-floating machines, the
  * per-core and per-SE stall buckets must sum EXACTLY to the cycles
- * each account covered — no cycle lost, none double-counted — and a
- * deliberately skewed bucket must trip the end-of-run checker.
+ * each account covered — no cycle lost, none double-counted — also
+ * when a run is cut at its cycle limit, and a deliberately skewed
+ * bucket must trip the end-of-run checker.
  */
 
 #include <gtest/gtest.h>
@@ -73,6 +74,38 @@ TEST(TopDownSystem, BucketsSumExactlyToCoveredCyclesOnEveryMachine)
             EXPECT_TRUE(saw_core) << machineName(m);
         });
     }
+}
+
+TEST(TopDownSystem, CycleLimitEndsEveryAccountAtTheLimit)
+{
+    // srad's stores fill the store buffers early, so at a 5000-cycle
+    // cut some core sleeps parked on stores; run() must settle it at
+    // the limit and close every account there.
+    SystemConfig cfg =
+        SystemConfig::make(Machine::Base, cpu::CoreConfig::ooo8(), 2, 2);
+    cfg.maxCycles = 5000;
+    cfg.profile = true;
+    TiledSystem sys(cfg);
+    workload::WorkloadParams wp;
+    wp.numThreads = cfg.numTiles();
+    wp.scale = 0.01;
+    wp.useStreams = false;
+    auto wl = workload::makeWorkload("srad", wp);
+    wl->init(sys.addressSpace());
+    SimResults r = sys.run(wl->makeAllThreads());
+
+    EXPECT_TRUE(r.hitCycleLimit);
+    EXPECT_EQ(r.cycles, 5000u);
+    bool parked = false;
+    for (TileId t = 0; t < cfg.numTiles(); ++t)
+        parked |= sys.core(t).parkedOnStores();
+    EXPECT_TRUE(parked);
+    // A core's account includes the tick it stops at (a finished
+    // core's includes its done tick), here the limit itself.
+    const auto &accounts = sys.profiler()->topDownAccounts();
+    ASSERT_EQ(accounts.size(), 4u);
+    for (const auto &kv : accounts)
+        EXPECT_EQ(kv.second.total(), 5001u) << kv.first;
 }
 
 TEST(TopDownSystem, StreamMachinesAccountTheirEngines)
